@@ -175,20 +175,24 @@ class FiniteCategory:
 
 
 def poset_category(P: Poset) -> FiniteCategory:
-    """A poset as a category: one morphism per related pair."""
+    """A poset as a category: one morphism per related pair.
+
+    Each f: i -> j is composed only with the morphisms out of j, so filling
+    the table costs the composable pairs, not all pairs of morphisms."""
     morphisms = []
     index = {}
+    out: list[list[tuple[int, int]]] = [[] for _ in P.elements]
     for i in range(len(P.elements)):
         for j in range(len(P.elements)):
             if P.leq[i][j]:
                 index[(i, j)] = len(morphisms)
+                out[i].append((j, len(morphisms)))
                 morphisms.append(Morphism(i, j, f"{P.element_label(i)}->{P.element_label(j)}"))
     identity = [index[(i, i)] for i in range(len(P.elements))]
     compose = {}
     for (i, j), f in index.items():
-        for (j2, k), g in index.items():
-            if j2 == j:
-                compose[(g, f)] = index[(i, k)]
+        for k, g in out[j]:
+            compose[(g, f)] = index[(i, k)]
     return FiniteCategory(P.elements, morphisms, identity, compose)
 
 

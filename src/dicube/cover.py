@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from .complexes import permutations_of
 from .errors import ContractError, ResourceCapError
 from .orders import (
     DoubleOrder,
@@ -174,16 +175,6 @@ class CoverReport:
         )
 
 
-def _sigma_index_maps(labels: tuple) -> list[tuple[dict, dict]]:
-    import itertools
-
-    out = []
-    for image in itertools.permutations(labels):
-        sigma = dict(zip(labels, image))
-        out.append((sigma, {v: k for k, v in sigma.items()}))
-    return out
-
-
 def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
     """Exact verification of the cover properties over the semi-regular family
     (3 labels at most; 4 labels fall back to the regular-only sub-checks).
@@ -239,7 +230,7 @@ def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
                 # constraint set unsatisfiable; nothing further to test
 
     # properness via the regular retraction, plus the direct union criterion
-    for sigma, _ in _sigma_index_maps(labels):
+    for sigma in permutations_of(labels):
         if all(sigma[a] == a for a in labels):
             continue
         for o in family:
@@ -258,7 +249,8 @@ def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
                 )
 
     # equivariance as constraint-set equality
-    for sigma, inv in _sigma_index_maps(labels):
+    for sigma in permutations_of(labels):
+        inv = {v: k for k, v in sigma.items()}
         for o in family:
             o_s = o.act(sigma)
             expected_x = {(inv[labels[i]], inv[labels[j]]) for i in range(n) for j in range(n) if o.x[i] >> j & 1}

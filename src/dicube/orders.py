@@ -4,6 +4,14 @@ every pair of distinct elements comparable in at least one of them.
 Relations are dense boolean matrices stored as per-row bitmasks; transitive
 closures are Warshall sweeps on the masks.  Ground sets stay tiny (<= 6), so
 everything here is exhaustive and exact.
+
+Relabelling is the hot path of every symmetric-group check, so two caches
+serve it.  ``act`` reduces a permutation to its position tuple ``s`` and maps
+each row through ``_bit_permutation(s)``, a 2**n-entry table built once per
+``s`` that moves bit ``s[j]`` of a row mask to bit ``j``.  Every constructed
+``DoubleOrder`` is still validated, but ``rel_is_strict_order`` is memoized by
+relation value, so a Warshall closure runs once per distinct relation rather
+than once per order.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .chains import CubeChain
 from .complexes import CoverCell, OrderedCover
-from .errors import ContractError, ResourceCapError
+from .errors import ContractError, ResourceCapError, StructuralError
 
 Rel = tuple[int, ...]  # row bitmasks: rel[i] >> j & 1 means labels[i] < labels[j]
 
@@ -49,6 +57,7 @@ def rel_is_transitive(rel: Rel) -> bool:
     return rel_closure(rel) == rel
 
 
+@lru_cache(maxsize=None)
 def rel_is_strict_order(rel: Rel) -> bool:
     return rel_is_irreflexive(rel) and rel_is_transitive(rel)
 
@@ -98,18 +107,13 @@ class DoubleOrder:
 
     def act(self, sigma: Mapping) -> "DoubleOrder":
         """Right action: i < j in the image iff sigma(i) < sigma(j) originally."""
-        pos = {lab: k for k, lab in enumerate(self.labels)}
-        s = [pos[sigma[lab]] for lab in self.labels]
-
-        def push(rel: Rel) -> Rel:
-            rows = [0] * self.n
-            for i in range(self.n):
-                for j in range(self.n):
-                    if rel[s[i]] >> s[j] & 1:
-                        rows[i] |= 1 << j
-            return tuple(rows)
-
-        return DoubleOrder(self.labels, push(self.x), push(self.y))
+        labels, x, y = self.labels, self.x, self.y
+        pos = _positions(labels)
+        s = tuple([pos[sigma[lab]] for lab in labels])
+        table = _bit_permutation(s)
+        return DoubleOrder(
+            labels, tuple([table[x[k]] for k in s]), tuple([table[y[k]] for k in s])
+        )
 
     def key(self):
         return (self.x, self.y)
@@ -133,11 +137,54 @@ class DoubleOrder:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DoubleOrder":
+        """Inverse of ``to_json_dict``; StructuralError names the field at
+        fault, ContractError reports relations that are not strict orders."""
+        if not isinstance(data, Mapping):
+            raise StructuralError("double order must be a JSON object")
+        for field in ("labels", "x", "y"):
+            if field not in data:
+                raise StructuralError(f"double order is missing field {field!r}")
+        if not isinstance(data["labels"], list):
+            raise StructuralError("field 'labels' must be a list")
         labels = tuple(data["labels"])
+        try:
+            distinct = len(set(labels)) == len(labels)
+        except TypeError:
+            distinct = False
+        if not distinct:
+            raise StructuralError("field 'labels' must hold distinct hashable labels")
         n = len(labels)
-        x = rel_from_pairs(n, [(i, j) for i in range(n) for j in range(n) if data["x"][i][j]])
-        y = rel_from_pairs(n, [(i, j) for i in range(n) for j in range(n) if data["y"][i][j]])
-        return cls(labels, x, y)
+        rels = []
+        for field in ("x", "y"):
+            matrix = data[field]
+            if not isinstance(matrix, list) or len(matrix) != n or any(
+                not isinstance(row, list) or len(row) != n for row in matrix
+            ):
+                raise StructuralError(f"field {field!r} must be a {n}x{n} list of lists")
+            if any(not isinstance(v, bool) for row in matrix for v in row):
+                raise StructuralError(f"field {field!r} must hold only booleans")
+            rels.append(
+                rel_from_pairs(n, [(i, j) for i in range(n) for j in range(n) if matrix[i][j]])
+            )
+        return cls(labels, *rels)
+
+
+@lru_cache(maxsize=None)
+def _positions(labels: tuple) -> dict:
+    return {lab: k for k, lab in enumerate(labels)}
+
+
+@lru_cache(maxsize=None)
+def _bit_permutation(s: tuple[int, ...]) -> tuple[int, ...]:
+    """table[mask] has bit j set iff mask has bit s[j] set."""
+    image = [0] * len(s)
+    for j, k in enumerate(s):
+        image[k] |= 1 << j
+    table = [0] * (1 << len(s))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] | image[low.bit_length() - 1]
+    return tuple(table)
 
 
 def level_function(rel: Rel) -> Optional[tuple[int, ...]]:
@@ -306,10 +353,6 @@ def _strict_orders(n: int) -> tuple[Rel, ...]:
             out.append(rel)
     out.sort()
     return tuple(out)
-
-
-def enumerate_strict_orders(labels: Sequence) -> list[Rel]:
-    return list(_strict_orders(len(tuple(labels))))
 
 
 def _enumerate_double_filter(labels: tuple) -> list[DoubleOrder]:

@@ -534,6 +534,17 @@ def run_suite(
                 {"reason": "resource-cap", "message": str(exc)},
                 time.perf_counter() - start,
             )
+        except UsageError:
+            raise
+        except Exception as exc:
+            # a broken invariant inside a check is a verdict, not a crash
+            return VerificationReport(
+                check_id,
+                {"n_max": n, **extra},
+                "fail",
+                {"exception": type(exc).__name__, "message": str(exc)},
+                time.perf_counter() - start,
+            )
         return VerificationReport(
             check_id, {"n_max": n, **extra}, status, details, time.perf_counter() - start
         )

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dicube.categories import (
@@ -47,6 +49,57 @@ def test_poset_category_laws():
     C.validate()
     assert C.n_objects == 2 and C.n_morphisms == 3
     assert C.is_loop_free()
+
+
+def poset_category_by_pair_scan(P):
+    """Morphisms and composition table from the plain O(M^2) pair scan."""
+    index = {}
+    for i in range(len(P.elements)):
+        for j in range(len(P.elements)):
+            if P.leq[i][j]:
+                index[(i, j)] = len(index)
+    compose = {}
+    for (i, j), f in index.items():
+        for (j2, k), g in index.items():
+            if j2 == j:
+                compose[(g, f)] = index[(i, k)]
+    return list(index), compose
+
+
+def random_poset(rng, size, density):
+    """A random poset on `size` elements: a random DAG, transitively closed."""
+    rank = list(range(size))
+    rng.shuffle(rank)
+    leq = [
+        [i == j or (rank[i] < rank[j] and rng.random() < density) for j in range(size)]
+        for i in range(size)
+    ]
+    for k in range(size):
+        for i in range(size):
+            if leq[i][k]:
+                leq[i] = [a or b for a, b in zip(leq[i], leq[k])]
+    return Poset([f"p{i}" for i in range(size)], leq)
+
+
+def assert_poset_category_matches_pair_scan(P):
+    C = poset_category(P)
+    pairs, compose = poset_category_by_pair_scan(P)
+    assert [(m.src, m.tgt) for m in C.morphisms] == pairs
+    assert list(C._compose.items()) == list(compose.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["sqsubseteq", "sqsupseteq"])
+def test_poset_category_matches_pair_scan_on_regular_orders(n, variant):
+    P, _ = regular_orders_poset(default_labels(n), variant)
+    assert_poset_category_matches_pair_scan(P)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_poset_category_matches_pair_scan_on_random_posets(seed):
+    rng = random.Random(seed)
+    P = random_poset(rng, rng.randint(1, 14), rng.choice([0.1, 0.3, 0.6]))
+    assert_poset_category_matches_pair_scan(P)
 
 
 def test_poset_validation_rejects_cycles():

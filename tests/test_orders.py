@@ -4,7 +4,7 @@ import pytest
 
 from dicube.chains import CubeChain, enumerate_chains
 from dicube.complexes import build_ordered_cover, default_labels, permutations_of
-from dicube.errors import ContractError, ResourceCapError
+from dicube.errors import ContractError, ResourceCapError, StructuralError
 from dicube.orders import (
     DoubleOrder,
     chain_to_double_order,
@@ -298,3 +298,82 @@ def test_serialization_round_trip():
     data = o.to_json_dict()
     assert data["labels"] == ["a", "b", "c"]
     assert DoubleOrder.from_json_dict(data).key() == o.key()
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({}, "labels"),
+        ({"labels": ["a"], "x": [[False]]}, "y"),
+        ({"labels": "ab", "x": [], "y": []}, "labels"),
+        ({"labels": ["a", "a"], "x": [[False] * 2] * 2, "y": [[False] * 2] * 2}, "labels"),
+        ({"labels": ["a", "b"], "x": [[False]], "y": [[False] * 2] * 2}, "x"),
+        ({"labels": ["a", "b"], "x": [[False] * 2, [False]], "y": [[False] * 2] * 2}, "x"),
+        ({"labels": ["a", "b"], "x": 5, "y": [[False] * 2] * 2}, "x"),
+        ({"labels": ["a", "b"], "x": [[False] * 2] * 2, "y": [[False, 1], [0, False]]}, "y"),
+        ({"labels": ["a", "b"], "x": [[False] * 2] * 2, "y": [(False, False)] * 2}, "y"),
+    ],
+)
+def test_from_json_dict_rejects_malformed_input(data, field):
+    with pytest.raises(StructuralError, match=repr(field)):
+        DoubleOrder.from_json_dict(data)
+
+
+def test_from_json_dict_rejects_relations_that_are_not_strict_orders():
+    data = {"labels": ["a", "b"], "x": [[True, False], [False, False]], "y": [[False] * 2] * 2}
+    with pytest.raises(ContractError):
+        DoubleOrder.from_json_dict(data)
+
+
+# -- the relabelling fast path against the plain definition --------------------------------------
+
+
+def act_by_definition(o, sigma):
+    """The O(n^2) bit loop: i < j in the image iff sigma(i) < sigma(j) in o."""
+    pos = {lab: k for k, lab in enumerate(o.labels)}
+    s = [pos[sigma[lab]] for lab in o.labels]
+
+    def push(rel):
+        rows = [0] * o.n
+        for i in range(o.n):
+            for j in range(o.n):
+                if rel[s[i]] >> s[j] & 1:
+                    rows[i] |= 1 << j
+        return tuple(rows)
+
+    return push(o.x), push(o.y)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_act_matches_the_definition_on_every_double_order(n):
+    labels = default_labels(n)
+    for o in enumerate_orders(labels, "double"):
+        for sigma in permutations_of(labels):
+            image = o.act(sigma)
+            assert image.labels == o.labels
+            assert image.key() == act_by_definition(o, sigma)
+
+
+def test_act_is_a_right_action():
+    # acting by sigma, then by tau, is acting once by l -> sigma(tau(l))
+    labels = default_labels(3)
+    sigmas = permutations_of(labels)
+    for o in enumerate_orders(labels, "double"):
+        for sigma in sigmas:
+            for tau in sigmas:
+                composite = {lab: sigma[tau[lab]] for lab in labels}
+                assert o.act(sigma).act(tau).key() == o.act(composite).key()
+
+
+def test_validation_memo_still_rejects_bad_relations():
+    for o in enumerate_orders(ABC, "double"):
+        DoubleOrder(o.labels, o.x, o.y)  # the memo has now seen valid relations
+    valid = rel_from_pairs(3, [(0, 1)])
+    reflexive = rel_from_pairs(3, [(0, 1), (2, 2)])
+    non_transitive = rel_from_pairs(3, [(0, 1), (1, 2)])
+    for bad in (reflexive, non_transitive):
+        for _ in range(2):  # the second call is served by the memo
+            with pytest.raises(ContractError):
+                DoubleOrder(ABC, bad, valid)
+            with pytest.raises(ContractError):
+                DoubleOrder(ABC, valid, bad)

@@ -4,9 +4,9 @@ import pytest
 
 from dicube.cli import main
 from dicube.complexes import build_final_complex
-from dicube.errors import UsageError
+from dicube.errors import ContractError, UsageError
 from dicube.precubical import is_non_self_linked
-from dicube.suite import REGISTRY, exit_code, run_suite
+from dicube.suite import REGISTRY, CheckSpec, exit_code, run_suite
 
 
 def strip_times(payload):
@@ -169,6 +169,37 @@ def test_cli_verify_failure_exit_code(tmp_path):
     payload = json.loads(out.read_text())
     assert payload[0]["status"] == "fail"
     assert payload[0]["details"]["cell"] == "z1"
+
+
+def raising_check(exc):
+    def check(n_max, **_):
+        raise exc
+
+    return check
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [ContractError("composition table is missing pair"), AssertionError("invariant broken")],
+)
+def test_cli_verify_reports_check_exceptions_as_failures(exc, monkeypatch, tmp_path):
+    spec = REGISTRY["face-swap"]
+    monkeypatch.setitem(
+        REGISTRY, "face-swap", CheckSpec(raising_check(exc), spec.default_n, spec.description)
+    )
+    out = tmp_path / "report.json"
+    suite = "union-sigma,face-swap,euler-zero"
+    code = main(["verify", "--suite", suite, "--n-max", "2", "--out", str(out)])
+    assert code == 1
+    payload = json.loads(out.read_text())
+    assert [r["id"] for r in payload] == ["union-sigma", "face-swap", "euler-zero"]
+    assert [r["status"] for r in payload] == ["pass", "fail", "pass"]
+    assert payload[1]["params"] == {"n_max": 2}
+    assert payload[1]["details"] == {"exception": type(exc).__name__, "message": str(exc)}
+
+
+def test_cli_verify_unknown_target_is_usage_error(capsys):
+    assert main(["verify", "--suite", "non-self-linked", "--n-max", "2", "--target", "bogus"]) == 2
 
 
 def test_cli_verify_unknown_id_is_usage_error(capsys):
