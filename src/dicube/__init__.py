@@ -56,6 +56,7 @@ from .homology import (
     HomologyGroup,
     euler_characteristic,
     homology,
+    homology_signature,
     same_homology,
     smith_normal_form,
 )

@@ -231,16 +231,28 @@ def nerve_complex(C: FiniteCategory) -> ChainComplex:
     ``nerve_chains`` and the boundary alternates drop/compose faces.
     """
     levels = nerve_chains(C)
-    ranks = [len(level) for level in levels]
-    index = [{run: i for i, run in enumerate(level)} for level in levels]
+    rows = [{run: i for i, run in enumerate(level)} for level in levels[:-1]]
+    return ChainComplex([len(level) for level in levels], _nerve_boundaries(C, levels, rows))
+
+
+def _nerve_boundaries(
+    C: FiniteCategory,
+    levels: Sequence[Sequence[tuple[int, ...]]],
+    rows: Sequence[Mapping[tuple[int, ...], int]],
+) -> list[list[dict[int, int]]]:
+    """Sparse boundary columns of the runs in ``levels[k]`` for k >= 1:
+    d(f1, ..., fk) = (f2, ..., fk) + sum_i (-1)^i (..., f(i+1) f(i), ...)
+    + (-1)^k (f1, ..., f(k-1)), and d(f) = tgt f - src f on single
+    morphisms; ``rows[k - 1]`` maps each face run to its row index."""
     boundaries = []
     for k in range(1, len(levels)):
+        row_of = rows[k - 1]
         cols = []
         for run in levels[k]:
             col: dict[int, int] = {}
 
             def add(face: tuple[int, ...], sign: int):
-                row = index[k - 1][face]
+                row = row_of[face]
                 col[row] = col.get(row, 0) + sign
 
             if k == 1:
@@ -256,7 +268,7 @@ def nerve_complex(C: FiniteCategory) -> ChainComplex:
                 add(run[:-1], (-1) ** k)
             cols.append({r: v for r, v in col.items() if v})
         boundaries.append(cols)
-    return ChainComplex(ranks, boundaries)
+    return boundaries
 
 
 def composable_run_counts(C: FiniteCategory) -> list[int]:
@@ -710,32 +722,12 @@ def nerve_orbit_complex(
         rep_of.append(reps)
         rep_levels.append(sorted(set(reps.values())))
 
-    index = [{run: i for i, run in enumerate(level)} for level in rep_levels]
-    ranks = [len(level) for level in rep_levels]
-    boundaries = []
-    for k in range(1, len(rep_levels)):
-        cols = []
-        for run in rep_levels[k]:
-            col: dict[int, int] = {}
-
-            def add(face: tuple[int, ...], sign: int):
-                row = index[k - 1][rep_of[k - 1][face]]
-                col[row] = col.get(row, 0) + sign
-
-            if k == 1:
-                add((C.morphisms[run[0]].tgt,), 1)
-                add((C.morphisms[run[0]].src,), -1)
-            else:
-                add(run[1:], 1)
-                for i in range(1, k):
-                    add(
-                        run[: i - 1] + (C.compose(run[i], run[i - 1]),) + run[i + 1 :],
-                        (-1) ** i,
-                    )
-                add(run[:-1], (-1) ** k)
-            cols.append({r: v for r, v in col.items() if v})
-        boundaries.append(cols)
-    return ChainComplex(ranks, boundaries), rep_levels
+    rows = []
+    for level, reps in zip(rep_levels[:-1], rep_of[:-1]):
+        index = {run: i for i, run in enumerate(level)}
+        rows.append({run: index[rep] for run, rep in reps.items()})
+    boundaries = _nerve_boundaries(C, rep_levels, rows)
+    return ChainComplex([len(level) for level in rep_levels], boundaries), rep_levels
 
 
 def check_functoriality(func: BreakFunctor) -> None:

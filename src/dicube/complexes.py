@@ -10,14 +10,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import ContractError, ResourceCapError
-from .precubical import (
-    Cell,
-    LengthCovering,
-    PrecubicalComplex,
-    PrecubicalMap,
-    length_covering,
-    serial_wedge,
-)
+from .precubical import Cell, PrecubicalComplex, PrecubicalMap, face_slots, serial_wedge
 
 STAR = "*"
 
@@ -48,14 +41,10 @@ def build_standard_cube(arity) -> PrecubicalComplex:
         layer.sort()
     index = {values: (d, k) for d, layer in enumerate(by_dim) for k, values in enumerate(layer)}
     faces = {}
-    for d in range(1, n + 1):
-        for k, values in enumerate(by_dim[d]):
-            stars = [pos for pos, v in enumerate(values) if v == STAR]
-            for i in range(1, d + 1):
-                for eps in (0, 1):
-                    target = list(values)
-                    target[stars[i - 1]] = str(eps)
-                    faces[(d, k, i, eps)] = index[tuple(target)][1]
+    for d, k, i, eps in face_slots([len(layer) for layer in by_dim]):
+        values = by_dim[d][k]
+        pos = [p for p, v in enumerate(values) if v == STAR][i - 1]
+        faces[(d, k, i, eps)] = index[values[:pos] + (str(eps),) + values[pos + 1 :]][1]
     labels = [["".join(values) for values in layer] for layer in by_dim]
     base = (index[("0",) * n][1], index[("1",) * n][1])
     return PrecubicalComplex(labels, faces, base)
@@ -73,10 +62,6 @@ def build_wedge_cube(dims: Sequence[int]) -> PrecubicalComplex:
     return out
 
 
-def top_cube_cell(cube: PrecubicalComplex) -> Cell:
-    return (cube.max_dim, 0)
-
-
 # -- the final complex and its length coverings -------------------------------
 
 
@@ -85,11 +70,7 @@ def build_final_complex(max_dim: int) -> PrecubicalComplex:
     if max_dim < 0:
         raise ContractError("max_dim must be nonnegative")
     labels = [[f"z{m}"] for m in range(max_dim + 1)]
-    faces = {}
-    for d in range(1, max_dim + 1):
-        for i in range(1, d + 1):
-            for eps in (0, 1):
-                faces[(d, 0, i, eps)] = 0
+    faces = {slot: 0 for slot in face_slots([1] * (max_dim + 1))}
     return PrecubicalComplex(labels, faces, (0, 0))
 
 
@@ -112,19 +93,12 @@ def build_final_covering(n: int) -> tuple[PrecubicalComplex, dict[Cell, int]]:
     if n < 0:
         raise ContractError("length must be nonnegative")
     labels = [[f"z{k}_{j}" for j in range(n - k + 1)] for k in range(n + 1)]
-    faces = {}
-    for k in range(1, n + 1):
-        for j in range(n - k + 1):
-            for i in range(1, k + 1):
-                for eps in (0, 1):
-                    faces[(k, j, i, eps)] = j + eps
+    faces = {
+        (k, j, i, eps): j + eps for k, j, i, eps in face_slots([len(layer) for layer in labels])
+    }
     K = PrecubicalComplex(labels, faces, (0, n))
     altitude = {(k, j): j for k in range(n + 1) for j in range(n - k + 1)}
     return K, altitude
-
-
-def covering_of_final(n: int) -> LengthCovering:
-    return length_covering(build_final_complex(n), n)
 
 
 # -- the ordered cover ---------------------------------------------------------
@@ -257,12 +231,10 @@ def build_ordered_cover(labels, cap: int = 6) -> OrderedCover:
                         cells[k].append(CoverCell(frozenset(ones), tuple(mid), zeros))
         cells[k].sort(key=CoverCell.sort_key)
     index = {c: (d, k) for d, layer in enumerate(cells) for k, c in enumerate(layer)}
-    faces = {}
-    for d in range(1, n + 1):
-        for k, cell in enumerate(cells[d]):
-            for i in range(1, d + 1):
-                for eps in (0, 1):
-                    faces[(d, k, i, eps)] = index[cell.face(i, eps)][1]
+    faces = {
+        (d, k, i, eps): index[cells[d][k].face(i, eps)][1]
+        for d, k, i, eps in face_slots([len(layer) for layer in cells])
+    }
     labels_out = [[c.text() for c in layer] for layer in cells]
     init = CoverCell(frozenset(), (), frozenset(ground))
     final = CoverCell(frozenset(ground), (), frozenset())

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .complexes import permutations_of
-from .errors import ContractError, ResourceCapError
+from .errors import ContractError, ResourceCapError, StructuralError
 from .orders import (
     DoubleOrder,
     enumerate_orders,
@@ -149,7 +149,26 @@ def config_to_json_dict(f: Config) -> dict:
 
 
 def config_from_json_dict(data: Mapping) -> Config:
-    return {a: (Fraction(x), Fraction(y)) for a, (x, y) in data["points"].items()}
+    """Inverse of ``config_to_json_dict``; StructuralError names the field at
+    fault.  A coordinate is anything ``Fraction`` reads except a boolean."""
+    points = data.get("points") if isinstance(data, Mapping) else None
+    if not isinstance(points, Mapping):
+        raise StructuralError("field 'points' must be a JSON object")
+    config = {}
+    for a, xy in points.items():
+        if not isinstance(xy, list) or len(xy) != 2:
+            raise StructuralError(f"field 'points' entry {a!r} must be a list of two coordinates")
+        config[a] = (_json_coordinate(xy[0], a), _json_coordinate(xy[1], a))
+    return config
+
+
+def _json_coordinate(value, label) -> Fraction:
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise StructuralError(f"field 'points' entry {label!r} must hold rational numbers")
 
 
 @dataclass

@@ -45,10 +45,11 @@ class ChainComplex:
     is the matrix of the boundary map from degree k to degree k-1, stored
     column-sparse: a list (one entry per degree-k generator) of
     ``{row: coefficient}`` dicts.  Dense ``list[list[int]]`` input is
-    accepted and converted.
+    accepted and converted.  Construction checks that every composite of
+    consecutive boundaries is zero.
     """
 
-    def __init__(self, ranks: Sequence[int], boundaries: Sequence, check: bool = True):
+    def __init__(self, ranks: Sequence[int], boundaries: Sequence):
         self.ranks = tuple(int(r) for r in ranks)
         if any(r < 0 for r in self.ranks):
             raise ContractError("ranks must be nonnegative")
@@ -59,8 +60,7 @@ class ChainComplex:
         self._cols: list[list[Column]] = []
         for k, raw in enumerate(boundaries, start=1):
             self._cols.append(self._normalize(raw, nrows=self.ranks[k - 1], ncols=self.ranks[k]))
-        if check:
-            self.check_boundary_squares_to_zero()
+        self.check_boundary_squares_to_zero()
 
     @staticmethod
     def _normalize(raw, nrows: int, ncols: int) -> list[Column]:
@@ -393,13 +393,14 @@ def homology_to_json(groups: Sequence[HomologyGroup]) -> list[dict]:
     return [g.to_json_dict(k) for k, g in enumerate(groups)]
 
 
+def homology_signature(groups: Sequence[HomologyGroup]) -> list[tuple[int, tuple[int, ...]]]:
+    """(betti, sorted torsion) per degree, with trailing zero groups trimmed."""
+    out = [(g.betti, tuple(sorted(g.torsion))) for g in groups]
+    while out and out[-1] == (0, ()):
+        out.pop()
+    return out
+
+
 def same_homology(a: Sequence[HomologyGroup], b: Sequence[HomologyGroup]) -> bool:
     """Equal Betti numbers and torsion multisets degreewise (trailing zeros ignored)."""
-
-    def trimmed(groups):
-        out = [(g.betti, tuple(sorted(g.torsion))) for g in groups]
-        while out and out[-1] == (0, ()):
-            out.pop()
-        return out
-
-    return trimmed(a) == trimmed(b)
+    return homology_signature(a) == homology_signature(b)

@@ -153,20 +153,20 @@ class DoubleOrder:
             distinct = False
         if not distinct:
             raise StructuralError("field 'labels' must hold distinct hashable labels")
-        n = len(labels)
-        rels = []
-        for field in ("x", "y"):
-            matrix = data[field]
-            if not isinstance(matrix, list) or len(matrix) != n or any(
-                not isinstance(row, list) or len(row) != n for row in matrix
-            ):
-                raise StructuralError(f"field {field!r} must be a {n}x{n} list of lists")
-            if any(not isinstance(v, bool) for row in matrix for v in row):
-                raise StructuralError(f"field {field!r} must hold only booleans")
-            rels.append(
-                rel_from_pairs(n, [(i, j) for i in range(n) for j in range(n) if matrix[i][j]])
-            )
-        return cls(labels, *rels)
+        x, y = (_rel_from_bool_matrix(data[field], len(labels), field) for field in ("x", "y"))
+        return cls(labels, x, y)
+
+
+def _rel_from_bool_matrix(matrix, n: int, field: str) -> Rel:
+    """The relation whose row i, column j is ``matrix[i][j]``; StructuralError
+    names ``field`` unless ``matrix`` is an n x n list of lists of booleans."""
+    if not isinstance(matrix, list) or len(matrix) != n or any(
+        not isinstance(row, list) or len(row) != n for row in matrix
+    ):
+        raise StructuralError(f"field {field!r} must be a {n}x{n} list of lists")
+    if any(not isinstance(v, bool) for row in matrix for v in row):
+        raise StructuralError(f"field {field!r} must hold only booleans")
+    return rel_from_pairs(n, [(i, j) for i in range(n) for j in range(n) if matrix[i][j]])
 
 
 @lru_cache(maxsize=None)
@@ -303,13 +303,16 @@ class Classification:
 def classify(labels: Sequence, x_matrix, y_matrix) -> Classification:
     """Validates a pair of relation matrices and computes the class flags.
 
-    Semi-regularity is decided by membership in the closure-generated family
-    (|labels| <= 4); above that it is reported as None rather than guessed.
+    Each matrix must be an n x n list of lists of booleans (StructuralError
+    names the argument otherwise); relations that are not strict orders give
+    a Classification with ``ok`` false.  Semi-regularity is decided by
+    membership in the closure-generated family (|labels| <= 4); above that
+    it is reported as None rather than guessed.
     """
     labels = tuple(labels)
     n = len(labels)
-    x = rel_from_pairs(n, [(i, j) for i in range(n) for j in range(n) if x_matrix[i][j]])
-    y = rel_from_pairs(n, [(i, j) for i in range(n) for j in range(n) if y_matrix[i][j]])
+    x = _rel_from_bool_matrix(x_matrix, n, "x_matrix")
+    y = _rel_from_bool_matrix(y_matrix, n, "y_matrix")
     for name, rel in (("x", x), ("y", y)):
         if not rel_is_irreflexive(rel):
             return Classification(False, f"{name} relation is reflexive")

@@ -5,10 +5,18 @@ non-self-linkedness, pullbacks, quotients, length coverings).
 Cells are identified by (dimension, index) pairs; face data is stored as
 dense per-dimension tables so lookups are O(1) and iteration order is
 canonical.  All values are immutable after construction.
+
+Face tables are walked in one way only: ``face_slots(dims)`` yields every
+slot (d, k, i, eps) of a complex with those cell counts, and
+``PrecubicalComplex.face_entries()`` adds the target index of each slot.
+Builders fill a face mapping over ``face_slots`` of the new complex;
+relabelling operations (unions, wedges, re-basing, restrictions) renumber
+the ``face_entries`` of their inputs.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -16,6 +24,16 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import ContractError, ResourceCapError, StructuralError
 
 Cell = tuple[int, int]  # (dimension, index within dimension)
+
+
+def face_slots(dims: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """Every face slot (d, k, i, eps) of a complex with ``dims[d]`` cells of
+    dimension d, ordered by dimension, cell, direction 1..d, then eps."""
+    for d in range(1, len(dims)):
+        for k in range(dims[d]):
+            for i in range(1, d + 1):
+                for eps in (0, 1):
+                    yield d, k, i, eps
 
 
 class PrecubicalComplex:
@@ -48,32 +66,29 @@ class PrecubicalComplex:
                 by_label[name] = (d, k)
         self._by_label = by_label
 
-        table: list[tuple[tuple[tuple[int, int], ...], ...]] = []
-        for d, layer in enumerate(self._labels):
-            if d == 0:
-                table.append(tuple(() for _ in layer))
-                continue
-            per_cell = []
-            for k in range(len(layer)):
-                per_i = []
-                for i in range(1, d + 1):
-                    pair = []
-                    for eps in (0, 1):
-                        key = (d, k, i, eps)
-                        if key not in faces:
-                            raise StructuralError(
-                                f"missing face entry d^{eps}_{i} for cell {layer[k]!r}"
-                            )
-                        target = faces[key]
-                        if not (0 <= target < len(self._labels[d - 1])):
-                            raise StructuralError(
-                                f"face d^{eps}_{i} of cell {layer[k]!r} points outside dimension {d - 1}"
-                            )
-                        pair.append(target)
-                    per_i.append((pair[0], pair[1]))
-                per_cell.append(tuple(per_i))
-            table.append(tuple(per_cell))
-        self._faces = tuple(table)
+        # per cell, the targets of its slots in face_slots order: d^0_1, d^1_1, d^0_2, ...
+        flat: list[list[list[int]]] = [[[] for _ in range(count)] for count in self._dims]
+        for key in face_slots(self._dims):
+            d, k, i, eps = key
+            if key not in faces:
+                raise StructuralError(
+                    f"missing face entry d^{eps}_{i} for cell {self._labels[d][k]!r}"
+                )
+            target = faces[key]
+            if not (0 <= target < self._dims[d - 1]):
+                raise StructuralError(
+                    f"face d^{eps}_{i} of cell {self._labels[d][k]!r} points outside dimension {d - 1}"
+                )
+            flat[d][k].append(target)
+        if len(faces) != sum(2 * d * count for d, count in enumerate(self._dims)):
+            slots = set(face_slots(self._dims))
+            extra = next(key for key in faces if key not in slots)
+            raise StructuralError(
+                f"face entry {extra} is not a face slot of a complex with dims {list(self._dims)}"
+            )
+        self._faces = tuple(
+            tuple(tuple(zip(cell[0::2], cell[1::2])) for cell in layer) for layer in flat
+        )
 
         if base is not None:
             init, final = base
@@ -162,6 +177,13 @@ class PrecubicalComplex:
     def final_vertex(self, cell: Cell) -> Cell:
         return self.iterated_face(cell, range(1, cell[0] + 1), 1)
 
+    def face_entries(self) -> Iterator[tuple[int, int, int, int, int]]:
+        """(d, k, i, eps, target) for every slot, in ``face_slots`` order:
+        d^eps_i of cell (d, k) is cell (d - 1, target)."""
+        faces = self._faces
+        for d, k, i, eps in face_slots(self._dims):
+            yield d, k, i, eps, faces[d][k][i - 1][eps]
+
     def all_faces(self, cell: Cell) -> frozenset[Cell]:
         """Every iterated face of the cell, including the cell itself."""
         seen = {cell}
@@ -181,20 +203,10 @@ class PrecubicalComplex:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        faces = []
-        for d in range(1, self.max_dim + 1):
-            for k in range(self.dims[d]):
-                for i in range(1, d + 1):
-                    for eps in (0, 1):
-                        faces.append(
-                            {
-                                "dim": d,
-                                "cell": k,
-                                "i": i,
-                                "eps": eps,
-                                "to": self._faces[d][k][i - 1][eps],
-                            }
-                        )
+        faces = [
+            {"dim": d, "cell": k, "i": i, "eps": eps, "to": target}
+            for d, k, i, eps, target in self.face_entries()
+        ]
         base = None
         if self._base is not None:
             base = {"init": self._base[0], "final": self._base[1]}
@@ -205,18 +217,31 @@ class PrecubicalComplex:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PrecubicalComplex":
+        """Inverse of ``to_json_dict``; StructuralError names the field at
+        fault (every slot must appear exactly once, and nothing else)."""
+        if not isinstance(data, Mapping):
+            raise StructuralError("complex must be a JSON object")
         dims = data.get("dims")
-        if not isinstance(dims, list):
-            raise StructuralError("missing or invalid 'dims'")
+        if not isinstance(dims, list) or not all(_is_json_int(c) and c >= 0 for c in dims):
+            raise StructuralError("field 'dims' must be a list of nonnegative integers")
         labels = [[f"c{d}_{k}" for k in range(count)] for d, count in enumerate(dims)]
+        entries = data.get("faces", [])
+        if not isinstance(entries, list):
+            raise StructuralError("field 'faces' must be a list")
         faces = {}
-        for entry in data.get("faces", ()):
-            key = (entry["dim"], entry["cell"], entry["i"], entry["eps"])
-            faces[key] = entry["to"]
+        for entry in entries:
+            if not isinstance(entry, Mapping):
+                raise StructuralError("field 'faces' must hold JSON objects")
+            key = tuple(_json_int_field(entry, name) for name in ("dim", "cell", "i", "eps"))
+            if key in faces:
+                raise StructuralError(f"field 'faces' repeats the slot {key}")
+            faces[key] = _json_int_field(entry, "to")
         raw_base = data.get("base")
         base = None
         if raw_base is not None:
-            base = (raw_base["init"], raw_base["final"])
+            if not isinstance(raw_base, Mapping):
+                raise StructuralError("field 'base' must be a JSON object or null")
+            base = (_json_int_field(raw_base, "init"), _json_int_field(raw_base, "final"))
         return cls(labels, faces, base)
 
     @classmethod
@@ -242,6 +267,18 @@ class PrecubicalComplex:
 
     def __repr__(self) -> str:
         return f"PrecubicalComplex(dims={list(self.dims)}, base={self._base})"
+
+
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_int_field(obj: Mapping, name: str) -> int:
+    if name not in obj:
+        raise StructuralError(f"missing field {name!r}")
+    if not _is_json_int(obj[name]):
+        raise StructuralError(f"field {name!r} must be an integer")
+    return obj[name]
 
 
 @dataclass(frozen=True)
@@ -323,18 +360,15 @@ class PrecubicalMap:
 
     def violations(self) -> list[str]:
         out = []
-        for d in range(1, self.source.max_dim + 1):
-            for cell in self.source.cells_of_dim(d):
-                for i in range(1, d + 1):
-                    for eps in (0, 1):
-                        expected = self(self.source.face(cell, i, eps))
-                        got = self.target.face(self(cell), i, eps)
-                        if expected != got:
-                            out.append(
-                                f"f(d^{eps}_{i} {self.source.label(cell)!r}) = "
-                                f"{self.target.label(expected)!r} but d^{eps}_{i} f = "
-                                f"{self.target.label(got)!r}"
-                            )
+        for d, k, i, eps, face in self.source.face_entries():
+            expected = self((d - 1, face))
+            got = self.target.face(self((d, k)), i, eps)
+            if expected != got:
+                out.append(
+                    f"f(d^{eps}_{i} {self.source.label((d, k))!r}) = "
+                    f"{self.target.label(expected)!r} but d^{eps}_{i} f = "
+                    f"{self.target.label(got)!r}"
+                )
         return out
 
     @property
@@ -394,13 +428,9 @@ def compute_altitude(K: PrecubicalComplex) -> Optional[dict[Cell, int]]:
     inconsistently.
     """
     neighbors: dict[Cell, list[tuple[Cell, int]]] = {c: [] for c in K.cells()}
-    for d in range(1, K.max_dim + 1):
-        for cell in K.cells_of_dim(d):
-            for i in range(1, d + 1):
-                for eps in (0, 1):
-                    f = K.face(cell, i, eps)
-                    neighbors[cell].append((f, eps))
-                    neighbors[f].append((cell, -eps))
+    for d, k, _i, eps, face in K.face_entries():
+        neighbors[(d, k)].append(((d - 1, face), eps))
+        neighbors[(d - 1, face)].append(((d, k), -eps))
     alt: dict[Cell, int] = {}
     anchors: list[Cell] = []
     if K.base is not None:
@@ -428,12 +458,8 @@ def compute_altitude(K: PrecubicalComplex) -> Optional[dict[Cell, int]]:
 
 
 def is_altitude_labeling(K: PrecubicalComplex, alt: Mapping[Cell, int]) -> bool:
-    for d in range(1, K.max_dim + 1):
-        for cell in K.cells_of_dim(d):
-            for i in range(1, d + 1):
-                for eps in (0, 1):
-                    if alt[K.face(cell, i, eps)] != alt[cell] + eps:
-                        return False
+    if any(alt[(d - 1, face)] != alt[(d, k)] + eps for d, k, _i, eps, face in K.face_entries()):
+        return False
     if K.base is not None and alt[K.base[0]] != 0:
         return False
     return True
@@ -446,11 +472,11 @@ def _accessible_indices(K: PrecubicalComplex) -> set[Cell]:
     if K.base is None:
         raise ContractError("accessibility needs a bipointed complex")
     fwd: dict[Cell, list[Cell]] = {c: [] for c in K.cells()}
-    for d in range(1, K.max_dim + 1):
-        for cell in K.cells_of_dim(d):
-            for i in range(1, d + 1):
-                fwd[K.face(cell, i, 0)].append(cell)  # d0_i(c) <= c
-                fwd[cell].append(K.face(cell, i, 1))  # c <= d1_i(c)
+    for d, k, _i, eps, face in K.face_entries():
+        if eps:
+            fwd[(d, k)].append((d - 1, face))  # c <= d1_i(c)
+        else:
+            fwd[(d - 1, face)].append((d, k))  # d0_i(c) <= c
     start, stop = K.base
 
     def reach(source, graph):
@@ -485,17 +511,15 @@ def _restrict(K: PrecubicalComplex, keep: set[Cell]) -> tuple[PrecubicalComplex,
                 new_index[cell] = (d, len(labels[d]))
                 labels[d].append(K.label(cell))
     faces = {}
-    for cell in keep:
-        d, _ = cell
-        for i in range(1, d + 1):
-            for eps in (0, 1):
-                f = K.face(cell, i, eps)
-                if f not in keep:
-                    raise ContractError(
-                        f"cell set is not face-closed: {K.label(cell)!r} keeps, {K.label(f)!r} does not"
-                    )
-                nd, nk = new_index[cell]
-                faces[(nd, nk, i, eps)] = new_index[f][1]
+    for d, k, i, eps, face in K.face_entries():
+        if (d, k) not in keep:
+            continue
+        if (d - 1, face) not in keep:
+            raise ContractError(
+                f"cell set is not face-closed: {K.label((d, k))!r} keeps, "
+                f"{K.label((d - 1, face))!r} does not"
+            )
+        faces[(d, new_index[(d, k)][1], i, eps)] = new_index[(d - 1, face)][1]
     base = None
     if K.base is not None and K.base[0] in keep and K.base[1] in keep:
         base = (new_index[K.base[0]][1], new_index[K.base[1]][1])
@@ -535,7 +559,7 @@ def is_non_self_linked(K: PrecubicalComplex, dim_cap: int = 12) -> NonSelfLinked
     for d in range(0, K.max_dim + 1):
         for cell in K.cells_of_dim(d):
             images: dict[Cell, tuple] = {}
-            for values in _cube_value_tuples(d):
+            for values in itertools.product((0, 1, STAR), repeat=d):
                 fixed = [(i + 1, v) for i, v in enumerate(values) if v != STAR]
                 image = K.mixed_face(cell, fixed)
                 if image in images:
@@ -545,15 +569,6 @@ def is_non_self_linked(K: PrecubicalComplex, dim_cap: int = 12) -> NonSelfLinked
 
 
 STAR = 2  # internal marker for a free coordinate of a standard-cube cell
-
-
-def _cube_value_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for rest in _cube_value_tuples(n - 1):
-        for v in (0, 1, STAR):
-            yield rest + (v,)
 
 
 # -- pullback ---------------------------------------------------------------
@@ -578,13 +593,11 @@ def pullback(
                     pairs[d].append((kk, lk))
                     labels[d].append(f"({K.label((d, kk))},{L.label((d, lk))})")
     faces = {}
-    for d in range(1, top + 1):
-        for n, (kk, lk) in enumerate(pairs[d]):
-            for i in range(1, d + 1):
-                for eps in (0, 1):
-                    fk = K.face((d, kk), i, eps)[1]
-                    fl = L.face((d, lk), i, eps)[1]
-                    faces[(d, n, i, eps)] = index[(d - 1, fk, fl)]
+    for d, n, i, eps in face_slots([len(layer) for layer in pairs]):
+        kk, lk = pairs[d][n]
+        fk = K.face((d, kk), i, eps)[1]
+        fl = L.face((d, lk), i, eps)[1]
+        faces[(d, n, i, eps)] = index[(d - 1, fk, fl)]
     base = None
     if K.base is not None and L.base is not None:
         (k0, k1), (l0, l1) = K.base, L.base
@@ -623,10 +636,10 @@ def quotient_by_automorphisms(
     ident = PrecubicalMap.identity(K).assignment_key()
     if ident not in keys:
         raise ContractError("group does not contain the identity")
-    # closure and inverses on the raw assignment tuples
-    for a in keys:
-        inv = tuple(_invert_layer(layer) for layer in a)
-        if inv not in keys:
+    maps = {g.assignment_key(): g for g in group}
+    # composition is checked on the raw assignment tuples
+    for a, g in maps.items():
+        if g.inverse().assignment_key() not in keys:
             raise ContractError("group is not closed under inverse")
         for b in keys:
             composed = tuple(
@@ -634,7 +647,6 @@ def quotient_by_automorphisms(
             )
             if composed not in keys:
                 raise ContractError("group is not closed under composition")
-    maps = {g.assignment_key(): g for g in group}
 
     orbit_of: dict[Cell, Cell] = {}
     orbits: dict[Cell, list[Cell]] = {}
@@ -653,17 +665,14 @@ def quotient_by_automorphisms(
     new_index = {rep: (d, k) for d in range(K.max_dim + 1) for k, rep in enumerate(reps[d])}
 
     faces = {}
-    for d in range(1, K.max_dim + 1):
-        for rep in reps[d]:
-            for i in range(1, d + 1):
-                for eps in (0, 1):
-                    targets = {orbit_of[K.face(m, i, eps)] for m in orbits[rep]}
-                    if len(targets) != 1:
-                        raise ContractError(
-                            f"induced face d^{eps}_{i} of orbit {K.label(rep)!r} is ill-defined"
-                        )
-                    nd, nk = new_index[rep]
-                    faces[(nd, nk, i, eps)] = new_index[targets.pop()][1]
+    for d, k, i, eps in face_slots([len(layer) for layer in reps]):
+        rep = reps[d][k]
+        targets = {orbit_of[K.face(m, i, eps)] for m in orbits[rep]}
+        if len(targets) != 1:
+            raise ContractError(
+                f"induced face d^{eps}_{i} of orbit {K.label(rep)!r} is ill-defined"
+            )
+        faces[(d, k, i, eps)] = new_index[targets.pop()][1]
 
     labels = [[K.label(rep) for rep in layer] for layer in reps]
     base = None
@@ -678,13 +687,6 @@ def quotient_by_automorphisms(
         assign[cell[0]][cell[1]] = new_index[orbit_of[cell]][1]
     projection = PrecubicalMap(K, Q, assign)
     return Q, projection
-
-
-def _invert_layer(layer: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(layer)
-    for k, v in enumerate(layer):
-        inv[v] = k
-    return tuple(inv)
 
 
 # -- length covering ---------------------------------------------------------
@@ -720,12 +722,9 @@ def length_covering(K: PrecubicalComplex, n: int) -> LengthCovering:
                 members[d].append((k, h))
                 labels[d].append(f"{K.label((d, k))}@{h}")
     faces = {}
-    for d in range(1, K.max_dim + 1):
-        for m, (k, h) in enumerate(members[d]):
-            for i in range(1, d + 1):
-                for eps in (0, 1):
-                    fk = K.face((d, k), i, eps)[1]
-                    faces[(d, m, i, eps)] = index[(d - 1, fk, h + eps)]
+    for d, m, i, eps in face_slots([len(layer) for layer in members]):
+        k, h = members[d][m]
+        faces[(d, m, i, eps)] = index[(d - 1, K.face((d, k), i, eps)[1], h + eps)]
     init = index.get((0, K.base[0][1], 0))
     final = index.get((0, K.base[1][1], n))
     bounded = PrecubicalComplex(labels, faces, (init, final))
@@ -749,29 +748,24 @@ def length_covering(K: PrecubicalComplex, n: int) -> LengthCovering:
 # -- sums and wedges ----------------------------------------------------------
 
 
+def _renumbered_faces(K: PrecubicalComplex, move) -> dict[tuple[int, int, int, int], int]:
+    """K's face mapping with every cell (d, k) renumbered to (d, move(d, k))."""
+    return {(d, move(d, k), i, eps): move(d - 1, face) for d, k, i, eps, face in K.face_entries()}
+
+
+def _count(K: PrecubicalComplex, d: int) -> int:
+    return K.dims[d] if d <= K.max_dim else 0
+
+
 def disjoint_union(K: PrecubicalComplex, L: PrecubicalComplex) -> PrecubicalComplex:
     """Disjoint union; labels are prefixed to stay unique, no base is set."""
-    top = max(K.max_dim, L.max_dim)
     labels = [
-        [f"L:{K.label((d, k))}" for k in range(K.dims[d] if d <= K.max_dim else 0)]
-        + [f"R:{L.label((d, k))}" for k in range(L.dims[d] if d <= L.max_dim else 0)]
-        for d in range(top + 1)
+        [f"L:{K.label((d, k))}" for k in range(_count(K, d))]
+        + [f"R:{L.label((d, k))}" for k in range(_count(L, d))]
+        for d in range(max(K.max_dim, L.max_dim) + 1)
     ]
-    faces = {}
-    for d in range(1, top + 1):
-        offset = K.dims[d] if d <= K.max_dim else 0
-        off_lower = K.dims[d - 1] if d - 1 <= K.max_dim else 0
-        if d <= K.max_dim:
-            for k in range(K.dims[d]):
-                for i in range(1, d + 1):
-                    for eps in (0, 1):
-                        faces[(d, k, i, eps)] = K.face((d, k), i, eps)[1]
-        if d <= L.max_dim:
-            for k in range(L.dims[d]):
-                for i in range(1, d + 1):
-                    for eps in (0, 1):
-                        faces[(d, offset + k, i, eps)] = off_lower + L.face((d, k), i, eps)[1]
-    return PrecubicalComplex(labels, faces, None)
+    right = _renumbered_faces(L, lambda d, k: _count(K, d) + k)
+    return PrecubicalComplex(labels, _renumbered_faces(K, lambda d, k: k) | right, None)
 
 
 def with_base(K: PrecubicalComplex, init_label: str, final_label: str) -> PrecubicalComplex:
@@ -779,57 +773,29 @@ def with_base(K: PrecubicalComplex, init_label: str, final_label: str) -> Precub
     final = K.cell_of_label(final_label)
     if init[0] != 0 or final[0] != 0:
         raise ContractError("base cells must be vertices")
-    faces = {}
-    for d in range(1, K.max_dim + 1):
-        for k in range(K.dims[d]):
-            for i in range(1, d + 1):
-                for eps in (0, 1):
-                    faces[(d, k, i, eps)] = K.face((d, k), i, eps)[1]
     labels = [[K.label((d, k)) for k in range(K.dims[d])] for d in range(K.max_dim + 1)]
-    return PrecubicalComplex(labels, faces, (init[1], final[1]))
+    return PrecubicalComplex(labels, _renumbered_faces(K, lambda d, k: k), (init[1], final[1]))
 
 
 def serial_wedge(K: PrecubicalComplex, L: PrecubicalComplex) -> PrecubicalComplex:
     """K wedge L: glue the final vertex of K to the initial vertex of L."""
     if K.base is None or L.base is None:
         raise ContractError("serial wedge needs bipointed complexes")
-    top = max(K.max_dim, L.max_dim)
     glue_k = K.base[1][1]  # final vertex index of K
     glue_l = L.base[0][1]  # initial vertex index of L
 
-    def l_vertex(k: int) -> int:
-        # L's vertices map after K's, skipping the glued one
+    def l_cell(d: int, k: int) -> int:
+        # L's cells follow K's; its glued initial vertex becomes K's final one
+        if d > 0:
+            return _count(K, d) + k
         if k == glue_l:
             return glue_k
         return K.dims[0] + (k if k < glue_l else k - 1)
 
     labels: list[list[str]] = []
-    for d in range(top + 1):
-        layer = []
-        for k in range(K.dims[d] if d <= K.max_dim else 0):
-            layer.append(f"L:{K.label((d, k))}")
-        for k in range(L.dims[d] if d <= L.max_dim else 0):
-            if d == 0 and k == glue_l:
-                continue
-            layer.append(f"R:{L.label((d, k))}")
+    for d in range(max(K.max_dim, L.max_dim) + 1):
+        layer = [f"L:{K.label((d, k))}" for k in range(_count(K, d))]
+        layer += [f"R:{L.label((d, k))}" for k in range(_count(L, d)) if (d, k) != (0, glue_l)]
         labels.append(layer)
-
-    def l_cell(d: int, k: int) -> int:
-        if d == 0:
-            return l_vertex(k)
-        return (K.dims[d] if d <= K.max_dim else 0) + k
-
-    faces = {}
-    for d in range(1, top + 1):
-        if d <= K.max_dim:
-            for k in range(K.dims[d]):
-                for i in range(1, d + 1):
-                    for eps in (0, 1):
-                        faces[(d, k, i, eps)] = K.face((d, k), i, eps)[1]
-        if d <= L.max_dim:
-            for k in range(L.dims[d]):
-                for i in range(1, d + 1):
-                    for eps in (0, 1):
-                        faces[(d, l_cell(d, k), i, eps)] = l_cell(d - 1, L.face((d, k), i, eps)[1])
-    base = (K.base[0][1], l_vertex(L.base[1][1]))
-    return PrecubicalComplex(labels, faces, base)
+    faces = _renumbered_faces(K, lambda d, k: k) | _renumbered_faces(L, l_cell)
+    return PrecubicalComplex(labels, faces, (K.base[0][1], l_cell(0, L.base[1][1])))

@@ -24,7 +24,13 @@ from .chains import ChainOrder, CubeChain, enumerate_chains, face_swap
 from .complexes import build_final_complex, build_ordered_cover, default_labels, permutations_of
 from .cover import verify_cover
 from .errors import ResourceCapError, UsageError
-from .homology import euler_characteristic, homology, homology_to_json, same_homology
+from .homology import (
+    euler_characteristic,
+    homology,
+    homology_signature,
+    homology_to_json,
+    same_homology,
+)
 from .orders import (
     chain_to_double_order,
     chain_union,
@@ -392,7 +398,7 @@ def check_cover_proper(n_max: int, **_) -> tuple[str, object]:
     return _pass(out)
 
 
-# signatures are trailing-zero trimmed (betti, sorted torsion) per degree
+# pinned values are homology_signature outputs
 PINNED_HOMOLOGY = {
     2: [(1, ()), (1, ())],
     3: [(1, ()), (1, ())],
@@ -402,13 +408,6 @@ PINNED_ORDERED_HOMOLOGY = {
     2: [(1, ()), (1, ())],
     3: [(1, ()), (3, ()), (2, ())],
 }
-
-
-def _homology_signature(groups):
-    out = [(g.betti, tuple(sorted(g.torsion))) for g in groups]
-    while out and out[-1] == (0, ()):
-        out.pop()
-    return out
 
 
 def check_homology_cross_model(n_max: int, **_) -> tuple[str, object]:
@@ -427,7 +426,7 @@ def check_homology_cross_model(n_max: int, **_) -> tuple[str, object]:
             models["semi-regular-quotient"] = homology(
                 nerve_complex(symmetric_order_quotient(labels, "semi-regular").quotient)
             )
-        sigs = {name: _homology_signature(groups) for name, groups in models.items()}
+        sigs = {name: homology_signature(groups) for name, groups in models.items()}
         if len(set(map(tuple, sigs.values()))) != 1:
             return _fail({"n": n, "models": {k: homology_to_json(v) for k, v in models.items()}})
         sig = next(iter(sigs.values()))
@@ -451,7 +450,7 @@ def check_homology_cross_model(n_max: int, **_) -> tuple[str, object]:
                     },
                 }
             )
-        sig = _homology_signature(h_mixed)
+        sig = homology_signature(h_mixed)
         if sig != PINNED_ORDERED_HOMOLOGY[n]:
             return _fail({"n": n, "ordered": sig, "pinned": PINNED_ORDERED_HOMOLOGY[n]})
         out[f"ordered-{n}"] = sig

@@ -14,7 +14,7 @@ from dicube.categories import (
     symmetric_order_quotient,
 )
 from dicube.complexes import default_labels
-from dicube.homology import euler_characteristic, homology, same_homology
+from dicube.homology import euler_characteristic, homology, homology_signature, same_homology
 from dicube.orders import enumerate_orders
 from dicube.suite import (
     check_bar_f_iso,
@@ -42,13 +42,6 @@ def criterion(number, name, budget_seconds):
     elapsed = time.perf_counter() - start
     print(f"ACCEPTANCE {number:2d} {name}: PASS ({elapsed:.2f}s)")
     assert elapsed < budget_seconds, f"budget {budget_seconds}s exceeded: {elapsed:.2f}s"
-
-
-def signature(groups):
-    out = [(g.betti, tuple(sorted(g.torsion))) for g in groups]
-    while out and out[-1] == (0, ()):
-        out.pop()
-    return out
 
 
 def test_criterion_01_regular_order_cardinality():
@@ -145,9 +138,9 @@ def test_criterion_11_cross_model_homology():
                 models["semi-regular-quotient"] = homology(
                     nerve_complex(symmetric_order_quotient(labels, "semi-regular").quotient)
                 )
-            sigs = {tuple(signature(groups)) for groups in models.values()}
+            sigs = {tuple(homology_signature(groups)) for groups in models.values()}
             assert len(sigs) == 1, (n, models)
-            signatures[n] = signature(models["break"])
+            signatures[n] = homology_signature(models["break"])
         assert signatures[2] == [(1, ()), (1, ())]
         assert signatures[3] == [(1, ()), (1, ())]
         sig4 = signatures[4]
@@ -168,6 +161,6 @@ def test_criterion_12_ordered_model_homology():
             h_mixed = homology(regular_orders_poset(labels, "sqsubseteq")[0].order_complex())
             h_incl = homology(semi_regular_orders_poset(labels)[0].order_complex())
             assert same_homology(h_mixed, h_incl), (n, h_mixed, h_incl)
-            results[n] = signature(h_mixed)
+            results[n] = homology_signature(h_mixed)
         assert results[2] == [(1, ()), (1, ())]
         assert results[3] == [(1, ()), (3, ()), (2, ())]

@@ -16,7 +16,7 @@ from dicube.cover import (
     verify_cover,
     witness_point,
 )
-from dicube.errors import ContractError, ResourceCapError
+from dicube.errors import ContractError, ResourceCapError, StructuralError
 from dicube.orders import DoubleOrder, enumerate_orders, poset_leq, rel_from_pairs, union_bar
 
 AB = ("a", "b")
@@ -148,3 +148,29 @@ def test_config_json_round_trip():
     data = config_to_json_dict(f)
     assert data["points"]["a"] == ["1/2", "-3/1"]
     assert config_from_json_dict(data) == f
+
+
+def test_config_from_json_dict_reads_integers_and_floats_exactly():
+    data = {"points": {"a": [0.5, -3], "b": ["2", 0.25]}}
+    assert config_from_json_dict(data) == {
+        "a": (Fraction(1, 2), Fraction(-3)),
+        "b": (Fraction(2), Fraction(1, 4)),
+    }
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {},
+        {"points": 5},
+        {"points": {"a": ["1/2"]}},
+        {"points": {"a": ["1/2", "x"]}},
+        {"points": {"a": ["1/0", "1"]}},
+        {"points": {"a": [True, "1"]}},
+        {"points": {"a": [None, "1"]}},
+        {"points": {"a": [float("nan"), "1"]}},
+    ],
+)
+def test_config_from_json_dict_rejects_malformed_input(data):
+    with pytest.raises(StructuralError, match="'points'"):
+        config_from_json_dict(data)

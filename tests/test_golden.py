@@ -1,0 +1,241 @@
+"""Pinned digests of builder outputs and nerve chain complexes.
+
+A complex digest is the first 16 hex digits of the SHA-256 of
+``json.dumps([labels, K.to_json_dict()], separators=(",", ":"))``; a map
+digest hashes its assignment the same way; a chain complex digest hashes
+``json.dumps([ranks, sorted columns])``.  Rewriting how the face table or
+the nerve boundaries are walked must leave every digest unchanged.  The
+seeded property test checks face iteration, the JSON round trip and the
+precubical identities on random composite complexes.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from dicube.categories import (
+    build_break_category,
+    nerve_complex,
+    nerve_orbit_complex,
+    symmetric_order_quotient,
+)
+from dicube.complexes import (
+    build_final_complex,
+    build_final_covering,
+    build_ordered_cover,
+    build_standard_cube,
+    build_wedge_cube,
+    default_labels,
+    unique_map_to_final,
+)
+from dicube.precubical import (
+    PrecubicalComplex,
+    accessible_part,
+    disjoint_union,
+    length_covering,
+    pullback,
+    quotient_by_automorphisms,
+    serial_wedge,
+    validate_complex,
+    with_base,
+)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def labels_of(K):
+    return [[K.label((d, k)) for k in range(K.dims[d])] for d in range(K.max_dim + 1)]
+
+
+def complex_digest(K) -> str:
+    return _sha(json.dumps([labels_of(K), K.to_json_dict()], separators=(",", ":")))
+
+
+def map_digest(f) -> str:
+    return _sha(json.dumps(f.assignment_key(), separators=(",", ":")))
+
+
+def chain_digest(C) -> str:
+    degrees = range(1, C.top_degree + 1)
+    cols = [[sorted(col.items()) for col in C.boundary_columns(k)] for k in degrees]
+    return _sha(json.dumps([list(C.ranks), cols]))
+
+
+def _length_covering(K, n):
+    lc = length_covering(K, n)
+    altitude = sorted(lc.altitude.items())
+    return [complex_digest(lc.complex), map_digest(lc.projection), _sha(json.dumps(altitude))]
+
+
+def _cover_quotient(n):
+    cover = build_ordered_cover(n)
+    Q, proj = quotient_by_automorphisms(cover.complex, cover.symmetric_group())
+    return [complex_digest(Q), map_digest(proj)]
+
+
+def _cover_pullback(n):
+    p, _, _ = build_ordered_cover(n).projection()
+    P, proj1, proj2 = pullback(p, p)
+    return [complex_digest(P), map_digest(proj1), map_digest(proj2)]
+
+
+def _final_pullback():
+    sq = build_standard_cube(2)
+    z = build_final_complex(3)
+    wedge = build_wedge_cube([1, 1])
+    P, proj1, proj2 = pullback(unique_map_to_final(sq, z), unique_map_to_final(wedge, z))
+    return [complex_digest(P), map_digest(proj1), map_digest(proj2)]
+
+
+def _final_covering(n):
+    K, altitude = build_final_covering(n)
+    return [complex_digest(K), _sha(json.dumps(sorted(altitude.items())))]
+
+
+BUILDERS = {
+    **{f"cube-{n}": (lambda n=n: [complex_digest(build_standard_cube(n))]) for n in range(4)},
+    "wedge-1,2": lambda: [complex_digest(build_wedge_cube([1, 2]))],
+    "wedge-2,1,1": lambda: [complex_digest(build_wedge_cube([2, 1, 1]))],
+    "final-3": lambda: [complex_digest(build_final_complex(3))],
+    **{f"final-covering-{n}": (lambda n=n: _final_covering(n)) for n in range(5)},
+    **{
+        f"ordered-cover-{n}": (lambda n=n: [complex_digest(build_ordered_cover(n).complex)])
+        for n in range(1, 4)
+    },
+    **{
+        f"length-covering-final-{n}": (lambda n=n: _length_covering(build_final_complex(n), n))
+        for n in range(4)
+    },
+    **{
+        f"length-covering-cube2-{n}": (lambda n=n: _length_covering(build_standard_cube(2), n))
+        for n in range(4)
+    },
+    "yA3/S3": lambda: _cover_quotient(3),
+    "disjoint-union-1,2": lambda: [
+        complex_digest(disjoint_union(build_standard_cube(1), build_standard_cube(2)))
+    ],
+    "disjoint-union-2,wedge": lambda: [
+        complex_digest(disjoint_union(build_standard_cube(2), build_wedge_cube([1, 1])))
+    ],
+    "with-base": lambda: [
+        complex_digest(
+            with_base(disjoint_union(build_standard_cube(2), build_standard_cube(1)), "L:01", "R:1")
+        )
+    ],
+    "serial-wedge-cube,yA2": lambda: [
+        complex_digest(serial_wedge(build_standard_cube(2), build_ordered_cover(2).complex))
+    ],
+    "pullback-yA3": lambda: _cover_pullback(3),
+    "pullback-final": _final_pullback,
+    "accessible-part": lambda: [
+        complex_digest(
+            accessible_part(
+                with_base(
+                    disjoint_union(build_standard_cube(2), build_standard_cube(1)), "L:01", "L:11"
+                )
+            )
+        )
+    ],
+}
+
+GOLDEN_BUILDERS = {
+    'accessible-part': ['8a077642757fc4f2'],
+    'cube-0': ['184358d5c4aba92c'],
+    'cube-1': ['991bb7dc777050a3'],
+    'cube-2': ['0698058f9a8df74a'],
+    'cube-3': ['674fe27493c7810b'],
+    'disjoint-union-1,2': ['fdd7bdc4bd98766f'],
+    'disjoint-union-2,wedge': ['0c7149555dfde186'],
+    'final-3': ['6bce801259ce430a'],
+    'final-covering-0': ['f5783cda724cc795', '5bd3101783c978d8'],
+    'final-covering-1': ['11627f7e1937885f', '081a8a442982118d'],
+    'final-covering-2': ['bcc7bacb3b272245', '757411ffeccbde8c'],
+    'final-covering-3': ['666405112ab2c5a1', '8bae6fda108b4f44'],
+    'final-covering-4': ['aef5514146a0c9f0', 'ba4100ed55aa64fd'],
+    'length-covering-cube2-0': ['522a8ff852b48e88', '4f53cda18c2baa0c', '4f53cda18c2baa0c'],
+    'length-covering-cube2-1': ['522a8ff852b48e88', '4f53cda18c2baa0c', '4f53cda18c2baa0c'],
+    'length-covering-cube2-2': ['46b8dfbb2875d020', '07cf47317cd6a162', 'bd1e52ec47874954'],
+    'length-covering-cube2-3': ['522a8ff852b48e88', '4f53cda18c2baa0c', '4f53cda18c2baa0c'],
+    'length-covering-final-0': ['6aceedd94aee6f0f', 'db407f11d7ede59a', '5bd3101783c978d8'],
+    'length-covering-final-1': ['55ebe89921ddd89e', 'd69cccf7674bf568', '081a8a442982118d'],
+    'length-covering-final-2': ['7f06adaf8c344a92', '6e1b67ba2ed6a7c1', '757411ffeccbde8c'],
+    'length-covering-final-3': ['8fc354de0fe85c19', '712837e4947bc337', '8bae6fda108b4f44'],
+    'ordered-cover-1': ['4a7ebb68e78da124'],
+    'ordered-cover-2': ['cae111cd35346796'],
+    'ordered-cover-3': ['c311f29e42832d5b'],
+    'pullback-final': ['a8e5e7e3714e95b7', 'bd12e66d5fd1b244', '507340e5adb322c9'],
+    'pullback-yA3': ['4ddf7889b216e949', '74fb8d763b5a8822', '4e2f9c89d1a8fa13'],
+    'serial-wedge-cube,yA2': ['a5c91ab1f81801bd'],
+    'wedge-1,2': ['437e8b574ae3aad5'],
+    'wedge-2,1,1': ['1aab56ed24640f23'],
+    'with-base': ['5ebc3838aef7b8a1'],
+    'yA3/S3': ['0048ea6ae48718fb', 'd58748ae60731eaa'],
+}
+
+GOLDEN_NERVES = {
+    'break-2': '8bacf96b072aa263',
+    'break-3': '9fd92c476ea18947',
+    'break-4': '5472e213f86b008c',
+    'regular-orbit-1': ['55116b2f0d183774', '7ae717c9aac47e3a'],
+    'regular-orbit-2': ['8bacf96b072aa263', '7bd5b7807ac4a59a'],
+    'regular-orbit-3': ['b6b9b14a1c6f8766', 'c0c2f83d0fef4bb2'],
+}
+
+
+def nerve_digests():
+    out = {}
+    for n in range(2, 5):
+        out[f"break-{n}"] = chain_digest(nerve_complex(build_break_category(n)))
+    for n in range(1, 4):
+        q = symmetric_order_quotient(default_labels(n), "regular")
+        orbit_cx, orbit_levels = nerve_orbit_complex(q.category, q.action)
+        out[f"regular-orbit-{n}"] = [chain_digest(orbit_cx), _sha(json.dumps(orbit_levels))]
+    return out
+
+
+def test_recipe_check_values():
+    assert complex_digest(build_standard_cube(2)) == "0698058f9a8df74a"
+    assert complex_digest(build_ordered_cover(3).complex) == "c311f29e42832d5b"
+    assert chain_digest(nerve_complex(build_break_category(4))) == "5472e213f86b008c"
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builder_digest(name):
+    assert BUILDERS[name]() == GOLDEN_BUILDERS[name]
+
+
+def test_nerve_digests():
+    assert nerve_digests() == GOLDEN_NERVES
+
+
+# -- seeded property test ---------------------------------------------------------------------
+
+
+def _random_complex(rng: random.Random, depth: int) -> PrecubicalComplex:
+    kind = rng.choice(["cube", "wedge", "union", "pullback"] if depth else ["cube", "wedge"])
+    if kind == "cube":
+        return build_standard_cube(rng.randint(0, 2))
+    if kind == "wedge":
+        return build_wedge_cube([rng.randint(1, 2) for _ in range(rng.randint(1, 3))])
+    if kind == "union":
+        return disjoint_union(_random_complex(rng, depth - 1), _random_complex(rng, depth - 1))
+    K, L = _random_complex(rng, depth - 1), _random_complex(rng, depth - 1)
+    z = build_final_complex(max(K.max_dim, L.max_dim, 0))
+    return pullback(unique_map_to_final(K, z), unique_map_to_final(L, z))[0]
+
+
+def test_face_entries_round_trip_and_identities_on_random_complexes():
+    rng = random.Random(20211)
+    for _ in range(40):
+        K = _random_complex(rng, 2)
+        entries = list(K.face_entries())
+        assert len(entries) == sum(2 * d * K.dims[d] for d in range(K.max_dim + 1))
+        for d, k, i, eps, target in entries:
+            assert K.face((d, k), i, eps) == (d - 1, target)
+        back = PrecubicalComplex.from_json(K.to_json())
+        assert back.to_json_dict() == K.to_json_dict()
+        assert validate_complex(K) == []

@@ -11,6 +11,7 @@ from dicube.homology import (
     boundary_rank_and_divisors,
     euler_characteristic,
     homology,
+    homology_signature,
     same_homology,
     smith_normal_form,
 )
@@ -188,6 +189,12 @@ def test_projective_plane_torsion():
     cx = ChainComplex([1, 1, 1], [[{0: 0}], [{0: 2}]])
     groups = homology(cx)
     assert groups == (HomologyGroup(1), HomologyGroup(0, (2,)), HomologyGroup(0))
+
+
+def test_homology_signature_sorts_torsion_and_trims_trailing_zeros():
+    groups = (HomologyGroup(1), HomologyGroup(0, (6, 2)), HomologyGroup(0), HomologyGroup(0))
+    assert homology_signature(groups) == [(1, ()), (0, (2, 6))]
+    assert homology_signature(()) == []
 
 
 def test_boundary_square_check():

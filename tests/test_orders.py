@@ -71,6 +71,12 @@ def test_classify_rejects_non_strict_input():
     assert not c.ok and "transitive" in c.diagnostic
 
 
+@pytest.mark.parametrize("x_matrix", [[[False]], 5, [[False, 0], [False, False]]])
+def test_classify_rejects_malformed_matrices(x_matrix):
+    with pytest.raises(StructuralError, match="'x_matrix'"):
+        classify(AB, x_matrix, matrix(AB, []))
+
+
 def test_level_function_detects_semi_linearity():
     assert level_function(rel_from_pairs(2, [])) == (1, 1)
     assert level_function(rel_from_pairs(2, [(0, 1)])) == (1, 2)

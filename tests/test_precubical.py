@@ -29,12 +29,7 @@ from dicube.precubical import (
 def broken_square():
     """Standard square with one lower-face entry of an edge redirected."""
     sq = build_standard_cube(2)
-    faces = {}
-    for d in range(1, sq.max_dim + 1):
-        for k in range(sq.dims[d]):
-            for i in range(1, d + 1):
-                for eps in (0, 1):
-                    faces[(d, k, i, eps)] = sq.face((d, k), i, eps)[1]
+    faces = {(d, k, i, eps): target for d, k, i, eps, target in sq.face_entries()}
     labels = [[sq.label((d, k)) for k in range(sq.dims[d])] for d in range(sq.max_dim + 1)]
     edge = sq.cell_of_label("0*")
     wrong = sq.cell_of_label("01")[1]
@@ -318,6 +313,35 @@ def test_json_format_fields():
     assert data["base"] == {"init": 0, "final": 1}
     # canonical serialization is deterministic
     assert build_standard_cube(1).to_json() == build_standard_cube(1).to_json()
+
+
+EDGE_FACES = [
+    {"dim": 1, "cell": 0, "i": 1, "eps": 0, "to": 0},
+    {"dim": 1, "cell": 0, "i": 1, "eps": 1, "to": 1},
+]
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ({"dims": [2, 1], "faces": EDGE_FACES, "base": {"init": 0}}, "'final'"),
+        ({"dims": [2, 1], "faces": EDGE_FACES, "base": [0, 1]}, "'base'"),
+        ({"dims": ["a"]}, "'dims'"),
+        ({"dims": [-1]}, "'dims'"),
+        (
+            {"dims": [2, 1], "faces": EDGE_FACES + [{"dim": 1, "cell": 1, "i": 1, "eps": 0, "to": 0}]},
+            r"face entry \(1, 1, 1, 0\)",
+        ),
+        ({"dims": [2, 1], "faces": EDGE_FACES + [dict(EDGE_FACES[0], to=1)]}, "'faces'"),
+        ({"dims": [2, 1], "faces": [{"dim": 1, "i": 1, "eps": 0, "to": 0}]}, "'cell'"),
+        ({"dims": [2, 1], "faces": 5}, "'faces'"),
+        ({"dims": [2, 1], "faces": [EDGE_FACES[0], dict(EDGE_FACES[1], to=True)]}, "'to'"),
+        ([], "JSON object"),
+    ],
+)
+def test_from_json_dict_rejects_malformed_input(data, match):
+    with pytest.raises(StructuralError, match=match):
+        PrecubicalComplex.from_json_dict(data)
 
 
 def test_map_violations_detected():
