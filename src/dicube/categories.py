@@ -1,13 +1,17 @@
 """Finite categories and their nerves: composition tables, loop-freeness,
 quotients by free group actions, the break category on {1..n-1}, and the
 functor from regular double orders onto it.
+
+Each builder hands ``FiniteCategory`` one composition function; the
+constructor calls it once per composable pair and keeps the table, and
+every law check walks the same ``composable_pairs`` order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, ResourceCapError
 from .homology import ChainComplex
@@ -25,9 +29,10 @@ class Morphism:
 class FiniteCategory:
     """Objects, an indexed morphism list, identities, and composition.
 
-    Composition is a table ``(g, f) -> g of`` filled eagerly or served by a
-    ``compose_fn`` hook (memoized); either way ``compose`` is total on
-    composable pairs.
+    ``compose(g, f)`` gives the index of g∘f; it is called once on every
+    composable pair, in ``composable_pairs`` order, and the results form the
+    table that the ``compose`` method reads.  ``out_of[obj]`` lists the
+    morphisms with source ``obj`` in index order.
     """
 
     def __init__(
@@ -35,8 +40,7 @@ class FiniteCategory:
         objects: Sequence,
         morphisms: Sequence[Morphism],
         identity: Sequence[int],
-        compose: Optional[Mapping[tuple[int, int], int]] = None,
-        compose_fn: Optional[Callable[[int, int], int]] = None,
+        compose: Callable[[int, int], int],
     ):
         self.objects = list(objects)
         self.morphisms = list(morphisms)
@@ -46,10 +50,10 @@ class FiniteCategory:
         for obj, m in enumerate(self.identity):
             if self.morphisms[m].src != obj or self.morphisms[m].tgt != obj:
                 raise ContractError(f"identity of object {obj} has wrong endpoints")
-        if compose is None and compose_fn is None:
-            raise ContractError("need a composition table or hook")
-        self._compose = dict(compose) if compose is not None else {}
-        self._compose_fn = compose_fn
+        self.out_of: list[list[int]] = [[] for _ in self.objects]
+        for m, mor in enumerate(self.morphisms):
+            self.out_of[mor.src].append(m)
+        self._compose = {(g, f): compose(g, f) for g, f in self.composable_pairs()}
 
     @property
     def n_objects(self) -> int:
@@ -59,28 +63,26 @@ class FiniteCategory:
     def n_morphisms(self) -> int:
         return len(self.morphisms)
 
-    def is_identity(self, m: int) -> bool:
-        return self.identity[self.morphisms[m].src] == m and self.morphisms[m].src == self.morphisms[m].tgt
-
     def non_identity(self) -> list[int]:
         idset = set(self.identity)
         return [m for m in range(len(self.morphisms)) if m not in idset]
 
+    def composable_pairs(self) -> Iterator[tuple[int, int]]:
+        """Every (g, f) with tgt(f) = src(g): f in index order, then g in
+        index order among the morphisms out of tgt(f)."""
+        for f, mor in enumerate(self.morphisms):
+            for g in self.out_of[mor.tgt]:
+                yield g, f
+
     def compose(self, g: int, f: int) -> int:
         """g after f; tgt(f) must equal src(g)."""
-        if self.morphisms[f].tgt != self.morphisms[g].src:
-            raise ContractError("morphisms are not composable")
-        key = (g, f)
-        got = self._compose.get(key)
-        if got is None:
-            if self._compose_fn is None:
-                raise ContractError(f"composition table is missing pair {key}")
-            got = self._compose_fn(g, f)
-            self._compose[key] = got
-        return got
+        try:
+            return self._compose[g, f]
+        except KeyError:
+            raise ContractError(f"morphisms {g} and {f} are not composable") from None
 
     def hom(self, a: int, b: int) -> list[int]:
-        return [m for m, mor in enumerate(self.morphisms) if mor.src == a and mor.tgt == b]
+        return [m for m in self.out_of[a] if self.morphisms[m].tgt == b]
 
     def validate(self) -> None:
         """Identity and associativity laws over the full composition table."""
@@ -89,17 +91,14 @@ class FiniteCategory:
                 raise ContractError(f"right identity fails at morphism {m}")
             if self.compose(self.identity[mor.tgt], m) != m:
                 raise ContractError(f"left identity fails at morphism {m}")
-        by_src: dict[int, list[int]] = {}
-        for m, mor in enumerate(self.morphisms):
-            by_src.setdefault(mor.src, []).append(m)
-        for f, fm in enumerate(self.morphisms):
-            for g in by_src.get(fm.tgt, ()):
-                gf = self.compose(g, f)
-                if self.morphisms[gf].src != fm.src or self.morphisms[gf].tgt != self.morphisms[g].tgt:
-                    raise ContractError("composite has wrong endpoints")
-                for h in by_src.get(self.morphisms[g].tgt, ()):
-                    if self.compose(h, gf) != self.compose(self.compose(h, g), f):
-                        raise ContractError("associativity fails")
+        for g, f in self.composable_pairs():
+            gf = self.compose(g, f)
+            g_tgt = self.morphisms[g].tgt
+            if self.morphisms[gf].src != self.morphisms[f].src or self.morphisms[gf].tgt != g_tgt:
+                raise ContractError("composite has wrong endpoints")
+            for h in self.out_of[g_tgt]:
+                if self.compose(h, gf) != self.compose(self.compose(h, g), f):
+                    raise ContractError("associativity fails")
 
     def is_loop_free(self) -> bool:
         """No non-identity endomorphisms and no directed cycles through them."""
@@ -154,7 +153,6 @@ class FiniteCategory:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        self._fill_compose_table()
         return {
             "objects": [self.object_label(i) for i in range(len(self.objects))],
             "morphisms": [
@@ -165,35 +163,24 @@ class FiniteCategory:
             "compose": sorted([g, f, gf] for (g, f), gf in self._compose.items()),
         }
 
-    def _fill_compose_table(self) -> None:
-        by_src: dict[int, list[int]] = {}
-        for m, mor in enumerate(self.morphisms):
-            by_src.setdefault(mor.src, []).append(m)
-        for f, fm in enumerate(self.morphisms):
-            for g in by_src.get(fm.tgt, ()):
-                self.compose(g, f)
-
 
 def poset_category(P: Poset) -> FiniteCategory:
-    """A poset as a category: one morphism per related pair.
-
-    Each f: i -> j is composed only with the morphisms out of j, so filling
-    the table costs the composable pairs, not all pairs of morphisms."""
+    """A poset as a category: one morphism per related pair, composed by
+    looking up the pair (src f, tgt g)."""
     morphisms = []
     index = {}
-    out: list[list[tuple[int, int]]] = [[] for _ in P.elements]
     for i in range(len(P.elements)):
         for j in range(len(P.elements)):
             if P.leq[i][j]:
                 index[(i, j)] = len(morphisms)
-                out[i].append((j, len(morphisms)))
                 morphisms.append(Morphism(i, j, f"{P.element_label(i)}->{P.element_label(j)}"))
     identity = [index[(i, i)] for i in range(len(P.elements))]
-    compose = {}
-    for (i, j), f in index.items():
-        for k, g in out[j]:
-            compose[(g, f)] = index[(i, k)]
-    return FiniteCategory(P.elements, morphisms, identity, compose)
+    return FiniteCategory(
+        P.elements,
+        morphisms,
+        identity,
+        lambda g, f: index[(morphisms[f].src, morphisms[g].tgt)],
+    )
 
 
 # -- nerves ---------------------------------------------------------------------
@@ -204,22 +191,13 @@ def nerve_chains(C: FiniteCategory) -> list[list[tuple[int, ...]]]:
     level 0 lists the objects as empty runs tagged by object index."""
     if not C.is_loop_free():
         raise ContractError("nerve is infinite: category has loops")
-    nonid = C.non_identity()
-    by_src: dict[int, list[int]] = {}
-    for m in nonid:
-        by_src.setdefault(C.morphisms[m].src, []).append(m)
-    for lst in by_src.values():
-        lst.sort()
+    idset = set(C.identity)
+    steps = [[m for m in out if m not in idset] for out in C.out_of]
     levels: list[list[tuple[int, ...]]] = [[(o,) for o in range(C.n_objects)]]
-    current = [(m,) for m in sorted(nonid)]
+    current = [(m,) for m in C.non_identity()]
     while current:
         levels.append(current)
-        nxt = []
-        for run in current:
-            tail = C.morphisms[run[-1]].tgt
-            for m in by_src.get(tail, ()):
-                nxt.append(run + (m,))
-        current = nxt
+        current = [run + (m,) for run in current for m in steps[C.morphisms[run[-1]].tgt]]
     return levels
 
 
@@ -332,14 +310,10 @@ class GroupAction:
             for obj, ident in enumerate(C.identity):
                 if mors[ident] != C.identity[objs[obj]]:
                     raise ContractError("action does not preserve identities")
-        by_src: dict[int, list[int]] = {}
-        for m, mor in enumerate(C.morphisms):
-            by_src.setdefault(mor.src, []).append(m)
         for mors in self.on_morphisms:
-            for f, fm in enumerate(C.morphisms):
-                for g in by_src.get(fm.tgt, ()):
-                    if mors[C.compose(g, f)] != C.compose(mors[g], mors[f]):
-                        raise ContractError("action does not preserve composition")
+            for g, f in C.composable_pairs():
+                if mors[C.compose(g, f)] != C.compose(mors[g], mors[f]):
+                    raise ContractError("action does not preserve composition")
 
     def is_free_on_objects(self) -> bool:
         for g, objs in enumerate(self.on_objects):
@@ -423,7 +397,7 @@ def quotient_category(
     identity = [mor_map[C.identity[r]] for r in reps]
 
     # composition: anchor the second factor at the target object of the first
-    member_by_src: dict[int, dict[int, int]] = {}
+    member_at_source: dict[int, dict[int, int]] = {}
     for q, r in enumerate(mor_reps):
         members = orbit(act.on_morphisms, r)
         table = {}
@@ -432,19 +406,14 @@ def quotient_category(
             if src in table:
                 raise ContractError("action is not free on morphisms")
             table[src] = x
-        member_by_src[q] = table
+        member_at_source[q] = table
 
-    compose = {}
-    for f, fmor in enumerate(morphisms):
+    def compose(g: int, f: int) -> int:
         f_rep = mor_reps[f]
-        f_tgt = C.morphisms[f_rep].tgt
-        for g, gmor in enumerate(morphisms):
-            if gmor.src != fmor.tgt:
-                continue
-            g_member = member_by_src[g].get(f_tgt)
-            if g_member is None:
-                raise ContractError("quotient composition found no anchored factor")
-            compose[(g, f)] = mor_map[C.compose(g_member, f_rep)]
+        g_member = member_at_source[g].get(C.morphisms[f_rep].tgt)
+        if g_member is None:
+            raise ContractError("quotient composition found no anchored factor")
+        return mor_map[C.compose(g_member, f_rep)]
 
     Q = FiniteCategory(objects, morphisms, identity, compose)
     Q.validate()
@@ -454,11 +423,7 @@ def quotient_category(
         for b in range(Q.n_objects):
             direct = len(Q.hom(a, b))
             c = reps[a]
-            fiber = sum(
-                1
-                for m in range(C.n_morphisms)
-                if C.morphisms[m].src == c and obj_map[C.morphisms[m].tgt] == b
-            )
+            fiber = sum(1 for m in C.out_of[c] if obj_map[C.morphisms[m].tgt] == b)
             if direct != fiber:
                 raise ContractError("orbit morphism count identity fails")
     return Q, obj_map, mor_map
@@ -477,16 +442,6 @@ def _cond_blockwise(phi: tuple[int, ...], breaks: tuple[int, ...], n: int) -> bo
     for lo, hi in _blocks(breaks, n):
         if {phi[i - 1] for i in range(lo, hi + 1)} != set(range(lo, hi + 1)):
             return False
-    return True
-
-
-def _cond_blockwise_alt(phi: tuple[int, ...], breaks: tuple[int, ...], n: int) -> bool:
-    # equivalent form: a break between i and j forces phi(i) < phi(j)
-    bs = set(breaks)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if any(i <= b < j for b in bs) and not phi[i - 1] < phi[j - 1]:
-                return False
     return True
 
 
@@ -521,16 +476,13 @@ def build_break_category(n: int) -> FiniteCategory:
             if not set(coarser) <= set(breaks):
                 continue
             for phi in itertools.permutations(range(1, n + 1)):
-                keep = _cond_blockwise(phi, coarser, n)
-                if keep != _cond_blockwise_alt(phi, coarser, n):
-                    raise AssertionError("blockwise condition variants disagree")
-                if keep and _cond_monotone(phi, breaks, n):
+                if _cond_blockwise(phi, coarser, n) and _cond_monotone(phi, breaks, n):
                     mor_index[(b_idx, b2_idx, phi)] = len(morphisms)
                     morphisms.append(Morphism(b_idx, b2_idx, phi))
     ident = tuple(range(1, n + 1))
     identity = [mor_index[(i, i, ident)] for i in range(len(objects))]
 
-    def compose_fn(g: int, f: int) -> int:
+    def compose(g: int, f: int) -> int:
         fm, gm = morphisms[f], morphisms[g]
         phi = tuple(gm.payload[i - 1] for i in fm.payload)
         key = (fm.src, gm.tgt, phi)
@@ -538,7 +490,7 @@ def build_break_category(n: int) -> FiniteCategory:
             raise ContractError("composite permutation leaves the category")
         return mor_index[key]
 
-    return FiniteCategory(objects, morphisms, identity, compose_fn=compose_fn)
+    return FiniteCategory(objects, morphisms, identity, compose)
 
 
 def break_hom_count_oracle(breaks: tuple[int, ...], coarser: tuple[int, ...], n: int) -> int:
@@ -735,12 +687,8 @@ def check_functoriality(func: BreakFunctor) -> None:
     for i in range(C.n_objects):
         if func.morphism_map[C.identity[i]] != D.identity[func.object_map[i]]:
             raise ContractError("functor does not preserve identities")
-    by_src: dict[int, list[int]] = {}
-    for m, mor in enumerate(C.morphisms):
-        by_src.setdefault(mor.src, []).append(m)
-    for f, fm in enumerate(C.morphisms):
-        for g in by_src.get(fm.tgt, ()):
-            if func.morphism_map[C.compose(g, f)] != D.compose(
-                func.morphism_map[g], func.morphism_map[f]
-            ):
-                raise ContractError("functor does not preserve composition")
+    for g, f in C.composable_pairs():
+        if func.morphism_map[C.compose(g, f)] != D.compose(
+            func.morphism_map[g], func.morphism_map[f]
+        ):
+            raise ContractError("functor does not preserve composition")

@@ -13,46 +13,37 @@ import json
 import sys
 from typing import Optional
 
-from .categories import build_break_category, symmetric_order_quotient
+from .categories import (
+    build_break_category,
+    nerve_complex,
+    regular_orders_poset,
+    semi_regular_orders_poset,
+    symmetric_order_quotient,
+)
 from .chains import chain_poset
 from .complexes import build_final_complex, build_final_covering, build_ordered_cover, default_labels
 from .errors import ContractError, ResourceCapError, StructuralError, UsageError
 from .homology import homology, homology_to_json
 from .posets import Poset
-from .categories import nerve_complex, regular_orders_poset, semi_regular_orders_poset
 from .suite import REGISTRY, exit_code, run_suite
 
-COMPLEX_MODELS = ("z", "z-tilde", "yA")
-POSET_MODELS = ("chain-poset", "r-poset", "rplus-poset")
-CATEGORY_MODELS = ("en", "quotient")
-
-
-def _build_complex(model: str, n: int):
-    if model == "z":
-        return build_final_complex(n)
-    if model == "z-tilde":
-        return build_final_covering(n)[0]
-    if model == "yA":
-        return build_ordered_cover(n).complex
-    raise UsageError(f"model {model!r} is not a complex model")
-
-
-def _build_poset(model: str, n: int) -> Poset:
-    if model == "chain-poset":
-        return chain_poset(build_ordered_cover(n).complex)[0]
-    if model == "r-poset":
-        return regular_orders_poset(default_labels(n), "sqsubseteq")[0]
-    if model == "rplus-poset":
-        return semi_regular_orders_poset(default_labels(n))[0]
-    raise UsageError(f"model {model!r} is not a poset model")
-
-
-def _build_category(model: str, n: int):
-    if model == "en":
-        return build_break_category(n)
-    if model == "quotient":
-        return symmetric_order_quotient(default_labels(n), "regular").quotient
-    raise UsageError(f"model {model!r} is not a category model")
+# model id -> builder for size n.  The first three build precubical
+# complexes (`gen`); the others build posets and categories, whose nerves
+# `homology` computes.  Every model exports as JSON and DOT.  Each entry
+# looks its builder up by name when called, so a wrapper bound to that
+# module name (the benchmark's tracer) sees the call.
+MODELS = {
+    "z": lambda n: build_final_complex(n),
+    "z-tilde": lambda n: build_final_covering(n)[0],
+    "yA": lambda n: build_ordered_cover(n).complex,
+    "chain-poset": lambda n: chain_poset(build_ordered_cover(n).complex)[0],
+    "r-poset": lambda n: regular_orders_poset(default_labels(n), "sqsubseteq")[0],
+    "rplus-poset": lambda n: semi_regular_orders_poset(default_labels(n))[0],
+    "en": lambda n: build_break_category(n),
+    "quotient": lambda n: symmetric_order_quotient(default_labels(n), "regular").quotient,
+}
+COMPLEX_MODELS = tuple(MODELS)[:3]
+NERVE_MODELS = tuple(MODELS)[3:]
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -66,19 +57,13 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_gen(args) -> int:
-    K = _build_complex(args.model, args.n)
-    _emit(K.to_json(), args.out)
+    _emit(MODELS[args.model](args.n).to_json(), args.out)
     return 0
 
 
 def _cmd_homology(args) -> int:
-    model = args.model
-    if model in CATEGORY_MODELS:
-        complex_ = nerve_complex(_build_category(model, args.n))
-    elif model in POSET_MODELS:
-        complex_ = _build_poset(model, args.n).order_complex()
-    else:
-        raise UsageError(f"homology supports {POSET_MODELS + CATEGORY_MODELS}, not {model!r}")
+    M = MODELS[args.model](args.n)
+    complex_ = M.order_complex() if isinstance(M, Poset) else nerve_complex(M)
     _emit(json.dumps(homology_to_json(homology(complex_)), separators=(",", ":")), args.out)
     return 0
 
@@ -98,26 +83,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    model, n, fmt = args.model, args.n, args.format
-    if model in COMPLEX_MODELS:
-        K = _build_complex(model, n)
-        text = K.to_json() if fmt == "json" else K.to_dot(name=model.replace("-", "_"))
-    elif model in POSET_MODELS:
-        P = _build_poset(model, n)
-        text = (
-            json.dumps(P.to_json_dict(), separators=(",", ":"))
-            if fmt == "json"
-            else P.to_dot(name=model.replace("-", "_"))
-        )
-    elif model in CATEGORY_MODELS:
-        C = _build_category(model, n)
-        text = (
-            json.dumps(C.to_json_dict(), separators=(",", ":"))
-            if fmt == "json"
-            else C.to_dot(name=model.replace("-", "_"))
-        )
+    M = MODELS[args.model](args.n)
+    if args.format == "json":
+        text = json.dumps(M.to_json_dict(), separators=(",", ":"))
     else:
-        raise UsageError(f"unknown model {model!r}")
+        text = M.to_dot(name=args.model.replace("-", "_"))
     _emit(text, args.out)
     return 0
 
@@ -133,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(fn=_cmd_gen)
 
     hom = sub.add_parser("homology", help="exact homology of a model's nerve")
-    hom.add_argument("--model", required=True, choices=POSET_MODELS + CATEGORY_MODELS)
+    hom.add_argument("--model", required=True, choices=NERVE_MODELS)
     hom.add_argument("--n", type=int, required=True)
     hom.add_argument("--out")
     hom.set_defaults(fn=_cmd_homology)
@@ -147,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(fn=_cmd_verify)
 
     exp = sub.add_parser("export", help="render a model as JSON or DOT")
-    exp.add_argument("--model", required=True, choices=COMPLEX_MODELS + POSET_MODELS + CATEGORY_MODELS)
+    exp.add_argument("--model", required=True, choices=tuple(MODELS))
     exp.add_argument("--n", type=int, required=True)
     exp.add_argument("--format", required=True, choices=("json", "dot"))
     exp.add_argument("--out")

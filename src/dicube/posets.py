@@ -1,10 +1,10 @@
-"""Finite posets: validation, chains, barycentric subdivision, order complexes,
-Hasse diagrams and DOT export."""
+"""Finite posets: validation, chains, barycentric subdivision, Hasse diagrams
+and DOT export.  The order complex is the nerve of the poset category
+(``dicube.categories``)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ContractError
 from .homology import ChainComplex
@@ -21,11 +21,6 @@ class Poset:
             raise ContractError("leq matrix shape does not match elements")
         if check:
             self.validate()
-
-    @classmethod
-    def from_function(cls, elements: Sequence, leq_fn: Callable) -> "Poset":
-        els = list(elements)
-        return cls(els, [[leq_fn(a, b) for b in els] for a in els])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -82,36 +77,13 @@ class Poset:
         out.sort(key=lambda c: (len(c), c))
         return out
 
-    def chains_by_length(self) -> list[list[tuple[int, ...]]]:
-        levels: list[list[tuple[int, ...]]] = []
-        for chain in self.chains():
-            k = len(chain) - 1
-            while len(levels) <= k:
-                levels.append([])
-            levels[k].append(chain)
-        return levels
-
     def order_complex(self) -> ChainComplex:
-        """Chain complex of the order complex (simplices = strict chains)."""
-        levels = self.chains_by_length()
-        if not levels:
-            return ChainComplex([0] if not self.elements else [len(self.elements)], [])
-        ranks = [len(level) for level in levels]
-        index = [
-            {chain: k for k, chain in enumerate(level)} for level in levels
-        ]
-        boundaries = []
-        for k in range(1, len(levels)):
-            cols = []
-            for chain in levels[k]:
-                col: dict[int, int] = {}
-                for drop in range(len(chain)):
-                    sub = chain[:drop] + chain[drop + 1 :]
-                    row = index[k - 1][sub]
-                    col[row] = col.get(row, 0) + (-1) ** drop
-                cols.append({r: v for r, v in col.items() if v})
-            boundaries.append(cols)
-        return ChainComplex(ranks, boundaries)
+        """Chain complex of the order complex (simplices = strict chains): the
+        nerve of the poset category, whose runs of non-identity morphisms are
+        the strict chains in (length, tuple) order."""
+        from .categories import nerve_complex, poset_category
+
+        return nerve_complex(poset_category(self))
 
     def subdivision(self) -> tuple["Poset", list[int]]:
         """Barycentric subdivision (chains ordered by inclusion) and the

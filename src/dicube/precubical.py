@@ -111,10 +111,6 @@ class PrecubicalComplex:
         return len(self._labels) - 1
 
     @property
-    def n_cells(self) -> int:
-        return sum(self.dims)
-
-    @property
     def base(self) -> Optional[tuple[Cell, Cell]]:
         if self._base is None:
             return None
@@ -218,7 +214,8 @@ class PrecubicalComplex:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PrecubicalComplex":
         """Inverse of ``to_json_dict``; StructuralError names the field at
-        fault (every slot must appear exactly once, and nothing else)."""
+        fault (every slot must appear exactly once, and nothing else) or the
+        first precubical identity the faces violate."""
         if not isinstance(data, Mapping):
             raise StructuralError("complex must be a JSON object")
         dims = data.get("dims")
@@ -242,7 +239,11 @@ class PrecubicalComplex:
             if not isinstance(raw_base, Mapping):
                 raise StructuralError("field 'base' must be a JSON object or null")
             base = (_json_int_field(raw_base, "init"), _json_int_field(raw_base, "final"))
-        return cls(labels, faces, base)
+        K = cls(labels, faces, base)
+        bad = validate_complex(K)
+        if bad:
+            raise StructuralError(f"field 'faces' violates a precubical identity: {bad[0]}")
+        return K
 
     @classmethod
     def from_json(cls, text: str) -> "PrecubicalComplex":

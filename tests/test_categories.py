@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from dicube.categories import (
     FiniteCategory,
     Morphism,
+    _cond_blockwise,
     break_functor,
     break_hom_count_oracle,
     break_set,
@@ -116,14 +118,45 @@ def test_subdivision_of_point_and_chain():
     assert sd.is_monotone(chain_poset_two(), max_map)
 
 
+def strict_chain_complex(P):
+    """The order complex from strict element chains in (length, tuple)
+    order, each boundary column summing (-1)^i times the chain without its
+    i-th element: an independent route to ``Poset.order_complex``."""
+    levels = []
+    for chain in P.chains():
+        while len(levels) < len(chain):
+            levels.append([])
+        levels[len(chain) - 1].append(chain)
+    if not levels:
+        return [0], []
+    index = [{chain: i for i, chain in enumerate(level)} for level in levels]
+    boundaries = []
+    for k in range(1, len(levels)):
+        cols = []
+        for chain in levels[k]:
+            col = {}
+            for drop in range(len(chain)):
+                row = index[k - 1][chain[:drop] + chain[drop + 1 :]]
+                col[row] = col.get(row, 0) + (-1) ** drop
+            cols.append([(r, v) for r, v in col.items() if v])
+        boundaries.append(cols)
+    return [len(level) for level in levels], boundaries
+
+
 def test_order_complex_equals_category_nerve_on_posets():
-    # two routes to the same complex: strict element chains vs composable runs
-    P, _ = regular_orders_poset(default_labels(2), "sqsubseteq")
-    via_poset = P.order_complex()
-    via_nerve = nerve_complex(poset_category(P))
-    assert via_poset.ranks == via_nerve.ranks
-    for k in range(1, len(via_poset.ranks)):
-        assert via_poset.boundary_columns(k) == via_nerve.boundary_columns(k)
+    # the nerve of the poset category against strict chains: same
+    # generators in the same order, same columns with the same entry order
+    rng = random.Random(5)
+    posets = [Poset([], []), chain_poset_two()]
+    for n in (2, 3):
+        posets += [regular_orders_poset(default_labels(n), v)[0] for v in ("sqsubseteq", "sqsupseteq")]
+    posets += [random_poset(rng, rng.randint(1, 12), rng.choice([0.2, 0.5])) for _ in range(6)]
+    for P in posets:
+        cx = P.order_complex()
+        ranks, boundaries = strict_chain_complex(P)
+        assert list(cx.ranks) == ranks
+        for k, cols in enumerate(boundaries, start=1):
+            assert [list(col.items()) for col in cx.boundary_columns(k)] == cols
 
 
 def test_mixed_order_poset_on_two_labels_is_a_circle():
@@ -146,17 +179,19 @@ def test_subdivision_preserves_homology():
 
 
 def test_nerve_of_one_object_category():
-    C = FiniteCategory(["*"], [Morphism(0, 0, "id")], [0], {(0, 0): 0})
+    table = {(0, 0): 0}
+    C = FiniteCategory(["*"], [Morphism(0, 0, "id")], [0], lambda g, f: table[g, f])
     groups = homology(nerve_complex(C))
     assert groups == tuple([groups[0]]) and groups[0].betti == 1
 
 
 def test_nerve_rejects_loops():
+    table = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}
     C = FiniteCategory(
         ["*"],
         [Morphism(0, 0, "id"), Morphism(0, 0, "loop")],
         [0],
-        {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
+        lambda g, f: table[g, f],
     )
     with pytest.raises(ContractError):
         nerve_complex(C)
@@ -216,6 +251,76 @@ def test_break_category_euler_characteristic_zero():
 
 
 # -- the functor into the break category ----------------------------------------------------
+
+
+def cond_blockwise_by_pairs(phi, breaks, n):
+    """A break between i < j forces phi(i) < phi(j)."""
+    return all(
+        phi[i - 1] < phi[j - 1]
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if any(i <= b < j for b in breaks)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_blockwise_condition_matches_the_pairwise_form(n):
+    for size in range(n):
+        for breaks in itertools.combinations(range(1, n), size):
+            for phi in itertools.permutations(range(1, n + 1)):
+                assert _cond_blockwise(phi, breaks, n) == cond_blockwise_by_pairs(phi, breaks, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_break_composition_table_composes_payload_permutations(n):
+    E = build_break_category(n)
+    for (g, f), gf in E._compose.items():
+        fm, gm = E.morphisms[f], E.morphisms[g]
+        phi = tuple(gm.payload[i - 1] for i in fm.payload)
+        assert E.morphisms[gf] == Morphism(fm.src, gm.tgt, phi)
+
+
+def composable_pairs_by_scan(C):
+    """All (g, f) with tgt f = src g from the plain scan over all pairs."""
+    return [
+        (g, f)
+        for f in range(C.n_morphisms)
+        for g in range(C.n_morphisms)
+        if C.morphisms[g].src == C.morphisms[f].tgt
+    ]
+
+
+def test_composable_pairs_follow_the_pair_scan():
+    categories = [build_break_category(n) for n in (2, 3, 4)]
+    categories += [symmetric_order_quotient(default_labels(n), "regular").quotient for n in (2, 3)]
+    for C in categories:
+        pairs = composable_pairs_by_scan(C)
+        assert list(C.composable_pairs()) == pairs
+        assert list(C._compose) == pairs
+        everything = itertools.product(range(C.n_morphisms), repeat=2)
+        g, f = next(pair for pair in everything if pair not in C._compose)
+        with pytest.raises(ContractError, match="not composable"):
+            C.compose(g, f)
+
+
+def test_validate_rejects_a_non_associative_table():
+    # redirect one composite g f to another morphism with the same
+    # endpoints; some h after g then tells h (g f) from (h g) f
+    E = build_break_category(4)
+    ident = set(E.identity)
+    g, f = next(
+        (g, f)
+        for g, f in E.composable_pairs()
+        if g not in ident
+        and f not in ident
+        and len(E.hom(E.morphisms[f].src, E.morphisms[g].tgt)) > 1
+        and any(h not in ident for h in E.out_of[E.morphisms[g].tgt])
+    )
+    table = dict(E._compose)
+    table[g, f] = next(m for m in E.hom(E.morphisms[f].src, E.morphisms[g].tgt) if m != table[g, f])
+    bad = FiniteCategory(E.objects, E.morphisms, E.identity, lambda g, f: table[g, f])
+    with pytest.raises(ContractError, match="associativity"):
+        bad.validate()
 
 
 def test_break_set_and_numbering_example():

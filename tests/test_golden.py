@@ -3,10 +3,11 @@
 A complex digest is the first 16 hex digits of the SHA-256 of
 ``json.dumps([labels, K.to_json_dict()], separators=(",", ":"))``; a map
 digest hashes its assignment the same way; a chain complex digest hashes
-``json.dumps([ranks, sorted columns])``.  Rewriting how the face table or
-the nerve boundaries are walked must leave every digest unchanged.  The
-seeded property test checks face iteration, the JSON round trip and the
-precubical identities on random composite complexes.
+``json.dumps([ranks, sorted columns])``; a CLI digest hashes what the
+command writes to standard output.  Rewriting how the face table, the
+composition tables or the nerve boundaries are walked must leave every
+digest unchanged.  The seeded property test checks face iteration, the JSON
+round trip and the precubical identities on random composite complexes.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from dicube.categories import (
     nerve_orbit_complex,
     symmetric_order_quotient,
 )
+from dicube.cli import main
 from dicube.complexes import (
     build_final_complex,
     build_final_covering,
@@ -210,6 +212,41 @@ def test_builder_digest(name):
 
 def test_nerve_digests():
     assert nerve_digests() == GOLDEN_NERVES
+
+
+# every CLI output at n=3 that the models table produces
+GOLDEN_CLI = {
+    'gen z --n 3': '5fd92f3c745ad51f',
+    'gen z-tilde --n 3': '402a941a9803a6a7',
+    'gen yA --n 3': 'd8ec3fa8dbbd9fa3',
+    'export --model z --n 3 --format json': '5fd92f3c745ad51f',
+    'export --model z --n 3 --format dot': '188b1917a356937e',
+    'export --model z-tilde --n 3 --format json': '402a941a9803a6a7',
+    'export --model z-tilde --n 3 --format dot': '145646ee97edc8a8',
+    'export --model yA --n 3 --format json': 'd8ec3fa8dbbd9fa3',
+    'export --model yA --n 3 --format dot': '1900b5fb94acb43e',
+    'export --model chain-poset --n 3 --format json': '781a1dd89251684e',
+    'export --model chain-poset --n 3 --format dot': 'afcd81ed26707542',
+    'export --model r-poset --n 3 --format json': '0dd5512db0f3d5dc',
+    'export --model r-poset --n 3 --format dot': 'e23f4423ef6e3751',
+    'export --model rplus-poset --n 3 --format json': '7070b78ca4d9dbd7',
+    'export --model rplus-poset --n 3 --format dot': '2f4c47be7ef6b6ac',
+    'export --model en --n 3 --format json': '1e6be9b2b457b0c9',
+    'export --model en --n 3 --format dot': '41c73ddde80afa34',
+    'export --model quotient --n 3 --format json': '700dd2b24e37123b',
+    'export --model quotient --n 3 --format dot': 'ef0dcc39e209a8d3',
+    'homology --model chain-poset --n 3': 'e07e25e115ad8c90',
+    'homology --model r-poset --n 3': 'e07e25e115ad8c90',
+    'homology --model rplus-poset --n 3': 'ca10c30ae0b5f35a',
+    'homology --model en --n 3': '30ff8850eabcfdd7',
+    'homology --model quotient --n 3': '30ff8850eabcfdd7',
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_CLI))
+def test_cli_output_digest(argv, capsys):
+    assert main(argv.split()) == 0
+    assert _sha(capsys.readouterr().out) == GOLDEN_CLI[argv]
 
 
 # -- seeded property test ---------------------------------------------------------------------

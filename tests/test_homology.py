@@ -4,6 +4,8 @@ from math import gcd
 
 import pytest
 
+from dicube.categories import build_break_category, nerve_complex, regular_orders_poset
+from dicube.complexes import default_labels
 from dicube.errors import ContractError
 from dicube.homology import (
     ChainComplex,
@@ -224,3 +226,55 @@ def test_rank_nullity_consistency():
         rank = smith_normal_form(a).rank
         assert rank + (n - rank) == n  # kernel dimension complements the rank
         assert rank == rational_rank(a)
+
+
+# -- seeded property test -----------------------------------------------------
+
+
+def change_of_basis(cx, rng, steps):
+    """``cx`` in a random basis.  Each step swaps or negates generators, or
+    replaces generator i of one degree by e_i + c e_j; it acts on the
+    columns of the boundary out of that degree and, inversely, on the rows
+    of the boundary into it, so the result is isomorphic to ``cx``."""
+    mats = [cx.boundary_dense(k) for k in range(1, cx.top_degree + 1)]
+    for _ in range(steps):
+        k = rng.randrange(len(cx.ranks))
+        if cx.ranks[k] < 2:
+            continue
+        i, j = rng.sample(range(cx.ranks[k]), 2)
+        out_of = mats[k - 1] if k >= 1 else []  # generator i is column i
+        into = mats[k] if k < len(mats) else None  # generator i is row i
+        op = rng.choice(("swap", "negate", "add"))
+        c = rng.choice((-2, -1, 1, 2))
+        for row in out_of:
+            if op == "swap":
+                row[i], row[j] = row[j], row[i]
+            elif op == "negate":
+                row[i] = -row[i]
+            else:
+                row[i] += c * row[j]
+        if into is not None:
+            if op == "swap":
+                into[i], into[j] = into[j], into[i]
+            elif op == "negate":
+                into[i] = [-v for v in into[i]]
+            else:
+                into[j] = [a - c * b for a, b in zip(into[j], into[i])]
+    return ChainComplex(cx.ranks, mats)
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [("en", 3), ("en", 4), ("r-poset", 2), ("r-poset", 3)],
+)
+def test_homology_is_invariant_under_unimodular_change_of_basis(model, n):
+    if model == "en":
+        cx = nerve_complex(build_break_category(n))
+    else:
+        cx = regular_orders_poset(default_labels(n), "sqsubseteq")[0].order_complex()
+    want = homology(cx)
+    rng = random.Random(1000 * n + len(model))
+    for _ in range(3):
+        twisted = change_of_basis(cx, rng, 2 * sum(cx.ranks))
+        assert twisted.ranks == cx.ranks
+        assert homology(twisted) == want

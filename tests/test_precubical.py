@@ -344,6 +344,12 @@ def test_from_json_dict_rejects_malformed_input(data, match):
         PrecubicalComplex.from_json_dict(data)
 
 
+def test_from_json_rejects_a_violated_precubical_identity():
+    text = broken_square().to_json()
+    with pytest.raises(StructuralError, match=r"precubical identity: cell 'c2_0': d\^0_1 d\^0_2"):
+        PrecubicalComplex.from_json(text)
+
+
 def test_map_violations_detected():
     sq = build_standard_cube(1)
     z = build_final_complex(1)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dicube import cli
 from dicube.cli import main
 from dicube.complexes import build_final_complex
 from dicube.errors import ContractError, UsageError
@@ -133,6 +134,17 @@ def test_cli_homology_en(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data[0] == {"dim": 0, "betti": 1, "torsion": []}
     assert data[1] == {"dim": 1, "betti": 1, "torsion": []}
+
+
+def test_cli_models_call_builders_through_module_names(monkeypatch, capsys):
+    # a wrapper bound to the module name, as the benchmark's tracer installs
+    # it, must see the builds the models table makes
+    calls = []
+    build = cli.build_break_category
+    monkeypatch.setattr(cli, "build_break_category", lambda n: calls.append(n) or build(n))
+    assert main(["homology", "--model", "en", "--n", "2"]) == 0
+    assert main(["export", "--model", "en", "--n", "3", "--format", "dot"]) == 0
+    assert calls == [2, 3]
 
 
 def test_cli_homology_rejects_complex_models(capsys):
