@@ -328,21 +328,6 @@ class GroupAction:
         return tuple(mors[m] for m in run)
 
 
-def group_action_on_poset_category(
-    C: FiniteCategory, P: Poset, names: Sequence, element_perms: Sequence[Sequence[int]]
-) -> GroupAction:
-    """Lifts permutations of the poset's elements to the poset category."""
-    pair_index = {}
-    for m, mor in enumerate(C.morphisms):
-        pair_index[(mor.src, mor.tgt)] = m
-    on_morphisms = []
-    for perm in element_perms:
-        on_morphisms.append(
-            [pair_index[(perm[mor.src], perm[mor.tgt])] for mor in C.morphisms]
-        )
-    return GroupAction(C, names, element_perms, on_morphisms)
-
-
 def quotient_category(
     C: FiniteCategory, act: GroupAction
 ) -> tuple[FiniteCategory, list[int], list[int]]:
@@ -516,12 +501,10 @@ def break_hom_count_oracle(breaks: tuple[int, ...], coarser: tuple[int, ...], n:
 @dataclass
 class BreakFunctor:
     """The functor from (regular orders, reverse mixed order) to the break
-    category, its object and morphism tables, and the source structure."""
+    category as object and morphism tables; its source is the poset category
+    of ``quotient``, which also holds the relabeling action and orbit maps."""
 
-    labels: tuple
-    source_category: FiniteCategory
-    source_poset: Poset
-    orders: list[DoubleOrder]
+    quotient: SymmetricOrderQuotient
     target: FiniteCategory
     object_map: list[int]
     morphism_map: list[int]
@@ -587,27 +570,25 @@ def semi_regular_orders_poset(labels) -> tuple[Poset, list[DoubleOrder]]:
 
 
 def break_functor(labels) -> BreakFunctor:
-    """Builds the functor on objects and on every reverse-mixed-order pair,
-    checking that each assigned permutation lands in the break category."""
-    labels = tuple(labels)
-    n = len(labels)
-    target = build_break_category(n)
-    poset, orders = regular_orders_poset(labels, "sqsupseteq")
-    source = poset_category(poset)
+    """Builds the functor on the symmetric quotient of the regular orders, on
+    objects and on every reverse-mixed-order pair, checking that each
+    assigned permutation lands in the break category."""
+    q = symmetric_order_quotient(labels, "regular")
+    target = build_break_category(len(q.labels))
     target_obj_index = {b: i for i, b in enumerate(target.objects)}
-    object_map = [target_obj_index[break_set(o)] for o in orders]
+    object_map = [target_obj_index[break_set(o)] for o in q.orders]
     mor_index = {}
     for m, mor in enumerate(target.morphisms):
         mor_index[(mor.src, mor.tgt, mor.payload)] = m
     morphism_map = []
-    for mor in source.morphisms:
-        o, o2 = orders[mor.src], orders[mor.tgt]
+    for mor in q.category.morphisms:
+        o, o2 = q.orders[mor.src], q.orders[mor.tgt]
         phi = morphism_permutation(o, o2)
         key = (object_map[mor.src], object_map[mor.tgt], phi)
         if key not in mor_index:
             raise ContractError("assigned permutation is not a break-category morphism")
         morphism_map.append(mor_index[key])
-    return BreakFunctor(labels, source, poset, orders, target, object_map, morphism_map)
+    return BreakFunctor(q, target, object_map, morphism_map)
 
 
 @dataclass
@@ -639,11 +620,15 @@ def symmetric_order_quotient(labels, kind: str) -> SymmetricOrderQuotient:
         raise ContractError(f"unknown order family {kind!r}")
     C = poset_category(poset)
     key_index = {o.key(): i for i, o in enumerate(orders)}
+    pair_index = {(mor.src, mor.tgt): m for m, mor in enumerate(C.morphisms)}
     sigmas = permutations_of(labels)
     element_perms = [[key_index[o.act(s).key()] for o in orders] for s in sigmas]
-    act = group_action_on_poset_category(
-        C, poset, [str(tuple(s.values())) for s in sigmas], element_perms
-    )
+    # a relabeling moves the morphism a -> b of the poset category to s(a) -> s(b)
+    on_morphisms = [
+        [pair_index[(perm[mor.src], perm[mor.tgt])] for mor in C.morphisms]
+        for perm in element_perms
+    ]
+    act = GroupAction(C, [str(tuple(s.values())) for s in sigmas], element_perms, on_morphisms)
     Q, obj_map, mor_map = quotient_category(C, act)
     return SymmetricOrderQuotient(labels, orders, poset, C, act, Q, obj_map, mor_map)
 
@@ -683,7 +668,7 @@ def nerve_orbit_complex(
 
 
 def check_functoriality(func: BreakFunctor) -> None:
-    C, D = func.source_category, func.target
+    C, D = func.quotient.category, func.target
     for i in range(C.n_objects):
         if func.morphism_map[C.identity[i]] != D.identity[func.object_map[i]]:
             raise ContractError("functor does not preserve identities")

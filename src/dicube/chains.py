@@ -104,11 +104,11 @@ class ChainOrder:
     ContractError is raised otherwise.
     """
 
-    def __init__(self, K: PrecubicalComplex, dim_cap: int = 12):
+    def __init__(self, K: PrecubicalComplex):
         self.K = K
         if compute_altitude(K) is None:
             raise ContractError("chain order needs an altitude labeling")
-        report = is_non_self_linked(K, dim_cap)
+        report = is_non_self_linked(K)
         if not report.ok:
             raise ContractError(
                 f"chain order needs a non-self-linked complex; canonical map of "
@@ -124,10 +124,10 @@ def chain_leq(K: PrecubicalComplex, a: CubeChain, b: CubeChain) -> bool:
     return ChainOrder(K).leq(a, b)
 
 
-def chain_poset(K: PrecubicalComplex, node_cap: Optional[int] = None) -> tuple[Poset, list[CubeChain]]:
+def chain_poset(K: PrecubicalComplex) -> tuple[Poset, list[CubeChain]]:
     """The poset of cube chains under face refinement (antisymmetry verified)."""
     order = ChainOrder(K)
-    chains = enumerate_chains(K, node_cap)
+    chains = enumerate_chains(K)
     leq = [[order.leq(a, b) for b in chains] for a in chains]
     for i, a in enumerate(chains):
         for j in range(len(chains)):

@@ -206,19 +206,19 @@ def permutations_of(labels: Sequence) -> list[dict]:
     return [dict(zip(base, image)) for image in itertools.permutations(base)]
 
 
-def build_ordered_cover(labels, cap: int = 6) -> OrderedCover:
+def build_ordered_cover(labels) -> OrderedCover:
     """The ordered cover over a ground set (or over a, b, c, ... for an int).
 
     Dimension-k cells pick k active elements with a total order on them and
     split the rest into finished/unstarted; removing the i-th active element
-    in its order gives the faces.  Capped because every downstream check is
-    exponential in the arity anyway.
+    in its order gives the faces.  Capped at 6 labels because every
+    downstream check is exponential in the arity anyway.
     """
     ground = default_labels(labels) if isinstance(labels, int) else tuple(labels)
     if len(set(ground)) != len(ground):
         raise ContractError("ground set has repeated labels")
-    if len(ground) > cap:
-        raise ResourceCapError(f"ground set size {len(ground)} above cap {cap}")
+    if len(ground) > 6:
+        raise ResourceCapError(f"ground set size {len(ground)} above cap 6")
     n = len(ground)
     cells: list[list[CoverCell]] = [[] for _ in range(n + 1)]
     for k in range(n + 1):

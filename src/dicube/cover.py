@@ -123,15 +123,15 @@ def separating_witness(o1: DoubleOrder, o2: DoubleOrder) -> Optional[Config]:
     return None
 
 
-def random_configuration(labels: Sequence, rng: random.Random, spread: int = 12) -> Config:
+def random_configuration(labels: Sequence, rng: random.Random) -> Config:
     """Random injective rational configuration; small coordinate ranges make
     first-coordinate ties (and hence y comparisons) common."""
     labels = tuple(labels)
     while True:
         f = {
             a: (
-                Fraction(rng.randint(-spread, spread), rng.randint(1, 4)),
-                Fraction(rng.randint(-spread, spread), rng.randint(1, 4)),
+                Fraction(rng.randint(-12, 12), rng.randint(1, 4)),
+                Fraction(rng.randint(-12, 12), rng.randint(1, 4)),
             )
             for a in labels
         }
@@ -298,7 +298,7 @@ def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
     return report
 
 
-def nerve_retraction_check(labels, max_subset_size: Optional[int] = None, seed: int = 0) -> bool:
+def nerve_retraction_check(labels, seed: int = 0) -> bool:
     """The retraction between nonempty-intersection index sets and members:
     intersecting then collecting supersets is the identity on members, and
     every index set is contained in the collection of its intersection.

@@ -19,11 +19,12 @@ class UsageError(Exception):
     """Bad command-line or registry usage (unknown id, unsupported combination)."""
 
 
-def enumeration_cap(default: int = 1_000_000) -> int:
-    """Global node cap for open-ended searches; DICUBE_MAX_CELLS overrides it."""
+def enumeration_cap() -> int:
+    """Global node cap for open-ended searches, 1,000,000 unless
+    DICUBE_MAX_CELLS overrides it."""
     raw = os.environ.get("DICUBE_MAX_CELLS")
     if raw is None:
-        return default
+        return 1_000_000
     try:
         value = int(raw)
     except ValueError as exc:

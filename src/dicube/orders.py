@@ -319,11 +319,7 @@ def classify(labels: Sequence, x_matrix, y_matrix) -> Classification:
         if not rel_is_transitive(rel):
             return Classification(False, f"{name} relation is not transitive")
     order = DoubleOrder(labels, x, y)
-    semi: Optional[bool] = None
-    if n <= 4:
-        semi = order.key() in {
-            o.key() for o in enumerate_orders(labels, "semi-regular")
-        }
+    semi = is_semi_regular(order) if n <= 4 else None
     levels = level_function(x)
     level = dict(zip(labels, levels)) if levels is not None else None
     return Classification(
@@ -450,6 +446,11 @@ def _enumerate_cached(labels: tuple, kind: str) -> tuple[DoubleOrder, ...]:
     raise ContractError(f"unknown order class {kind!r}")
 
 
+@lru_cache(maxsize=None)
+def _semi_regular_keys(labels: tuple) -> frozenset:
+    return frozenset(o.key() for o in _enumerate_cached(labels, "semi-regular"))
+
+
 # -- the two partial orders on double orders ---------------------------------------
 
 
@@ -472,7 +473,7 @@ def is_semi_regular(o: DoubleOrder) -> bool:
         return True
     if o.n > 4:
         raise ResourceCapError("semi-regularity decision is capped at 4 labels")
-    return o.key() in {u.key() for u in _enumerate_cached(o.labels, "semi-regular")}
+    return o.key() in _semi_regular_keys(o.labels)
 
 
 def to_regular(o: DoubleOrder) -> DoubleOrder:

@@ -434,3 +434,19 @@ def test_poset_dot_hasse():
     P, _ = regular_orders_poset(default_labels(2), "sqsubseteq")
     dot = P.to_dot("r_poset")
     assert dot.count("->") == 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_break_functor_source_is_the_regular_quotient(n):
+    func = break_functor(default_labels(n))
+    q = symmetric_order_quotient(default_labels(n), "regular")
+    assert [o.key() for o in func.quotient.orders] == [o.key() for o in q.orders]
+
+    def ends(C):
+        return [(m.src, m.tgt) for m in C.morphisms]
+
+    assert ends(func.quotient.category) == ends(q.category)
+    assert func.quotient.object_map == q.object_map
+    assert func.quotient.morphism_map == q.morphism_map
+    assert len(func.object_map) == len(q.orders)
+    assert len(func.morphism_map) == q.category.n_morphisms

@@ -383,3 +383,21 @@ def test_validation_memo_still_rejects_bad_relations():
                 DoubleOrder(ABC, bad, valid)
             with pytest.raises(ContractError):
                 DoubleOrder(ABC, valid, bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_semi_regular_membership_matches_the_enumeration(n):
+    labels = default_labels(n)
+    semi = {o.key() for o in enumerate_orders(labels, "semi-regular")}
+    flags = []
+    for o in enumerate_orders(labels, "double"):
+        expected = o.key() in semi
+        flags.append(expected)
+        assert is_semi_regular(o) == expected
+        x = [[bool(o.x[i] >> j & 1) for j in range(n)] for i in range(n)]
+        y = [[bool(o.y[i] >> j & 1) for j in range(n)] for i in range(n)]
+        c = classify(labels, x, y)
+        assert c.order.key() == o.key()
+        assert c.is_semi_regular == expected
+    assert flags.count(True) == len(semi)
+    assert (False in flags) == (n == 3)

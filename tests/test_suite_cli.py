@@ -234,3 +234,47 @@ def test_cli_export_quotient_json(capsys):
 def test_cli_bad_argument_exit_codes(capsys):
     assert main(["gen", "z-tilde", "--n", "-1"]) == 2  # contract violation
     assert main(["gen", "yA", "--n", "9"]) == 3  # over the ground-set cap
+
+
+@pytest.mark.parametrize("kind", ["object", "morphism"])
+@pytest.mark.parametrize("whole_orbit", [False, True])
+def test_bar_f_iso_fails_on_a_functor_not_induced_from_the_quotient(kind, whole_orbit, monkeypatch):
+    # member 0 (or its whole orbit) is sent to the image of another orbit
+    from dicube import categories, suite
+
+    moved = []
+
+    def corrupted_break_functor(labels):
+        func = categories.break_functor(labels)
+        orbit_of = getattr(func.quotient, f"{kind}_map")
+        image_of = getattr(func, f"{kind}_map")
+        other = next((i for i, orbit in enumerate(orbit_of) if orbit != orbit_of[0]), None)
+        if other is not None:
+            moved.append((orbit_of[0], image_of[other], image_of[0]))
+            for i, orbit in enumerate(orbit_of):
+                if i == 0 or (whole_orbit and orbit == orbit_of[0]):
+                    image_of[i] = image_of[other]
+        return func
+
+    monkeypatch.setattr(suite, "break_functor", corrupted_break_functor)
+    monkeypatch.setattr(suite, "check_functoriality", lambda func: None)
+    status, details = suite.check_bar_f_iso(3)
+    assert status == "fail"
+    orbit, new, old = moved[0]
+    if whole_orbit:
+        assert details == {"n": 2, "reason": f"induced {kind} map not bijective"}
+    else:
+        reason = f"induced {kind} map ill-defined"
+        assert details == {"n": 2, "reason": reason, "orbit": orbit, "images": [new, old]}
+
+
+def test_bar_f_iso_builds_one_regular_poset_category_per_n(monkeypatch):
+    from dicube import categories, suite
+
+    sizes = []
+    build = categories.poset_category
+    monkeypatch.setattr(
+        categories, "poset_category", lambda P: sizes.append(len(P.elements)) or build(P)
+    )
+    assert suite.check_bar_f_iso(3)[0] == "pass"
+    assert sizes == [1, 4, 24]  # the regular orders at n = 1, 2, 3
