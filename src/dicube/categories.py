@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, ResourceCapError
 from .homology import ChainComplex
-from .orders import DoubleOrder, enumerate_orders, level_function, poset_leq
+from .orders import DoubleOrder, enumerate_orders, poset_leq, regular_blocks
 from .posets import Poset, _dot_escape
 
 
@@ -342,37 +342,27 @@ def quotient_category(
     if not act.is_free_on_objects():
         raise ContractError("quotient construction requires a free action on objects")
 
-    def orbit(table, start):
-        return sorted({row[start] for row in table})
+    # the least member of an object orbit represents it
+    obj_orbit_rep = [min(row[o] for row in act.on_objects) for o in range(C.n_objects)]
+    reps = sorted(set(obj_orbit_rep))
+    rep_index = {r: i for i, r in enumerate(reps)}
+    obj_map = [rep_index[r] for r in obj_orbit_rep]
 
-    obj_orbit_rep: list[int] = [-1] * C.n_objects
-    reps = []
-    for o in range(C.n_objects):
-        if obj_orbit_rep[o] == -1:
-            members = orbit(act.on_objects, o)
-            rep = members[0]
-            for m in members:
-                obj_orbit_rep[m] = rep
-            reps.append(rep)
-    reps.sort()
-    obj_map = [reps.index(obj_orbit_rep[o]) for o in range(C.n_objects)]
-
+    # a morphism orbit by source: the action is free on objects, so the orbit
+    # has one member at each object of its source orbit, and the member at
+    # the representative object represents it
     mor_orbit_rep: list[int] = [-1] * C.n_morphisms
-    mor_reps = []
+    member_at: dict[int, dict[int, int]] = {}
     for m in range(C.n_morphisms):
         if mor_orbit_rep[m] == -1:
-            members = orbit(act.on_morphisms, m)
-            # canonical representative: the unique member whose source is the
-            # canonical object of the source orbit, least index breaking ties
-            anchored = [
-                x for x in members if C.morphisms[x].src == obj_orbit_rep[C.morphisms[x].src]
-            ]
-            rep = min(anchored)
-            for x in members:
+            members = {C.morphisms[row[m]].src: row[m] for row in act.on_morphisms}
+            rep = members[obj_orbit_rep[C.morphisms[m].src]]
+            for x in members.values():
                 mor_orbit_rep[x] = rep
-            mor_reps.append(rep)
-    mor_reps.sort()
-    mor_map = [mor_reps.index(mor_orbit_rep[m]) for m in range(C.n_morphisms)]
+            member_at[rep] = members
+    mor_reps = sorted(member_at)
+    mor_rep_index = {r: i for i, r in enumerate(mor_reps)}
+    mor_map = [mor_rep_index[mor_orbit_rep[m]] for m in range(C.n_morphisms)]
 
     objects = [C.objects[r] for r in reps]
     morphisms = []
@@ -381,21 +371,10 @@ def quotient_category(
         morphisms.append(Morphism(obj_map[mor.src], obj_map[mor.tgt], C.morphisms[r].payload))
     identity = [mor_map[C.identity[r]] for r in reps]
 
-    # composition: anchor the second factor at the target object of the first
-    member_at_source: dict[int, dict[int, int]] = {}
-    for q, r in enumerate(mor_reps):
-        members = orbit(act.on_morphisms, r)
-        table = {}
-        for x in members:
-            src = C.morphisms[x].src
-            if src in table:
-                raise ContractError("action is not free on morphisms")
-            table[src] = x
-        member_at_source[q] = table
-
     def compose(g: int, f: int) -> int:
+        # anchor the second factor at the target object of the first
         f_rep = mor_reps[f]
-        g_member = member_at_source[g].get(C.morphisms[f_rep].tgt)
+        g_member = member_at[mor_reps[g]].get(C.morphisms[f_rep].tgt)
         if g_member is None:
             raise ContractError("quotient composition found no anchored factor")
         return mor_map[C.compose(g_member, f_rep)]
@@ -511,43 +490,14 @@ class BreakFunctor:
 
 
 def break_set(o: DoubleOrder) -> tuple[int, ...]:
-    """Cumulative level-block sizes, the last one dropped."""
-    levels = level_function(o.x)
-    if levels is None:
-        raise ContractError("order has no level decomposition")
-    top = max(levels) if levels else 0
-    out = []
-    acc = 0
-    for lev in range(1, top):
-        acc += sum(1 for v in levels if v == lev)
-        out.append(acc)
-    return tuple(out)
+    """Cumulative block sizes of a regular order, the last one dropped."""
+    return tuple(itertools.accumulate(len(block) for block in regular_blocks(o)))[:-1]
 
 
 def monotone_numbering(o: DoubleOrder) -> tuple:
-    """The unique listing with blocks in level order and each block listed in
-    ascending y order."""
-    if not o.is_regular:
-        raise ContractError("monotone numbering needs a regular order")
-    levels = level_function(o.x)
-    top = max(levels) if levels else 0
-    out = []
-    for lev in range(1, top + 1):
-        block = [i for i, v in enumerate(levels) if v == lev]
-        members = sorted(block, key=lambda i: sum(1 for j in block if o.y[j] >> i & 1))
-        out.extend(o.labels[i] for i in members)
-    return tuple(out)
-
-
-def morphism_permutation(o: DoubleOrder, o2: DoubleOrder) -> tuple[int, ...]:
-    """For o above o2 in the reverse mixed order: the permutation phi with
-    numbering2[phi(i)] = numbering[i]."""
-    if not poset_leq(o2, o, "sqsubseteq"):
-        raise ContractError("morphisms exist only along the reverse mixed order")
-    num1 = monotone_numbering(o)
-    num2 = monotone_numbering(o2)
-    pos2 = {lab: i + 1 for i, lab in enumerate(num2)}
-    return tuple(pos2[lab] for lab in num1)
+    """The unique listing of a regular order with its blocks in order and
+    each block listed in ascending y order."""
+    return tuple(lab for block in regular_blocks(o) for lab in block)
 
 
 def regular_orders_poset(labels, variant: str) -> tuple[Poset, list[DoubleOrder]]:
@@ -572,18 +522,18 @@ def semi_regular_orders_poset(labels) -> tuple[Poset, list[DoubleOrder]]:
 def break_functor(labels) -> BreakFunctor:
     """Builds the functor on the symmetric quotient of the regular orders, on
     objects and on every reverse-mixed-order pair, checking that each
-    assigned permutation lands in the break category."""
+    assigned permutation lands in the break category.  The pair o -> o2
+    goes to the phi with numbering(o2)[phi(i)] = numbering(o)[i]."""
     q = symmetric_order_quotient(labels, "regular")
     target = build_break_category(len(q.labels))
     target_obj_index = {b: i for i, b in enumerate(target.objects)}
     object_map = [target_obj_index[break_set(o)] for o in q.orders]
-    mor_index = {}
-    for m, mor in enumerate(target.morphisms):
-        mor_index[(mor.src, mor.tgt, mor.payload)] = m
+    numberings = [monotone_numbering(o) for o in q.orders]
+    positions = [{lab: i for i, lab in enumerate(num, start=1)} for num in numberings]
+    mor_index = {(mor.src, mor.tgt, mor.payload): m for m, mor in enumerate(target.morphisms)}
     morphism_map = []
     for mor in q.category.morphisms:
-        o, o2 = q.orders[mor.src], q.orders[mor.tgt]
-        phi = morphism_permutation(o, o2)
+        phi = tuple(positions[mor.tgt][lab] for lab in numberings[mor.src])
         key = (object_map[mor.src], object_map[mor.tgt], phi)
         if key not in mor_index:
             raise ContractError("assigned permutation is not a break-category morphism")

@@ -16,9 +16,9 @@ STAR = "*"
 
 
 def default_labels(n: int) -> tuple[str, ...]:
-    """Canonical index names a, b, c, ... for ground sets of size <= 26."""
-    if n > 26:
-        raise ContractError("default label alphabet has 26 names")
+    """Canonical index names a, b, c, ... for ground sets of size 0..26."""
+    if not 0 <= n <= 26:
+        raise ContractError(f"default labels name 0 to 26 elements, not {n}")
     return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
 
 

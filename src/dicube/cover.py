@@ -17,7 +17,7 @@ from .orders import (
     DoubleOrder,
     enumerate_orders,
     rel_closure,
-    rel_from_pairs,
+    regular_from_blocks,
     rel_is_irreflexive,
     rel_subset,
     to_regular,
@@ -75,26 +75,15 @@ def is_injective_configuration(f: Config) -> bool:
 
 
 def point_to_order(f: Config, labels: Sequence) -> DoubleOrder:
-    """The regular order of an injective configuration: x compares first
-    coordinates, y breaks first-coordinate ties by the second."""
+    """The regular order of an injective configuration: one block per first
+    coordinate, in ascending order, each sorted by the second coordinate."""
     labels = tuple(labels)
     if not is_injective_configuration(f):
         raise ContractError("configuration is not injective")
-    n = len(labels)
-    x_pairs = []
-    y_pairs = []
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            if f[a][0] < f[b][0]:
-                x_pairs.append((i, j))
-            elif f[a][0] == f[b][0] and f[a][1] < f[b][1]:
-                y_pairs.append((i, j))
-    o = DoubleOrder(labels, rel_from_pairs(n, x_pairs), rel_from_pairs(n, y_pairs))
-    if not o.is_regular:
-        raise AssertionError("configuration must induce a regular order")
-    if not u_contains(o, f):
-        raise AssertionError("configuration must lie in its own constraint set")
-    return o
+    columns: dict = {}
+    for a in sorted(labels, key=lambda a: f[a]):
+        columns.setdefault(f[a][0], []).append(a)
+    return regular_from_blocks(labels, columns.values())
 
 
 def separating_witness(o1: DoubleOrder, o2: DoubleOrder) -> Optional[Config]:

@@ -5,6 +5,11 @@ Relations are dense boolean matrices stored as per-row bitmasks; transitive
 closures are Warshall sweeps on the masks.  Ground sets stay tiny (<= 6), so
 everything here is exhaustive and exact.
 
+A regular double order is an ordered sequence of blocks, each totally
+ordered by y: ``regular_from_blocks`` builds the order and
+``regular_blocks`` reads the blocks back.  The regular enumeration, the
+cube-chain bijection and the break functor's numberings all use this pair.
+
 Relabelling is the hot path of every symmetric-group check, so two caches
 serve it.  ``act`` reduces a permutation to its position tuple ``s`` and maps
 each row through ``_bit_permutation(s)``, a 2**n-entry table built once per
@@ -286,6 +291,51 @@ def _find_cycle(rel: Rel, start: int) -> list[int]:
     raise AssertionError("no cycle found despite reflexive closure")
 
 
+# -- regular orders as block sequences -------------------------------------------
+
+
+def regular_from_blocks(labels: Sequence, blocks: Iterable[Sequence]) -> DoubleOrder:
+    """The regular order whose x-levels are ``blocks`` in the given order,
+    each block totally ordered by y in its listed order.  ContractError
+    unless the blocks are nonempty and partition ``labels``."""
+    labels = tuple(labels)
+    try:
+        pos = {lab: k for k, lab in enumerate(labels)}
+        index_blocks = [[pos[lab] for lab in block] for block in blocks]
+    except (KeyError, TypeError):
+        raise ContractError("blocks must hold labels of the ground set") from None
+    listed = sorted(i for block in index_blocks for i in block)
+    if not all(index_blocks) or listed != list(range(len(labels))):
+        raise ContractError("blocks must be nonempty and partition the labels")
+    x, y = [0] * len(labels), [0] * len(labels)
+    after = 0  # the labels of the blocks after the current one
+    for block in reversed(index_blocks):
+        above = 0  # the labels later in the current block
+        for i in reversed(block):
+            x[i], y[i] = after, above
+            above |= 1 << i
+        after |= above
+    return DoubleOrder(labels, tuple(x), tuple(y))
+
+
+def regular_blocks(o: DoubleOrder) -> tuple[tuple, ...]:
+    """The x-levels of a regular order in order, each listed in ascending y
+    order: the inverse of ``regular_from_blocks``.
+
+    A label's block is fixed by how many labels lie x-below it, its place in
+    the block by how many lie y-below it.  The order is regular exactly when
+    it is the block order so read; ContractError otherwise.
+    """
+    x_below = [sum(row >> i & 1 for row in o.x) for i in range(o.n)]
+    y_below = [sum(row >> i & 1 for row in o.y) for i in range(o.n)]
+    listing = sorted(range(o.n), key=lambda i: (x_below[i], y_below[i]))
+    groups = itertools.groupby(listing, key=x_below.__getitem__)
+    blocks = tuple(tuple(o.labels[i] for i in group) for _, group in groups)
+    if regular_from_blocks(o.labels, blocks) != o:
+        raise ContractError("order is not regular")
+    return blocks
+
+
 # -- classification -------------------------------------------------------------
 
 
@@ -366,37 +416,19 @@ def _enumerate_double_filter(labels: tuple) -> list[DoubleOrder]:
 
 
 def _enumerate_regular_blocks(labels: tuple) -> list[DoubleOrder]:
-    """Direct construction: a sequence of blocks, each totally ordered.
-
-    Every regular order arises from exactly one (permutation, cut set) pair:
-    the level decomposition recovers the blocks and the y components recover
-    the within-block sequences.
-    """
+    """Direct construction: the cuts of each permutation of the labels give
+    an ordered block sequence, and ``regular_from_blocks`` is a bijection
+    from those onto the regular orders."""
     n = len(labels)
+    if n == 0:
+        return [regular_from_blocks(labels, ())]
     out = []
-    for perm in itertools.permutations(range(n)):
-        for cut_bits in range(1 << max(n - 1, 0)):
-            cuts = [c for c in range(1, n) if cut_bits >> (c - 1) & 1]
-            bounds = [0] + cuts + [n]
-            x_pairs = []
-            y_pairs = []
-            for b in range(len(bounds) - 1):
-                lo, hi = bounds[b], bounds[b + 1]
-                block = perm[lo:hi]
-                for pos_i in range(lo, hi):
-                    for pos_j in range(pos_i + 1, hi):
-                        y_pairs.append((perm[pos_i], perm[pos_j]))
-                for other in perm[hi:]:
-                    for mine in block:
-                        x_pairs.append((mine, other))
-            out.append(
-                DoubleOrder(labels, rel_from_pairs(n, x_pairs), rel_from_pairs(n, y_pairs))
-            )
-    unique = {o.key(): o for o in out}
-    if len(unique) != len(out):
-        raise AssertionError("block construction produced duplicates")
-    result = sorted(unique.values(), key=DoubleOrder.key)
-    return result
+    for perm in itertools.permutations(labels):
+        for cut_bits in range(1 << (n - 1)):
+            bounds = [0] + [c for c in range(1, n) if cut_bits >> (c - 1) & 1] + [n]
+            blocks = [perm[a:b] for a, b in zip(bounds, bounds[1:])]
+            out.append(regular_from_blocks(labels, blocks))
+    return sorted(out, key=DoubleOrder.key)
 
 
 def _close_under_union(seed: list[DoubleOrder]) -> list[DoubleOrder]:
@@ -482,13 +514,10 @@ def to_regular(o: DoubleOrder) -> DoubleOrder:
     order to the mixed one."""
     if not is_semi_regular(o):
         raise ContractError("input is not semi-regular")
-    n = o.n
-    y_pairs = []
-    for i in range(n):
-        for j in range(n):
-            if o.y[i] >> j & 1 and not (o.x[i] >> j & 1 or o.x[j] >> i & 1):
-                y_pairs.append((i, j))
-    out = DoubleOrder(o.labels, o.x, rel_from_pairs(n, y_pairs))
+    # x[i] holds the labels x-above i and below[i] those x-below it
+    below = [sum((row >> i & 1) << j for j, row in enumerate(o.x)) for i in range(o.n)]
+    y = tuple(row & ~(o.x[i] | below[i]) for i, row in enumerate(o.y))
+    out = DoubleOrder(o.labels, o.x, y)
     if not out.is_regular:
         raise AssertionError("retraction of a semi-regular order must be regular")
     return out
@@ -522,53 +551,21 @@ def chain_union(chain: Sequence[DoubleOrder]) -> DoubleOrder:
 
 
 def chain_to_double_order(cover: OrderedCover, chain: CubeChain) -> DoubleOrder:
-    """Reads off the regular order of a chain: x from the step at which each
-    element is active, y from the within-step orders."""
-    labels = cover.ground
-    n = len(labels)
-    pos = {lab: k for k, lab in enumerate(labels)}
-    step_of: dict = {}
-    y_pairs = []
-    for step, cell in enumerate(chain.cells, start=1):
-        cc = cover.cover_cell(cell)
-        for lab in cc.mid:
-            if lab in step_of:
-                raise ContractError("chain activates an element twice")
-            step_of[lab] = step
-        for i, j in itertools.combinations(range(len(cc.mid)), 2):
-            y_pairs.append((pos[cc.mid[i]], pos[cc.mid[j]]))
-    if len(step_of) != n:
-        raise ContractError("chain does not activate every element")
-    x_pairs = [
-        (pos[a], pos[b])
-        for a in labels
-        for b in labels
-        if step_of[a] < step_of[b]
-    ]
-    out = DoubleOrder(labels, rel_from_pairs(n, x_pairs), rel_from_pairs(n, y_pairs))
-    if not out.is_regular:
-        raise AssertionError("a cube chain must induce a regular order")
-    return out
+    """Reads off the regular order of a chain: its blocks are the elements
+    each step activates, in the step's within-cell order.  ContractError
+    when the steps do not activate every element exactly once."""
+    return regular_from_blocks(cover.ground, [cover.cover_cell(c).mid for c in chain.cells])
 
 
 def double_order_to_chain(cover: OrderedCover, o: DoubleOrder) -> CubeChain:
-    """The cube chain whose step-j cell activates the level-j elements in
-    y order, with lower levels finished and higher levels unstarted."""
+    """The cube chain whose step-j cell activates the j-th block of the
+    regular order o, with earlier blocks finished and later ones unstarted."""
     if tuple(o.labels) != cover.ground:
         raise ContractError("order and cover have different ground sets")
-    if not o.is_regular:
-        raise ContractError("only regular orders correspond to chains")
-    levels = level_function(o.x)
-    top = max(levels) if levels else 0
     cells = []
-    pos = {lab: k for k, lab in enumerate(o.labels)}
-    for j in range(1, top + 1):
-        block = [lab for lab, lev in zip(o.labels, levels) if lev == j]
-        # ascending y rank: count of block elements strictly below
-        members = sorted(
-            block, key=lambda lab: sum(1 for m in block if o.y[pos[m]] >> pos[lab] & 1)
-        )
-        ones = frozenset(lab for lab, lev in zip(o.labels, levels) if lev < j)
-        zeros = frozenset(lab for lab, lev in zip(o.labels, levels) if lev > j)
-        cells.append(cover.cell_of(CoverCell(ones, tuple(members), zeros)))
+    done, rest = frozenset(), frozenset(o.labels)
+    for block in regular_blocks(o):
+        rest -= set(block)
+        cells.append(cover.cell_of(CoverCell(done, block, rest)))
+        done |= set(block)
     return CubeChain(tuple(cells))

@@ -1,5 +1,5 @@
-"""Finite posets: validation, chains, barycentric subdivision, Hasse diagrams
-and DOT export.  The order complex is the nerve of the poset category
+"""Finite posets: validation, strict chains, covering pairs, Hasse diagrams
+in DOT and JSON export.  The order complex is the nerve of the poset category
 (``dicube.categories``)."""
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from .homology import ChainComplex
 class Poset:
     """A finite poset given by element labels and a reflexive leq matrix."""
 
-    def __init__(self, elements: Sequence, leq: Sequence[Sequence[bool]], check: bool = True):
+    def __init__(self, elements: Sequence, leq: Sequence[Sequence[bool]]):
         self.elements = list(elements)
         n = len(self.elements)
         self.leq = [tuple(bool(v) for v in row) for row in leq]
         if len(self.leq) != n or any(len(row) != n for row in self.leq):
             raise ContractError("leq matrix shape does not match elements")
-        if check:
-            self.validate()
+        self.validate()
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -55,12 +54,6 @@ class Poset:
                     out.append((i, j))
         return out
 
-    def maximal_elements(self) -> list[int]:
-        return [i for i in range(len(self.elements)) if not any(self.lt(i, j) for j in range(len(self.elements)))]
-
-    def minimal_elements(self) -> list[int]:
-        return [i for i in range(len(self.elements)) if not any(self.lt(j, i) for j in range(len(self.elements)))]
-
     def chains(self) -> list[tuple[int, ...]]:
         """All nonempty strictly increasing chains, lexicographic by index tuple."""
         n = len(self.elements)
@@ -84,25 +77,6 @@ class Poset:
         from .categories import nerve_complex, poset_category
 
         return nerve_complex(poset_category(self))
-
-    def subdivision(self) -> tuple["Poset", list[int]]:
-        """Barycentric subdivision (chains ordered by inclusion) and the
-        index map of the monotone `take the top element` functor."""
-        chains = self.chains()
-        sets = [frozenset(c) for c in chains]
-        leq = [[a <= b for b in sets] for a in sets]
-        sd = Poset([tuple(self.elements[i] for i in c) for c in chains], leq, check=False)
-        max_map = [c[-1] for c in chains]
-        return sd, max_map
-
-    def is_monotone(self, other: "Poset", mapping: Sequence[int]) -> bool:
-        n = len(self.elements)
-        return all(
-            other.leq[mapping[i]][mapping[j]]
-            for i in range(n)
-            for j in range(n)
-            if self.leq[i][j]
-        )
 
     def element_label(self, i: int) -> str:
         e = self.elements[i]

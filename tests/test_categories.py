@@ -14,7 +14,6 @@ from dicube.categories import (
     check_functoriality,
     composable_run_counts,
     monotone_numbering,
-    morphism_permutation,
     nerve_complex,
     nerve_orbit_complex,
     poset_category,
@@ -25,7 +24,7 @@ from dicube.categories import (
 from dicube.complexes import default_labels
 from dicube.errors import ContractError
 from dicube.homology import euler_characteristic, homology, same_homology
-from dicube.orders import DoubleOrder, rel_from_pairs
+from dicube.orders import DoubleOrder, enumerate_orders, level_function, poset_leq, rel_from_pairs
 from dicube.posets import Poset
 
 
@@ -109,15 +108,6 @@ def test_poset_validation_rejects_cycles():
         Poset(["p", "q"], [[True, True], [True, True]])
 
 
-def test_subdivision_of_point_and_chain():
-    point, max_map = Poset(["p"], [[True]]).subdivision()
-    assert len(point) == 1 and max_map == [0]
-    sd, max_map = chain_poset_two().subdivision()
-    assert len(sd) == 3  # {p}, {q}, {p,q}
-    assert chain_poset_two().is_monotone(chain_poset_two(), [0, 1])
-    assert sd.is_monotone(chain_poset_two(), max_map)
-
-
 def strict_chain_complex(P):
     """The order complex from strict element chains in (length, tuple)
     order, each boundary column summing (-1)^i times the chain without its
@@ -163,16 +153,6 @@ def test_mixed_order_poset_on_two_labels_is_a_circle():
     P, _ = regular_orders_poset(default_labels(2), "sqsubseteq")
     assert len(P) == 4 and len(P.covers()) == 4
     assert tuple(g.betti for g in homology(P.order_complex())) == (1, 1)
-
-
-def test_subdivision_preserves_homology():
-    for P in (
-        chain_poset_two(),
-        regular_orders_poset(default_labels(2), "sqsubseteq")[0],
-        regular_orders_poset(default_labels(3), "sqsubseteq")[0],
-    ):
-        sd, _ = P.subdivision()
-        assert same_homology(homology(P.order_complex()), homology(sd.order_complex()))
 
 
 # -- nerves of categories -----------------------------------------------------------
@@ -329,9 +309,51 @@ def test_break_set_and_numbering_example():
     assert monotone_numbering(o) == ("a", "b", "c")
 
 
-def test_morphism_permutation_identity_pair():
-    o = order(("a", "b"), [("a", "b")], [])
-    assert morphism_permutation(o, o) == (1, 2)
+def level_break_set(o):
+    """Cumulative sizes of the levels of x, the last one dropped."""
+    levels = level_function(o.x)
+    top = max(levels, default=0)
+    return tuple(sum(1 for v in levels if v <= lev) for lev in range(1, top))
+
+
+def level_numbering(o):
+    """Levels of x in order, each sorted by its count of y-predecessors in
+    the level."""
+    assert o.is_regular
+    levels = level_function(o.x)
+    out = []
+    for lev in range(1, max(levels, default=0) + 1):
+        block = [i for i, v in enumerate(levels) if v == lev]
+        out += sorted(block, key=lambda i: sum(1 for j in block if o.y[j] >> i & 1))
+    return tuple(o.labels[i] for i in out)
+
+
+def pairwise_permutation(o, o2):
+    """phi with numbering(o2)[phi(i)] = numbering(o)[i], for o2 below o in
+    the mixed order."""
+    assert poset_leq(o2, o, "sqsubseteq")
+    pos2 = {lab: i + 1 for i, lab in enumerate(level_numbering(o2))}
+    return tuple(pos2[lab] for lab in level_numbering(o))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_break_set_and_numbering_match_the_level_read_off(n):
+    for o in enumerate_orders(default_labels(n), "regular"):
+        assert break_set(o) == level_break_set(o)
+        assert monotone_numbering(o) == level_numbering(o)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_break_functor_matches_per_morphism_permutations(n):
+    func = break_functor(default_labels(n))
+    q, D = func.quotient, func.target
+    D_index = {(m.src, m.tgt, m.payload): i for i, m in enumerate(D.morphisms)}
+    assert [D.objects[b] for b in func.object_map] == [level_break_set(o) for o in q.orders]
+    expected = []
+    for mor in q.category.morphisms:
+        phi = pairwise_permutation(q.orders[mor.src], q.orders[mor.tgt])
+        expected.append(D_index[(func.object_map[mor.src], func.object_map[mor.tgt], phi)])
+    assert func.morphism_map == expected
 
 
 def test_break_functor_small():

@@ -236,3 +236,6 @@ def test_default_labels():
     assert default_labels(3) == ("a", "b", "c")
     with pytest.raises(ContractError):
         default_labels(27)
+    assert default_labels(0) == ()
+    with pytest.raises(ContractError):
+        default_labels(-1)

@@ -74,6 +74,31 @@ def test_point_to_order_rejects_collisions():
         point_to_order(f, AB)
 
 
+def pairwise_point_order(f, labels):
+    """The read-off compared pair by pair: x by first coordinates, y by
+    second coordinates among points with equal first coordinates."""
+    n = len(labels)
+    x_pairs, y_pairs = [], []
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            if f[a][0] < f[b][0]:
+                x_pairs.append((i, j))
+            elif f[a][0] == f[b][0] and f[a][1] < f[b][1]:
+                y_pairs.append((i, j))
+    return DoubleOrder(labels, rel_from_pairs(n, x_pairs), rel_from_pairs(n, y_pairs))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_point_to_order_matches_pairwise_read_off(n):
+    labels = default_labels(n)
+    rng = random.Random(100 + n)
+    for _ in range(300):
+        f = random_configuration(labels, rng)
+        o = point_to_order(f, labels)
+        assert o == pairwise_point_order(f, labels)
+        assert o.is_regular and u_contains(o, f)
+
+
 def test_witness_of_its_own_order():
     for o in enumerate_orders(AB, "regular"):
         w = witness_point(o)

@@ -15,6 +15,8 @@ from dicube.orders import (
     is_semi_regular,
     level_function,
     poset_leq,
+    regular_blocks,
+    regular_from_blocks,
     rel_from_pairs,
     to_regular,
     union_bar,
@@ -145,6 +147,86 @@ def test_block_construction_matches_definitional_filter(n):
     assert by_blocks == by_filter
 
 
+# -- regular orders as block sequences -----------------------------------------------
+
+
+def block_sequences(labels):
+    """Every ordered sequence of nonempty blocks partitioning ``labels``, each
+    block an ordered tuple: pick the first block, then recurse on the rest."""
+    if not labels:
+        yield ()
+        return
+    for size in range(1, len(labels) + 1):
+        for first in itertools.permutations(labels, size):
+            rest = tuple(lab for lab in labels if lab not in first)
+            for tail in block_sequences(rest):
+                yield (first,) + tail
+
+
+def test_block_example():
+    # a and b share the lower block with b below a in y; c sits above both
+    o = order(ABC, [("a", "c"), ("b", "c")], [("b", "a")])
+    assert regular_blocks(o) == (("b", "a"), ("c",))
+    assert regular_from_blocks(ABC, [["b", "a"], ["c"]]) == o
+    assert regular_blocks(DoubleOrder((), (), ())) == ()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_blocks_of_every_regular_order_rebuild_it(n):
+    for o in enumerate_orders(default_labels(n), "regular"):
+        assert regular_from_blocks(o.labels, regular_blocks(o)) == o
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_every_block_sequence_is_read_back(n):
+    import math
+
+    labels = default_labels(n)
+    seen = set()
+    for blocks in block_sequences(labels):
+        o = regular_from_blocks(labels, blocks)
+        assert o.is_regular
+        assert regular_blocks(o) == blocks
+        seen.add(o.key())
+    assert len(seen) == math.factorial(n) * 2 ** max(n - 1, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_regular_blocks_rejects_exactly_the_non_regular_orders(n):
+    for o in enumerate_orders(default_labels(n), "double"):
+        if o.is_regular:
+            regular_blocks(o)
+        else:
+            with pytest.raises(ContractError):
+                regular_blocks(o)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [["a", "b"], ["a", "c"]],  # repeated label
+        [["a", "a", "b", "c"]],  # repeated within a block
+        [["a"], ["c"]],  # missing label
+        [["a", "b"], ["c", "d"]],  # unknown label
+        [["a"], [], ["b", "c"]],  # empty block
+        [[["a"]], ["b", "c"]],  # unhashable label
+    ],
+)
+def test_regular_from_blocks_rejects_non_partitions(blocks):
+    with pytest.raises(ContractError):
+        regular_from_blocks(ABC, blocks)
+
+
+def test_regular_blocks_rejects_non_regular_orders():
+    for o in (
+        order(AB, [("a", "b")], [("a", "b")]),  # double, pair decided twice
+        order(AB, [], []),  # not double
+        order(ABC, [("a", "b")], [("b", "c")]),  # x is not semi-linear
+    ):
+        with pytest.raises(ContractError):
+            regular_blocks(o)
+
+
 def test_semi_regular_family_contains_regulars_and_is_union_closed():
     family = enumerate_orders(ABC, "semi-regular")
     keys = {o.key() for o in family}
@@ -188,6 +270,22 @@ def test_poset_leq_variants():
 def test_to_regular_drops_decided_pairs():
     o = order(AB, [("a", "b")], [("a", "b")])
     assert to_regular(o).key() == order(AB, [("a", "b")], []).key()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_to_regular_keeps_exactly_the_x_incomparable_y_pairs(n):
+    labels = default_labels(n)
+    regulars = {o.key() for o in enumerate_orders(labels, "regular")}
+    for o in enumerate_orders(labels, "semi-regular"):
+        kept = [
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if o.y[i] >> j & 1 and not (o.x[i] >> j & 1 or o.x[j] >> i & 1)
+        ]
+        r = to_regular(o)
+        assert r == DoubleOrder(labels, o.x, rel_from_pairs(n, kept))
+        assert r.key() in regulars
 
 
 def test_to_regular_identity_on_regulars():

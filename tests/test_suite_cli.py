@@ -218,6 +218,27 @@ def test_cli_verify_unknown_id_is_usage_error(capsys):
     assert main(["verify", "--suite", "bogus"]) == 2
 
 
+@pytest.mark.parametrize("n_max", [0, -2])
+def test_n_max_below_one_is_a_usage_error(n_max, capsys):
+    with pytest.raises(UsageError):
+        run_suite(["euler-zero"], n_max=n_max)
+    assert main(["verify", "--suite", "all", "--n-max", str(n_max)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "yA", "--n", "-1"],
+        ["homology", "--model", "r-poset", "--n", "-1"],
+        ["export", "--model", "rplus-poset", "--n", "-1", "--format", "json"],
+    ],
+)
+def test_negative_ground_set_size_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "not -1" in capsys.readouterr().err
+
+
 def test_cli_verify_deterministic_output(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["verify", "--suite", "euler-zero", "--n-max", "3", "--out", str(a)])
