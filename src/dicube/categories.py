@@ -272,48 +272,38 @@ def composable_run_counts(C: FiniteCategory) -> list[int]:
 
 
 class GroupAction:
-    """A finite group acting on a category from the right, elementwise on
-    objects and morphisms; functoriality is validated."""
+    """A finite group acting from the right on a poset category through
+    object permutations, one table per element.  A poset category has one
+    morphism a -> b per related pair, so a table that keeps related pairs
+    related moves it to g(a) -> g(b) and preserves endpoints, identities and
+    composition; ``on_morphisms`` holds these derived tables."""
 
-    def __init__(
-        self,
-        C: FiniteCategory,
-        names: Sequence,
-        on_objects: Sequence[Sequence[int]],
-        on_morphisms: Sequence[Sequence[int]],
-    ):
+    def __init__(self, C: FiniteCategory, on_objects: Sequence[Sequence[int]]):
         self.C = C
-        self.names = list(names)
         self.on_objects = [tuple(row) for row in on_objects]
-        self.on_morphisms = [tuple(row) for row in on_morphisms]
-        if not (len(self.names) == len(self.on_objects) == len(self.on_morphisms)):
-            raise ContractError("ragged action tables")
-        self._identity_index = None
-        for g, (objs, mors) in enumerate(zip(self.on_objects, self.on_morphisms)):
-            if sorted(objs) != list(range(C.n_objects)) or sorted(mors) != list(
-                range(C.n_morphisms)
-            ):
-                raise ContractError("action tables must be permutations")
-            if objs == tuple(range(C.n_objects)) and mors == tuple(range(C.n_morphisms)):
-                self._identity_index = g
-        if self._identity_index is None:
-            raise ContractError("group must contain the identity")
+        self._hom: list[dict[int, int]] = [{} for _ in C.objects]  # _hom[a][b] is a -> b
+        for m, mor in enumerate(C.morphisms):
+            if self._hom[mor.src].setdefault(mor.tgt, m) != m:
+                raise ContractError("action needs a poset category: parallel morphisms found")
         self.validate()
+        identity = tuple(range(C.n_objects))
+        if identity not in self.on_objects:
+            raise ContractError("group must contain the identity")
+        self._identity_index = self.on_objects.index(identity)
+        self.on_morphisms = [
+            tuple([self._hom[objs[mor.src]][objs[mor.tgt]] for mor in C.morphisms])
+            for objs in self.on_objects
+        ]
 
     def validate(self) -> None:
-        C = self.C
-        for objs, mors in zip(self.on_objects, self.on_morphisms):
-            for m, mor in enumerate(C.morphisms):
-                image = C.morphisms[mors[m]]
-                if image.src != objs[mor.src] or image.tgt != objs[mor.tgt]:
-                    raise ContractError("action does not preserve endpoints")
-            for obj, ident in enumerate(C.identity):
-                if mors[ident] != C.identity[objs[obj]]:
-                    raise ContractError("action does not preserve identities")
-        for mors in self.on_morphisms:
-            for g, f in C.composable_pairs():
-                if mors[C.compose(g, f)] != C.compose(mors[g], mors[f]):
-                    raise ContractError("action does not preserve composition")
+        """Each table permutes the objects and keeps related pairs related."""
+        n = self.C.n_objects
+        for objs in self.on_objects:
+            if len(objs) != n or {v for v in objs if isinstance(v, int)} != set(range(n)):
+                raise ContractError("action tables must permute the objects")
+            for mor in self.C.morphisms:
+                if objs[mor.tgt] not in self._hom[objs[mor.src]]:
+                    raise ContractError("action does not preserve the order")
 
     def is_free_on_objects(self) -> bool:
         for g, objs in enumerate(self.on_objects):
@@ -424,8 +414,10 @@ def build_break_category(n: int) -> FiniteCategory:
     B'-block setwise and increasing within each B-block.  Composition is
     composition of permutations (CLI model id: en).
     """
-    if not (1 <= n <= 7):
-        raise ResourceCapError("break category is capped at 1 <= n <= 7")
+    if n < 1:
+        raise ContractError(f"break category needs n >= 1, not {n}")
+    if n > 7:
+        raise ResourceCapError("break category is capped at n <= 7")
     objects = []
     for size in range(n):
         for combo in itertools.combinations(range(1, n), size):
@@ -570,15 +562,8 @@ def symmetric_order_quotient(labels, kind: str) -> SymmetricOrderQuotient:
         raise ContractError(f"unknown order family {kind!r}")
     C = poset_category(poset)
     key_index = {o.key(): i for i, o in enumerate(orders)}
-    pair_index = {(mor.src, mor.tgt): m for m, mor in enumerate(C.morphisms)}
-    sigmas = permutations_of(labels)
-    element_perms = [[key_index[o.act(s).key()] for o in orders] for s in sigmas]
-    # a relabeling moves the morphism a -> b of the poset category to s(a) -> s(b)
-    on_morphisms = [
-        [pair_index[(perm[mor.src], perm[mor.tgt])] for mor in C.morphisms]
-        for perm in element_perms
-    ]
-    act = GroupAction(C, [str(tuple(s.values())) for s in sigmas], element_perms, on_morphisms)
+    element_perms = [[key_index[o.act(s).key()] for o in orders] for s in permutations_of(labels)]
+    act = GroupAction(C, element_perms)
     Q, obj_map, mor_map = quotient_category(C, act)
     return SymmetricOrderQuotient(labels, orders, poset, C, act, Q, obj_map, mor_map)
 

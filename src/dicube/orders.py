@@ -433,14 +433,14 @@ def _enumerate_regular_blocks(labels: tuple) -> list[DoubleOrder]:
 
 def _close_under_union(seed: list[DoubleOrder]) -> list[DoubleOrder]:
     # any sub-union of an irreflexive transitive union is irreflexive and
-    # inherits pair comparability from each regular constituent, so the
-    # binary fixpoint reaches every union of regulars
+    # inherits pair comparability from each regular constituent, so adding
+    # one seed order at a time reaches every union of regulars
     family = {o.key(): o for o in seed}
     frontier = list(seed)
     while frontier:
         fresh = []
         for a in frontier:
-            for b in list(family.values()):
+            for b in seed:
                 u = union_bar(a, b)
                 if u is not None and u.key() not in family:
                     family[u.key()] = u

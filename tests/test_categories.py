@@ -377,12 +377,7 @@ def test_quotient_by_trivial_group_is_the_category():
     C = poset_category(P)
     from dicube.categories import GroupAction
 
-    act = GroupAction(
-        C,
-        ["id"],
-        [list(range(C.n_objects))],
-        [list(range(C.n_morphisms))],
-    )
+    act = GroupAction(C, [list(range(C.n_objects))])
     Q, omap, mmap = quotient_category(C, act)
     assert Q.n_objects == C.n_objects and Q.n_morphisms == C.n_morphisms
 
@@ -408,8 +403,83 @@ def test_quotient_requires_free_action():
     from dicube.categories import GroupAction
 
     with pytest.raises(ContractError):
-        act = GroupAction(C, ["id", "g"], [[0, 1], [0, 1]], [[0, 1], [0, 1]])
+        act = GroupAction(C, [[0, 1], [0, 1]])
         quotient_category(C, act)  # "g" acts trivially: not free
+
+
+# -- group actions by object permutations ----------------------------------------------------
+
+ANTICHAIN = Poset(["u", "v"], [[True, False], [False, True]])
+CHAIN = Poset(["u", "v"], [[True, True], [False, True]])
+
+
+@pytest.mark.parametrize(
+    "category, on_objects",
+    [
+        pytest.param(build_break_category(2), [[0, 1]], id="parallel-morphisms"),
+        pytest.param(poset_category(ANTICHAIN), [[0, 1], [0, 0]], id="repeated-object"),
+        pytest.param(poset_category(ANTICHAIN), [[0, 1], [0, 2]], id="object-out-of-range"),
+        pytest.param(poset_category(ANTICHAIN), [[0, 1], [1]], id="short-table"),
+        pytest.param(poset_category(ANTICHAIN), [[0, 1], [1, 0, 2]], id="long-table"),
+        pytest.param(poset_category(ANTICHAIN), [[0, 1], [[1], 0]], id="unhashable-entry"),
+        pytest.param(poset_category(ANTICHAIN), [[0, 1], [1.0, 0]], id="float-entry"),
+        pytest.param(poset_category(CHAIN), [[0, 1], [1, 0]], id="related-to-unrelated"),
+        pytest.param(poset_category(ANTICHAIN), [[1, 0]], id="no-identity"),
+        pytest.param(poset_category(ANTICHAIN), [], id="empty-group"),
+    ],
+)
+def test_group_action_rejects_with_contract_error(category, on_objects):
+    from dicube.categories import GroupAction
+
+    with pytest.raises(ContractError):
+        GroupAction(category, on_objects)
+
+
+def test_group_action_derives_the_morphism_tables():
+    # u < w and v < w; swapping u and v moves u -> w to v -> w
+    P = Poset(["u", "v", "w"], [[True, False, True], [False, True, True], [False, False, True]])
+    C = poset_category(P)
+    from dicube.categories import GroupAction
+
+    act = GroupAction(C, [[0, 1, 2], [1, 0, 2]])
+    pairs = [(mor.src, mor.tgt) for mor in C.morphisms]
+    assert act.on_morphisms[0] == tuple(range(C.n_morphisms))
+    assert [pairs[m] for m in act.on_morphisms[1]] == [(1, 1), (1, 2), (0, 0), (0, 2), (2, 2)]
+    assert act.is_free_on_objects() is False
+
+
+def _pair_index_tables(C, on_objects):
+    # reference tables read off a pair index: a -> b goes to g(a) -> g(b)
+    pair_index = {(mor.src, mor.tgt): m for m, mor in enumerate(C.morphisms)}
+    return [
+        tuple(pair_index[(perm[mor.src], perm[mor.tgt])] for mor in C.morphisms)
+        for perm in on_objects
+    ]
+
+
+def _check_functorial(C, on_objects, on_morphisms):
+    # reference functoriality check: endpoints, identities and composition
+    for objs, mors in zip(on_objects, on_morphisms):
+        assert sorted(mors) == list(range(C.n_morphisms))
+        for m, mor in enumerate(C.morphisms):
+            image = C.morphisms[mors[m]]
+            assert (image.src, image.tgt) == (objs[mor.src], objs[mor.tgt])
+        for obj, ident in enumerate(C.identity):
+            assert mors[ident] == C.identity[objs[obj]]
+        for g, f in C.composable_pairs():
+            assert mors[C.compose(g, f)] == C.compose(mors[g], mors[f])
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("regular", 1), ("regular", 2), ("regular", 3), ("regular", 4)]
+    + [("semi-regular", 1), ("semi-regular", 2), ("semi-regular", 3)],
+)
+def test_relabelling_tables_match_pair_index_and_are_functorial(kind, n):
+    q = symmetric_order_quotient(default_labels(n), kind)
+    act = q.action
+    assert act.on_morphisms == _pair_index_tables(q.category, act.on_objects)
+    _check_functorial(q.category, act.on_objects, act.on_morphisms)
 
 
 def test_quotient_nerve_matches_break_category_homology():

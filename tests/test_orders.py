@@ -238,6 +238,30 @@ def test_semi_regular_family_contains_regulars_and_is_union_closed():
             assert u.key() in keys
 
 
+def _union_fixpoint(seed):
+    # reference closure: unions against the whole growing family
+    family = {o.key(): o for o in seed}
+    frontier = list(seed)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(family.values()):
+                u = union_bar(a, b)
+                if u is not None and u.key() not in family:
+                    family[u.key()] = u
+                    fresh.append(u)
+        frontier = fresh
+    return sorted(family.values(), key=DoubleOrder.key)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_semi_regular_family_equals_the_full_union_fixpoint(n):
+    labels = default_labels(n)
+    family = enumerate_orders(labels, "semi-regular")
+    expected = _union_fixpoint(enumerate_orders(labels, "regular"))
+    assert [o.key() for o in family] == [o.key() for o in expected]
+
+
 def test_semi_regulars_are_double():
     for o in enumerate_orders(ABC, "semi-regular"):
         assert o.is_double

@@ -239,6 +239,13 @@ def test_negative_ground_set_size_is_a_usage_error(argv, capsys):
     assert "not -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, code", [(0, 2), (-1, 2), (8, 3)])
+def test_cli_break_category_size_out_of_range(n, code, capsys):
+    assert main(["homology", "--model", "en", "--n", str(n)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error" if code == 2 else "resource cap")
+
+
 def test_cli_verify_deterministic_output(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["verify", "--suite", "euler-zero", "--n-max", "3", "--out", str(a)])
