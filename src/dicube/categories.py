@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .errors import ContractError, ResourceCapError
 from .homology import ChainComplex
 from .orders import DoubleOrder, enumerate_orders, poset_leq, regular_blocks
-from .posets import Poset, _dot_escape
+from .posets import Poset, _dot_escape, rel_pairs
 
 
 @dataclass(frozen=True)
@@ -169,11 +169,9 @@ def poset_category(P: Poset) -> FiniteCategory:
     looking up the pair (src f, tgt g)."""
     morphisms = []
     index = {}
-    for i in range(len(P.elements)):
-        for j in range(len(P.elements)):
-            if P.leq[i][j]:
-                index[(i, j)] = len(morphisms)
-                morphisms.append(Morphism(i, j, f"{P.element_label(i)}->{P.element_label(j)}"))
+    for i, j in rel_pairs(P.leq):
+        index[(i, j)] = len(morphisms)
+        morphisms.append(Morphism(i, j, f"{P.element_label(i)}->{P.element_label(j)}"))
     identity = [index[(i, i)] for i in range(len(P.elements))]
     return FiniteCategory(
         P.elements,
@@ -496,19 +494,22 @@ def regular_orders_poset(labels, variant: str) -> tuple[Poset, list[DoubleOrder]
     """(R, variant) as a poset; variant "sqsupseteq" is the reverse mixed order."""
     orders = enumerate_orders(labels, "regular")
     if variant == "sqsubseteq":
-        leq = [[poset_leq(a, b, "sqsubseteq") for b in orders] for a in orders]
-    elif variant == "sqsupseteq":
-        leq = [[poset_leq(b, a, "sqsubseteq") for b in orders] for a in orders]
-    else:
-        raise ContractError(f"unknown variant {variant!r}")
-    return Poset([o.text() for o in orders], leq), list(orders)
+        return _orders_poset(orders, lambda a, b: poset_leq(a, b, "sqsubseteq"))
+    if variant == "sqsupseteq":
+        return _orders_poset(orders, lambda a, b: poset_leq(b, a, "sqsubseteq"))
+    raise ContractError(f"unknown variant {variant!r}")
 
 
 def semi_regular_orders_poset(labels) -> tuple[Poset, list[DoubleOrder]]:
     """(semi-regular orders, componentwise inclusion) as a poset."""
     orders = enumerate_orders(labels, "semi-regular")
-    leq = [[poset_leq(a, b, "subseteq") for b in orders] for a in orders]
-    return Poset([o.text() for o in orders], leq), list(orders)
+    return _orders_poset(orders, lambda a, b: poset_leq(a, b, "subseteq"))
+
+
+def _orders_poset(orders, leq) -> tuple[Poset, list[DoubleOrder]]:
+    """The poset on the orders with a <= b iff leq(a, b), one row each."""
+    rows = [sum(1 << j for j, b in enumerate(orders) if leq(a, b)) for a in orders]
+    return Poset([o.text() for o in orders], rows), list(orders)
 
 
 def break_functor(labels) -> BreakFunctor:

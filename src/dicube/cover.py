@@ -16,14 +16,12 @@ from .errors import ContractError, ResourceCapError, StructuralError
 from .orders import (
     DoubleOrder,
     enumerate_orders,
-    rel_closure,
     regular_from_blocks,
-    rel_is_irreflexive,
-    rel_subset,
     to_regular,
     union_bar,
     union_cycle_witness,
 )
+from .posets import rel_closure, rel_is_irreflexive, rel_pairs, rel_subset
 
 Config = dict  # label -> (Fraction, Fraction)
 
@@ -31,14 +29,12 @@ Config = dict  # label -> (Fraction, Fraction)
 def u_contains(o: DoubleOrder, f: Config) -> bool:
     """True iff every ordered pair of o translates into a strict coordinate
     inequality of f; comparisons are exact rationals."""
-    pos = list(o.labels)
-    for i, a in enumerate(pos):
-        for j, b in enumerate(pos):
-            if o.x[i] >> j & 1 and not f[a][0] < f[b][0]:
-                return False
-            if o.y[i] >> j & 1 and not f[a][1] < f[b][1]:
-                return False
-    return True
+    labels = o.labels
+    return all(
+        f[labels[i]][c] < f[labels[j]][c]
+        for c, rel in enumerate((o.x, o.y))
+        for i, j in rel_pairs(rel)
+    )
 
 
 def _linear_extension_ranks(o: DoubleOrder, rel) -> dict:
@@ -78,6 +74,9 @@ def point_to_order(f: Config, labels: Sequence) -> DoubleOrder:
     """The regular order of an injective configuration: one block per first
     coordinate, in ascending order, each sorted by the second coordinate."""
     labels = tuple(labels)
+    for a in labels:
+        if a not in f:
+            raise ContractError(f"configuration does not place label {a!r}")
     if not is_injective_configuration(f):
         raise ContractError("configuration is not injective")
     columns: dict = {}
@@ -261,10 +260,10 @@ def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
         inv = {v: k for k, v in sigma.items()}
         for o in family:
             o_s = o.act(sigma)
-            expected_x = {(inv[labels[i]], inv[labels[j]]) for i in range(n) for j in range(n) if o.x[i] >> j & 1}
-            got_x = {(labels[i], labels[j]) for i in range(n) for j in range(n) if o_s.x[i] >> j & 1}
-            expected_y = {(inv[labels[i]], inv[labels[j]]) for i in range(n) for j in range(n) if o.y[i] >> j & 1}
-            got_y = {(labels[i], labels[j]) for i in range(n) for j in range(n) if o_s.y[i] >> j & 1}
+            expected_x = {(inv[labels[i]], inv[labels[j]]) for i, j in rel_pairs(o.x)}
+            got_x = {(labels[i], labels[j]) for i, j in rel_pairs(o_s.x)}
+            expected_y = {(inv[labels[i]], inv[labels[j]]) for i, j in rel_pairs(o.y)}
+            got_y = {(labels[i], labels[j]) for i, j in rel_pairs(o_s.y)}
             if expected_x != got_x or expected_y != got_y:
                 report.equivariance_ok = False
                 report.failures.append(

@@ -45,8 +45,9 @@ class ChainComplex:
     is the matrix of the boundary map from degree k to degree k-1, stored
     column-sparse: a list (one entry per degree-k generator) of
     ``{row: coefficient}`` dicts.  Dense ``list[list[int]]`` input is
-    accepted and converted.  Construction checks that every composite of
-    consecutive boundaries is zero.
+    accepted and converted.  Rows and coefficients must be ``int`` (``bool``
+    excluded).  Construction checks that every composite of consecutive
+    boundaries is zero.
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: Sequence):
@@ -71,14 +72,7 @@ class ChainComplex:
             # dense rows -> sparse columns
             if len(raw) != nrows:
                 raise ContractError(f"boundary has {len(raw)} rows, expected {nrows}")
-            source = []
-            for j in range(ncols):
-                col = {}
-                for i in range(nrows):
-                    v = raw[i][j]
-                    if v:
-                        col[i] = int(v)
-                source.append(col)
+            source = [{i: raw[i][j] for i in range(nrows)} for j in range(ncols)]
         else:
             source = list(raw)
         if len(source) != ncols:
@@ -86,10 +80,13 @@ class ChainComplex:
         for col in source:
             clean = {}
             for r, v in col.items():
+                # a type test, not int(): int(0.5) is 0 and int(True) is 1
+                if type(r) is not int or type(v) is not int:
+                    raise ContractError(f"boundary entries must be ints, got {r!r}: {v!r}")
                 if not (0 <= r < nrows):
                     raise ContractError(f"row index {r} out of range 0..{nrows - 1}")
                 if v:
-                    clean[int(r)] = int(v)
+                    clean[r] = v
             cols.append(clean)
         return cols
 

@@ -1,9 +1,9 @@
 """Double orders on a finite label set: a pair of strict partial orders with
 every pair of distinct elements comparable in at least one of them.
 
-Relations are dense boolean matrices stored as per-row bitmasks; transitive
-closures are Warshall sweeps on the masks.  Ground sets stay tiny (<= 6), so
-everything here is exhaustive and exact.
+Relations are row bitmasks, handled by the relation primitives of
+``dicube.posets``.  Ground sets stay tiny (<= 6), so everything here is
+exhaustive and exact.
 
 A regular double order is an ordered sequence of blocks, each totally
 ordered by y: ``regular_from_blocks`` builds the order and
@@ -29,46 +29,16 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .chains import CubeChain
 from .complexes import CoverCell, OrderedCover
 from .errors import ContractError, ResourceCapError, StructuralError
-
-Rel = tuple[int, ...]  # row bitmasks: rel[i] >> j & 1 means labels[i] < labels[j]
-
-
-def rel_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Rel:
-    rows = [0] * n
-    for i, j in pairs:
-        rows[i] |= 1 << j
-    return tuple(rows)
-
-
-def rel_pairs(rel: Rel) -> list[tuple[int, int]]:
-    return [(i, j) for i, row in enumerate(rel) for j in range(len(rel)) if row >> j & 1]
-
-
-def rel_closure(rel: Rel) -> Rel:
-    rows = list(rel)
-    for k in range(len(rows)):
-        mask = 1 << k
-        for i in range(len(rows)):
-            if rows[i] & mask:
-                rows[i] |= rows[k]
-    return tuple(rows)
-
-
-def rel_is_irreflexive(rel: Rel) -> bool:
-    return all(not (row >> i & 1) for i, row in enumerate(rel))
-
-
-def rel_is_transitive(rel: Rel) -> bool:
-    return rel_closure(rel) == rel
-
-
-@lru_cache(maxsize=None)
-def rel_is_strict_order(rel: Rel) -> bool:
-    return rel_is_irreflexive(rel) and rel_is_transitive(rel)
-
-
-def rel_subset(a: Rel, b: Rel) -> bool:
-    return all(ra & ~rb == 0 for ra, rb in zip(a, b))
+from .posets import (
+    Rel,
+    rel_closure,
+    rel_from_pairs,
+    rel_is_irreflexive,
+    rel_is_strict_order,
+    rel_is_transitive,
+    rel_pairs,
+    rel_subset,
+)
 
 
 @dataclass(frozen=True)
@@ -104,11 +74,7 @@ class DoubleOrder:
         """Regularity presupposes the double-order property."""
         if not self.is_double or level_function(self.x) is None:
             return False
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.x[i] >> j & 1 and (self.y[i] >> j & 1 or self.y[j] >> i & 1):
-                    return False
-        return True
+        return not any(self.y[i] >> j & 1 or self.y[j] >> i & 1 for i, j in rel_pairs(self.x))
 
     def act(self, sigma: Mapping) -> "DoubleOrder":
         """Right action: i < j in the image iff sigma(i) < sigma(j) originally."""

@@ -1,63 +1,118 @@
-"""Finite posets: validation, strict chains, covering pairs, Hasse diagrams
-in DOT and JSON export.  The order complex is the nerve of the poset category
-(``dicube.categories``)."""
+"""Finite relations as row bitmasks, the one format of double orders and
+posets, and finite posets: validation, strict chains, covering pairs, Hasse
+diagrams in DOT and JSON export.  The order complex is the nerve of the
+poset category (``dicube.categories``)."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .errors import ContractError
 from .homology import ChainComplex
 
+Rel = tuple[int, ...]  # row bitmasks: rel[i] >> j & 1 relates element i to element j
+
+
+def rel_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Rel:
+    rows = [0] * n
+    for i, j in pairs:
+        rows[i] |= 1 << j
+    return tuple(rows)
+
+
+def _bits(row: int) -> list[int]:
+    """Positions of the set bits of a row, ascending."""
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return out
+
+
+def rel_pairs(rel: Rel) -> list[tuple[int, int]]:
+    """The related pairs in lexicographic order."""
+    return [(i, j) for i, row in enumerate(rel) for j in _bits(row)]
+
+
+def rel_closure(rel: Rel) -> Rel:
+    rows = list(rel)
+    for k in range(len(rows)):
+        mask = 1 << k
+        for i in range(len(rows)):
+            if rows[i] & mask:
+                rows[i] |= rows[k]
+    return tuple(rows)
+
+
+def rel_is_irreflexive(rel: Rel) -> bool:
+    return all(not (row >> i & 1) for i, row in enumerate(rel))
+
+
+def rel_is_transitive(rel: Rel) -> bool:
+    return rel_closure(rel) == rel
+
+
+@lru_cache(maxsize=None)
+def rel_is_strict_order(rel: Rel) -> bool:
+    return rel_is_irreflexive(rel) and rel_is_transitive(rel)
+
+
+def rel_subset(a: Rel, b: Rel) -> bool:
+    return all(ra & ~rb == 0 for ra, rb in zip(a, b))
+
 
 class Poset:
-    """A finite poset given by element labels and a reflexive leq matrix."""
+    """A finite poset: element labels and its reflexive order as row
+    bitmasks, ``leq[i] >> j & 1`` meaning element i <= element j."""
 
-    def __init__(self, elements: Sequence, leq: Sequence[Sequence[bool]]):
+    def __init__(self, elements: Sequence, leq: Sequence[int]):
         self.elements = list(elements)
         n = len(self.elements)
-        self.leq = [tuple(bool(v) for v in row) for row in leq]
-        if len(self.leq) != n or any(len(row) != n for row in self.leq):
-            raise ContractError("leq matrix shape does not match elements")
+        self.leq: Rel = tuple(leq)
+        if len(self.leq) != n:
+            raise ContractError(f"leq has {len(self.leq)} rows for {n} elements")
+        for i, row in enumerate(self.leq):
+            if not isinstance(row, int) or isinstance(row, bool) or row < 0 or row >> n:
+                raise ContractError(f"leq row {i} is not a bitmask of {n} bits")
         self.validate()
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def validate(self) -> None:
-        n = len(self.elements)
-        for i in range(n):
-            if not self.leq[i][i]:
+        """Reflexive rows, then one pass over the related pairs i <= j:
+        j <= i only if i == j, and everything above j lies above i."""
+        leq = self.leq
+        for i, row in enumerate(leq):
+            if not row >> i & 1:
                 raise ContractError(f"leq not reflexive at {self.elements[i]!r}")
-            for j in range(n):
-                if i != j and self.leq[i][j] and self.leq[j][i]:
-                    raise ContractError(
-                        f"leq not antisymmetric on {self.elements[i]!r}, {self.elements[j]!r}"
-                    )
-                if self.leq[i][j]:
-                    for k in range(n):
-                        if self.leq[j][k] and not self.leq[i][k]:
-                            raise ContractError("leq not transitive")
+        for i, j in rel_pairs(leq):
+            if i != j and leq[j] >> i & 1:
+                raise ContractError(
+                    f"leq not antisymmetric on {self.elements[i]!r}, {self.elements[j]!r}"
+                )
+            if leq[j] & ~leq[i]:
+                raise ContractError("leq not transitive")
 
     def lt(self, i: int, j: int) -> bool:
-        return i != j and self.leq[i][j]
+        return i != j and bool(self.leq[i] >> j & 1)
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with i < j and nothing strictly between."""
+        above = [row & ~(1 << i) for i, row in enumerate(self.leq)]
         out = []
-        n = len(self.elements)
-        for i in range(n):
-            for j in range(n):
-                if self.lt(i, j) and not any(
-                    self.lt(i, k) and self.lt(k, j) for k in range(n)
-                ):
-                    out.append((i, j))
+        for i, up in enumerate(above):
+            beyond = 0
+            for k in _bits(up):
+                beyond |= above[k]
+            out += [(i, j) for j in _bits(up & ~beyond)]
         return out
 
     def chains(self) -> list[tuple[int, ...]]:
         """All nonempty strictly increasing chains, lexicographic by index tuple."""
-        n = len(self.elements)
-        above = [[j for j in range(n) if self.lt(i, j)] for i in range(n)]
+        above = [_bits(row & ~(1 << i)) for i, row in enumerate(self.leq)]
         out: list[tuple[int, ...]] = []
 
         def extend(chain: tuple[int, ...]):
@@ -65,7 +120,7 @@ class Poset:
             for j in above[chain[-1]]:
                 extend(chain + (j,))
 
-        for i in range(n):
+        for i in range(len(self.elements)):
             extend((i,))
         out.sort(key=lambda c: (len(c), c))
         return out
@@ -103,12 +158,7 @@ class Poset:
                 list(e) if isinstance(e, tuple) else self.element_label(i)
                 for i, e in enumerate(self.elements)
             ],
-            "leq_pairs": [
-                [i, j]
-                for i in range(len(self.elements))
-                for j in range(len(self.elements))
-                if self.leq[i][j]
-            ],
+            "leq_pairs": [[i, j] for i, j in rel_pairs(self.leq)],
         }
 
 

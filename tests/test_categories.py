@@ -25,7 +25,7 @@ from dicube.complexes import default_labels
 from dicube.errors import ContractError
 from dicube.homology import euler_characteristic, homology, same_homology
 from dicube.orders import DoubleOrder, enumerate_orders, level_function, poset_leq, rel_from_pairs
-from dicube.posets import Poset
+from dicube.posets import Poset, rel_closure, rel_pairs
 
 
 def order(labels, x_pairs, y_pairs):
@@ -42,7 +42,7 @@ def order(labels, x_pairs, y_pairs):
 
 
 def chain_poset_two():
-    return Poset(["p", "q"], [[True, True], [False, True]])
+    return Poset(["p", "q"], [0b11, 0b10])
 
 
 def test_poset_category_laws():
@@ -57,7 +57,7 @@ def poset_category_by_pair_scan(P):
     index = {}
     for i in range(len(P.elements)):
         for j in range(len(P.elements)):
-            if P.leq[i][j]:
+            if P.leq[i] >> j & 1:
                 index[(i, j)] = len(index)
     compose = {}
     for (i, j), f in index.items():
@@ -79,7 +79,8 @@ def random_poset(rng, size, density):
         for i in range(size):
             if leq[i][k]:
                 leq[i] = [a or b for a, b in zip(leq[i], leq[k])]
-    return Poset([f"p{i}" for i in range(size)], leq)
+    rows = [sum(1 << j for j, v in enumerate(row) if v) for row in leq]
+    return Poset([f"p{i}" for i in range(size)], rows)
 
 
 def assert_poset_category_matches_pair_scan(P):
@@ -105,7 +106,79 @@ def test_poset_category_matches_pair_scan_on_random_posets(seed):
 
 def test_poset_validation_rejects_cycles():
     with pytest.raises(ContractError):
-        Poset(["p", "q"], [[True, True], [True, True]])
+        Poset(["p", "q"], [0b11, 0b11])
+
+
+@pytest.mark.parametrize(
+    "leq",
+    [
+        pytest.param([0b001, 0b010], id="row-count"),
+        pytest.param(
+            [[True, False, False], [False, True, False], [False, False, True]], id="bool-matrix"
+        ),
+        pytest.param([True, 0b010, 0b100], id="bool-row"),
+        pytest.param([1.0, 0b010, 0b100], id="float-row"),
+        pytest.param([-1, 0b010, 0b100], id="negative-row"),
+        pytest.param([0b1001, 0b010, 0b100], id="bit-beyond-n"),
+        pytest.param([0b000, 0b010, 0b100], id="missing-reflexive-bit"),
+        pytest.param([0b011, 0b110, 0b100], id="missing-transitive-edge"),
+    ],
+)
+def test_poset_rejects_malformed_rows(leq):
+    with pytest.raises(ContractError):
+        Poset(["p", "q", "r"], leq)
+
+
+def triple_loop_accepts(rows):
+    """The poset test on a bool matrix, one scan per triple of elements."""
+    n = len(rows)
+    leq = [[bool(rows[i] >> j & 1) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if not leq[i][i]:
+            return False
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                return False
+            if leq[i][j]:
+                for k in range(n):
+                    if leq[j][k] and not leq[i][k]:
+                        return False
+    return True
+
+
+def random_relations(rng, size):
+    """A random poset; copies with one diagonal bit cleared, one related
+    pair cleared (intransitive unless it covers) and one pair reversed; a
+    preorder (closed, may have cycles); an arbitrary reflexive relation."""
+    rows = list(random_poset(rng, size, rng.choice([0.2, 0.5])).leq)
+    out = [rows]
+    i = rng.randrange(size)
+    out.append(rows[:i] + [rows[i] & ~(1 << i)] + rows[i + 1 :])
+    pairs = [(i, j) for i, j in rel_pairs(tuple(rows)) if i != j]
+    if pairs:
+        i, j = rng.choice(pairs)
+        out.append(rows[:i] + [rows[i] & ~(1 << j)] + rows[i + 1 :])
+        out.append(rows[:j] + [rows[j] | 1 << i] + rows[j + 1 :])
+    sparse = [sum(1 << j for j in range(size) if rng.random() < 0.15) for _ in range(size)]
+    out.append(list(rel_closure(tuple(row | 1 << i for i, row in enumerate(sparse)))))
+    out.append([1 << i | rng.getrandbits(size) for i in range(size)])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_poset_validation_matches_the_triple_loop(seed):
+    rng = random.Random(seed)
+    verdicts = []
+    for _ in range(40):
+        for rows in random_relations(rng, rng.randint(1, 9)):
+            try:
+                Poset([f"p{i}" for i in range(len(rows))], rows)
+                accepted = True
+            except ContractError:
+                accepted = False
+            assert accepted == triple_loop_accepts(rows), rows
+            verdicts.append(accepted)
+    assert True in verdicts and False in verdicts
 
 
 def strict_chain_complex(P):
@@ -398,7 +471,7 @@ def test_symmetric_quotient_on_two_labels():
 def test_quotient_requires_free_action():
     # a two-element antichain with the flip action is free; collapsing one
     # element of the pair to itself is not
-    P = Poset(["u", "v"], [[True, False], [False, True]])
+    P = Poset(["u", "v"], [0b01, 0b10])
     C = poset_category(P)
     from dicube.categories import GroupAction
 
@@ -409,8 +482,8 @@ def test_quotient_requires_free_action():
 
 # -- group actions by object permutations ----------------------------------------------------
 
-ANTICHAIN = Poset(["u", "v"], [[True, False], [False, True]])
-CHAIN = Poset(["u", "v"], [[True, True], [False, True]])
+ANTICHAIN = Poset(["u", "v"], [0b01, 0b10])
+CHAIN = Poset(["u", "v"], [0b11, 0b10])
 
 
 @pytest.mark.parametrize(
@@ -437,7 +510,7 @@ def test_group_action_rejects_with_contract_error(category, on_objects):
 
 def test_group_action_derives_the_morphism_tables():
     # u < w and v < w; swapping u and v moves u -> w to v -> w
-    P = Poset(["u", "v", "w"], [[True, False, True], [False, True, True], [False, False, True]])
+    P = Poset(["u", "v", "w"], [0b101, 0b110, 0b100])
     C = poset_category(P)
     from dicube.categories import GroupAction
 

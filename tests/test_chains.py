@@ -117,7 +117,7 @@ def test_chain_poset_of_cover_two():
     minima = [i for i in range(len(poset)) if not any(poset.lt(j, i) for j in range(len(poset)))]
     assert len(maxima) == 2 and len(minima) == 2
     for i in minima:
-        above = [j for j in maxima if poset.leq[i][j]]
+        above = [j for j in maxima if poset.leq[i] >> j & 1]
         assert len(above) == 2
     assert len(poset.covers()) == 4
 

@@ -74,6 +74,12 @@ def test_point_to_order_rejects_collisions():
         point_to_order(f, AB)
 
 
+def test_point_to_order_names_the_first_unplaced_label():
+    f = {"b": (Fraction(0), Fraction(0))}
+    with pytest.raises(ContractError, match="label 'a'"):
+        point_to_order(f, ("a", "b", "c"))
+
+
 def pairwise_point_order(f, labels):
     """The read-off compared pair by pair: x by first coordinates, y by
     second coordinates among points with equal first coordinates."""

@@ -204,6 +204,22 @@ def test_boundary_square_check():
         ChainComplex([1, 1, 1], [[{0: 1}], [{0: 1}]])
 
 
+@pytest.mark.parametrize(
+    "boundary",
+    [
+        pytest.param([{0: 0.5}], id="half"),
+        pytest.param([{0: 1.7}], id="float"),
+        pytest.param([{0: True}], id="bool-coefficient"),
+        pytest.param([{"0": 1}], id="string-row"),
+        pytest.param([{False: 1}], id="bool-row"),
+        pytest.param([[0.5]], id="dense-float"),
+    ],
+)
+def test_chain_complex_rejects_entries_that_are_not_ints(boundary):
+    with pytest.raises(ContractError):
+        ChainComplex([1, 1], [boundary])
+
+
 def test_euler_characteristic_checked_against_homology():
     assert euler_characteristic(ChainComplex([1], [])) == 1
     assert euler_characteristic(octahedron_complex()) == 2

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -115,6 +116,35 @@ def test_union_takes_transitive_closure():
     o2 = order(ABC, [("b", "c")], [])
     u = union_bar(o1, o2)
     assert u.x == rel_from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+
+
+def union_triples(n, rng):
+    """Every triple of double orders for n <= 2.  Above that a seeded sample:
+    random triples, whose union is mostly undefined, and triples below one
+    random order, whose union is always defined."""
+    orders = enumerate_orders(default_labels(n), "double")
+    if n <= 2:
+        return list(itertools.product(orders, repeat=3))
+    triples = [tuple(rng.choice(orders) for _ in range(3)) for _ in range(150)]
+    for _ in range(15):
+        top = rng.choice(orders)
+        below = [o for o in orders if poset_leq(o, top, "subseteq")]
+        triples += [tuple(rng.choice(below) for _ in range(3)) for _ in range(10)]
+    return triples
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_union_bar_is_associative(n):
+    defined = 0
+    for a, b, c in union_triples(n, random.Random(n)):
+        ab, bc = union_bar(a, b), union_bar(b, c)
+        left = None if ab is None else union_bar(ab, c)
+        right = None if bc is None else union_bar(a, bc)
+        assert (left is None) == (right is None), (a.text(), b.text(), c.text())
+        if left is not None:
+            defined += 1
+            assert left.key() == right.key(), (a.text(), b.text(), c.text())
+    assert defined > 0
 
 
 # -- enumeration --------------------------------------------------------------------

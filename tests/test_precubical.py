@@ -350,6 +350,11 @@ def test_from_json_rejects_a_violated_precubical_identity():
         PrecubicalComplex.from_json(text)
 
 
+def test_from_json_rejects_text_that_is_not_json():
+    with pytest.raises(StructuralError, match="not JSON"):
+        PrecubicalComplex.from_json("nope")
+
+
 def test_map_violations_detected():
     sq = build_standard_cube(1)
     z = build_final_complex(1)
