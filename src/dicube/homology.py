@@ -51,9 +51,9 @@ class ChainComplex:
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: Sequence):
-        self.ranks = tuple(int(r) for r in ranks)
-        if any(r < 0 for r in self.ranks):
-            raise ContractError("ranks must be nonnegative")
+        self.ranks = tuple(ranks)
+        if any(type(r) is not int or r < 0 for r in self.ranks):
+            raise ContractError(f"ranks must be nonnegative ints, got {list(self.ranks)!r}")
         if len(boundaries) != max(len(self.ranks) - 1, 0):
             raise ContractError(
                 f"expected {max(len(self.ranks) - 1, 0)} boundary matrices, got {len(boundaries)}"
@@ -78,6 +78,8 @@ class ChainComplex:
         if len(source) != ncols:
             raise ContractError(f"boundary has {len(source)} columns, expected {ncols}")
         for col in source:
+            if not isinstance(col, dict):
+                raise ContractError(f"boundary columns must be dicts, got {col!r}")
             clean = {}
             for r, v in col.items():
                 # a type test, not int(): int(0.5) is 0 and int(True) is 1

@@ -10,10 +10,11 @@ ordered by y: ``regular_from_blocks`` builds the order and
 ``regular_blocks`` reads the blocks back.  The regular enumeration, the
 cube-chain bijection and the break functor's numberings all use this pair.
 
-Relabelling is the hot path of every symmetric-group check, so two caches
-serve it.  ``act`` reduces a permutation to its position tuple ``s`` and maps
-each row through ``_bit_permutation(s)``, a 2**n-entry table built once per
-``s`` that moves bit ``s[j]`` of a row mask to bit ``j``.  Every constructed
+The symmetric-group checks relabel through ``act``: the free-action check
+one member per orbit, the union and cover checks every member.  Two caches
+serve it.  ``act`` reduces a permutation to its position tuple ``s`` and
+maps each row through ``_bit_permutation(s)``, a 2**n-entry table built once
+per ``s`` that moves bit ``s[j]`` of a row mask to bit ``j``.  Every constructed
 ``DoubleOrder`` is still validated, but ``rel_is_strict_order`` is memoized by
 relation value, so a Warshall closure runs once per distinct relation rather
 than once per order.
@@ -38,6 +39,7 @@ from .posets import (
     rel_is_transitive,
     rel_pairs,
     rel_subset,
+    rel_transpose,
 )
 
 
@@ -371,13 +373,22 @@ def _strict_orders(n: int) -> tuple[Rel, ...]:
 
 
 def _enumerate_double_filter(labels: tuple) -> list[DoubleOrder]:
+    """Pairs (x, y) of strict orders with every distinct pair comparable in
+    x or y: row i of x or y, with its transpose, must cover every j != i.
+    Walking x, then y, in sorted order lists them in key order."""
+    n = len(labels)
+    strict = _strict_orders(n)
+    full = (1 << n) - 1
+    # row i of sym: the labels comparable with i, with i itself added
+    sym = [
+        tuple(row | col | 1 << i for i, (row, col) in enumerate(zip(rel, rel_transpose(rel))))
+        for rel in strict
+    ]
     orders = []
-    for x in _strict_orders(len(labels)):
-        for y in _strict_orders(len(labels)):
-            o = DoubleOrder(labels, x, y)
-            if o.is_double:
-                orders.append(o)
-    orders.sort(key=DoubleOrder.key)
+    for x, sx in zip(strict, sym):
+        for y, sy in zip(strict, sym):
+            if all(a | b == full for a, b in zip(sx, sy)):
+                orders.append(DoubleOrder(labels, x, y))
     return orders
 
 
@@ -481,7 +492,7 @@ def to_regular(o: DoubleOrder) -> DoubleOrder:
     if not is_semi_regular(o):
         raise ContractError("input is not semi-regular")
     # x[i] holds the labels x-above i and below[i] those x-below it
-    below = [sum((row >> i & 1) << j for j, row in enumerate(o.x)) for i in range(o.n)]
+    below = rel_transpose(o.x)
     y = tuple(row & ~(o.x[i] | below[i]) for i, row in enumerate(o.y))
     out = DoubleOrder(o.labels, o.x, y)
     if not out.is_regular:

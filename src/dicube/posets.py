@@ -36,6 +36,11 @@ def rel_pairs(rel: Rel) -> list[tuple[int, int]]:
     return [(i, j) for i, row in enumerate(rel) for j in _bits(row)]
 
 
+def rel_transpose(rel: Rel) -> Rel:
+    """The converse relation: row i holds the elements related to i."""
+    return tuple(sum((row >> i & 1) << j for j, row in enumerate(rel)) for i in range(len(rel)))
+
+
 def rel_closure(rel: Rel) -> Rel:
     rows = list(rel)
     for k in range(len(rows)):
@@ -70,7 +75,10 @@ class Poset:
     def __init__(self, elements: Sequence, leq: Sequence[int]):
         self.elements = list(elements)
         n = len(self.elements)
-        self.leq: Rel = tuple(leq)
+        try:
+            self.leq: Rel = tuple(leq)
+        except TypeError:
+            raise ContractError("leq must be a sequence of row bitmasks") from None
         if len(self.leq) != n:
             raise ContractError(f"leq has {len(self.leq)} rows for {n} elements")
         for i, row in enumerate(self.leq):

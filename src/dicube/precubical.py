@@ -247,6 +247,8 @@ class PrecubicalComplex:
 
     @classmethod
     def from_json(cls, text: str) -> "PrecubicalComplex":
+        if not isinstance(text, (str, bytes, bytearray)):
+            raise StructuralError(f"complex text must be a string, not {type(text).__name__}")
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

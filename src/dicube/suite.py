@@ -6,6 +6,7 @@ reproducible counterexample payload on failure.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -32,6 +33,7 @@ from .homology import (
     same_homology,
 )
 from .orders import (
+    DoubleOrder,
     chain_to_double_order,
     chain_union,
     double_order_to_chain,
@@ -197,17 +199,30 @@ def check_face_swap(n_max: int, **_) -> tuple[str, object]:
 
 
 def check_free_action(n_max: int, **_) -> tuple[str, object]:
-    """Relabelings act freely on the double orders."""
+    """Relabelings act freely on the double orders.
+
+    Stabilizers along an orbit are conjugate (``act`` is a right action), so
+    one member per orbit is tested against every non-identity relabeling; its
+    images, looked up in the sorted family, mark the rest of the orbit.
+    """
     counts = {}
     for n in range(1, min(n_max, 4) + 1):
         labels = default_labels(n)
         family = enumerate_orders(labels, "double")
-        for sigma in permutations_of(labels):
-            if all(sigma[a] == a for a in labels):
+        sigmas = [s for s in permutations_of(labels) if any(s[a] != a for a in labels)]
+        seen = bytearray(len(family))
+        for i, o in enumerate(family):
+            if seen[i]:
                 continue
-            for o in family:
-                if o.act(sigma).key() == o.key():
+            for sigma in sigmas:
+                image = o.act(sigma)
+                if image.key() == o.key():
                     return _fail({"n": n, "order": o.text(), "sigma": str(sigma)})
+                k = bisect_left(family, image.key(), key=DoubleOrder.key)
+                if k == len(family) or family[k].key() != image.key():
+                    reason = "image not in family"
+                    return _fail({"n": n, "order": o.text(), "sigma": str(sigma), "reason": reason})
+                seen[k] = 1
         counts[n] = len(family)
     return _pass({"double_orders": counts})
 

@@ -122,6 +122,7 @@ def test_poset_validation_rejects_cycles():
         pytest.param([0b1001, 0b010, 0b100], id="bit-beyond-n"),
         pytest.param([0b000, 0b010, 0b100], id="missing-reflexive-bit"),
         pytest.param([0b011, 0b110, 0b100], id="missing-transitive-edge"),
+        pytest.param(5, id="not-a-sequence"),
     ],
 )
 def test_poset_rejects_malformed_rows(leq):

@@ -32,6 +32,36 @@ def order(labels, x_pairs, y_pairs):
     )
 
 
+def ordered_pair_counts(labels):
+    """The completeness counts of verify_cover by an ordered-pair loop."""
+    family = enumerate_orders(labels, "semi-regular")
+    keys = {o.key() for o in family}
+    checked = nonempty = 0
+    ok = True
+    for a in family:
+        for b in family:
+            checked += 1
+            u = union_bar(a, b)
+            if u is None:
+                continue
+            w = witness_point(u)
+            if u.key() in keys and u_contains(a, w) and u_contains(b, w) and u_contains(u, w):
+                nonempty += 1
+            else:
+                ok = False
+    return checked, nonempty, ok
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_cover_counts_match_an_ordered_pair_loop(n):
+    labels = default_labels(n)
+    report = verify_cover(labels, samples=0)
+    checked, nonempty, ok = ordered_pair_counts(labels)
+    assert (report.intersections_checked, report.nonempty_intersections) == (checked, nonempty)
+    assert report.completeness_ok == ok
+    assert report.ok and report.failures == []
+
+
 def test_witness_point_membership():
     for o in enumerate_orders(default_labels(3), "semi-regular"):
         w = witness_point(o)

@@ -213,11 +213,24 @@ def test_boundary_square_check():
         pytest.param([{"0": 1}], id="string-row"),
         pytest.param([{False: 1}], id="bool-row"),
         pytest.param([[0.5]], id="dense-float"),
+        pytest.param([5], id="column-not-a-dict"),
     ],
 )
 def test_chain_complex_rejects_entries_that_are_not_ints(boundary):
     with pytest.raises(ContractError):
         ChainComplex([1, 1], [boundary])
+
+
+@pytest.mark.parametrize(
+    "ranks, boundaries",
+    [
+        pytest.param([1.5], [], id="float"),
+        pytest.param([True, 1], [[{0: 1}]], id="bool"),
+    ],
+)
+def test_chain_complex_rejects_ranks_that_are_not_ints(ranks, boundaries):
+    with pytest.raises(ContractError):
+        ChainComplex(ranks, boundaries)
 
 
 def test_euler_characteristic_checked_against_homology():

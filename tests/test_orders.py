@@ -8,6 +8,7 @@ from dicube.complexes import build_ordered_cover, default_labels, permutations_o
 from dicube.errors import ContractError, ResourceCapError, StructuralError
 from dicube.orders import (
     DoubleOrder,
+    _strict_orders,
     chain_to_double_order,
     chain_union,
     classify,
@@ -290,6 +291,17 @@ def test_semi_regular_family_equals_the_full_union_fixpoint(n):
     family = enumerate_orders(labels, "semi-regular")
     expected = _union_fixpoint(enumerate_orders(labels, "regular"))
     assert [o.key() for o in family] == [o.key() for o in expected]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_double_family_equals_the_filter_by_definition(n):
+    # every pair of strict orders, kept when is_double holds, in pair order
+    labels = default_labels(n)
+    strict = _strict_orders(n)
+    expected = [
+        o for o in (DoubleOrder(labels, x, y) for x in strict for y in strict) if o.is_double
+    ]
+    assert enumerate_orders(labels, "double") == expected
 
 
 def test_semi_regulars_are_double():

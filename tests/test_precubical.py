@@ -355,6 +355,11 @@ def test_from_json_rejects_text_that_is_not_json():
         PrecubicalComplex.from_json("nope")
 
 
+def test_from_json_rejects_an_argument_that_is_not_text():
+    with pytest.raises(StructuralError, match="must be a string"):
+        PrecubicalComplex.from_json(5)
+
+
 def test_map_violations_detected():
     sq = build_standard_cube(1)
     z = build_final_complex(1)

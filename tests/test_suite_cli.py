@@ -296,6 +296,56 @@ def test_bar_f_iso_fails_on_a_functor_not_induced_from_the_quotient(kind, whole_
         assert details == {"n": 2, "reason": reason, "orbit": orbit, "images": [new, old]}
 
 
+def y_orders_on_abc(*y_rows):
+    """Orders on a, b, c with empty x and the given y rows, in key order."""
+    from dicube.orders import DoubleOrder
+
+    return sorted((DoubleOrder(("a", "b", "c"), (0, 0, 0), y) for y in y_rows), key=DoubleOrder.key)
+
+
+def patch_double_family(monkeypatch, family_at_3):
+    from dicube import suite
+
+    real = suite.enumerate_orders
+    monkeypatch.setattr(
+        suite,
+        "enumerate_orders",
+        lambda labels, kind: family_at_3 if len(labels) == 3 else real(labels, kind),
+    )
+    return suite
+
+
+def test_free_action_finds_a_fixed_order_outside_the_first_orbit(monkeypatch):
+    # the first orbit (one y pair each) is free; the second (one label
+    # y-below the other two) is fixed by a transposition
+    family = y_orders_on_abc(
+        (0b010, 0, 0), (0b100, 0, 0), (0, 0b001, 0), (0, 0b100, 0), (0, 0, 0b001), (0, 0, 0b010),
+        (0b110, 0, 0), (0, 0b101, 0), (0, 0, 0b011),
+    )
+    fixed = family.index(y_orders_on_abc((0, 0, 0b011))[0])
+    assert fixed == 2  # after c<a and c<b, the first orbit's two smallest keys
+    suite = patch_double_family(monkeypatch, family)
+    status, details = suite.check_free_action(3)
+    assert status == "fail"
+    assert details == {
+        "n": 3,
+        "order": "x{};y{c<a,c<b}",
+        "sigma": str({"a": "b", "b": "a", "c": "c"}),
+    }
+
+
+def test_free_action_fails_on_a_family_not_closed_under_relabelling(monkeypatch):
+    suite = patch_double_family(monkeypatch, y_orders_on_abc((0, 0, 0b001)))
+    status, details = suite.check_free_action(3)
+    assert status == "fail"
+    assert details == {
+        "n": 3,
+        "order": "x{};y{c<a}",
+        "sigma": str({"a": "a", "b": "c", "c": "b"}),
+        "reason": "image not in family",
+    }
+
+
 def test_bar_f_iso_builds_one_regular_poset_category_per_n(monkeypatch):
     from dicube import categories, suite
 
