@@ -47,12 +47,16 @@ class FiniteCategory:
         self.identity = list(identity)
         if len(self.identity) != len(self.objects):
             raise ContractError("one identity per object required")
-        for obj, m in enumerate(self.identity):
-            if self.morphisms[m].src != obj or self.morphisms[m].tgt != obj:
-                raise ContractError(f"identity of object {obj} has wrong endpoints")
+        object_indices = range(len(self.objects))
         self.out_of: list[list[int]] = [[] for _ in self.objects]
         for m, mor in enumerate(self.morphisms):
+            if mor.src not in object_indices or mor.tgt not in object_indices:
+                raise ContractError(f"morphism {m} has an endpoint that is not an object index")
             self.out_of[mor.src].append(m)
+        for obj, m in enumerate(self.identity):
+            mor = self.morphisms[m] if m in range(len(self.morphisms)) else None
+            if mor is None or mor.src != obj or mor.tgt != obj:
+                raise ContractError(f"identity of object {obj} is not a morphism {obj} -> {obj}")
         self._compose = {(g, f): compose(g, f) for g, f in self.composable_pairs()}
 
     @property

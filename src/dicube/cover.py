@@ -21,7 +21,7 @@ from .orders import (
     union_bar,
     union_cycle_witness,
 )
-from .posets import rel_closure, rel_is_irreflexive, rel_pairs, rel_subset
+from .posets import Rel, rel_below_counts, rel_closure, rel_is_irreflexive, rel_pairs, rel_subset
 
 Config = dict  # label -> (Fraction, Fraction)
 
@@ -37,24 +37,11 @@ def u_contains(o: DoubleOrder, f: Config) -> bool:
     )
 
 
-def _linear_extension_ranks(o: DoubleOrder, rel) -> dict:
-    """Ranks 1..n of a total extension; minimal available element with the
-    smallest label index goes first, so the extension is deterministic."""
-    n = o.n
-    remaining = set(range(n))
-    ranks = {}
-    next_rank = 1
-    while remaining:
-        available = sorted(
-            i for i in remaining if not any(rel[j] >> i & 1 for j in remaining if j != i)
-        )
-        if not available:
-            raise ContractError("relation has a cycle; no linear extension")
-        i = available[0]
-        ranks[o.labels[i]] = next_rank
-        next_rank += 1
-        remaining.discard(i)
-    return ranks
+def _linear_extension_ranks(o: DoubleOrder, rel: Rel) -> dict:
+    """Ranks 1..n of a total extension of the strict order rel: labels
+    sorted by below count, ties by index, so the extension is deterministic."""
+    listing = sorted(range(o.n), key=rel_below_counts(rel).__getitem__)
+    return {o.labels[i]: rank for rank, i in enumerate(listing, start=1)}
 
 
 def witness_point(o: DoubleOrder) -> Config:
@@ -184,31 +171,31 @@ class CoverReport:
 
 def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
     """Exact verification of the cover properties over the semi-regular family
-    (3 labels at most; 4 labels fall back to the regular-only sub-checks).
+    (3 labels at most; 4 labels fall back to the regular-only sub-checks):
+    the completeness, properness, equivariance and covering passes in turn."""
+    report, family = cover_report(labels)
+    cover_completeness(report, family)
+    cover_properness(report, family)
+    cover_equivariance(report, family)
+    cover_covering(report, samples, seed)
+    return report
 
-    Completeness: pairwise intersections are again members (witnessed) or
-    empty (cycle witnessed).  Properness: a member and its image under a
-    non-identity permutation never meet, via the regular retraction.
-    Equivariance: permuting a member's constraints gives the permuted
-    member's constraints.  Covering: random injective configurations all lie
-    in the set of the regular order they induce.
-    """
+
+def cover_report(labels) -> tuple[CoverReport, list[DoubleOrder]]:
+    """An empty report and the family the cover passes run over."""
     labels = tuple(labels)
-    n = len(labels)
-    if n <= 3:
-        family_name = "semi-regular"
-        family = enumerate_orders(labels, "semi-regular")
-    elif n == 4:
-        family_name = "regular"
-        family = enumerate_orders(labels, "regular")
-    else:
-        raise ResourceCapError("cover verification is capped at 4 labels")
-    report = CoverReport(labels, family_name)
-    keys = {o.key() for o in family}
+    if len(labels) <= 3:
+        return CoverReport(labels, "semi-regular"), enumerate_orders(labels, "semi-regular")
+    if len(labels) == 4:
+        return CoverReport(labels, "regular"), enumerate_orders(labels, "regular")
+    raise ResourceCapError("cover verification is capped at 4 labels")
 
-    # completeness + the intersection rule, both directions constructive;
-    # union_bar is symmetric, so each unordered pair is tested once and
-    # counted for both ordered pairs
+
+def cover_completeness(report: CoverReport, family: list[DoubleOrder]) -> None:
+    """Completeness: pairwise intersections are again members (witnessed) or
+    empty (cycle witnessed).  union_bar is symmetric, so each unordered pair
+    is tested once and counted for both ordered pairs."""
+    keys = {o.key() for o in family}
     for i, a in enumerate(family):
         for j in range(i, len(family)):
             b = family[j]
@@ -216,7 +203,7 @@ def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
             report.intersections_checked += pairs
             u = union_bar(a, b)
             if u is not None:
-                if family_name == "semi-regular" and u.key() not in keys:
+                if report.family == "semi-regular" and u.key() not in keys:
                     report.completeness_ok = False
                     report.failures.append(
                         {"check": "completeness", "pair": [a.text(), b.text()], "union": u.text()}
@@ -240,7 +227,11 @@ def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
                 # a cycle a0 < a1 < ... < a0 in one component makes the joint
                 # constraint set unsatisfiable; nothing further to test
 
-    # properness via the regular retraction, plus the direct union criterion
+
+def cover_properness(report: CoverReport, family: list[DoubleOrder]) -> None:
+    """Properness: a member and its image under a non-identity permutation
+    never meet, directly and via the regular retraction."""
+    labels = report.labels
     for sigma in permutations_of(labels):
         if all(sigma[a] == a for a in labels):
             continue
@@ -252,14 +243,18 @@ def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
                     {"check": "properness-union", "order": o.text(), "sigma": str(sigma)}
                 )
                 continue
-            r = to_regular(o) if family_name == "semi-regular" else o
+            r = to_regular(o) if report.family == "semi-regular" else o
             if union_bar(r, r.act(sigma)) is not None:
                 report.properness_ok = False
                 report.failures.append(
                     {"check": "properness-retraction", "order": o.text(), "sigma": str(sigma)}
                 )
 
-    # equivariance as constraint-set equality
+
+def cover_equivariance(report: CoverReport, family: list[DoubleOrder]) -> None:
+    """Equivariance: permuting a member's constraints gives the permuted
+    member's constraints, as constraint-set equality."""
+    labels = report.labels
     for sigma in permutations_of(labels):
         inv = {v: k for k, v in sigma.items()}
         for o in family:
@@ -274,7 +269,11 @@ def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
                     {"check": "equivariance", "order": o.text(), "sigma": str(sigma)}
                 )
 
-    # covering by random configurations
+
+def cover_covering(report: CoverReport, samples: int, seed: int) -> None:
+    """Covering: random injective configurations all lie in the set of the
+    regular order they induce."""
+    labels = report.labels
     rng = random.Random(seed)
     regulars = {o.key() for o in enumerate_orders(labels, "regular")}
     for _ in range(samples):
@@ -287,7 +286,6 @@ def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
             report.failures.append(
                 {"check": "covering", "config": config_to_json_dict(f)}
             )
-    return report
 
 
 def nerve_retraction_check(labels, seed: int = 0) -> bool:

@@ -156,9 +156,12 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], transforms: bool = False)
     Pivots are chosen as the smallest nonzero absolute value with row and
     column swaps, followed by a divisibility fix-up, so the diagonal is a
     divisibility chain.  With ``transforms=True`` the accumulated row and
-    column operations are returned as unimodular U and V.
+    column operations are returned as unimodular U and V.  ContractError
+    for a ragged matrix or an entry that is not an int (a bool is not one).
     """
-    a = [[int(v) for v in row] for row in matrix]
+    a = [list(row) for row in matrix]
+    if any(type(v) is not int for row in a for v in row):
+        raise ContractError("matrix entries must be ints")
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):

@@ -15,9 +15,9 @@ one member per orbit, the union and cover checks every member.  Two caches
 serve it.  ``act`` reduces a permutation to its position tuple ``s`` and
 maps each row through ``_bit_permutation(s)``, a 2**n-entry table built once
 per ``s`` that moves bit ``s[j]`` of a row mask to bit ``j``.  Every constructed
-``DoubleOrder`` is still validated, but ``rel_is_strict_order`` is memoized by
-relation value, so a Warshall closure runs once per distinct relation rather
-than once per order.
+``DoubleOrder`` is still validated, but the strict-order test is memoized by
+relation, so a Warshall closure runs once per distinct relation rather than
+once per order.
 """
 
 from __future__ import annotations
@@ -32,14 +32,15 @@ from .complexes import CoverCell, OrderedCover
 from .errors import ContractError, ResourceCapError, StructuralError
 from .posets import (
     Rel,
+    rel_below_counts,
     rel_closure,
+    rel_comparable_rows,
     rel_from_pairs,
     rel_is_irreflexive,
     rel_is_strict_order,
     rel_is_transitive,
     rel_pairs,
     rel_subset,
-    rel_transpose,
 )
 
 
@@ -52,31 +53,27 @@ class DoubleOrder:
     y: Rel
 
     def __post_init__(self):
-        n = len(self.labels)
-        if len(self.x) != n or len(self.y) != n:
-            raise ContractError("relation size does not match label set")
-        if not rel_is_strict_order(self.x) or not rel_is_strict_order(self.y):
-            raise ContractError("components must be strict partial orders")
+        x, y, n = self.x, self.y, len(self.labels)
+        try:
+            ok = type(x) is tuple is type(y) and len(x) == n == len(y)
+            ok = ok and _is_strict_order(*x) and _is_strict_order(*y)
+        except TypeError:  # an unhashable row, so not a bitmask
+            ok = False
+        if not ok:
+            raise ContractError(f"x and y must be strict orders given as {n} row bitmasks each")
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    def comparable(self, i: int, j: int) -> bool:
-        return bool(
-            self.x[i] >> j & 1 or self.x[j] >> i & 1 or self.y[i] >> j & 1 or self.y[j] >> i & 1
-        )
-
     @property
     def is_double(self) -> bool:
-        return all(self.comparable(i, j) for i in range(self.n) for j in range(i + 1, self.n))
+        rows = zip(rel_comparable_rows(self.x), rel_comparable_rows(self.y))
+        return all(a | b == (1 << self.n) - 1 for a, b in rows)
 
     @property
     def is_regular(self) -> bool:
-        """Regularity presupposes the double-order property."""
-        if not self.is_double or level_function(self.x) is None:
-            return False
-        return not any(self.y[i] >> j & 1 or self.y[j] >> i & 1 for i, j in rel_pairs(self.x))
+        return _read_blocks(self) is not None
 
     def act(self, sigma: Mapping) -> "DoubleOrder":
         """Right action: i < j in the image iff sigma(i) < sigma(j) originally."""
@@ -142,6 +139,13 @@ def _rel_from_bool_matrix(matrix, n: int, field: str) -> Rel:
     return rel_from_pairs(n, [(i, j) for i in range(n) for j in range(n) if matrix[i][j]])
 
 
+@lru_cache(maxsize=None, typed=True)
+def _is_strict_order(*rows) -> bool:
+    # one row per argument, so that the typed cache keeps an int row apart
+    # from an equal bool or float, which rel_is_strict_order rejects
+    return rel_is_strict_order(rows)
+
+
 @lru_cache(maxsize=None)
 def _positions(labels: tuple) -> dict:
     return {lab: k for k, lab in enumerate(labels)}
@@ -162,55 +166,12 @@ def _bit_permutation(s: tuple[int, ...]) -> tuple[int, ...]:
 
 def level_function(rel: Rel) -> Optional[tuple[int, ...]]:
     """The 1-based level map inducing rel (a < b iff level(a) < level(b)),
-    or None when rel is not semi-linear.
-
-    Semi-linearity amounts to: incomparability classes are cliques and the
-    classes are totally ordered uniformly.
-    """
-    n = len(rel)
-    if n == 0:
-        return ()
-    # connected components of the incomparability graph
-    comp = [-1] * n
-    classes: list[list[int]] = []
-    for start in range(n):
-        if comp[start] != -1:
-            continue
-        comp[start] = len(classes)
-        todo = [start]
-        members = [start]
-        while todo:
-            i = todo.pop()
-            for j in range(n):
-                if comp[j] == -1 and not (rel[i] >> j & 1 or rel[j] >> i & 1):
-                    comp[j] = comp[start]
-                    todo.append(j)
-                    members.append(j)
-        classes.append(members)
-    # each class must be an incomparability clique
-    for members in classes:
-        for i, j in itertools.combinations(members, 2):
-            if rel[i] >> j & 1 or rel[j] >> i & 1:
-                return None
-    # cross-class comparisons must be uniform and acyclic
-    below = [0] * len(classes)
-    for a, ca in enumerate(classes):
-        for b, cb in enumerate(classes):
-            if a == b:
-                continue
-            votes = {bool(rel[i] >> j & 1) for i in ca for j in cb}
-            if votes != {True} and votes != {False}:
-                return None
-            if votes == {True}:
-                below[b] += 1
-    order = sorted(range(len(classes)), key=lambda c: below[c])
-    if [below[c] for c in order] != list(range(len(classes))):
-        return None
-    levels = [0] * n
-    for rank, c in enumerate(order, start=1):
-        for i in classes[c]:
-            levels[i] = rank
-    return tuple(levels)
+    or None when rel is not semi-linear: the levels rank the distinct below
+    counts, and rel is semi-linear exactly when it equals their order."""
+    counts = rel_below_counts(rel)
+    rank = {c: k for k, c in enumerate(sorted(set(counts)), start=1)}
+    induced = tuple(sum(1 << j for j, c in enumerate(counts) if c > ci) for ci in counts)
+    return tuple(rank[c] for c in counts) if induced == rel else None
 
 
 def union_bar(o1: DoubleOrder, o2: DoubleOrder) -> Optional[DoubleOrder]:
@@ -275,7 +236,13 @@ def regular_from_blocks(labels: Sequence, blocks: Iterable[Sequence]) -> DoubleO
     listed = sorted(i for block in index_blocks for i in block)
     if not all(index_blocks) or listed != list(range(len(labels))):
         raise ContractError("blocks must be nonempty and partition the labels")
-    x, y = [0] * len(labels), [0] * len(labels)
+    return DoubleOrder(labels, *_block_rows(len(labels), index_blocks))
+
+
+def _block_rows(n: int, index_blocks: Sequence[Sequence[int]]) -> tuple[Rel, Rel]:
+    """The rows (x, y) of the regular order on n labels whose x-levels are
+    the index blocks, each totally ordered by y as listed."""
+    x, y = [0] * n, [0] * n
     after = 0  # the labels of the blocks after the current one
     for block in reversed(index_blocks):
         above = 0  # the labels later in the current block
@@ -283,25 +250,26 @@ def regular_from_blocks(labels: Sequence, blocks: Iterable[Sequence]) -> DoubleO
             x[i], y[i] = after, above
             above |= 1 << i
         after |= above
-    return DoubleOrder(labels, tuple(x), tuple(y))
+    return tuple(x), tuple(y)
+
+
+def _read_blocks(o: DoubleOrder) -> Optional[list[list[int]]]:
+    """The index blocks of o, or None when o is not regular.  A label's block
+    is fixed by its x below count, its place in the block by its y below
+    count; o is regular exactly when it is the block order so read."""
+    x_below, y_below = rel_below_counts(o.x), rel_below_counts(o.y)
+    listing = sorted(range(o.n), key=lambda i: (x_below[i], y_below[i]))
+    blocks = [list(group) for _, group in itertools.groupby(listing, key=x_below.__getitem__)]
+    return blocks if _block_rows(o.n, blocks) == (o.x, o.y) else None
 
 
 def regular_blocks(o: DoubleOrder) -> tuple[tuple, ...]:
-    """The x-levels of a regular order in order, each listed in ascending y
-    order: the inverse of ``regular_from_blocks``.
-
-    A label's block is fixed by how many labels lie x-below it, its place in
-    the block by how many lie y-below it.  The order is regular exactly when
-    it is the block order so read; ContractError otherwise.
-    """
-    x_below = [sum(row >> i & 1 for row in o.x) for i in range(o.n)]
-    y_below = [sum(row >> i & 1 for row in o.y) for i in range(o.n)]
-    listing = sorted(range(o.n), key=lambda i: (x_below[i], y_below[i]))
-    groups = itertools.groupby(listing, key=x_below.__getitem__)
-    blocks = tuple(tuple(o.labels[i] for i in group) for _, group in groups)
-    if regular_from_blocks(o.labels, blocks) != o:
+    """The x-levels of a regular order in order, each in ascending y order:
+    the inverse of ``regular_from_blocks``.  ContractError unless regular."""
+    blocks = _read_blocks(o)
+    if blocks is None:
         raise ContractError("order is not regular")
-    return blocks
+    return tuple(tuple(o.labels[i] for i in block) for block in blocks)
 
 
 # -- classification -------------------------------------------------------------
@@ -359,17 +327,11 @@ def _strict_orders(n: int) -> tuple[Rel, ...]:
     if n > 4:
         raise ResourceCapError("strict-order filter enumerations are capped at 4 labels")
     positions = [(i, j) for i in range(n) for j in range(n) if i != j]
-    out = []
-    for bits in range(1 << len(positions)):
-        rows = [0] * n
-        for p, (i, j) in enumerate(positions):
-            if bits >> p & 1:
-                rows[i] |= 1 << j
-        rel = tuple(rows)
-        if rel_is_transitive(rel):
-            out.append(rel)
-    out.sort()
-    return tuple(out)
+    subsets = (
+        rel_from_pairs(n, [p for k, p in enumerate(positions) if bits >> k & 1])
+        for bits in range(1 << len(positions))
+    )
+    return tuple(sorted(rel for rel in subsets if rel_is_transitive(rel)))
 
 
 def _enumerate_double_filter(labels: tuple) -> list[DoubleOrder]:
@@ -379,11 +341,7 @@ def _enumerate_double_filter(labels: tuple) -> list[DoubleOrder]:
     n = len(labels)
     strict = _strict_orders(n)
     full = (1 << n) - 1
-    # row i of sym: the labels comparable with i, with i itself added
-    sym = [
-        tuple(row | col | 1 << i for i, (row, col) in enumerate(zip(rel, rel_transpose(rel))))
-        for rel in strict
-    ]
+    sym = [rel_comparable_rows(rel) for rel in strict]
     orders = []
     for x, sx in zip(strict, sym):
         for y, sy in zip(strict, sym):
@@ -491,13 +449,8 @@ def to_regular(o: DoubleOrder) -> DoubleOrder:
     order to the mixed one."""
     if not is_semi_regular(o):
         raise ContractError("input is not semi-regular")
-    # x[i] holds the labels x-above i and below[i] those x-below it
-    below = rel_transpose(o.x)
-    y = tuple(row & ~(o.x[i] | below[i]) for i, row in enumerate(o.y))
-    out = DoubleOrder(o.labels, o.x, y)
-    if not out.is_regular:
-        raise AssertionError("retraction of a semi-regular order must be regular")
-    return out
+    y = tuple(row & ~c for row, c in zip(o.y, rel_comparable_rows(o.x)))
+    return DoubleOrder(o.labels, o.x, y)
 
 
 def chain_union(chain: Sequence[DoubleOrder]) -> DoubleOrder:

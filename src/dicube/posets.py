@@ -5,7 +5,6 @@ poset category (``dicube.categories``)."""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import ContractError
@@ -41,6 +40,18 @@ def rel_transpose(rel: Rel) -> Rel:
     return tuple(sum((row >> i & 1) << j for j, row in enumerate(rel)) for i in range(len(rel)))
 
 
+def rel_below_counts(rel: Rel) -> tuple[int, ...]:
+    """Entry j counts the elements related to j.  It grows strictly along a
+    strict order, so sorting by it gives a linear extension, and a weak order
+    is exactly a relation equal to the order its counts induce."""
+    return tuple(col.bit_count() for col in rel_transpose(rel))
+
+
+def rel_comparable_rows(rel: Rel) -> Rel:
+    """Row i holds the elements related to i either way, and i itself."""
+    return tuple(row | col | 1 << i for i, (row, col) in enumerate(zip(rel, rel_transpose(rel))))
+
+
 def rel_closure(rel: Rel) -> Rel:
     rows = list(rel)
     for k in range(len(rows)):
@@ -59,9 +70,14 @@ def rel_is_transitive(rel: Rel) -> bool:
     return rel_closure(rel) == rel
 
 
-@lru_cache(maxsize=None)
+def rel_is_bitmasks(rows, n: int) -> bool:
+    """True for n rows, each an int (a bool is not one) below 2**n."""
+    return len(rows) == n and all(type(row) is int and 0 <= row < 1 << n for row in rows)
+
+
 def rel_is_strict_order(rel: Rel) -> bool:
-    return rel_is_irreflexive(rel) and rel_is_transitive(rel)
+    """True for irreflexive, transitive bitmasks of len(rel) bits."""
+    return rel_is_bitmasks(rel, len(rel)) and rel_is_irreflexive(rel) and rel_is_transitive(rel)
 
 
 def rel_subset(a: Rel, b: Rel) -> bool:
@@ -79,11 +95,8 @@ class Poset:
             self.leq: Rel = tuple(leq)
         except TypeError:
             raise ContractError("leq must be a sequence of row bitmasks") from None
-        if len(self.leq) != n:
-            raise ContractError(f"leq has {len(self.leq)} rows for {n} elements")
-        for i, row in enumerate(self.leq):
-            if not isinstance(row, int) or isinstance(row, bool) or row < 0 or row >> n:
-                raise ContractError(f"leq row {i} is not a bitmask of {n} bits")
+        if not rel_is_bitmasks(self.leq, n):
+            raise ContractError(f"leq must be {n} bitmasks of {n} bits")
         self.validate()
 
     def __len__(self) -> int:

@@ -23,7 +23,7 @@ from .categories import (
 )
 from .chains import ChainOrder, CubeChain, enumerate_chains, face_swap
 from .complexes import build_final_complex, build_ordered_cover, default_labels, permutations_of
-from .cover import verify_cover
+from .cover import cover_equivariance, cover_properness, cover_report, verify_cover
 from .errors import ResourceCapError, UsageError
 from .homology import (
     euler_characteristic,
@@ -384,10 +384,12 @@ def check_cover_proper(n_max: int, **_) -> tuple[str, object]:
     equivariance."""
     out = {}
     for n in range(1, min(n_max, 3) + 1):
-        report = verify_cover(default_labels(n), samples=0)
-        if not (report.properness_ok and report.equivariance_ok):
+        report, family = cover_report(default_labels(n))
+        cover_properness(report, family)
+        cover_equivariance(report, family)
+        if not report.ok:
             return _fail(report.failures)
-        out[n] = {"family": report.family, "members": len(enumerate_orders(default_labels(n), "semi-regular"))}
+        out[n] = {"family": report.family, "members": len(family)}
     return _pass(out)
 
 

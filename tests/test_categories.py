@@ -251,6 +251,21 @@ def test_nerve_rejects_loops():
         nerve_complex(C)
 
 
+@pytest.mark.parametrize(
+    "morphisms, identity",
+    [
+        pytest.param([Morphism(0, 0), Morphism(5, 0)], [0], id="source-out-of-range"),
+        pytest.param([Morphism(0, 0), Morphism(0, 1)], [0], id="target-out-of-range"),
+        pytest.param([Morphism(0, 0), Morphism(-1, 0)], [0], id="negative-endpoint"),
+        pytest.param([Morphism(0, 0)], [3], id="identity-out-of-range"),
+        pytest.param([Morphism(0, 0)], [-1], id="negative-identity"),
+    ],
+)
+def test_finite_category_rejects_indices_out_of_range(morphisms, identity):
+    with pytest.raises(ContractError):
+        FiniteCategory(["*"], morphisms, identity, lambda g, f: 0)
+
+
 def test_break_category_two_is_a_circle():
     E = build_break_category(2)
     cx = nerve_complex(E)

@@ -6,6 +6,7 @@ import pytest
 
 from dicube.complexes import default_labels
 from dicube.cover import (
+    _linear_extension_ranks,
     config_from_json_dict,
     config_to_json_dict,
     nerve_retraction_check,
@@ -17,7 +18,16 @@ from dicube.cover import (
     witness_point,
 )
 from dicube.errors import ContractError, ResourceCapError, StructuralError
-from dicube.orders import DoubleOrder, enumerate_orders, poset_leq, rel_from_pairs, union_bar
+from dicube.orders import (
+    DoubleOrder,
+    _strict_orders,
+    enumerate_orders,
+    level_function,
+    poset_leq,
+    rel_from_pairs,
+    union_bar,
+)
+from dicube.posets import rel_pairs
 
 AB = ("a", "b")
 
@@ -235,3 +245,28 @@ def test_config_from_json_dict_reads_integers_and_floats_exactly():
 def test_config_from_json_dict_rejects_malformed_input(data):
     with pytest.raises(StructuralError, match="'points'"):
         config_from_json_dict(data)
+
+
+def extension_by_repeated_minimum(o, rel):
+    """The earlier extension: the minimal remaining element with the
+    smallest index goes next."""
+    remaining = set(range(o.n))
+    ranks = {}
+    while remaining:
+        i = min(i for i in remaining if not any(rel[j] >> i & 1 for j in remaining))
+        ranks[o.labels[i]] = len(ranks) + 1
+        remaining.discard(i)
+    return ranks
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_linear_extension_ranks_extend_every_strict_order(n):
+    labels = default_labels(n)
+    for rel in _strict_orders(n):
+        o = DoubleOrder(labels, rel, rel_from_pairs(n, []))
+        ranks = _linear_extension_ranks(o, rel)
+        assert sorted(ranks.values()) == list(range(1, n + 1))
+        assert all(ranks[labels[i]] < ranks[labels[j]] for i, j in rel_pairs(rel))
+        if level_function(rel) is not None:
+            # on a weak order both list each level in index order
+            assert ranks == extension_by_repeated_minimum(o, rel)

@@ -222,6 +222,20 @@ def test_chain_complex_rejects_entries_that_are_not_ints(boundary):
 
 
 @pytest.mark.parametrize(
+    "matrix",
+    [
+        pytest.param([[1.5]], id="float"),
+        pytest.param([["1"]], id="string"),
+        pytest.param([[True]], id="bool"),
+        pytest.param([[2, 4], [6, 1.0]], id="float-among-ints"),
+    ],
+)
+def test_smith_normal_form_rejects_entries_that_are_not_ints(matrix):
+    with pytest.raises(ContractError):
+        smith_normal_form(matrix)
+
+
+@pytest.mark.parametrize(
     "ranks, boundaries",
     [
         pytest.param([1.5], [], id="float"),

@@ -565,3 +565,134 @@ def test_semi_regular_membership_matches_the_enumeration(n):
         assert c.is_semi_regular == expected
     assert flags.count(True) == len(semi)
     assert (False in flags) == (n == 3)
+
+
+# -- the order shape read from below counts, against the earlier readers ----------------
+
+
+def level_function_by_components(rel):
+    """The earlier level reader: incomparability components that are
+    cliques, totally and uniformly ordered between each other."""
+    n = len(rel)
+    comp = [-1] * n
+    classes = []
+    for start in range(n):
+        if comp[start] != -1:
+            continue
+        comp[start] = len(classes)
+        todo, members = [start], [start]
+        while todo:
+            i = todo.pop()
+            for j in range(n):
+                if comp[j] == -1 and not (rel[i] >> j & 1 or rel[j] >> i & 1):
+                    comp[j] = comp[start]
+                    todo.append(j)
+                    members.append(j)
+        classes.append(members)
+    for members in classes:
+        for i, j in itertools.combinations(members, 2):
+            if rel[i] >> j & 1 or rel[j] >> i & 1:
+                return None
+    below = [0] * len(classes)
+    for a, ca in enumerate(classes):
+        for b, cb in enumerate(classes):
+            if a != b:
+                votes = {bool(rel[i] >> j & 1) for i in ca for j in cb}
+                if len(votes) != 1:
+                    return None
+                below[b] += votes == {True}
+    order = sorted(range(len(classes)), key=below.__getitem__)
+    if [below[c] for c in order] != list(range(len(classes))):
+        return None
+    levels = [0] * n
+    for rank, c in enumerate(order, start=1):
+        for i in classes[c]:
+            levels[i] = rank
+    return tuple(levels)
+
+
+def is_double_by_pairs(o):
+    return all(
+        o.x[i] >> j & 1 or o.x[j] >> i & 1 or o.y[i] >> j & 1 or o.y[j] >> i & 1
+        for i, j in itertools.combinations(range(o.n), 2)
+    )
+
+
+def is_regular_by_three_tests(o):
+    """The earlier regularity test: a double order whose x is semi-linear
+    and whose y relates no x-related pair."""
+    if not is_double_by_pairs(o) or level_function_by_components(o.x) is None:
+        return False
+    return not any(
+        o.y[i] >> j & 1 or o.y[j] >> i & 1
+        for i in range(o.n)
+        for j in range(o.n)
+        if o.x[i] >> j & 1
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_level_function_matches_the_component_search_on_irreflexive_relations(n):
+    positions = [(i, j) for i in range(n) for j in range(n) if i != j]
+    semi_linear = 0
+    for bits in range(1 << len(positions)):
+        rel = rel_from_pairs(n, [p for k, p in enumerate(positions) if bits >> k & 1])
+        expected = level_function_by_components(rel)
+        assert level_function(rel) == expected, rel
+        semi_linear += expected is not None
+    # the weak orders on n labels: the ordered Bell numbers
+    assert semi_linear == [1, 1, 3, 13, 75][n]
+
+
+def test_level_function_rejects_a_reflexive_relation():
+    assert level_function((1,)) is None
+    assert level_function(rel_from_pairs(2, [(0, 1), (1, 1)])) is None
+
+
+def double_orders_to_compare():
+    for n in range(4):
+        strict = _strict_orders(n)
+        for x in strict:
+            for y in strict:
+                yield DoubleOrder(default_labels(n), x, y)
+    yield from enumerate_orders(default_labels(4), "double")
+
+
+def test_is_regular_and_is_double_match_the_earlier_tests():
+    regular = 0
+    for o in double_orders_to_compare():
+        assert o.is_double == is_double_by_pairs(o), o.text()
+        expected = is_regular_by_three_tests(o)
+        assert o.is_regular == expected, o.text()
+        if expected:
+            regular += 1
+            assert regular_from_blocks(o.labels, regular_blocks(o)) == o
+        else:
+            with pytest.raises(ContractError):
+                regular_blocks(o)
+    # the regular orders: n! times the compositions of n, for n = 0..4
+    assert regular == 1 + 1 + 4 + 24 + 192
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        pytest.param((0b100, 0b00), id="bit-beyond-n"),
+        pytest.param((-1, 0), id="negative-row"),
+        pytest.param((0b10, False), id="bool-row"),
+        pytest.param((2.0, 0), id="float-row"),
+        pytest.param(([1], 0), id="unhashable-row"),
+        pytest.param([0b10, 0], id="list-of-rows"),
+        pytest.param((0b10,), id="row-count"),
+        pytest.param(5, id="not-a-sequence"),
+    ],
+)
+def test_double_order_rejects_rows_that_are_not_bitmasks(x):
+    valid = rel_from_pairs(2, [(0, 1)])
+    for _ in range(2):  # the second call may be served by the memo
+        with pytest.raises(ContractError):
+            DoubleOrder(AB, x, (0, 0))
+        with pytest.raises(ContractError):
+            DoubleOrder(AB, (0, 0), x)
+    # a rejected row equal to a valid one must not spoil the valid relation
+    assert DoubleOrder(AB, valid, (0, 0)).x == valid
