@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, ResourceCapError
 from .homology import ChainComplex
-from .orders import DoubleOrder, enumerate_orders, poset_leq, regular_blocks
+from .orders import DoubleOrder, enumerate_orders, order_families, regular_blocks
 from .posets import Poset, _dot_escape, rel_pairs
 
 
@@ -496,24 +496,25 @@ def monotone_numbering(o: DoubleOrder) -> tuple:
 
 def regular_orders_poset(labels, variant: str) -> tuple[Poset, list[DoubleOrder]]:
     """(R, variant) as a poset; variant "sqsupseteq" is the reverse mixed order."""
-    orders = enumerate_orders(labels, "regular")
-    if variant == "sqsubseteq":
-        return _orders_poset(orders, lambda a, b: poset_leq(a, b, "sqsubseteq"))
-    if variant == "sqsupseteq":
-        return _orders_poset(orders, lambda a, b: poset_leq(b, a, "sqsubseteq"))
-    raise ContractError(f"unknown variant {variant!r}")
+    grows = {"sqsubseteq": (True, False), "sqsupseteq": (False, True)}.get(variant)
+    if grows is None:
+        raise ContractError(f"unknown variant {variant!r}")
+    return _orders_poset(labels, "regular", grows)
 
 
 def semi_regular_orders_poset(labels) -> tuple[Poset, list[DoubleOrder]]:
     """(semi-regular orders, componentwise inclusion) as a poset."""
-    orders = enumerate_orders(labels, "semi-regular")
-    return _orders_poset(orders, lambda a, b: poset_leq(a, b, "subseteq"))
+    return _orders_poset(labels, "semi-regular", (True, True))
 
 
-def _orders_poset(orders, leq) -> tuple[Poset, list[DoubleOrder]]:
-    """The poset on the orders with a <= b iff leq(a, b), one row each."""
-    rows = [sum(1 << j for j, b in enumerate(orders) if leq(a, b)) for a in orders]
-    return Poset([o.text() for o in orders], rows), list(orders)
+def _orders_poset(labels, kind: str, grows: tuple[bool, bool]) -> tuple[Poset, list[DoubleOrder]]:
+    """The orders of a kind with a <= b iff b's x contains a's x, or lies
+    inside it, as ``grows[0]`` is true or false, and likewise for y: each
+    row ANDs member masks of the two components, comparing no two orders."""
+    families = order_families(tuple(labels), kind)
+    up_x, up_y = (f.containing if g else f.within for f, g in zip(families, grows))
+    orders = enumerate_orders(labels, kind)
+    return Poset([o.text() for o in orders], [up_x(o.x) & up_y(o.y) for o in orders]), orders
 
 
 def break_functor(labels) -> BreakFunctor:

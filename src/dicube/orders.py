@@ -1,23 +1,21 @@
 """Double orders on a finite label set: a pair of strict partial orders with
 every pair of distinct elements comparable in at least one of them.
-
 Relations are row bitmasks, handled by the relation primitives of
-``dicube.posets``.  Ground sets stay tiny (<= 6), so everything here is
-exhaustive and exact.
+``dicube.posets``; ground sets stay tiny (<= 6), so all is exhaustive and exact.
 
 A regular double order is an ordered sequence of blocks, each totally
-ordered by y: ``regular_from_blocks`` builds the order and
-``regular_blocks`` reads the blocks back.  The regular enumeration, the
-cube-chain bijection and the break functor's numberings all use this pair.
+ordered by y: ``regular_from_blocks`` builds the order and ``regular_blocks``
+reads the blocks back, for the regular enumeration, the cube-chain bijection
+and the break functor's numberings.  The double and semi-regular families
+are read off the strict and the regular orders by bit (``RelFamily``): a set
+of orders is a bitmask, so neither family compares orders pairwise, and an
+order is semi-regular exactly when it closes the union of the regulars below.
 
-The symmetric-group checks relabel through ``act``: the free-action check
-one member per orbit, the union and cover checks every member.  Two caches
-serve it.  ``act`` reduces a permutation to its position tuple ``s`` and
-maps each row through ``_bit_permutation(s)``, a 2**n-entry table built once
-per ``s`` that moves bit ``s[j]`` of a row mask to bit ``j``.  Every constructed
-``DoubleOrder`` is still validated, but the strict-order test is memoized by
-relation, so a Warshall closure runs once per distinct relation rather than
-once per order.
+Relabelling goes through ``act``, which maps each row through
+``_bit_permutation(s)``, a 2**n-entry table built once per position tuple
+``s`` that moves bit ``s[j]`` of a row to bit ``j``.  Every ``DoubleOrder`` is
+validated, but the strict-order test is memoized by relation and the label
+test by label tuple, so each costs a cache lookup after the first order.
 """
 
 from __future__ import annotations
@@ -32,6 +30,8 @@ from .complexes import CoverCell, OrderedCover
 from .errors import ContractError, ResourceCapError, StructuralError
 from .posets import (
     Rel,
+    RelFamily,
+    bit_positions,
     rel_below_counts,
     rel_closure,
     rel_comparable_rows,
@@ -53,7 +53,10 @@ class DoubleOrder:
     y: Rel
 
     def __post_init__(self):
-        x, y, n = self.x, self.y, len(self.labels)
+        labels, x, y = self.labels, self.x, self.y
+        if type(labels) is not tuple or not _distinct(labels):
+            raise ContractError("labels must be a tuple of distinct hashable labels")
+        n = len(labels)
         try:
             ok = type(x) is tuple is type(y) and len(x) == n == len(y)
             ok = ok and _is_strict_order(*x) and _is_strict_order(*y)
@@ -117,11 +120,7 @@ class DoubleOrder:
         if not isinstance(data["labels"], list):
             raise StructuralError("field 'labels' must be a list")
         labels = tuple(data["labels"])
-        try:
-            distinct = len(set(labels)) == len(labels)
-        except TypeError:
-            distinct = False
-        if not distinct:
+        if not _distinct(labels):
             raise StructuralError("field 'labels' must hold distinct hashable labels")
         x, y = (_rel_from_bool_matrix(data[field], len(labels), field) for field in ("x", "y"))
         return cls(labels, x, y)
@@ -149,6 +148,14 @@ def _is_strict_order(*rows) -> bool:
 @lru_cache(maxsize=None)
 def _positions(labels: tuple) -> dict:
     return {lab: k for k, lab in enumerate(labels)}
+
+
+def _distinct(labels: tuple) -> bool:
+    """True for hashable, pairwise distinct labels, at a cache lookup per call."""
+    try:
+        return len(_positions(labels)) == len(labels)
+    except TypeError:  # an unhashable label
+        return False
 
 
 @lru_cache(maxsize=None)
@@ -291,9 +298,9 @@ def classify(labels: Sequence, x_matrix, y_matrix) -> Classification:
 
     Each matrix must be an n x n list of lists of booleans (StructuralError
     names the argument otherwise); relations that are not strict orders give
-    a Classification with ``ok`` false.  Semi-regularity is decided by
-    membership in the closure-generated family (|labels| <= 4); above that
-    it is reported as None rather than guessed.
+    a Classification with ``ok`` false.  Semi-regularity is decided up to 4
+    labels by the membership test of ``is_semi_regular``; above that it is
+    reported as None rather than guessed.
     """
     labels = tuple(labels)
     n = len(labels)
@@ -336,17 +343,16 @@ def _strict_orders(n: int) -> tuple[Rel, ...]:
 
 def _enumerate_double_filter(labels: tuple) -> list[DoubleOrder]:
     """Pairs (x, y) of strict orders with every distinct pair comparable in
-    x or y: row i of x or y, with its transpose, must cover every j != i.
-    Walking x, then y, in sorted order lists them in key order."""
+    x or y: the comparable rows of y hold what those of x lack.  Walking x,
+    then its partners, in sorted order lists them in key order."""
     n = len(labels)
     strict = _strict_orders(n)
     full = (1 << n) - 1
-    sym = [rel_comparable_rows(rel) for rel in strict]
+    comparable = RelFamily([rel_comparable_rows(rel) for rel in strict], n)
     orders = []
-    for x, sx in zip(strict, sym):
-        for y, sy in zip(strict, sym):
-            if all(a | b == full for a, b in zip(sx, sy)):
-                orders.append(DoubleOrder(labels, x, y))
+    for x in strict:
+        partners = comparable.containing(tuple(full & ~row for row in rel_comparable_rows(x)))
+        orders += [DoubleOrder(labels, x, strict[k]) for k in bit_positions(partners)]
     return orders
 
 
@@ -364,24 +370,6 @@ def _enumerate_regular_blocks(labels: tuple) -> list[DoubleOrder]:
             blocks = [perm[a:b] for a, b in zip(bounds, bounds[1:])]
             out.append(regular_from_blocks(labels, blocks))
     return sorted(out, key=DoubleOrder.key)
-
-
-def _close_under_union(seed: list[DoubleOrder]) -> list[DoubleOrder]:
-    # any sub-union of an irreflexive transitive union is irreflexive and
-    # inherits pair comparability from each regular constituent, so adding
-    # one seed order at a time reaches every union of regulars
-    family = {o.key(): o for o in seed}
-    frontier = list(seed)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in seed:
-                u = union_bar(a, b)
-                if u is not None and u.key() not in family:
-                    family[u.key()] = u
-                    fresh.append(u)
-        frontier = fresh
-    return sorted(family.values(), key=DoubleOrder.key)
 
 
 def enumerate_orders(labels: Sequence, kind: str) -> list[DoubleOrder]:
@@ -409,13 +397,15 @@ def _enumerate_cached(labels: tuple, kind: str) -> tuple[DoubleOrder, ...]:
     if kind == "semi-regular":
         if n > 4:
             raise ResourceCapError("semi-regular enumeration is capped at 4 labels")
-        return tuple(_close_under_union(_enumerate_regular_blocks(labels)))
+        return tuple(o for o in _enumerate_cached(labels, "double") if is_semi_regular(o))
     raise ContractError(f"unknown order class {kind!r}")
 
 
 @lru_cache(maxsize=None)
-def _semi_regular_keys(labels: tuple) -> frozenset:
-    return frozenset(o.key() for o in _enumerate_cached(labels, "semi-regular"))
+def order_families(labels: tuple, kind: str) -> tuple[RelFamily, RelFamily]:
+    """The x parts and the y parts of an order family, each read by bit."""
+    orders, n = _enumerate_cached(labels, kind), len(labels)
+    return RelFamily([o.x for o in orders], n), RelFamily([o.y for o in orders], n)
 
 
 # -- the two partial orders on double orders ---------------------------------------
@@ -436,11 +426,16 @@ def poset_leq(o1: DoubleOrder, o2: DoubleOrder, variant: str) -> bool:
 
 
 def is_semi_regular(o: DoubleOrder) -> bool:
-    if o.is_regular:
-        return True
+    """Whether o is the closed union of the regular orders below it.  A union
+    of regulars giving o is made of orders below o, and adding the others
+    closes inside the transitive o, so this is exactly semi-regularity."""
     if o.n > 4:
+        if o.is_regular:
+            return True
         raise ResourceCapError("semi-regularity decision is capped at 4 labels")
-    return o.key() in _semi_regular_keys(o.labels)
+    xs, ys = order_families(o.labels, "regular")
+    below = xs.within(o.x) & ys.within(o.y)
+    return below != 0 and rel_closure(xs.union(below)) == o.x and rel_closure(ys.union(below)) == o.y
 
 
 def to_regular(o: DoubleOrder) -> DoubleOrder:

@@ -1,10 +1,12 @@
 """Finite relations as row bitmasks, the one format of double orders and
-posets, and finite posets: validation, strict chains, covering pairs, Hasse
-diagrams in DOT and JSON export.  The order complex is the nerve of the
-poset category (``dicube.categories``)."""
+posets; families of relations read by bit; and finite posets: validation,
+strict chains, covering pairs, Hasse diagrams in DOT and JSON export.  The
+order complex is the nerve of the poset category (``dicube.categories``)."""
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .errors import ContractError
@@ -20,7 +22,7 @@ def rel_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Rel:
     return tuple(rows)
 
 
-def _bits(row: int) -> list[int]:
+def bit_positions(row: int) -> list[int]:
     """Positions of the set bits of a row, ascending."""
     out = []
     while row:
@@ -32,9 +34,10 @@ def _bits(row: int) -> list[int]:
 
 def rel_pairs(rel: Rel) -> list[tuple[int, int]]:
     """The related pairs in lexicographic order."""
-    return [(i, j) for i, row in enumerate(rel) for j in _bits(row)]
+    return [(i, j) for i, row in enumerate(rel) for j in bit_positions(row)]
 
 
+@lru_cache(maxsize=None)
 def rel_transpose(rel: Rel) -> Rel:
     """The converse relation: row i holds the elements related to i."""
     return tuple(sum((row >> i & 1) << j for j, row in enumerate(rel)) for i in range(len(rel)))
@@ -84,6 +87,36 @@ def rel_subset(a: Rel, b: Rel) -> bool:
     return all(ra & ~rb == 0 for ra, rb in zip(a, b))
 
 
+class RelFamily:
+    """A family of relations on n elements, read by relation bit:
+    ``holders[i][j]`` is the bitmask of the members k with ``rels[k][i] >> j
+    & 1``.  Sets of members are bitmasks too, so the members containing a
+    relation, or lying inside one, are ANDs of these masks."""
+
+    def __init__(self, rels: Sequence[Rel], n: int):
+        self.everyone = (1 << len(rels)) - 1
+        # one ASCII digit per member, the last member first, read in base 2
+        self.holders = [
+            [int(b"0" + bytes(48 + (rel[i] >> j & 1) for rel in reversed(rels)), 2) for j in range(n)]
+            for i in range(n)
+        ]
+
+    def containing(self, rel: Rel) -> int:
+        return reduce(and_, self._masks(rel, 1), self.everyone)
+
+    def within(self, rel: Rel) -> int:
+        return self.everyone & ~reduce(or_, self._masks(rel, 0), 0)
+
+    def _masks(self, rel: Rel, held: int):
+        """The member masks of the bits that rel holds (1) or lacks (0)."""
+        rows = zip(self.holders, rel)
+        return (m for masks, row in rows for j, m in enumerate(masks) if row >> j & 1 == held)
+
+    def union(self, members: int) -> Rel:
+        """Each bit that some member in ``members`` holds."""
+        return tuple(sum(1 << j for j, m in enumerate(masks) if m & members) for masks in self.holders)
+
+
 class Poset:
     """A finite poset: element labels and its reflexive order as row
     bitmasks, ``leq[i] >> j & 1`` meaning element i <= element j."""
@@ -126,14 +159,14 @@ class Poset:
         out = []
         for i, up in enumerate(above):
             beyond = 0
-            for k in _bits(up):
+            for k in bit_positions(up):
                 beyond |= above[k]
-            out += [(i, j) for j in _bits(up & ~beyond)]
+            out += [(i, j) for j in bit_positions(up & ~beyond)]
         return out
 
     def chains(self) -> list[tuple[int, ...]]:
         """All nonempty strictly increasing chains, lexicographic by index tuple."""
-        above = [_bits(row & ~(1 << i)) for i, row in enumerate(self.leq)]
+        above = [bit_positions(row & ~(1 << i)) for i, row in enumerate(self.leq)]
         out: list[tuple[int, ...]] = []
 
         def extend(chain: tuple[int, ...]):

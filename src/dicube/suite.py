@@ -6,7 +6,6 @@ reproducible counterexample payload on failure.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -33,7 +32,6 @@ from .homology import (
     same_homology,
 )
 from .orders import (
-    DoubleOrder,
     chain_to_double_order,
     chain_union,
     double_order_to_chain,
@@ -203,12 +201,13 @@ def check_free_action(n_max: int, **_) -> tuple[str, object]:
 
     Stabilizers along an orbit are conjugate (``act`` is a right action), so
     one member per orbit is tested against every non-identity relabeling; its
-    images, looked up in the sorted family, mark the rest of the orbit.
+    images, looked up in a key index of the family, mark the rest of the orbit.
     """
     counts = {}
     for n in range(1, min(n_max, 4) + 1):
         labels = default_labels(n)
         family = enumerate_orders(labels, "double")
+        index = {o.key(): k for k, o in enumerate(family)}
         sigmas = [s for s in permutations_of(labels) if any(s[a] != a for a in labels)]
         seen = bytearray(len(family))
         for i, o in enumerate(family):
@@ -218,8 +217,8 @@ def check_free_action(n_max: int, **_) -> tuple[str, object]:
                 image = o.act(sigma)
                 if image.key() == o.key():
                     return _fail({"n": n, "order": o.text(), "sigma": str(sigma)})
-                k = bisect_left(family, image.key(), key=DoubleOrder.key)
-                if k == len(family) or family[k].key() != image.key():
+                k = index.get(image.key())
+                if k is None:
                     reason = "image not in family"
                     return _fail({"n": n, "order": o.text(), "sigma": str(sigma), "reason": reason})
                 seen[k] = 1

@@ -19,13 +19,14 @@ from dicube.categories import (
     poset_category,
     quotient_category,
     regular_orders_poset,
+    semi_regular_orders_poset,
     symmetric_order_quotient,
 )
 from dicube.complexes import default_labels
 from dicube.errors import ContractError
 from dicube.homology import euler_characteristic, homology, same_homology
 from dicube.orders import DoubleOrder, enumerate_orders, level_function, poset_leq, rel_from_pairs
-from dicube.posets import Poset, rel_closure, rel_pairs
+from dicube.posets import Poset, RelFamily, bit_positions, rel_closure, rel_pairs, rel_subset
 
 
 def order(labels, x_pairs, y_pairs):
@@ -102,6 +103,73 @@ def test_poset_category_matches_pair_scan_on_random_posets(seed):
     rng = random.Random(seed)
     P = random_poset(rng, rng.randint(1, 14), rng.choice([0.1, 0.3, 0.6]))
     assert_poset_category_matches_pair_scan(P)
+
+
+# -- order posets and relation families read by bit ----------------------------------
+
+
+def pairwise_rows(orders, leq):
+    """The leq rows of the orders by one comparison per ordered pair."""
+    return [sum(1 << j for j, b in enumerate(orders) if leq(a, b)) for a in orders]
+
+
+ORDER_POSET_LEQ = {
+    "sqsubseteq": lambda a, b: poset_leq(a, b, "sqsubseteq"),
+    "sqsupseteq": lambda a, b: poset_leq(b, a, "sqsubseteq"),
+    "subseteq": lambda a, b: poset_leq(a, b, "subseteq"),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("variant", ["sqsubseteq", "sqsupseteq"])
+def test_regular_orders_poset_rows_match_the_pairwise_fill(n, variant):
+    P, orders = regular_orders_poset(default_labels(n), variant)
+    assert orders == enumerate_orders(default_labels(n), "regular")
+    assert list(P.leq) == pairwise_rows(orders, ORDER_POSET_LEQ[variant])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_semi_regular_orders_poset_rows_match_the_pairwise_fill(n):
+    P, orders = semi_regular_orders_poset(default_labels(n))
+    assert orders == enumerate_orders(default_labels(n), "semi-regular")
+    assert list(P.leq) == pairwise_rows(orders, ORDER_POSET_LEQ["subseteq"])
+
+
+@pytest.mark.parametrize("variant", ["sqsubseteq", "sqsupseteq"])
+def test_regular_orders_poset_rows_at_five_labels_on_sampled_pairs(variant):
+    # 1,920 orders: half the pairs uniform (mostly unrelated), half drawn
+    # from the row of their first order (related as far as the row says)
+    P, orders = regular_orders_poset(default_labels(5), variant)
+    rng = random.Random(5)
+    for k in range(2000):
+        a = rng.randrange(len(orders))
+        b = rng.randrange(len(orders)) if k % 2 else rng.choice(bit_positions(P.leq[a]))
+        assert bool(P.leq[a] >> b & 1) == ORDER_POSET_LEQ[variant](orders[a], orders[b])
+
+
+def random_rel(rng, n, density):
+    return tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rel_family_matches_member_by_member_tests(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 4)
+    rels = [random_rel(rng, n, rng.choice([0.2, 0.5, 0.8])) for _ in range(rng.randint(0, 60))]
+    family = RelFamily(rels, n)
+    queries = [random_rel(rng, n, d) for d in (0.1, 0.3, 0.5, 0.7, 0.9) for _ in range(8)]
+    queries += rels[:20]
+    for rel in queries:
+        assert family.containing(rel) == sum(
+            1 << k for k, r in enumerate(rels) if rel_subset(rel, r)
+        )
+        assert family.within(rel) == sum(1 << k for k, r in enumerate(rels) if rel_subset(r, rel))
+    for _ in range(20):
+        members = rng.getrandbits(len(rels)) if rels else 0
+        union = [0] * n
+        for k in bit_positions(members):
+            union = [a | b for a, b in zip(union, rels[k])]
+        assert family.union(members) == tuple(union)
 
 
 def test_poset_validation_rejects_cycles():

@@ -293,15 +293,40 @@ def test_semi_regular_family_equals_the_full_union_fixpoint(n):
     assert [o.key() for o in family] == [o.key() for o in expected]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_is_semi_regular_is_membership_in_the_union_fixpoint(n):
+    # every pair of strict orders, double or not, against the oracle family
+    labels = default_labels(n)
+    keys = {o.key() for o in _union_fixpoint(enumerate_orders(labels, "regular"))}
+    strict = _strict_orders(n)
+    for x, y in itertools.product(strict, repeat=2):
+        assert is_semi_regular(DoubleOrder(labels, x, y)) == ((x, y) in keys)
+
+
+def test_semi_regular_family_at_four_labels():
+    # the union fixpoint oracle takes minutes here; CI compares the two
+    family = enumerate_orders(default_labels(4), "semi-regular")
+    assert len(family) == 3720
+    assert [o.key() for o in family] == sorted(o.key() for o in family)
+    keys = {o.key() for o in family}
+    assert all(o.key() in keys for o in enumerate_orders(default_labels(4), "regular"))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_double_family_equals_the_filter_by_definition(n):
-    # every pair of strict orders, kept when is_double holds, in pair order
+    # every pair of strict orders, kept when is_double holds, in pair order;
+    # at n=4 for a seeded sample of the x rows, and the family size is pinned
     labels = default_labels(n)
     strict = _strict_orders(n)
+    xs = strict if n <= 3 else sorted(random.Random(n).sample(strict, 24))
     expected = [
-        o for o in (DoubleOrder(labels, x, y) for x in strict for y in strict) if o.is_double
+        o for o in (DoubleOrder(labels, x, y) for x in xs for y in strict) if o.is_double
     ]
-    assert enumerate_orders(labels, "double") == expected
+    family = enumerate_orders(labels, "double")
+    assert [o for o in family if o.x in set(xs)] == expected
+    assert [o.key() for o in family] == sorted(o.key() for o in family)
+    if n == 4:
+        assert len(family) == 19440
 
 
 def test_semi_regulars_are_double():
@@ -533,6 +558,22 @@ def test_act_is_a_right_action():
             for tau in sigmas:
                 composite = {lab: sigma[tau[lab]] for lab in labels}
                 assert o.act(sigma).act(tau).key() == o.act(composite).key()
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        pytest.param(["a", "b"], id="list"),
+        pytest.param(("a", "a"), id="repeated-label"),
+        pytest.param(("a", ["b"]), id="unhashable-label"),
+        pytest.param("ab", id="string"),
+        pytest.param(5, id="not-a-sequence"),
+    ],
+)
+def test_double_order_rejects_labels_that_are_not_a_tuple_of_distinct_labels(labels):
+    for _ in range(2):  # the second call may be served by the memo
+        with pytest.raises(ContractError, match="labels"):
+            DoubleOrder(labels, rel_from_pairs(2, [(0, 1)]), (0, 0))
 
 
 def test_validation_memo_still_rejects_bad_relations():
