@@ -28,7 +28,7 @@ from .complexes import (
     permutations_of,
     unique_map_to_final,
 )
-from .chains import ChainOrder, CubeChain, chain_leq, chain_poset, enumerate_chains, face_swap
+from .chains import ChainOrder, CubeChain, chain_poset, enumerate_chains, face_swap
 from .orders import (
     DoubleOrder,
     chain_to_double_order,

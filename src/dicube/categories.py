@@ -47,14 +47,14 @@ class FiniteCategory:
         self.identity = list(identity)
         if len(self.identity) != len(self.objects):
             raise ContractError("one identity per object required")
-        object_indices = range(len(self.objects))
+        n_obj, n_mor = len(self.objects), len(self.morphisms)  # an index is an int, not a bool
         self.out_of: list[list[int]] = [[] for _ in self.objects]
         for m, mor in enumerate(self.morphisms):
-            if mor.src not in object_indices or mor.tgt not in object_indices:
+            if not all(type(v) is int and 0 <= v < n_obj for v in (mor.src, mor.tgt)):
                 raise ContractError(f"morphism {m} has an endpoint that is not an object index")
             self.out_of[mor.src].append(m)
         for obj, m in enumerate(self.identity):
-            mor = self.morphisms[m] if m in range(len(self.morphisms)) else None
+            mor = self.morphisms[m] if type(m) is int and 0 <= m < n_mor else None
             if mor is None or mor.src != obj or mor.tgt != obj:
                 raise ContractError(f"identity of object {obj} is not a morphism {obj} -> {obj}")
         self._compose = {(g, f): compose(g, f) for g, f in self.composable_pairs()}
@@ -278,7 +278,8 @@ class GroupAction:
     object permutations, one table per element.  A poset category has one
     morphism a -> b per related pair, so a table that keeps related pairs
     related moves it to g(a) -> g(b) and preserves endpoints, identities and
-    composition; ``on_morphisms`` holds these derived tables."""
+    composition; ``act_morphism`` reads that image off the pair index when
+    asked, so no morphism table is stored."""
 
     def __init__(self, C: FiniteCategory, on_objects: Sequence[Sequence[int]]):
         self.C = C
@@ -292,16 +293,12 @@ class GroupAction:
         if identity not in self.on_objects:
             raise ContractError("group must contain the identity")
         self._identity_index = self.on_objects.index(identity)
-        self.on_morphisms = [
-            tuple([self._hom[objs[mor.src]][objs[mor.tgt]] for mor in C.morphisms])
-            for objs in self.on_objects
-        ]
 
     def validate(self) -> None:
-        """Each table permutes the objects and keeps related pairs related."""
+        """Each table permutes the objects, as ints, and keeps related pairs related."""
         n = self.C.n_objects
         for objs in self.on_objects:
-            if len(objs) != n or {v for v in objs if isinstance(v, int)} != set(range(n)):
+            if len(objs) != n or {v for v in objs if type(v) is int} != set(range(n)):
                 raise ContractError("action tables must permute the objects")
             for mor in self.C.morphisms:
                 if objs[mor.tgt] not in self._hom[objs[mor.src]]:
@@ -315,9 +312,10 @@ class GroupAction:
                 return False
         return True
 
-    def act_run(self, g: int, run: tuple[int, ...]) -> tuple[int, ...]:
-        mors = self.on_morphisms[g]
-        return tuple(mors[m] for m in run)
+    def act_morphism(self, g: int, m: int) -> int:
+        """The image g(a) -> g(b) of the morphism m: a -> b under element g."""
+        objs, mor = self.on_objects[g], self.C.morphisms[m]
+        return self._hom[objs[mor.src]][objs[mor.tgt]]
 
 
 def quotient_category(
@@ -327,7 +325,8 @@ def quotient_category(
 
     Freeness on objects makes every morphism orbit hit each source object of
     its source orbit exactly once, which pins down canonical representatives
-    and the composition rule.  Returns (quotient, object map, morphism map).
+    and the composition rule.  Returns (quotient, object map, morphism map);
+    the nerve-quotient check tests the quotient's laws and orbit counts.
     """
     if act.C is not C:
         raise ContractError("action is attached to a different category")
@@ -343,13 +342,17 @@ def quotient_category(
     # a morphism orbit by source: the action is free on objects, so the orbit
     # has one member at each object of its source orbit, and the member at
     # the representative object represents it
+    group = range(len(act.on_objects))
     mor_orbit_rep: list[int] = [-1] * C.n_morphisms
     member_at: dict[int, dict[int, int]] = {}
     for m in range(C.n_morphisms):
         if mor_orbit_rep[m] == -1:
-            members = {C.morphisms[row[m]].src: row[m] for row in act.on_morphisms}
-            rep = members[obj_orbit_rep[C.morphisms[m].src]]
-            for x in members.values():
+            orbit = [act.act_morphism(g, m) for g in group]
+            members = {C.morphisms[x].src: x for x in orbit}
+            rep = members.get(obj_orbit_rep[C.morphisms[m].src])
+            if rep is None:
+                raise ContractError(f"orbit of morphism {m} has no member at its representative")
+            for x in orbit:
                 mor_orbit_rep[x] = rep
             member_at[rep] = members
     mor_reps = sorted(member_at)
@@ -357,10 +360,8 @@ def quotient_category(
     mor_map = [mor_rep_index[mor_orbit_rep[m]] for m in range(C.n_morphisms)]
 
     objects = [C.objects[r] for r in reps]
-    morphisms = []
-    for r in mor_reps:
-        mor = C.morphisms[r]
-        morphisms.append(Morphism(obj_map[mor.src], obj_map[mor.tgt], C.morphisms[r].payload))
+    morphisms = [C.morphisms[r] for r in mor_reps]
+    morphisms = [Morphism(obj_map[mor.src], obj_map[mor.tgt], mor.payload) for mor in morphisms]
     identity = [mor_map[C.identity[r]] for r in reps]
 
     def compose(g: int, f: int) -> int:
@@ -371,18 +372,7 @@ def quotient_category(
             raise ContractError("quotient composition found no anchored factor")
         return mor_map[C.compose(g_member, f_rep)]
 
-    Q = FiniteCategory(objects, morphisms, identity, compose)
-    Q.validate()
-    # orbit-count identity: |Q(cG, c'G)| must equal the number of group
-    # elements sending some C(c, c'g) morphism here, counted via fibers
-    for a in range(Q.n_objects):
-        for b in range(Q.n_objects):
-            direct = len(Q.hom(a, b))
-            c = reps[a]
-            fiber = sum(1 for m in C.out_of[c] if obj_map[C.morphisms[m].tgt] == b)
-            if direct != fiber:
-                raise ContractError("orbit morphism count identity fails")
-    return Q, obj_map, mor_map
+    return FiniteCategory(objects, morphisms, identity, compose), obj_map, mor_map
 
 
 # -- the break category -------------------------------------------------------------
@@ -586,23 +576,21 @@ def nerve_orbit_complex(
     levels = nerve_chains(C)
     group = range(len(act.on_objects))
 
-    def act_level0(g: int, run: tuple[int, ...]) -> tuple[int, ...]:
-        return (act.on_objects[g][run[0]],)
+    def image(g: int, run: tuple[int, ...], k: int) -> tuple[int, ...]:
+        if k == 0:
+            return (act.on_objects[g][run[0]],)
+        return tuple(act.act_morphism(g, m) for m in run)
 
     rep_levels: list[list[tuple[int, ...]]] = []
-    rep_of: list[dict[tuple[int, ...], tuple[int, ...]]] = []
+    rows: list[dict[tuple[int, ...], int]] = []  # each run to the index of its orbit
     for k, level in enumerate(levels):
-        act_fn = act_level0 if k == 0 else act.act_run
         reps: dict[tuple[int, ...], tuple[int, ...]] = {}
         for run in level:
-            orbit = sorted(act_fn(g, run) for g in group)
-            reps[run] = orbit[0]
-        rep_of.append(reps)
+            if run not in reps:
+                orbit = [image(g, run, k) for g in group]
+                reps.update(dict.fromkeys(orbit, min(orbit)))
         rep_levels.append(sorted(set(reps.values())))
-
-    rows = []
-    for level, reps in zip(rep_levels[:-1], rep_of[:-1]):
-        index = {run: i for i, run in enumerate(level)}
+        index = {run: i for i, run in enumerate(rep_levels[-1])}
         rows.append({run: index[rep] for run, rep in reps.items()})
     boundaries = _nerve_boundaries(C, rep_levels, rows)
     return ChainComplex([len(level) for level in rep_levels], boundaries), rep_levels

@@ -5,8 +5,9 @@ face-swap identity on standard cubes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from functools import lru_cache, reduce
+from operator import and_
+from typing import Optional, Sequence
 
 from .complexes import build_standard_cube
 from .errors import ContractError, ResourceCapError, enumeration_cap
@@ -119,17 +120,22 @@ class ChainOrder:
     def leq(self, a: CubeChain, b: CubeChain) -> bool:
         return all(any(cube in self._faces[big] for big in b.cells) for cube in a.cells)
 
-
-def chain_leq(K: PrecubicalComplex, a: CubeChain, b: CubeChain) -> bool:
-    return ChainOrder(K).leq(a, b)
+    def rows(self, chains: Sequence[CubeChain]) -> list[int]:
+        """Row i has bit j iff chains[i] <= chains[j]: an AND, over the cubes
+        of chains[i], of the chains with a cube having it as a face."""
+        above: dict[Cell, int] = {}
+        for j, b in enumerate(chains):
+            for cell in {face for big in b.cells for face in self._faces[big]}:
+                above[cell] = above.get(cell, 0) | 1 << j
+        everyone = (1 << len(chains)) - 1
+        return [reduce(and_, (above.get(c, 0) for c in a.cells), everyone) for a in chains]
 
 
 def chain_poset(K: PrecubicalComplex) -> tuple[Poset, list[CubeChain]]:
     """The poset of cube chains under face refinement (``Poset`` checks it)."""
     order = ChainOrder(K)
     chains = enumerate_chains(K)
-    leq = [sum(1 << j for j, b in enumerate(chains) if order.leq(a, b)) for a in chains]
-    poset = Poset([tuple(K.label(cell) for cell in c.cells) for c in chains], leq)
+    poset = Poset([tuple(K.label(cell) for cell in c.cells) for c in chains], order.rows(chains))
     return poset, chains
 
 

@@ -6,24 +6,29 @@ reproducible counterexample payload on failure.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .categories import (
+    SymmetricOrderQuotient,
     break_functor,
     break_hom_count_oracle,
     build_break_category,
     check_functoriality,
     composable_run_counts,
+    nerve_chains,
     nerve_complex,
     nerve_orbit_complex,
+    regular_orders_poset,
+    semi_regular_orders_poset,
     symmetric_order_quotient,
 )
-from .chains import ChainOrder, CubeChain, enumerate_chains, face_swap
+from .chains import CubeChain, chain_poset, face_swap
 from .complexes import build_final_complex, build_ordered_cover, default_labels, permutations_of
 from .cover import cover_equivariance, cover_properness, cover_report, verify_cover
-from .errors import ResourceCapError, UsageError
+from .errors import ContractError, ResourceCapError, UsageError
 from .homology import (
     euler_characteristic,
     homology,
@@ -40,6 +45,7 @@ from .orders import (
     to_regular,
     union_bar,
 )
+from .posets import bit_positions
 from .precubical import is_non_self_linked, quotient_by_automorphisms
 
 
@@ -74,14 +80,15 @@ def _fail(details) -> tuple[str, object]:
 
 def check_chain_order_iso(n_max: int, **_) -> tuple[str, object]:
     """Chains of the ordered cover against (regular orders, reverse mixed
-    order): mutually inverse, order tables equal, relabeling-equivariant."""
+    order): mutually inverse, order tables equal, relabeling-equivariant.
+    The tables are the rows of the two posets, each chain row relabelled
+    through the chain-to-order map."""
     counts = {}
     for n in range(1, min(n_max, 4) + 1):
         labels = default_labels(n)
         cover = build_ordered_cover(labels)
-        order = ChainOrder(cover.complex)
-        chains = enumerate_chains(cover.complex)
-        regs = enumerate_orders(labels, "regular")
+        chain_order, chains = chain_poset(cover.complex)
+        reg_order, regs = regular_orders_poset(labels, "sqsupseteq")
         if len(chains) != len(regs):
             return _fail({"n": n, "chains": len(chains), "regular_orders": len(regs)})
         images = [chain_to_double_order(cover, c) for c in chains]
@@ -92,19 +99,16 @@ def check_chain_order_iso(n_max: int, **_) -> tuple[str, object]:
         for c, o in zip(chains, images):
             if double_order_to_chain(cover, o) != c:
                 return _fail({"n": n, "chain": c.text(cover.complex), "reason": "round trip"})
-        for i, a in enumerate(chains):
-            for j, b in enumerate(chains):
-                chain_le = order.leq(a, b)
-                order_le = poset_leq(images[j], images[i], "sqsubseteq")
-                if chain_le != order_le:
-                    return _fail(
-                        {
-                            "n": n,
-                            "pair": [a.text(cover.complex), b.text(cover.complex)],
-                            "chain_leq": chain_le,
-                            "order_geq": order_le,
-                        }
-                    )
+        key_index = {o.key(): k for k, o in enumerate(regs)}
+        at = [key_index[o.key()] for o in images]  # chain i maps to order at[i]
+        for i, row in enumerate(chain_order.leq):
+            order_row = reg_order.leq[at[i]]
+            if sum(1 << at[j] for j in bit_positions(row)) == order_row:
+                continue
+            j = next(j for j in range(len(chains)) if row >> j & 1 != order_row >> at[j] & 1)
+            pair = [chains[i].text(cover.complex), chains[j].text(cover.complex)]
+            le, ge = bool(row >> j & 1), bool(order_row >> at[j] & 1)
+            return _fail({"n": n, "pair": pair, "chain_leq": le, "order_geq": ge})
         for sigma in permutations_of(labels):
             aut = cover.automorphism(sigma)
             for c, o in zip(chains, images):
@@ -254,8 +258,6 @@ def check_fg_triangles(n_max: int, **_) -> tuple[str, object]:
     """Retraction and union functors: union-then-retract is the top of every
     mixed-order chain; retract-then-union sits below the top of every
     inclusion chain, componentwise."""
-    from .categories import regular_orders_poset, semi_regular_orders_poset
-
     counts = {}
     for n in range(1, min(n_max, 3) + 1):
         labels = default_labels(n)
@@ -291,15 +293,34 @@ def check_fg_triangles(n_max: int, **_) -> tuple[str, object]:
     return _pass(counts)
 
 
+def quotient_law_failure(q: SymmetricOrderQuotient) -> Optional[dict]:
+    """The first law of the quotient category of ``q`` that fails, as a payload,
+    or None: identity and associativity, then the orbit-count identity (as many
+    morphisms a -> b as the category has from the least member of a into b)."""
+    C, Q = q.category, q.quotient
+    try:
+        Q.validate()
+    except ContractError as exc:
+        return {"reason": f"quotient category: {exc}"}
+    for a in range(Q.n_objects):
+        c = q.object_map.index(a)  # the least member of orbit a
+        fiber = Counter(q.object_map[C.morphisms[m].tgt] for m in C.out_of[c])
+        if fiber != Counter(Q.morphisms[m].tgt for m in Q.out_of[a]):
+            return {"reason": "orbit morphism count identity fails", "object": Q.object_label(a)}
+    return None
+
+
 def check_nerve_quotient(n_max: int, **_) -> tuple[str, object]:
     """Generator-level isomorphism between the orbit complex of the nerve and
-    the nerve of the quotient, for regular orders under all relabelings."""
+    the nerve of the quotient, for regular orders under all relabelings,
+    after the quotient's category laws and orbit-count identity."""
     counts = {}
     for n in range(1, min(n_max, 3) + 1):
         q = symmetric_order_quotient(default_labels(n), "regular")
+        failure = quotient_law_failure(q)
+        if failure is not None:
+            return _fail({"n": n, **failure})
         orbit_cx, orbit_levels = nerve_orbit_complex(q.category, q.action)
-        from .categories import nerve_chains
-
         quot_levels = nerve_chains(q.quotient)
         quot_cx = nerve_complex(q.quotient)
         if orbit_cx.ranks != quot_cx.ranks:
@@ -407,8 +428,6 @@ PINNED_ORDERED_HOMOLOGY = {
 def check_homology_cross_model(n_max: int, **_) -> tuple[str, object]:
     """Identical homology across the finite models of unordered plane
     configurations, plus agreement of the two ordered models."""
-    from .categories import regular_orders_poset, semi_regular_orders_poset
-
     out = {}
     for n in range(2, min(n_max, 4) + 1):
         labels = default_labels(n)
@@ -522,27 +541,14 @@ def run_suite(
         try:
             status, details = spec.fn(n, **extra)
         except ResourceCapError as exc:
-            return VerificationReport(
-                check_id,
-                {"n_max": n, **extra},
-                "skipped",
-                {"reason": "resource-cap", "message": str(exc)},
-                time.perf_counter() - start,
-            )
+            status, details = "skipped", {"reason": "resource-cap", "message": str(exc)}
         except UsageError:
             raise
         except Exception as exc:
             # a broken invariant inside a check is a verdict, not a crash
-            return VerificationReport(
-                check_id,
-                {"n_max": n, **extra},
-                "fail",
-                {"exception": type(exc).__name__, "message": str(exc)},
-                time.perf_counter() - start,
-            )
-        return VerificationReport(
-            check_id, {"n_max": n, **extra}, status, details, time.perf_counter() - start
-        )
+            status, details = "fail", {"exception": type(exc).__name__, "message": str(exc)}
+        elapsed = time.perf_counter() - start
+        return VerificationReport(check_id, {"n_max": n, **extra}, status, details, elapsed)
 
     if jobs <= 1 or len(ids) <= 1:
         return [run_one(check_id) for check_id in ids]

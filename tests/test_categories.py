@@ -334,6 +334,23 @@ def test_finite_category_rejects_indices_out_of_range(morphisms, identity):
         FiniteCategory(["*"], morphisms, identity, lambda g, f: 0)
 
 
+IDENTITIES_OF_U_AND_V = [Morphism(0, 0), Morphism(1, 1)]
+
+
+@pytest.mark.parametrize(
+    "morphisms, identity",
+    [
+        pytest.param(IDENTITIES_OF_U_AND_V + [Morphism(1.0, 1.0)], [0, 1], id="float-endpoint"),
+        pytest.param(IDENTITIES_OF_U_AND_V + [Morphism(True, True)], [0, 1], id="bool-endpoint"),
+        pytest.param(IDENTITIES_OF_U_AND_V, [0, 1.0], id="float-identity"),
+        pytest.param(IDENTITIES_OF_U_AND_V, [0, True], id="bool-identity"),
+    ],
+)
+def test_finite_category_rejects_indices_that_are_not_ints(morphisms, identity):
+    with pytest.raises(ContractError):
+        FiniteCategory(["u", "v"], morphisms, identity, lambda g, f: g)
+
+
 def test_break_category_two_is_a_circle():
     E = build_break_category(2)
     cx = nerve_complex(E)
@@ -580,6 +597,7 @@ CHAIN = Poset(["u", "v"], [0b11, 0b10])
         pytest.param(poset_category(ANTICHAIN), [[0, 1], [1, 0, 2]], id="long-table"),
         pytest.param(poset_category(ANTICHAIN), [[0, 1], [[1], 0]], id="unhashable-entry"),
         pytest.param(poset_category(ANTICHAIN), [[0, 1], [1.0, 0]], id="float-entry"),
+        pytest.param(poset_category(ANTICHAIN), [[0, 1], [True, 0]], id="bool-entry"),
         pytest.param(poset_category(CHAIN), [[0, 1], [1, 0]], id="related-to-unrelated"),
         pytest.param(poset_category(ANTICHAIN), [[1, 0]], id="no-identity"),
         pytest.param(poset_category(ANTICHAIN), [], id="empty-group"),
@@ -600,9 +618,16 @@ def test_group_action_derives_the_morphism_tables():
 
     act = GroupAction(C, [[0, 1, 2], [1, 0, 2]])
     pairs = [(mor.src, mor.tgt) for mor in C.morphisms]
-    assert act.on_morphisms[0] == tuple(range(C.n_morphisms))
-    assert [pairs[m] for m in act.on_morphisms[1]] == [(1, 1), (1, 2), (0, 0), (0, 2), (2, 2)]
+    tables = _morphism_tables(act)
+    assert tables[0] == tuple(range(C.n_morphisms))
+    assert [pairs[m] for m in tables[1]] == [(1, 1), (1, 2), (0, 0), (0, 2), (2, 2)]
     assert act.is_free_on_objects() is False
+
+
+def _morphism_tables(act):
+    # one table per group element, read through act_morphism
+    morphisms = range(act.C.n_morphisms)
+    return [tuple(act.act_morphism(g, m) for m in morphisms) for g in range(len(act.on_objects))]
 
 
 def _pair_index_tables(C, on_objects):
@@ -635,8 +660,19 @@ def _check_functorial(C, on_objects, on_morphisms):
 def test_relabelling_tables_match_pair_index_and_are_functorial(kind, n):
     q = symmetric_order_quotient(default_labels(n), kind)
     act = q.action
-    assert act.on_morphisms == _pair_index_tables(q.category, act.on_objects)
-    _check_functorial(q.category, act.on_objects, act.on_morphisms)
+    tables = _morphism_tables(act)
+    assert tables == _pair_index_tables(q.category, act.on_objects)
+    _check_functorial(q.category, act.on_objects, tables)
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("regular", 4)] + [("semi-regular", 1), ("semi-regular", 2), ("semi-regular", 3)]
+)
+def test_quotients_outside_the_nerve_quotient_check_keep_the_category_laws(kind, n):
+    # the nerve-quotient check runs these laws on the regular quotients at n <= 3
+    from dicube.suite import quotient_law_failure
+
+    assert quotient_law_failure(symmetric_order_quotient(default_labels(n), kind)) is None
 
 
 def test_quotient_nerve_matches_break_category_homology():

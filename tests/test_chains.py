@@ -6,7 +6,6 @@ from dicube.chains import (
     ChainOrder,
     CubeChain,
     chain_is_valid,
-    chain_leq,
     chain_poset,
     enumerate_chains,
     face_swap,
@@ -77,8 +76,9 @@ def test_chain_leq_edge_pair_below_square():
     cover = build_ordered_cover(2)
     two_step = cover_chain(cover, "(|a|b)", "(a|b|)")
     square = cover_chain(cover, "(|a<b|)")
-    assert chain_leq(cover.complex, two_step, square)
-    assert not chain_leq(cover.complex, square, two_step)
+    order = ChainOrder(cover.complex)
+    assert order.leq(two_step, square)
+    assert not order.leq(square, two_step)
 
 
 def test_chain_leq_reflexive_and_top_cubes_incomparable():
@@ -196,3 +196,13 @@ def test_face_swap_bad_arithmetic():
         face_swap(2, 2, {1}, set())
     with pytest.raises(ContractError):
         face_swap(1, 1, {2}, {1})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chain_order_rows_match_the_pairwise_criterion(n):
+    K = build_ordered_cover(n).complex
+    order = ChainOrder(K)
+    chains = enumerate_chains(K)
+    for some in (chains, chains[::2]):  # every chain, and every other one
+        pairwise = [sum(1 << j for j, b in enumerate(some) if order.leq(a, b)) for a in some]
+        assert order.rows(some) == pairwise

@@ -356,3 +356,108 @@ def test_bar_f_iso_builds_one_regular_poset_category_per_n(monkeypatch):
     )
     assert suite.check_bar_f_iso(3)[0] == "pass"
     assert sizes == [1, 4, 24]  # the regular orders at n = 1, 2, 3
+
+
+# -- planted faults: each check is seen to fail ---------------------------------------
+
+
+def act_morphism_ignoring_the_element(monkeypatch):
+    from dicube.categories import GroupAction
+
+    monkeypatch.setattr(GroupAction, "act_morphism", lambda self, g, m: m)
+
+
+def order_poset_of_the_wrong_variant(monkeypatch):
+    from dicube import suite
+
+    real = suite.regular_orders_poset
+    monkeypatch.setattr(suite, "regular_orders_poset", lambda labels, v: real(labels, "sqsubseteq"))
+
+
+def corrupted_quotient(corrupt):
+    def plant(monkeypatch):
+        from dicube import suite
+
+        real = suite.symmetric_order_quotient
+        monkeypatch.setattr(suite, "symmetric_order_quotient", lambda *args: corrupt(real(*args)))
+
+    return plant
+
+
+def first_object_moved_to_the_next_orbit(q):
+    q.object_map[0] = (q.object_map[0] + 1) % q.quotient.n_objects
+    return q
+
+
+def first_right_identity_broken(q):
+    Q = q.quotient
+    for m in Q.non_identity()[:1]:
+        ident = Q.identity[Q.morphisms[m].src]
+        Q._compose[m, ident] = ident
+    return q
+
+
+def names_a_contract_error(details):
+    assert details["exception"] == "ContractError"
+    assert details["message"] == "orbit of morphism 1 has no member at its representative"
+
+
+def names_a_chain_pair_the_orders_disagree_on(details):
+    from dicube.chains import ChainOrder, enumerate_chains
+    from dicube.complexes import build_ordered_cover
+    from dicube.orders import chain_to_double_order, poset_leq
+
+    assert sorted(details) == ["chain_leq", "n", "order_geq", "pair"] and details["n"] == 2
+    cover = build_ordered_cover(2)
+    by_text = {c.text(cover.complex): c for c in enumerate_chains(cover.complex)}
+    a, b = (by_text[text] for text in details["pair"])
+    assert ChainOrder(cover.complex).leq(a, b) == details["chain_leq"]
+    # the planted poset orders by "sqsubseteq", not by its reverse
+    image_a, image_b = (chain_to_double_order(cover, c) for c in (a, b))
+    assert poset_leq(image_a, image_b, "sqsubseteq") == details["order_geq"] != details["chain_leq"]
+
+
+def is_payload(expected):
+    def check(details):
+        assert details == expected
+
+    return check
+
+
+PLANTED_FAULTS = [
+    pytest.param(
+        "nerve-quotient",
+        act_morphism_ignoring_the_element,
+        names_a_contract_error,
+        id="act-morphism-ignores-the-element",
+    ),
+    pytest.param(
+        "nerve-quotient",
+        corrupted_quotient(first_object_moved_to_the_next_orbit),
+        is_payload(
+            {"n": 2, "reason": "orbit morphism count identity fails", "object": "x{b<a};y{}"}
+        ),
+        id="object-in-the-wrong-orbit",
+    ),
+    pytest.param(
+        "nerve-quotient",
+        corrupted_quotient(first_right_identity_broken),
+        is_payload({"n": 2, "reason": "quotient category: right identity fails at morphism 1"}),
+        id="quotient-right-identity-broken",
+    ),
+    pytest.param(
+        "chain-order-iso",
+        order_poset_of_the_wrong_variant,
+        names_a_chain_pair_the_orders_disagree_on,
+        id="order-poset-of-the-wrong-variant",
+    ),
+]
+
+
+@pytest.mark.parametrize("check_id, plant, names_the_fault", PLANTED_FAULTS)
+def test_planted_fault_fails_its_check(check_id, plant, names_the_fault, monkeypatch):
+    plant(monkeypatch)
+    reports = run_suite([check_id], n_max=3)
+    assert reports[0].status == "fail"
+    assert exit_code(reports) == 1
+    names_the_fault(reports[0].details)
