@@ -18,6 +18,7 @@ from .precubical import (
 from .complexes import (
     CoverCell,
     OrderedCover,
+    adjacent_transpositions,
     build_final_complex,
     build_final_covering,
     build_ordered_cover,

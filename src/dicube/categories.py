@@ -275,29 +275,32 @@ def composable_run_counts(C: FiniteCategory) -> list[int]:
 
 class GroupAction:
     """A finite group acting from the right on a poset category through
-    object permutations, one table per element.  A poset category has one
-    morphism a -> b per related pair, so a table that keeps related pairs
-    related moves it to g(a) -> g(b) and preserves endpoints, identities and
-    composition; ``act_morphism`` reads that image off the pair index when
-    asked, so no morphism table is stored."""
+    object permutations, given by generator tables.  A poset category has one
+    morphism a -> b per related pair, so a table keeping related pairs related
+    (checked on the generators, so true of all their products) moves it to
+    g(a) -> g(b), preserving endpoints, identities and composition.
+    ``on_objects`` lists every element's table, the identity first."""
 
-    def __init__(self, C: FiniteCategory, on_objects: Sequence[Sequence[int]]):
+    def __init__(self, C: FiniteCategory, generators: Sequence[Sequence[int]]):
         self.C = C
-        self.on_objects = [tuple(row) for row in on_objects]
+        self.generators = [tuple(row) for row in generators]
         self._hom: list[dict[int, int]] = [{} for _ in C.objects]  # _hom[a][b] is a -> b
         for m, mor in enumerate(C.morphisms):
             if self._hom[mor.src].setdefault(mor.tgt, m) != m:
                 raise ContractError("action needs a poset category: parallel morphisms found")
         self.validate()
-        identity = tuple(range(C.n_objects))
-        if identity not in self.on_objects:
-            raise ContractError("group must contain the identity")
-        self._identity_index = self.on_objects.index(identity)
+        self.on_objects = [tuple(range(C.n_objects))]
+        seen = set(self.on_objects)
+        for objs in self.on_objects:  # grows while it is read: breadth-first products
+            for product in [tuple([gen[o] for o in objs]) for gen in self.generators]:
+                if product not in seen:
+                    seen.add(product)
+                    self.on_objects.append(product)
 
     def validate(self) -> None:
-        """Each table permutes the objects, as ints, and keeps related pairs related."""
+        """Each generator permutes the objects, as ints, and keeps related pairs related."""
         n = self.C.n_objects
-        for objs in self.on_objects:
+        for objs in self.generators:
             if len(objs) != n or {v for v in objs if type(v) is int} != set(range(n)):
                 raise ContractError("action tables must permute the objects")
             for mor in self.C.morphisms:
@@ -305,12 +308,9 @@ class GroupAction:
                     raise ContractError("action does not preserve the order")
 
     def is_free_on_objects(self) -> bool:
-        for g, objs in enumerate(self.on_objects):
-            if g == self._identity_index:
-                continue
-            if any(objs[o] == o for o in range(self.C.n_objects)):
-                return False
-        return True
+        """No element but the identity, ``on_objects[0]``, fixes an object."""
+        n = self.C.n_objects
+        return not any(objs[o] == o for objs in self.on_objects[1:] for o in range(n))
 
     def act_morphism(self, g: int, m: int) -> int:
         """The image g(a) -> g(b) of the morphism m: a -> b under element g."""
@@ -546,8 +546,8 @@ class SymmetricOrderQuotient:
 
 def symmetric_order_quotient(labels, kind: str) -> SymmetricOrderQuotient:
     """Quotient of (regular orders, reverse mixed order) or (semi-regular
-    orders, inclusion) by all relabelings of the ground set."""
-    from .complexes import permutations_of
+    orders, inclusion) by the relabelings the adjacent transpositions span."""
+    from .complexes import adjacent_transpositions
 
     labels = tuple(labels)
     if kind == "regular":
@@ -558,8 +558,8 @@ def symmetric_order_quotient(labels, kind: str) -> SymmetricOrderQuotient:
         raise ContractError(f"unknown order family {kind!r}")
     C = poset_category(poset)
     key_index = {o.key(): i for i, o in enumerate(orders)}
-    element_perms = [[key_index[o.act(s).key()] for o in orders] for s in permutations_of(labels)]
-    act = GroupAction(C, element_perms)
+    swaps = adjacent_transpositions(labels)
+    act = GroupAction(C, [[key_index[o.act(s).key()] for o in orders] for s in swaps])
     Q, obj_map, mor_map = quotient_category(C, act)
     return SymmetricOrderQuotient(labels, orders, poset, C, act, Q, obj_map, mor_map)
 

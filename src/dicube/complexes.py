@@ -189,8 +189,8 @@ class OrderedCover:
         return PrecubicalMap(self.complex, self.complex, assign, check=False)
 
     def symmetric_group(self) -> list[PrecubicalMap]:
-        """All permutations of the ground set, in itertools order (identity first)."""
-        return [self.automorphism(s) for s in permutations_of(self.ground)]
+        """Generators of the relabelling group: the adjacent transpositions."""
+        return [self.automorphism(s) for s in adjacent_transpositions(self.ground)]
 
     def projection(self) -> tuple[PrecubicalMap, PrecubicalComplex, dict[Cell, int]]:
         """The altitude-indexed map onto the length-n covering of the final complex."""
@@ -204,6 +204,12 @@ class OrderedCover:
 def permutations_of(labels: Sequence) -> list[dict]:
     base = tuple(labels)
     return [dict(zip(base, image)) for image in itertools.permutations(base)]
+
+
+def adjacent_transpositions(labels: Sequence) -> list[dict]:
+    """The n-1 swaps of neighbouring labels, the Coxeter generators of Σ_n."""
+    base = tuple(labels)
+    return [{**dict(zip(base, base)), a: b, b: a} for a, b in zip(base, base[1:])]
 
 
 def build_ordered_cover(labels) -> OrderedCover:

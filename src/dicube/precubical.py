@@ -75,7 +75,7 @@ class PrecubicalComplex:
                     f"missing face entry d^{eps}_{i} for cell {self._labels[d][k]!r}"
                 )
             target = faces[key]
-            if not (0 <= target < self._dims[d - 1]):
+            if type(target) is not int or not (0 <= target < self._dims[d - 1]):
                 raise StructuralError(
                     f"face d^{eps}_{i} of cell {self._labels[d][k]!r} points outside dimension {d - 1}"
                 )
@@ -92,11 +92,11 @@ class PrecubicalComplex:
 
         if base is not None:
             init, final = base
-            if not self._labels or not (0 <= init < len(self._labels[0])):
+            if not self._labels or type(init) is not int or not (0 <= init < len(self._labels[0])):
                 raise StructuralError("initial base vertex out of range")
-            if not (0 <= final < len(self._labels[0])):
+            if type(final) is not int or not (0 <= final < len(self._labels[0])):
                 raise StructuralError("final base vertex out of range")
-            self._base = (int(init), int(final))
+            self._base = (init, final)
         else:
             self._base = None
 
@@ -348,14 +348,15 @@ class PrecubicalMap:
                 f"assignment covers {len(assignment)} dimensions, source has {source.max_dim + 1}"
             )
         for d, layer in enumerate(assignment):
-            if len(layer) != source.dims[d]:
-                raise StructuralError(f"assignment in dimension {d} has wrong length")
+            count = source.dims[d]
+            if not isinstance(layer, Sequence) or len(layer) != count:
+                raise StructuralError(f"assignment in dimension {d} must list {count} indices")
             if d > target.max_dim and layer:
                 raise StructuralError(f"target has no cells in dimension {d}")
-            for k in layer:
-                if not (0 <= k < target.dims[d]):
+            for k in layer:  # an index is an int, not a bool, float or str
+                if type(k) is not int or not (0 <= k < target.dims[d]):
                     raise StructuralError(f"assignment out of range in dimension {d}")
-            assign.append(tuple(int(k) for k in layer))
+            assign.append(tuple(layer))
         self._assign = tuple(assign)
         if check:
             bad = self.violations()
@@ -600,54 +601,40 @@ def pullback(
 
 
 def quotient_by_automorphisms(
-    K: PrecubicalComplex, group: Sequence[PrecubicalMap]
+    K: PrecubicalComplex, generators: Sequence[PrecubicalMap]
 ) -> tuple[PrecubicalComplex, PrecubicalMap]:
-    """Orbit quotient of K by a finite automorphism group.
+    """Orbit quotient of K by the automorphism group the generators span.
 
-    The group must act by automorphisms of K, contain the identity and be
-    closed under composition (checked).  Induced faces are verified to be
-    orbit-independent; genuine automorphism groups always pass, but the check
-    is kept because nothing here assumes freeness.
+    Each generator is checked to be a bijection K -> K commuting with faces;
+    products of automorphisms are automorphisms, so the spanned group needs
+    no check.  An orbit is found by search along generator images from its
+    least cell, which represents it.  Induced faces are verified to be
+    orbit-independent; automorphisms always pass, but nothing here assumes
+    freeness.
     """
-    if not group:
-        raise ContractError("automorphism group must be nonempty")
-    keys = set()
-    for g in group:
+    for g in generators:
         if g.source is not K or g.target is not K:
-            raise ContractError("group elements must be maps K -> K")
+            raise ContractError("generators must be maps K -> K")
         if not g.is_bijective:
-            raise ContractError("group element is not bijective")
+            raise ContractError("generator is not bijective")
         if g.violations():
-            raise ContractError("group element does not commute with faces")
-        keys.add(g.assignment_key())
-    ident = PrecubicalMap.identity(K).assignment_key()
-    if ident not in keys:
-        raise ContractError("group does not contain the identity")
-    maps = {g.assignment_key(): g for g in group}
-    # a finite set of bijections holding the identity and closed under
-    # composition is a group, so inverses need no check; composition is
-    # checked on the raw assignment tuples
-    for a in keys:
-        for b in keys:
-            composed = tuple(
-                tuple(a_layer[k] for k in b_layer) for a_layer, b_layer in zip(a, b)
-            )
-            if composed not in keys:
-                raise ContractError("group is not closed under composition")
+            raise ContractError("generator does not commute with faces")
 
     orbit_of: dict[Cell, Cell] = {}
     orbits: dict[Cell, list[Cell]] = {}
-    for cell in K.cells():
+    for cell in K.cells():  # in order, so each orbit is first met at its least cell
         if cell in orbit_of:
             continue
-        members = sorted({g(cell) for g in maps.values()})
-        rep = members[0]
-        orbits[rep] = members
-        for m in members:
-            orbit_of[m] = rep
+        orbit_of[cell] = cell
+        orbits[cell] = members = [cell]
+        for member in members:  # grows while it is read
+            for image in [g(member) for g in generators]:
+                if image not in orbit_of:
+                    orbit_of[image] = cell
+                    members.append(image)
 
     reps: list[list[Cell]] = [[] for _ in range(K.max_dim + 1)]
-    for rep in sorted(orbits):
+    for rep in orbits:
         reps[rep[0]].append(rep)
     new_index = {rep: (d, k) for d in range(K.max_dim + 1) for k, rep in enumerate(reps[d])}
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -570,15 +571,15 @@ def test_symmetric_quotient_on_two_labels():
 
 
 def test_quotient_requires_free_action():
-    # a two-element antichain with the flip action is free; collapsing one
-    # element of the pair to itself is not
-    P = Poset(["u", "v"], [0b01, 0b10])
+    # on a three-element antichain, swapping u and v fixes w: not free
+    P = Poset(["u", "v", "w"], [0b001, 0b010, 0b100])
     C = poset_category(P)
     from dicube.categories import GroupAction
 
-    with pytest.raises(ContractError):
-        act = GroupAction(C, [[0, 1], [0, 1]])
-        quotient_category(C, act)  # "g" acts trivially: not free
+    act = GroupAction(C, [[1, 0, 2]])
+    assert act.is_free_on_objects() is False
+    with pytest.raises(ContractError, match="free action"):
+        quotient_category(C, act)
 
 
 # -- group actions by object permutations ----------------------------------------------------
@@ -599,8 +600,6 @@ CHAIN = Poset(["u", "v"], [0b11, 0b10])
         pytest.param(poset_category(ANTICHAIN), [[0, 1], [1.0, 0]], id="float-entry"),
         pytest.param(poset_category(ANTICHAIN), [[0, 1], [True, 0]], id="bool-entry"),
         pytest.param(poset_category(CHAIN), [[0, 1], [1, 0]], id="related-to-unrelated"),
-        pytest.param(poset_category(ANTICHAIN), [[1, 0]], id="no-identity"),
-        pytest.param(poset_category(ANTICHAIN), [], id="empty-group"),
     ],
 )
 def test_group_action_rejects_with_contract_error(category, on_objects):
@@ -608,6 +607,31 @@ def test_group_action_rejects_with_contract_error(category, on_objects):
 
     with pytest.raises(ContractError):
         GroupAction(category, on_objects)
+
+
+@pytest.mark.parametrize(
+    "generators, elements",
+    [
+        pytest.param([[1, 0]], [(0, 1), (1, 0)], id="no-identity"),
+        pytest.param([], [(0, 1)], id="empty-group"),
+        pytest.param([[0, 1], [1, 0], [1, 0]], [(0, 1), (1, 0)], id="repeated-generators"),
+    ],
+)
+def test_group_action_accepts_any_generating_set(generators, elements):
+    # the tables are generators, not a group: the identity comes first and
+    # the rest are their products, so no group axiom is asked of the input
+    from dicube.categories import GroupAction
+
+    C = poset_category(ANTICHAIN)
+    act = GroupAction(C, generators)
+    assert act.on_objects == elements
+    Q, omap, mmap = quotient_category(C, act)
+    if not generators:  # the trivial group: its quotient is the category itself
+        assert (Q.n_objects, Q.n_morphisms) == (C.n_objects, C.n_morphisms)
+        assert omap == list(range(C.n_objects)) and mmap == list(range(C.n_morphisms))
+        assert [(m.src, m.tgt) for m in Q.morphisms] == [(m.src, m.tgt) for m in C.morphisms]
+    else:
+        assert (Q.n_objects, Q.n_morphisms) == (1, 1)
 
 
 def test_group_action_derives_the_morphism_tables():
@@ -663,6 +687,25 @@ def test_relabelling_tables_match_pair_index_and_are_functorial(kind, n):
     tables = _morphism_tables(act)
     assert tables == _pair_index_tables(q.category, act.on_objects)
     _check_functorial(q.category, act.on_objects, tables)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("regular", 1), ("regular", 2), ("regular", 3), ("regular", 4)]
+    + [("semi-regular", 1), ("semi-regular", 2), ("semi-regular", 3)],
+)
+def test_adjacent_transpositions_generate_every_relabelling_table(kind, n):
+    # the tables composed from the n-1 generators are exactly the n! tables
+    # read off every relabelling, with no table repeated
+    from dicube.complexes import permutations_of
+
+    labels = default_labels(n)
+    q = symmetric_order_quotient(labels, kind)
+    key_index = {o.key(): i for i, o in enumerate(q.orders)}
+    every = {tuple(key_index[o.act(s).key()] for o in q.orders) for s in permutations_of(labels)}
+    assert len(q.action.on_objects) == len(set(q.action.on_objects)) == math.factorial(n)
+    assert set(q.action.on_objects) == every
+    assert q.action.on_objects[0] == tuple(range(len(q.orders)))
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 
 from dicube.complexes import (
     CoverCell,
+    adjacent_transpositions,
     build_final_complex,
     build_final_covering,
     build_ordered_cover,
@@ -169,14 +170,36 @@ def test_symmetric_group_fixes_base_vertices():
 
 
 def test_action_is_a_right_action():
-    # acting by t then by s equals acting by the product "s first": (c.t).s = c.(t o s)
+    # acting by t then by s equals acting by the product "s first": (c.t).s = c.(t o s),
+    # on every cell of the n=3 cover
     cover = build_ordered_cover(3)
     sigmas = permutations_of(cover.ground)
-    cell = CoverCell(frozenset("a"), ("b", "c"), frozenset())
+    cells = [cell for layer in cover.cells for cell in layer]
+    assert CoverCell(frozenset("a"), ("b", "c"), frozenset()) in cells
     for s in sigmas:
         for t in sigmas:
             ts = {a: t[s[a]] for a in cover.ground}
-            assert cell.act(t).act(s) == cell.act(ts)
+            for cell in cells:
+                assert cell.act(t).act(s) == cell.act(ts)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_adjacent_transpositions_generate_every_permutation(n):
+    labels = default_labels(n)
+    swaps = adjacent_transpositions(labels)
+    assert len(swaps) == max(n - 1, 0)
+    assert all(sorted(s) == sorted(s.values()) == sorted(labels) for s in swaps)
+    assert all(sum(s[a] != a for a in labels) == 2 for s in swaps)
+    # close the identity under composition with the generators
+    found = {labels}
+    frontier = [labels]
+    for image in frontier:
+        for s in swaps:
+            product = tuple(s[a] for a in image)
+            if product not in found:
+                found.add(product)
+                frontier.append(product)
+    assert found == {tuple(p.values()) for p in permutations_of(labels)}
 
 
 def test_action_free_on_top_cells_only():

@@ -30,6 +30,7 @@ from dicube.complexes import (
     build_standard_cube,
     build_wedge_cube,
     default_labels,
+    permutations_of,
     unique_map_to_final,
 )
 from dicube.precubical import (
@@ -208,6 +209,16 @@ def test_recipe_check_values():
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_builder_digest(name):
     assert BUILDERS[name]() == GOLDEN_BUILDERS[name]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_cover_quotient_by_generators_equals_quotient_by_the_full_group(n):
+    # the n-1 adjacent transpositions span the group; the list of all n!
+    # automorphisms is a generating set too and must give the same digests
+    cover = build_ordered_cover(n)
+    every = [cover.automorphism(s) for s in permutations_of(cover.ground)]
+    Q, proj = quotient_by_automorphisms(cover.complex, every)
+    assert [complex_digest(Q), map_digest(proj)] == _cover_quotient(n)
 
 
 def test_nerve_digests():

@@ -247,12 +247,35 @@ def test_quotient_of_cover_by_symmetric_group():
         assert not proj.violations()
 
 
-def test_quotient_requires_closure():
+def test_quotient_rejects_a_generator_that_does_not_commute_with_faces():
     cover = build_ordered_cover(3)
-    group = cover.symmetric_group()
-    # drop a non-identity element: no longer closed under composition
-    with pytest.raises(ContractError):
-        quotient_by_automorphisms(cover.complex, [group[0], group[1], group[2]])
+    K = cover.complex
+    # swap the base vertices and fix every other cell: a bijection K -> K,
+    # but the edges out of the initial vertex no longer start there
+    init, final = (cell[1] for cell in K.base)
+    vertices = list(range(K.dims[0]))
+    vertices[init], vertices[final] = final, init
+    swap = PrecubicalMap(K, K, [vertices] + [list(range(c)) for c in K.dims[1:]], check=False)
+    with pytest.raises(ContractError, match="does not commute with faces"):
+        quotient_by_automorphisms(K, cover.symmetric_group() + [swap])
+
+
+def test_quotient_rejects_generators_that_are_not_bijections_of_k():
+    cover = build_ordered_cover(2)
+    K = cover.complex
+    collapse = PrecubicalMap(K, K, [[0] * c for c in K.dims], check=False)
+    with pytest.raises(ContractError, match="not bijective"):
+        quotient_by_automorphisms(K, [collapse])
+    other = build_ordered_cover(2).complex
+    with pytest.raises(ContractError, match="maps K -> K"):
+        quotient_by_automorphisms(K, [PrecubicalMap.identity(other)])
+
+
+def test_quotient_by_no_generators_is_identity():
+    cover = build_ordered_cover(2)
+    Q, proj = quotient_by_automorphisms(cover.complex, [])
+    assert Q.dims == cover.complex.dims
+    assert proj.is_isomorphism() and proj.is_bipointed
 
 
 def test_quotient_by_free_swap_action():
@@ -358,6 +381,39 @@ def test_from_json_rejects_text_that_is_not_json():
 def test_from_json_rejects_an_argument_that_is_not_text():
     with pytest.raises(StructuralError, match="must be a string"):
         PrecubicalComplex.from_json(5)
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [
+        pytest.param([[0.7, 1.2], [0.0]], id="float-entries"),
+        pytest.param([[0, 1.0], [0]], id="integral-float-entry"),
+        pytest.param([[True, 1], [0]], id="bool-entry"),
+        pytest.param([[0, "1"], [0]], id="str-entry"),
+        pytest.param([[0, 1], None], id="none-layer"),
+        pytest.param([[0, 1], 0], id="int-layer"),
+    ],
+)
+def test_map_rejects_assignment_entries_that_are_not_ints(assignment):
+    sq = build_standard_cube(1)
+    with pytest.raises(StructuralError, match="assignment"):
+        PrecubicalMap(sq, sq, assignment)
+
+
+@pytest.mark.parametrize(
+    "base, faces",
+    [
+        pytest.param((True, 1), {(1, 0, 1, 0): 0, (1, 0, 1, 1): 1}, id="bool-base"),
+        pytest.param((0, 1.0), {(1, 0, 1, 0): 0, (1, 0, 1, 1): 1}, id="float-base"),
+        pytest.param((True, 1.0), {(1, 0, 1, 0): 0, (1, 0, 1, 1): 1}, id="bool-and-float-base"),
+        pytest.param(("0", 1), {(1, 0, 1, 0): 0, (1, 0, 1, 1): 1}, id="str-base"),
+        pytest.param((0, 1), {(1, 0, 1, 0): 0.0, (1, 0, 1, 1): 1}, id="float-face"),
+        pytest.param((0, 1), {(1, 0, 1, 0): 0, (1, 0, 1, 1): True}, id="bool-face"),
+    ],
+)
+def test_complex_rejects_indices_that_are_not_ints(base, faces):
+    with pytest.raises(StructuralError):
+        PrecubicalComplex([["0", "1"], ["*"]], faces, base)
 
 
 def test_map_violations_detected():

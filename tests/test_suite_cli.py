@@ -374,6 +374,19 @@ def order_poset_of_the_wrong_variant(monkeypatch):
     monkeypatch.setattr(suite, "regular_orders_poset", lambda labels, v: real(labels, "sqsubseteq"))
 
 
+def adjacent_transpositions_without_the_last(monkeypatch):
+    from dicube import complexes
+
+    real = complexes.adjacent_transpositions
+    monkeypatch.setattr(complexes, "adjacent_transpositions", lambda labels: real(labels)[:-1])
+
+
+def cover_action_ignoring_the_relabelling(monkeypatch):
+    from dicube.complexes import CoverCell
+
+    monkeypatch.setattr(CoverCell, "act", lambda self, sigma: self)
+
+
 def corrupted_quotient(corrupt):
     def plant(monkeypatch):
         from dicube import suite
@@ -417,6 +430,24 @@ def names_a_chain_pair_the_orders_disagree_on(details):
     assert poset_leq(image_a, image_b, "sqsubseteq") == details["order_geq"] != details["chain_leq"]
 
 
+def names_a_chain_the_relabelling_moves(details):
+    import ast
+
+    from dicube.chains import enumerate_chains
+    from dicube.complexes import build_ordered_cover
+    from dicube.orders import chain_to_double_order
+
+    assert sorted(details) == ["chain", "n", "sigma"] and details["n"] == 2
+    sigma = ast.literal_eval(details["sigma"])
+    assert sigma == {"a": "b", "b": "a"}
+    cover = build_ordered_cover(2)
+    by_text = {c.text(cover.complex): c for c in enumerate_chains(cover.complex)}
+    chain = by_text[details["chain"]]
+    # a relabelling moves the chain's order, so a chain left in place is not equivariant
+    order = chain_to_double_order(cover, chain)
+    assert order.act(sigma).key() != order.key()
+
+
 def is_payload(expected):
     def check(details):
         assert details == expected
@@ -450,6 +481,18 @@ PLANTED_FAULTS = [
         order_poset_of_the_wrong_variant,
         names_a_chain_pair_the_orders_disagree_on,
         id="order-poset-of-the-wrong-variant",
+    ),
+    pytest.param(
+        "chain-order-iso",
+        cover_action_ignoring_the_relabelling,
+        names_a_chain_the_relabelling_moves,
+        id="cover-action-ignores-the-relabelling",
+    ),
+    pytest.param(
+        "orbit-iso",
+        adjacent_transpositions_without_the_last,
+        is_payload({"n": 2, "quotient_dims": [4, 4, 2], "expected": [3, 2, 1]}),
+        id="last-adjacent-transposition-dropped",
     ),
 ]
 
