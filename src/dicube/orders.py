@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .chains import CubeChain
@@ -191,40 +191,6 @@ def union_bar(o1: DoubleOrder, o2: DoubleOrder) -> Optional[DoubleOrder]:
     if not rel_is_irreflexive(x) or not rel_is_irreflexive(y):
         return None
     return DoubleOrder(o1.labels, x, y)
-
-
-def union_cycle_witness(o1: DoubleOrder, o2: DoubleOrder) -> Optional[tuple[str, list]]:
-    """A component name and a label cycle witnessing that the union closure
-    is reflexive, or None when the union exists."""
-    for name, r1, r2 in (("x", o1.x, o2.x), ("y", o1.y, o2.y)):
-        union = tuple(a | b for a, b in zip(r1, r2))
-        closed = rel_closure(union)
-        for i in range(len(union)):
-            if closed[i] >> i & 1:
-                cycle = _find_cycle(union, i)
-                return name, [o1.labels[k] for k in cycle]
-    return None
-
-
-def _find_cycle(rel: Rel, start: int) -> list[int]:
-    # BFS back to `start` through the raw union edges
-    parent = {start: None}
-    todo = [start]
-    while todo:
-        i = todo.pop(0)
-        for j in range(len(rel)):
-            if rel[i] >> j & 1:
-                if j == start:
-                    path = [start, i]
-                    while parent[i] is not None:
-                        i = parent[i]
-                        path.append(i)
-                    path.reverse()
-                    return path
-                if j not in parent:
-                    parent[j] = i
-                    todo.append(j)
-    raise AssertionError("no cycle found despite reflexive closure")
 
 
 # -- regular orders as block sequences -------------------------------------------
@@ -449,8 +415,8 @@ def to_regular(o: DoubleOrder) -> DoubleOrder:
 
 
 def chain_union(chain: Sequence[DoubleOrder]) -> DoubleOrder:
-    """Union of a strictly increasing mixed-order chain of regular orders:
-    the x part of the top entry with the y part of the bottom one."""
+    """Closure union of a strictly increasing mixed-order chain of regular
+    orders, folded with ``union_bar``; such a union never cycles."""
     if not chain:
         raise ContractError("chain must be nonempty")
     for o in chain:
@@ -459,17 +425,7 @@ def chain_union(chain: Sequence[DoubleOrder]) -> DoubleOrder:
     for a, b in zip(chain, chain[1:]):
         if a.key() == b.key() or not poset_leq(a, b, "sqsubseteq"):
             raise ContractError("chain must be strictly increasing in the mixed order")
-    out = DoubleOrder(chain[0].labels, chain[-1].x, chain[0].y)
-    # must agree with the componentwise closure union of all entries
-    acc = chain[0]
-    for o in chain[1:]:
-        nxt = union_bar(acc, o)
-        if nxt is None:
-            raise AssertionError("union of a mixed-order chain cannot have cycles")
-        acc = nxt
-    if acc.key() != out.key():
-        raise AssertionError("chain union disagrees with the closure union")
-    return out
+    return reduce(union_bar, chain)
 
 
 # -- cube chains of the ordered cover <-> regular double orders ----------------------

@@ -53,7 +53,12 @@ class PrecubicalComplex:
         faces: Mapping[tuple[int, int, int, int], int],
         base: Optional[tuple[int, int]] = None,
     ):
-        lab = [tuple(str(x) for x in layer) for layer in labels]
+        try:
+            lab = [tuple(str(x) for x in layer) for layer in labels]
+        except TypeError:
+            raise StructuralError("labels must be a sequence of label sequences") from None
+        if not isinstance(faces, Mapping):
+            raise StructuralError(f"faces must be a mapping, not {type(faces).__name__}")
         while lab and not lab[-1]:
             lab.pop()
         self._labels = tuple(lab)
@@ -91,6 +96,8 @@ class PrecubicalComplex:
         )
 
         if base is not None:
+            if not isinstance(base, Sequence) or len(base) != 2:
+                raise StructuralError("base must be a pair of vertex indices")
             init, final = base
             if not self._labels or type(init) is not int or not (0 <= init < len(self._labels[0])):
                 raise StructuralError("initial base vertex out of range")
@@ -343,6 +350,8 @@ class PrecubicalMap:
         self.source = source
         self.target = target
         assign = []
+        if not isinstance(assignment, Sequence):
+            raise StructuralError("assignment must be a sequence of index layers")
         if len(assignment) != source.max_dim + 1:
             raise StructuralError(
                 f"assignment covers {len(assignment)} dimensions, source has {source.max_dim + 1}"
@@ -608,9 +617,10 @@ def quotient_by_automorphisms(
     Each generator is checked to be a bijection K -> K commuting with faces;
     products of automorphisms are automorphisms, so the spanned group needs
     no check.  An orbit is found by search along generator images from its
-    least cell, which represents it.  Induced faces are verified to be
-    orbit-independent; automorphisms always pass, but nothing here assumes
-    freeness.
+    least cell, which represents it.  The faces of an orbit are read off its
+    representative: automorphisms commute with faces, so every member gives
+    the same face orbits, the quotient keeps the precubical identities of K,
+    and the projection commutes with faces.  Nothing here assumes freeness.
     """
     for g in generators:
         if g.source is not K or g.target is not K:
@@ -621,46 +631,33 @@ def quotient_by_automorphisms(
             raise ContractError("generator does not commute with faces")
 
     orbit_of: dict[Cell, Cell] = {}
-    orbits: dict[Cell, list[Cell]] = {}
+    reps: list[list[Cell]] = [[] for _ in range(K.max_dim + 1)]
     for cell in K.cells():  # in order, so each orbit is first met at its least cell
         if cell in orbit_of:
             continue
         orbit_of[cell] = cell
-        orbits[cell] = members = [cell]
+        reps[cell[0]].append(cell)
+        members = [cell]
         for member in members:  # grows while it is read
             for image in [g(member) for g in generators]:
                 if image not in orbit_of:
                     orbit_of[image] = cell
                     members.append(image)
+    new_index = {rep: k for layer in reps for k, rep in enumerate(layer)}
 
-    reps: list[list[Cell]] = [[] for _ in range(K.max_dim + 1)]
-    for rep in orbits:
-        reps[rep[0]].append(rep)
-    new_index = {rep: (d, k) for d in range(K.max_dim + 1) for k, rep in enumerate(reps[d])}
-
-    faces = {}
-    for d, k, i, eps in face_slots([len(layer) for layer in reps]):
-        rep = reps[d][k]
-        targets = {orbit_of[K.face(m, i, eps)] for m in orbits[rep]}
-        if len(targets) != 1:
-            raise ContractError(
-                f"induced face d^{eps}_{i} of orbit {K.label(rep)!r} is ill-defined"
-            )
-        faces[(d, k, i, eps)] = new_index[targets.pop()][1]
-
+    faces = {
+        (d, k, i, eps): new_index[orbit_of[K.face(reps[d][k], i, eps)]]
+        for d, k, i, eps in face_slots([len(layer) for layer in reps])
+    }
     labels = [[K.label(rep) for rep in layer] for layer in reps]
     base = None
     if K.base is not None:
-        base = (new_index[orbit_of[K.base[0]]][1], new_index[orbit_of[K.base[1]]][1])
+        base = (new_index[orbit_of[K.base[0]]], new_index[orbit_of[K.base[1]]])
     Q = PrecubicalComplex(labels, faces, base)
-    bad = validate_complex(Q)
-    if bad:
-        raise ContractError(f"quotient violates precubical identities: {bad[0]}")
     assign = [[0] * K.dims[d] for d in range(K.max_dim + 1)]
     for cell in K.cells():
-        assign[cell[0]][cell[1]] = new_index[orbit_of[cell]][1]
-    projection = PrecubicalMap(K, Q, assign)
-    return Q, projection
+        assign[cell[0]][cell[1]] = new_index[orbit_of[cell]]
+    return Q, PrecubicalMap(K, Q, assign, check=False)
 
 
 # -- length covering ---------------------------------------------------------

@@ -12,7 +12,6 @@ from dicube.cover import (
     nerve_retraction_check,
     point_to_order,
     random_configuration,
-    separating_witness,
     u_contains,
     verify_cover,
     witness_point,
@@ -183,27 +182,6 @@ def test_verify_cover_four_labels_regular_subchecks():
 def test_verify_cover_cap():
     with pytest.raises(ResourceCapError):
         verify_cover(default_labels(5))
-
-
-def test_separating_witnesses_distinguish_members():
-    family = enumerate_orders(default_labels(3), "semi-regular")
-    for o1, o2 in itertools.combinations(family, 2):
-        w = separating_witness(o1, o2) or separating_witness(o2, o1)
-        assert w is not None
-        in1, in2 = u_contains(o1, w), u_contains(o2, w)
-        assert in1 != in2
-
-
-def test_non_containment_gives_a_separating_point():
-    # if o1 is not componentwise below o2, some configuration satisfies o2
-    # but violates o1, so the constraint sets are not nested that way round
-    family = enumerate_orders(AB, "semi-regular")
-    for o1, o2 in itertools.product(family, repeat=2):
-        if poset_leq(o1, o2, "subseteq"):
-            continue
-        w = separating_witness(o1, o2)
-        assert w is not None
-        assert u_contains(o2, w) and not u_contains(o1, w)
 
 
 def test_nerve_retraction_two_labels_exhaustive():

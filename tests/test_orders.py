@@ -22,7 +22,6 @@ from dicube.orders import (
     rel_from_pairs,
     to_regular,
     union_bar,
-    union_cycle_witness,
 )
 
 AB = ("a", "b")
@@ -92,12 +91,29 @@ def test_level_function_detects_semi_linearity():
 # -- the closure union ------------------------------------------------------------
 
 
-def test_union_cycle_gives_none():
-    o1 = order(AB, [("a", "b")], [])
-    o2 = order(AB, [("b", "a")], [])
-    assert union_bar(o1, o2) is None
-    name, cycle = union_cycle_witness(o1, o2)
-    assert name == "x" and set(cycle) == {"a", "b"}
+def _has_cycle(rel):
+    """True when the digraph with edge rows ``rel`` has a directed cycle: a
+    graph without one empties when its sinks are removed over and over."""
+    left = (1 << len(rel)) - 1
+    while left:
+        sinks = [i for i in range(len(rel)) if left >> i & 1 and not rel[i] & left]
+        if not sinks:
+            return True
+        for i in sinks:
+            left &= ~(1 << i)
+    return False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_union_undefined_exactly_when_one_component_has_a_label_cycle(n):
+    # cover-complete takes an empty intersection to be a union_bar of None
+    family = enumerate_orders(default_labels(n), "double")
+    for o1, o2 in itertools.product(family, repeat=2):
+        cycle = any(
+            _has_cycle(tuple(a | b for a, b in zip(r1, r2)))
+            for r1, r2 in ((o1.x, o2.x), (o1.y, o2.y))
+        )
+        assert (union_bar(o1, o2) is None) == cycle
 
 
 def test_union_combines_components():
@@ -110,6 +126,10 @@ def test_union_combines_components():
 def test_union_idempotent():
     o = order(ABC, [("a", "b")], [("a", "c"), ("b", "c")])
     assert union_bar(o, o).key() == o.key()
+    # the identity case that union-sigma skips
+    for n in range(1, 5):
+        for o in enumerate_orders(default_labels(n), "regular"):
+            assert union_bar(o, o) == o
 
 
 def test_union_takes_transitive_closure():
@@ -423,6 +443,17 @@ def test_chain_union_requires_strict_mixed_chain():
     top = order(AB, [("a", "b")], [])
     with pytest.raises(ContractError):
         chain_union([top, top])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chain_union_is_top_x_with_bottom_y(n):
+    from dicube.categories import regular_orders_poset
+
+    labels = default_labels(n)
+    poset, orders = regular_orders_poset(labels, "sqsubseteq")
+    for chain_idx in poset.chains():
+        chain = [orders[i] for i in chain_idx]
+        assert chain_union(chain) == DoubleOrder(labels, chain[-1].x, chain[0].y)
 
 
 def test_union_then_retract_recovers_chain_top():

@@ -239,7 +239,8 @@ def test_quotient_by_trivial_group_is_identity():
 
 
 def test_quotient_of_cover_by_symmetric_group():
-    for n, dims in ((2, (3, 2, 1)), (3, (4, 3, 2, 1))):
+    # quotient_by_automorphisms validates neither Q nor the projection; these are the pins
+    for n, dims in ((1, (2, 1)), (2, (3, 2, 1)), (3, (4, 3, 2, 1)), (4, (5, 4, 3, 2, 1))):
         cover = build_ordered_cover(n)
         Q, proj = quotient_by_automorphisms(cover.complex, cover.symmetric_group())
         assert Q.dims == dims
@@ -414,6 +415,21 @@ def test_map_rejects_assignment_entries_that_are_not_ints(assignment):
 def test_complex_rejects_indices_that_are_not_ints(base, faces):
     with pytest.raises(StructuralError):
         PrecubicalComplex([["0", "1"], ["*"]], faces, base)
+
+
+@pytest.mark.parametrize("case", ["none-labels", "none-faces", "int-base", "none-assignment"])
+def test_malformed_containers_are_structural_errors(case):
+    sq = build_standard_cube(1)
+    labels = [[sq.label((d, k)) for k in range(sq.dims[d])] for d in range(sq.max_dim + 1)]
+    faces = {(d, k, i, eps): target for d, k, i, eps, target in sq.face_entries()}
+    build = {
+        "none-labels": lambda: PrecubicalComplex(None, {}),
+        "none-faces": lambda: PrecubicalComplex(labels, None),
+        "int-base": lambda: PrecubicalComplex(labels, faces, 5),
+        "none-assignment": lambda: PrecubicalMap(sq, sq, None),
+    }[case]
+    with pytest.raises(StructuralError, match=case.split("-")[1]):
+        build()
 
 
 def test_map_violations_detected():

@@ -387,6 +387,27 @@ def cover_action_ignoring_the_relabelling(monkeypatch):
     monkeypatch.setattr(CoverCell, "act", lambda self, sigma: self)
 
 
+def cover_union_returning_its_first_argument(monkeypatch):
+    from dicube import cover
+
+    monkeypatch.setattr(cover, "union_bar", lambda a, b: a)
+
+
+def cover_read_off_ignoring_the_configuration(monkeypatch):
+    from dicube import cover
+    from dicube.orders import enumerate_orders
+
+    monkeypatch.setattr(
+        cover, "point_to_order", lambda f, labels: enumerate_orders(labels, "regular")[0]
+    )
+
+
+def order_action_ignoring_the_relabelling(monkeypatch):
+    from dicube.orders import DoubleOrder
+
+    monkeypatch.setattr(DoubleOrder, "act", lambda self, sigma: self)
+
+
 def corrupted_quotient(corrupt):
     def plant(monkeypatch):
         from dicube import suite
@@ -448,6 +469,57 @@ def names_a_chain_the_relabelling_moves(details):
     assert order.act(sigma).key() != order.key()
 
 
+def _semi_regular_by_text(n):
+    from dicube.complexes import default_labels
+    from dicube.orders import enumerate_orders
+
+    return {o.text(): o for o in enumerate_orders(default_labels(n), "semi-regular")}
+
+
+def names_a_pair_whose_witness_misses_the_second(failures):
+    from dicube.cover import u_contains, witness_point
+
+    assert sorted(failures[0]) == ["check", "pair"]
+    assert failures[0]["check"] == "intersection-witness"
+    by_text = _semi_regular_by_text(2)
+    a, b = (by_text[text] for text in failures[0]["pair"])
+    # the planted union of the pair is a, whose witness point is outside b's set
+    assert not u_contains(b, witness_point(a))
+
+
+def names_a_configuration_outside_the_planted_order(failures):
+    from dicube.complexes import default_labels
+    from dicube.cover import config_from_json_dict, is_injective_configuration, u_contains
+    from dicube.orders import enumerate_orders
+
+    assert sorted(failures[0]) == ["check", "config"] and failures[0]["check"] == "covering"
+    f = config_from_json_dict(failures[0]["config"])
+    assert sorted(f) == list(default_labels(2)) and is_injective_configuration(f)
+    # the order the planted read-off gives every configuration misses this one
+    assert not u_contains(enumerate_orders(default_labels(2), "regular")[0], f)
+
+
+def swapped_rows(rel):
+    """A relation on two labels with both labels exchanged."""
+    return (rel[1] >> 1 | (rel[1] & 1) << 1, rel[0] >> 1 | (rel[0] & 1) << 1)
+
+
+def names_an_order_that_never_meets_its_relabelling(failures):
+    import ast
+
+    from dicube.orders import DoubleOrder, union_bar
+
+    assert sorted(failures[0]) == ["check", "order", "sigma"]
+    assert failures[0]["check"] == "properness-union"
+    order = _semi_regular_by_text(2)[failures[0]["order"]]
+    sigma = ast.literal_eval(failures[0]["sigma"])
+    assert sigma == {"a": "b", "b": "a"}
+    # the order relabelled by hand (the planted act is still in place) never
+    # meets the order itself: each comparison i < j becomes j < i
+    moved = DoubleOrder(order.labels, *(swapped_rows(rel) for rel in (order.x, order.y)))
+    assert union_bar(order, moved) is None
+
+
 def is_payload(expected):
     def check(details):
         assert details == expected
@@ -493,6 +565,24 @@ PLANTED_FAULTS = [
         adjacent_transpositions_without_the_last,
         is_payload({"n": 2, "quotient_dims": [4, 4, 2], "expected": [3, 2, 1]}),
         id="last-adjacent-transposition-dropped",
+    ),
+    pytest.param(
+        "cover-complete",
+        cover_union_returning_its_first_argument,
+        names_a_pair_whose_witness_misses_the_second,
+        id="cover-union-returns-its-first-argument",
+    ),
+    pytest.param(
+        "cover-complete",
+        cover_read_off_ignoring_the_configuration,
+        names_a_configuration_outside_the_planted_order,
+        id="cover-read-off-ignores-the-configuration",
+    ),
+    pytest.param(
+        "cover-proper",
+        order_action_ignoring_the_relabelling,
+        names_an_order_that_never_meets_its_relabelling,
+        id="order-action-ignores-the-relabelling",
     ),
 ]
 
