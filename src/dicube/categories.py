@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .errors import ContractError, ResourceCapError
 from .homology import ChainComplex
 from .orders import DoubleOrder, enumerate_orders, order_families, regular_blocks
-from .posets import Poset, _dot_escape, rel_pairs
+from .posets import Poset, _dot_escape, label_text, reachable, rel_pairs
 
 
 @dataclass(frozen=True)
@@ -128,20 +128,10 @@ class FiniteCategory:
         return all(dfs(v) for v in range(len(self.objects)) if v not in seen)
 
     def object_label(self, i: int) -> str:
-        o = self.objects[i]
-        if isinstance(o, str):
-            return o
-        if isinstance(o, tuple):
-            return "{" + ",".join(map(str, o)) + "}"
-        return str(o)
+        return label_text(self.objects[i], brackets="{}")
 
     def morphism_label(self, m: int) -> str:
-        p = self.morphisms[m].payload
-        if isinstance(p, str):
-            return p
-        if isinstance(p, tuple):
-            return "(" + ",".join(map(str, p)) + ")"
-        return str(p)
+        return label_text(self.morphisms[m].payload, brackets="()")
 
     def to_dot(self, name: str = "category") -> str:
         """Objects as nodes, non-identity morphisms as labeled edges."""
@@ -289,13 +279,10 @@ class GroupAction:
             if self._hom[mor.src].setdefault(mor.tgt, m) != m:
                 raise ContractError("action needs a poset category: parallel morphisms found")
         self.validate()
-        self.on_objects = [tuple(range(C.n_objects))]
-        seen = set(self.on_objects)
-        for objs in self.on_objects:  # grows while it is read: breadth-first products
-            for product in [tuple([gen[o] for o in objs]) for gen in self.generators]:
-                if product not in seen:
-                    seen.add(product)
-                    self.on_objects.append(product)
+        self.on_objects = reachable(
+            [tuple(range(C.n_objects))],
+            lambda objs: [tuple([gen[o] for o in objs]) for gen in self.generators],
+        )
 
     def validate(self) -> None:
         """Each generator permutes the objects, as ints, and keeps related pairs related."""

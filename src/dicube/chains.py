@@ -1,16 +1,16 @@
-"""Cube chains: enumeration, the face-refinement order on them (valid for
-non-self-linked complexes with an altitude labeling), and the constructive
-face-swap identity on standard cubes."""
+"""Cube chains: enumeration on complexes with an altitude labeling, the
+face-refinement order on them (valid for non-self-linked complexes), and the
+constructive face-swap identity on standard cubes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .complexes import build_standard_cube
-from .errors import ContractError, ResourceCapError, enumeration_cap
+from .errors import ContractError
 from .posets import Poset
 from .precubical import (
     Cell,
@@ -30,44 +30,21 @@ class CubeChain:
     def length(self) -> int:
         return sum(d for d, _ in self.cells)
 
-    @property
-    def dimension_vector(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.cells)
-
     def text(self, K: PrecubicalComplex) -> str:
         return ";".join(K.label(c) for c in self.cells)
 
 
-def chain_is_valid(K: PrecubicalComplex, chain: CubeChain) -> bool:
-    if K.base is None:
-        return False
-    if any(d <= 0 for d, _ in chain.cells):
-        return False
-    start, stop = K.base
-    if not chain.cells:
-        return start == stop
-    if K.initial_vertex(chain.cells[0]) != start:
-        return False
-    if K.final_vertex(chain.cells[-1]) != stop:
-        return False
-    return all(
-        K.final_vertex(a) == K.initial_vertex(b)
-        for a, b in zip(chain.cells, chain.cells[1:])
-    )
-
-
-def enumerate_chains(K: PrecubicalComplex, node_cap: Optional[int] = None) -> list[CubeChain]:
+def enumerate_chains(K: PrecubicalComplex) -> list[CubeChain]:
     """All cube chains from the initial to the final vertex, in lexicographic
-    cell order.
-
-    With an altitude labeling the search is finite by itself (altitudes rise
-    strictly along a chain); without one the node cap bounds it and a
-    ResourceCapError reports blow-ups such as loops through the base vertex.
+    cell order.  The complex must have an altitude labeling: altitudes rise
+    strictly along a chain, so the search stops at the final vertex's
+    altitude, and a complex without one (a loop, say) raises ContractError.
     """
     if K.base is None:
         raise ContractError("cube chains need a bipointed complex")
-    cap = node_cap if node_cap is not None else enumeration_cap()
     alt = compute_altitude(K)
+    if alt is None:
+        raise ContractError("cube chains need an altitude labeling")
     start, stop = K.base
     outgoing: dict[Cell, list[Cell]] = {}
     for d in range(1, K.max_dim + 1):
@@ -77,21 +54,15 @@ def enumerate_chains(K: PrecubicalComplex, node_cap: Optional[int] = None) -> li
         lst.sort()
 
     found: list[CubeChain] = []
-    nodes = 0
     stack: list[tuple[Cell, tuple[Cell, ...]]] = [(start, ())]
     while stack:
         vertex, prefix = stack.pop()
-        nodes += 1
-        if nodes > cap:
-            raise ResourceCapError(f"chain search exceeded {cap} nodes")
         if vertex == stop:
             found.append(CubeChain(prefix))
-        if alt is not None and alt[vertex] >= alt[stop]:
+        if alt[vertex] >= alt[stop]:
             continue
         for cell in reversed(outgoing.get(vertex, ())):
             stack.append((K.final_vertex(cell), prefix + (cell,)))
-    if start != stop:
-        found = [c for c in found if c.cells]
     found.sort(key=lambda c: c.cells)
     return found
 
@@ -153,8 +124,8 @@ def _face_swap_holds(p: int, q: int, V: frozenset, W: frozenset, Vp: frozenset, 
     s = p + len(W)
     cube = _cube(s)
     top = (s, 0)
-    left = cube.iterated_face(cube.iterated_face(top, Wp, 0), V, 1)
-    right = cube.iterated_face(cube.iterated_face(top, Vp, 1), W, 0)
+    left = cube.mixed_face(cube.mixed_face(top, [(i, 0) for i in Wp]), [(i, 1) for i in V])
+    right = cube.mixed_face(cube.mixed_face(top, [(i, 1) for i in Vp]), [(i, 0) for i in W])
     return left == right
 
 

@@ -202,6 +202,7 @@ class OrderedCover:
 
 
 def permutations_of(labels: Sequence) -> list[dict]:
+    """Every relabelling as a dict, the identity first as itertools lists it."""
     base = tuple(labels)
     return [dict(zip(base, image)) for image in itertools.permutations(base)]
 

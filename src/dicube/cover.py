@@ -1,7 +1,8 @@
 """The constraint-set cover of plane configurations indexed by double orders,
-in exact rational arithmetic: membership, witness points, reading an order
-off a configuration, and the cover verification report (completeness,
-properness, equivariance, coverage by random configurations).
+in exact rational arithmetic: membership, witness points (integer ranks),
+reading an order off a configuration, and the cover verification report, a
+list of failures (completeness, properness, equivariance, coverage by random
+configurations).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Sequence
 
 from .complexes import permutations_of
@@ -17,12 +19,11 @@ from .orders import (
     DoubleOrder,
     enumerate_orders,
     regular_from_blocks,
-    to_regular,
     union_bar,
 )
 from .posets import Rel, rel_below_counts, rel_pairs, rel_subset
 
-Config = dict  # label -> (Fraction, Fraction)
+Config = dict  # label -> (x, y), exact rationals: Fractions, or ints for witness points
 
 
 def u_contains(o: DoubleOrder, f: Config) -> bool:
@@ -44,11 +45,11 @@ def _linear_extension_ranks(o: DoubleOrder, rel: Rel) -> dict:
 
 
 def witness_point(o: DoubleOrder) -> Config:
-    """A configuration inside the constraint set: coordinates are the rank
-    functions of total extensions of the two components."""
+    """A configuration inside the constraint set: coordinates are the integer
+    rank functions of total extensions of the two components."""
     hx = _linear_extension_ranks(o, o.x)
     hy = _linear_extension_ranks(o, o.y)
-    return {a: (Fraction(hx[a]), Fraction(hy[a])) for a in o.labels}
+    return {a: (hx[a], hy[a]) for a in o.labels}
 
 
 def is_injective_configuration(f: Config) -> bool:
@@ -121,12 +122,11 @@ def _json_coordinate(value, label) -> Fraction:
 
 @dataclass
 class CoverReport:
+    """The counts of the cover passes run so far and their failures, each a
+    dict naming its check; the cover holds while there are none."""
+
     labels: tuple
     family: str  # "semi-regular" or "regular"
-    completeness_ok: bool = True
-    properness_ok: bool = True
-    equivariance_ok: bool = True
-    covering_ok: bool = True
     intersections_checked: int = 0
     nonempty_intersections: int = 0
     samples_covered: int = 0
@@ -134,12 +134,7 @@ class CoverReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.completeness_ok
-            and self.properness_ok
-            and self.equivariance_ok
-            and self.covering_ok
-        )
+        return not self.failures
 
 
 def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
@@ -179,14 +174,12 @@ def cover_completeness(report: CoverReport, family: list[DoubleOrder]) -> None:
             if u is None:
                 continue
             if report.family == "semi-regular" and u.key() not in keys:
-                report.completeness_ok = False
                 report.failures.append(
                     {"check": "completeness", "pair": [a.text(), b.text()], "union": u.text()}
                 )
                 continue
             w = witness_point(u)
             if not (u_contains(a, w) and u_contains(b, w) and u_contains(u, w)):
-                report.completeness_ok = False
                 report.failures.append(
                     {"check": "intersection-witness", "pair": [a.text(), b.text()]}
                 )
@@ -196,23 +189,14 @@ def cover_completeness(report: CoverReport, family: list[DoubleOrder]) -> None:
 
 def cover_properness(report: CoverReport, family: list[DoubleOrder]) -> None:
     """Properness: a member and its image under a non-identity permutation
-    never meet, directly and via the regular retraction."""
-    labels = report.labels
-    retracts = [to_regular(o) if report.family == "semi-regular" else o for o in family]
-    for sigma in permutations_of(labels):
-        if all(sigma[a] == a for a in labels):
-            continue
-        for o, r in zip(family, retracts):
+    (all but the first, the identity) never meet.  Its regular retraction
+    never meets its image either; union-sigma checks that for every regular
+    order."""
+    for sigma in permutations_of(report.labels)[1:]:
+        for o in family:
             if union_bar(o, o.act(sigma)) is not None:
-                report.properness_ok = False
                 report.failures.append(
                     {"check": "properness-union", "order": o.text(), "sigma": str(sigma)}
-                )
-                continue
-            if union_bar(r, r.act(sigma)) is not None:
-                report.properness_ok = False
-                report.failures.append(
-                    {"check": "properness-retraction", "order": o.text(), "sigma": str(sigma)}
                 )
 
 
@@ -229,7 +213,6 @@ def cover_equivariance(report: CoverReport, family: list[DoubleOrder]) -> None:
             expected_y = {(inv[labels[i]], inv[labels[j]]) for i, j in rel_pairs(o.y)}
             got_y = {(labels[i], labels[j]) for i, j in rel_pairs(o_s.y)}
             if expected_x != got_x or expected_y != got_y:
-                report.equivariance_ok = False
                 report.failures.append(
                     {"check": "equivariance", "order": o.text(), "sigma": str(sigma)}
                 )
@@ -247,7 +230,6 @@ def cover_covering(report: CoverReport, samples: int, seed: int) -> None:
         if o.key() in regulars and u_contains(o, f):
             report.samples_covered += 1
         else:
-            report.covering_ok = False
             report.failures.append(
                 {"check": "covering", "config": config_to_json_dict(f)}
             )
@@ -267,13 +249,8 @@ def nerve_retraction_check(labels, seed: int = 0) -> bool:
     family = enumerate_orders(labels, "semi-regular")
     keys = {o.key(): o for o in family}
 
-    def bar_union(group):
-        acc = group[0]
-        for o in group[1:]:
-            acc = union_bar(acc, o)
-            if acc is None:
-                return None
-        return acc
+    def bar_union(group):  # None once a union cycles
+        return reduce(lambda acc, o: acc if acc is None else union_bar(acc, o), group)
 
     # Phi(Psi(o)) == o for every member
     for o in family:

@@ -1,13 +1,14 @@
 """Finite relations as row bitmasks, the one format of double orders and
-posets; families of relations read by bit; and finite posets: validation,
-strict chains, covering pairs, Hasse diagrams in DOT and JSON export.  The
-order complex is the nerve of the poset category (``dicube.categories``)."""
+posets; families of relations read by bit; breadth-first reachability; and
+finite posets: validation, strict chains, covering pairs, Hasse diagrams in
+DOT and JSON export.  The order complex is the nerve of the poset category
+(``dicube.categories``)."""
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import and_, or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ContractError
 from .homology import ChainComplex
@@ -85,6 +86,19 @@ def rel_is_strict_order(rel: Rel) -> bool:
 
 def rel_subset(a: Rel, b: Rel) -> bool:
     return all(ra & ~rb == 0 for ra, rb in zip(a, b))
+
+
+def reachable(sources: Iterable, step: Callable[[object], Iterable]) -> list:
+    """Every item reachable from the sources along ``step``, each once: the
+    sources first, then the rest breadth-first."""
+    out = list(dict.fromkeys(sources))
+    seen = set(out)
+    for item in out:  # grows while it is read
+        for nxt in step(item):
+            if nxt not in seen:
+                seen.add(nxt)
+                out.append(nxt)
+    return out
 
 
 class RelFamily:
@@ -188,12 +202,7 @@ class Poset:
         return nerve_complex(poset_category(self))
 
     def element_label(self, i: int) -> str:
-        e = self.elements[i]
-        if isinstance(e, str):
-            return e
-        if isinstance(e, tuple):
-            return ";".join(map(str, e))
-        return str(e)
+        return label_text(self.elements[i], ";")
 
     def to_dot(self, name: str = "poset") -> str:
         """Hasse diagram: one node per element, one edge per covering pair."""
@@ -214,6 +223,16 @@ class Poset:
             ],
             "leq_pairs": [[i, j] for i, j in rel_pairs(self.leq)],
         }
+
+
+def label_text(item, sep: str = ",", brackets: str = "") -> str:
+    """An element, object or morphism name as text: a string as it is, a
+    tuple's entries joined by ``sep`` inside ``brackets``, else ``str``."""
+    if isinstance(item, str):
+        return item
+    if isinstance(item, tuple):
+        return brackets[:1] + sep.join(map(str, item)) + brackets[1:]
+    return str(item)
 
 
 def _dot_escape(text: str) -> str:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ContractError, ResourceCapError, StructuralError
+from .posets import _dot_escape, reachable
 
 Cell = tuple[int, int]  # (dimension, index within dimension)
 
@@ -156,18 +157,6 @@ class PrecubicalComplex:
             raise ContractError("eps must be 0 or 1")
         return (d - 1, self._faces[d][k][i - 1][eps])
 
-    def iterated_face(self, cell: Cell, indices: Iterable[int], eps: int) -> Cell:
-        """Apply d^eps at the given direction set, largest index first."""
-        idx = sorted(set(indices), reverse=True)
-        d = cell[0]
-        if idx and (idx[0] > d or idx[-1] < 1):
-            raise ContractError(
-                f"index set {sorted(set(indices))} out of range 1..{d} for {self.label(cell)!r}"
-            )
-        for i in idx:
-            cell = self.face(cell, i, eps)
-        return cell
-
     def mixed_face(self, cell: Cell, assignments: Iterable[tuple[int, int]]) -> Cell:
         """Apply single faces (i, eps) in decreasing index order."""
         for i, eps in sorted(assignments, reverse=True):
@@ -175,10 +164,10 @@ class PrecubicalComplex:
         return cell
 
     def initial_vertex(self, cell: Cell) -> Cell:
-        return self.iterated_face(cell, range(1, cell[0] + 1), 0)
+        return self.mixed_face(cell, [(i, 0) for i in range(1, cell[0] + 1)])
 
     def final_vertex(self, cell: Cell) -> Cell:
-        return self.iterated_face(cell, range(1, cell[0] + 1), 1)
+        return self.mixed_face(cell, [(i, 1) for i in range(1, cell[0] + 1)])
 
     def face_entries(self) -> Iterator[tuple[int, int, int, int, int]]:
         """(d, k, i, eps, target) for every slot, in ``face_slots`` order:
@@ -189,19 +178,10 @@ class PrecubicalComplex:
 
     def all_faces(self, cell: Cell) -> frozenset[Cell]:
         """Every iterated face of the cell, including the cell itself."""
-        seen = {cell}
-        frontier = [cell]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for i in range(1, c[0] + 1):
-                    for eps in (0, 1):
-                        f = self.face(c, i, eps)
-                        if f not in seen:
-                            seen.add(f)
-                            nxt.append(f)
-            frontier = nxt
-        return frozenset(seen)
+        faces = self._faces
+        return frozenset(
+            reachable([cell], lambda c: [(c[0] - 1, t) for pair in faces[c[0]][c[1]] for t in pair])
+        )
 
     # -- serialization ---------------------------------------------------
 
@@ -265,17 +245,14 @@ class PrecubicalComplex:
     def to_dot(self, name: str = "complex") -> str:
         """One-skeleton: vertices as nodes, edges as arrows from their lower
         to their upper endpoint, labeled by the edge cell."""
-        def esc(text: str) -> str:
-            return text.replace("\\", "\\\\").replace('"', '\\"')
-
         lines = [f"digraph {name} {{"]
         for k in range(self.dims[0] if self.max_dim >= 0 else 0):
-            lines.append(f'  v{k} [label="{esc(self.label((0, k)))}"];')
+            lines.append(f'  v{k} [label="{_dot_escape(self.label((0, k)))}"];')
         if self.max_dim >= 1:
             for k in range(self.dims[1]):
                 lo = self._faces[1][k][0][0]
                 hi = self._faces[1][k][0][1]
-                lines.append(f'  v{lo} -> v{hi} [label="{esc(self.label((1, k)))}"];')
+                lines.append(f'  v{lo} -> v{hi} [label="{_dot_escape(self.label((1, k)))}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -475,27 +452,11 @@ def _accessible_indices(K: PrecubicalComplex) -> set[Cell]:
         else:
             fwd[(d - 1, face)].append((d, k))  # d0_i(c) <= c
     start, stop = K.base
-
-    def reach(source, graph):
-        seen = {source}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for o in graph[c]:
-                    if o not in seen:
-                        seen.add(o)
-                        nxt.append(o)
-            frontier = nxt
-        return seen
-
-    from_start = reach(start, fwd)
     back: dict[Cell, list[Cell]] = {c: [] for c in K.cells()}
     for c, outs in fwd.items():
         for o in outs:
             back[o].append(c)
-    to_stop = reach(stop, back)
-    return from_start & to_stop
+    return set(reachable([start], fwd.__getitem__)) & set(reachable([stop], back.__getitem__))
 
 
 def _restrict(K: PrecubicalComplex, keep: set[Cell]) -> tuple[PrecubicalComplex, dict[Cell, Cell]]:
@@ -543,16 +504,14 @@ class NonSelfLinkedReport:
         return self.ok
 
 
-def is_non_self_linked(K: PrecubicalComplex, dim_cap: int = 12) -> NonSelfLinkedReport:
+def is_non_self_linked(K: PrecubicalComplex) -> NonSelfLinkedReport:
     """Checks injectivity of the canonical map of every cell.
 
     The canonical map of an n-cell is evaluated on all 3^n cells of the
-    standard n-cube, so dimensions above `dim_cap` raise ResourceCapError.
+    standard n-cube, so dimensions above 12 raise ResourceCapError.
     """
-    if K.max_dim > dim_cap:
-        raise ResourceCapError(
-            f"complex has dimension {K.max_dim}, above the 3^n enumeration cap {dim_cap}"
-        )
+    if K.max_dim > 12:
+        raise ResourceCapError(f"complex has dimension {K.max_dim}, above the 3^n enumeration cap 12")
     for d in range(0, K.max_dim + 1):
         for cell in K.cells_of_dim(d):
             images: dict[Cell, tuple] = {}
@@ -635,14 +594,9 @@ def quotient_by_automorphisms(
     for cell in K.cells():  # in order, so each orbit is first met at its least cell
         if cell in orbit_of:
             continue
-        orbit_of[cell] = cell
         reps[cell[0]].append(cell)
-        members = [cell]
-        for member in members:  # grows while it is read
-            for image in [g(member) for g in generators]:
-                if image not in orbit_of:
-                    orbit_of[image] = cell
-                    members.append(image)
+        for member in reachable([cell], lambda c: [g(c) for g in generators]):
+            orbit_of[member] = cell
     new_index = {rep: k for layer in reps for k, rep in enumerate(layer)}
 
     faces = {

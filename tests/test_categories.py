@@ -27,7 +27,15 @@ from dicube.complexes import default_labels
 from dicube.errors import ContractError
 from dicube.homology import euler_characteristic, homology, same_homology
 from dicube.orders import DoubleOrder, enumerate_orders, level_function, poset_leq, rel_from_pairs
-from dicube.posets import Poset, RelFamily, bit_positions, rel_closure, rel_pairs, rel_subset
+from dicube.posets import (
+    Poset,
+    RelFamily,
+    bit_positions,
+    reachable,
+    rel_closure,
+    rel_pairs,
+    rel_subset,
+)
 
 
 def order(labels, x_pairs, y_pairs):
@@ -171,6 +179,17 @@ def test_rel_family_matches_member_by_member_tests(seed):
         for k in bit_positions(members):
             union = [a | b for a, b in zip(union, rels[k])]
         assert family.union(members) == tuple(union)
+
+
+def test_reachable_lists_sources_first_then_each_item_once_breadth_first():
+    # a cycle 1 -> 2 -> 3 -> 1, a branch 2 -> 4 -> 5 and an unreached 6 -> 1
+    graph = {1: [2], 2: [3, 4], 3: [1], 4: [5], 5: [], 6: [1], 7: [4]}
+    steps = []
+    got = reachable([3, 7, 3], lambda v: steps.append(v) or graph[v])
+    assert got == [3, 7, 1, 4, 2, 5]  # the sources once, then breadth-first
+    assert sorted(steps) == sorted(got)  # each item is stepped from once
+    assert reachable([], graph.__getitem__) == []
+    assert reachable([5], graph.__getitem__) == [5]
 
 
 def test_poset_validation_rejects_cycles():

@@ -5,7 +5,6 @@ import pytest
 from dicube.chains import (
     ChainOrder,
     CubeChain,
-    chain_is_valid,
     chain_poset,
     enumerate_chains,
     face_swap,
@@ -16,7 +15,7 @@ from dicube.complexes import (
     build_ordered_cover,
     build_standard_cube,
 )
-from dicube.errors import ContractError, ResourceCapError
+from dicube.errors import ContractError
 from dicube.orders import enumerate_orders
 
 
@@ -30,23 +29,28 @@ def cover_chain(cover, *cell_labels):
 def test_chains_of_edge():
     K = build_standard_cube(1)
     chains = enumerate_chains(K)
-    assert len(chains) == 1 and chains[0].dimension_vector == (1,)
+    assert len(chains) == 1 and [d for d, _ in chains[0].cells] == [1]
 
 
 def test_chains_of_square():
     K = build_standard_cube(2)
     chains = enumerate_chains(K)
     assert len(chains) == 3
-    assert sorted(c.dimension_vector for c in chains) == [(1, 1), (1, 1), (2,)]
+    assert sorted([d for d, _ in c.cells] for c in chains) == [[1, 1], [1, 1], [2]]
 
 
 def test_chains_of_ordered_cover_match_regular_orders():
     for n in (1, 2, 3):
         cover = build_ordered_cover(n)
-        chains = enumerate_chains(cover.complex)
+        K = cover.complex
+        chains = enumerate_chains(K)
         assert len(chains) == len(enumerate_orders(cover.ground, "regular"))
+        start, stop = K.base
         for c in chains:
-            assert chain_is_valid(cover.complex, c)
+            # positive-dimensional cubes joined final vertex to initial vertex
+            ends = [start] + [K.final_vertex(cell) for cell in c.cells]
+            assert [K.initial_vertex(cell) for cell in c.cells] == ends[:-1]
+            assert ends[-1] == stop and all(d > 0 for d, _ in c.cells)
             assert c.length == n
 
 
@@ -63,10 +67,12 @@ def test_chain_altitudes_strictly_increase():
         assert alts == sorted(alts) and len(set(alts)) == len(alts)
 
 
-def test_enumeration_cap_on_looping_complex():
-    z = build_final_complex(2)  # base vertex loops, chain set is infinite
-    with pytest.raises(ResourceCapError):
-        enumerate_chains(z, node_cap=500)
+@pytest.mark.parametrize("n", [1, 2])
+def test_chains_need_an_altitude_labeling(n):
+    # the base vertex loops, so the chain set is infinite and no altitude exists
+    z = build_final_complex(n)
+    with pytest.raises(ContractError, match="altitude"):
+        enumerate_chains(z)
 
 
 # -- the chain order ----------------------------------------------------------------
@@ -148,8 +154,8 @@ def exhaustive_swap_solutions(p, q, V, W):
     out = []
     for vp in itertools.combinations(range(1, s + 1), len(V)):
         for wp in itertools.combinations(range(1, s + 1), len(W)):
-            left = cube.iterated_face(cube.iterated_face(top, wp, 0), V, 1)
-            right = cube.iterated_face(cube.iterated_face(top, vp, 1), W, 0)
+            left = cube.mixed_face(cube.mixed_face(top, [(i, 0) for i in wp]), [(i, 1) for i in V])
+            right = cube.mixed_face(cube.mixed_face(top, [(i, 1) for i in vp]), [(i, 0) for i in W])
             if left == right:
                 out.append((frozenset(vp), frozenset(wp)))
     return out

@@ -184,6 +184,15 @@ def test_action_is_a_right_action():
 
 
 @pytest.mark.parametrize("n", range(5))
+def test_permutations_of_lists_the_identity_first(n):
+    # free-action, union-sigma and cover properness skip the first as the identity
+    labels = default_labels(n)
+    sigmas = permutations_of(labels)
+    assert sigmas[0] == {a: a for a in labels}
+    assert all(any(s[a] != a for a in labels) for s in sigmas[1:])
+
+
+@pytest.mark.parametrize("n", range(5))
 def test_adjacent_transpositions_generate_every_permutation(n):
     labels = default_labels(n)
     swaps = adjacent_transpositions(labels)

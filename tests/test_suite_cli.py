@@ -115,20 +115,6 @@ def test_cli_export_chain_poset_json(capsys):
     assert ["(|a|b)", "(a|b|)"] in data["elements"]
 
 
-def test_enumeration_cap_env_override(monkeypatch):
-    from dicube.chains import enumerate_chains
-    from dicube.complexes import build_final_complex
-    from dicube.errors import ResourceCapError, enumeration_cap
-
-    monkeypatch.setenv("DICUBE_MAX_CELLS", "200")
-    assert enumeration_cap() == 200
-    with pytest.raises(ResourceCapError):
-        enumerate_chains(build_final_complex(2))  # loops; the env cap cuts it off
-    monkeypatch.setenv("DICUBE_MAX_CELLS", "bogus")
-    with pytest.raises(UsageError):
-        enumeration_cap()
-
-
 def test_cli_homology_en(capsys):
     assert main(["homology", "--model", "en", "--n", "3"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -408,6 +394,38 @@ def order_action_ignoring_the_relabelling(monkeypatch):
     monkeypatch.setattr(DoubleOrder, "act", lambda self, sigma: self)
 
 
+def suite_union_returning_its_first_argument(monkeypatch):
+    from dicube import suite
+
+    monkeypatch.setattr(suite, "union_bar", lambda a, b: a)
+
+
+def retraction_returning_its_input(monkeypatch):
+    from dicube import suite
+
+    monkeypatch.setattr(suite, "to_regular", lambda o: o)
+
+
+def run_counts_without_the_longest_runs(monkeypatch):
+    from dicube import suite
+
+    real = suite.composable_run_counts
+    monkeypatch.setattr(suite, "composable_run_counts", lambda C: real(C)[:-1])
+
+
+def break_category_one_label_short(monkeypatch):
+    from dicube import suite
+
+    real = suite.build_break_category
+    monkeypatch.setattr(suite, "build_break_category", lambda n: real(max(n - 1, 1)))
+
+
+def face_swap_recursion_returning_its_input(monkeypatch):
+    from dicube import chains
+
+    monkeypatch.setattr(chains, "_face_swap_rec", lambda p, q, V, W: (V, W))
+
+
 def corrupted_quotient(corrupt):
     def plant(monkeypatch):
         from dicube import suite
@@ -499,6 +517,47 @@ def names_a_configuration_outside_the_planted_order(failures):
     assert not u_contains(enumerate_orders(default_labels(2), "regular")[0], f)
 
 
+def _regular_by_text(n):
+    from dicube.complexes import default_labels
+    from dicube.orders import enumerate_orders
+
+    return {o.text(): o for o in enumerate_orders(default_labels(n), "regular")}
+
+
+def names_a_regular_order_apart_from_its_relabelling(details):
+    import ast
+
+    from dicube.orders import union_bar
+
+    assert sorted(details) == ["n", "order", "sigma"] and details["n"] == 2
+    order = _regular_by_text(2)[details["order"]]
+    sigma = ast.literal_eval(details["sigma"])
+    assert sigma == {"a": "b", "b": "a"}
+    # the planted union met the relabelled order; the closure union does not
+    assert union_bar(order, order.act(sigma)) is None
+
+
+def names_a_chain_whose_union_is_not_yet_regular(details):
+    from dicube.orders import chain_union, to_regular
+
+    assert sorted(details) == ["chain", "n", "triangle"] and details["n"] == 2
+    assert details["triangle"] == "FG=max"
+    by_text = _regular_by_text(2)
+    chain = [by_text[text] for text in details["chain"]]
+    # the union is a top only after the retraction that the plant skips
+    union = chain_union(chain)
+    assert union.key() != chain[-1].key() == to_regular(union).key()
+
+
+def names_the_models_that_disagree(details):
+    assert sorted(details) == ["models", "n"] and details["n"] == 2
+    models = details["models"]
+    assert sorted(models) == ["break-category", "regular-quotient", "semi-regular-quotient"]
+    # the planted break category is the one-label one: a point, not a circle
+    assert models["break-category"] == [{"dim": 0, "betti": 1, "torsion": []}]
+    assert models["regular-quotient"] == models["semi-regular-quotient"] != models["break-category"]
+
+
 def swapped_rows(rel):
     """A relation on two labels with both labels exchanged."""
     return (rel[1] >> 1 | (rel[1] & 1) << 1, rel[0] >> 1 | (rel[0] & 1) << 1)
@@ -583,6 +642,38 @@ PLANTED_FAULTS = [
         order_action_ignoring_the_relabelling,
         names_an_order_that_never_meets_its_relabelling,
         id="order-action-ignores-the-relabelling",
+    ),
+    pytest.param(
+        "union-sigma",
+        suite_union_returning_its_first_argument,
+        names_a_regular_order_apart_from_its_relabelling,
+        id="union-sigma-union-returns-its-first-argument",
+    ),
+    pytest.param(
+        "F-G-triangles",
+        retraction_returning_its_input,
+        names_a_chain_whose_union_is_not_yet_regular,
+        id="retraction-returns-its-input",
+    ),
+    pytest.param(
+        "euler-zero",
+        run_counts_without_the_longest_runs,
+        is_payload({"n": 2, "materialized": 0, "counted": 2}),
+        id="run-counts-drop-the-longest-runs",
+    ),
+    pytest.param(
+        "homology-cross-model",
+        break_category_one_label_short,
+        names_the_models_that_disagree,
+        id="break-category-one-label-short",
+    ),
+    pytest.param(
+        "face-swap",
+        face_swap_recursion_returning_its_input,
+        is_payload(
+            {"exception": "AssertionError", "message": "face swap recursion produced a non-identity"}
+        ),
+        id="face-swap-recursion-returns-its-input",
     ),
 ]
 
