@@ -107,7 +107,7 @@ BUILDERS = {
     **{f"final-covering-{n}": (lambda n=n: _final_covering(n)) for n in range(5)},
     **{
         f"ordered-cover-{n}": (lambda n=n: [complex_digest(build_ordered_cover(n).complex)])
-        for n in range(1, 4)
+        for n in range(1, 5)
     },
     **{
         f"length-covering-final-{n}": (lambda n=n: _length_covering(build_final_complex(n), n))
@@ -118,6 +118,7 @@ BUILDERS = {
         for n in range(4)
     },
     "yA3/S3": lambda: _cover_quotient(3),
+    "yA4/S4": lambda: _cover_quotient(4),
     "disjoint-union-1,2": lambda: [
         complex_digest(disjoint_union(build_standard_cube(1), build_standard_cube(2)))
     ],
@@ -133,6 +134,7 @@ BUILDERS = {
         complex_digest(serial_wedge(build_standard_cube(2), build_ordered_cover(2).complex))
     ],
     "pullback-yA3": lambda: _cover_pullback(3),
+    "pullback-yA4": lambda: _cover_pullback(4),
     "pullback-final": _final_pullback,
     "accessible-part": lambda: [
         complex_digest(
@@ -170,13 +172,16 @@ GOLDEN_BUILDERS = {
     'ordered-cover-1': ['4a7ebb68e78da124'],
     'ordered-cover-2': ['cae111cd35346796'],
     'ordered-cover-3': ['c311f29e42832d5b'],
+    'ordered-cover-4': ['dc3df0af0b128925'],
     'pullback-final': ['a8e5e7e3714e95b7', 'bd12e66d5fd1b244', '507340e5adb322c9'],
     'pullback-yA3': ['4ddf7889b216e949', '74fb8d763b5a8822', '4e2f9c89d1a8fa13'],
+    'pullback-yA4': ['608c4239e8b1fe47', '77e3b1f2aa6229bf', 'f563229a105f9d2e'],
     'serial-wedge-cube,yA2': ['a5c91ab1f81801bd'],
     'wedge-1,2': ['437e8b574ae3aad5'],
     'wedge-2,1,1': ['1aab56ed24640f23'],
     'with-base': ['5ebc3838aef7b8a1'],
     'yA3/S3': ['0048ea6ae48718fb', 'd58748ae60731eaa'],
+    'yA4/S4': ['3f183e7111fa2984', 'b9806e92efe4ae9b'],
 }
 
 GOLDEN_NERVES = {
