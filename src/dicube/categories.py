@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import ContractError, ResourceCapError
+from .errors import ContractError, ResourceCapError, require_size
 from .homology import ChainComplex
 from .orders import DoubleOrder, enumerate_orders, order_families, regular_blocks
 from .posets import Poset, _dot_escape, label_text, reachable, rel_pairs
@@ -393,6 +393,7 @@ def build_break_category(n: int) -> FiniteCategory:
     B'-block setwise and increasing within each B-block.  Composition is
     composition of permutations (CLI model id: en).
     """
+    require_size(n, "n")
     if n < 1:
         raise ContractError(f"break category needs n >= 1, not {n}")
     if n > 7:

@@ -6,17 +6,18 @@ its length coverings, and the ordered cover with its symmetric-group action.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
-from .errors import ContractError, ResourceCapError
-from .precubical import Cell, PrecubicalComplex, PrecubicalMap, face_slots, serial_wedge
+from .errors import ContractError, ResourceCapError, require_size
+from .precubical import Cell, PrecubicalComplex, PrecubicalMap, complex_from_cells, serial_wedge
 
 STAR = "*"
 
 
 def default_labels(n: int) -> tuple[str, ...]:
     """Canonical index names a, b, c, ... for ground sets of size 0..26."""
+    require_size(n, "n")
     if not 0 <= n <= 26:
         raise ContractError(f"default labels name 0 to 26 elements, not {n}")
     return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
@@ -31,7 +32,8 @@ def build_standard_cube(arity) -> PrecubicalComplex:
     Cells are functions to {0, 1, *} written positionally, e.g. "01*"; the
     i-th face direction of a cell is its i-th star in position order.
     """
-    n = arity if isinstance(arity, int) else len(tuple(arity))
+    n = len(tuple(arity)) if isinstance(arity, Iterable) else arity
+    require_size(n, "arity")
     if n < 0:
         raise ContractError("arity must be nonnegative")
     by_dim: list[list[tuple[str, ...]]] = [[] for _ in range(n + 1)]
@@ -39,19 +41,20 @@ def build_standard_cube(arity) -> PrecubicalComplex:
         by_dim[values.count(STAR)].append(values)
     for layer in by_dim:
         layer.sort()
-    index = {values: (d, k) for d, layer in enumerate(by_dim) for k, values in enumerate(layer)}
-    faces = {}
-    for d, k, i, eps in face_slots([len(layer) for layer in by_dim]):
-        values = by_dim[d][k]
+
+    def face(values: tuple[str, ...], i: int, eps: int) -> tuple[str, ...]:
         pos = [p for p, v in enumerate(values) if v == STAR][i - 1]
-        faces[(d, k, i, eps)] = index[values[:pos] + (str(eps),) + values[pos + 1 :]][1]
-    labels = [["".join(values) for values in layer] for layer in by_dim]
-    base = (index[("0",) * n][1], index[("1",) * n][1])
-    return PrecubicalComplex(labels, faces, base)
+        return values[:pos] + (str(eps),) + values[pos + 1 :]
+
+    return complex_from_cells(by_dim, face, "".join, (("0",) * n, ("1",) * n))
 
 
 def build_wedge_cube(dims: Sequence[int]) -> PrecubicalComplex:
     """Serial wedge of standard cubes, final vertex glued to next initial one."""
+    if not isinstance(dims, Sequence):
+        raise ContractError(f"wedge cube dimensions must be a sequence, not {type(dims).__name__}")
+    for d in dims:
+        require_size(d, "wedge cube dimension")
     if not dims:
         return build_standard_cube(0)
     if any(d <= 0 for d in dims):
@@ -67,11 +70,11 @@ def build_wedge_cube(dims: Sequence[int]) -> PrecubicalComplex:
 
 def build_final_complex(max_dim: int) -> PrecubicalComplex:
     """One cube per dimension up to max_dim; all faces collapse one level down."""
+    require_size(max_dim, "max_dim")
     if max_dim < 0:
         raise ContractError("max_dim must be nonnegative")
-    labels = [[f"z{m}"] for m in range(max_dim + 1)]
-    faces = {slot: 0 for slot in face_slots([1] * (max_dim + 1))}
-    return PrecubicalComplex(labels, faces, (0, 0))
+    layers = [[m] for m in range(max_dim + 1)]
+    return complex_from_cells(layers, lambda m, i, eps: m - 1, "z{}".format, (0, 0))
 
 
 def unique_map_to_final(K: PrecubicalComplex, Z: PrecubicalComplex) -> PrecubicalMap:
@@ -90,15 +93,14 @@ def build_final_covering(n: int) -> tuple[PrecubicalComplex, dict[Cell, int]]:
     direction eps lands on z{k-1}_{j+eps}; the base runs from z0_0 to z0_n
     and the altitude of z{k}_{j} is j.
     """
+    require_size(n, "length")
     if n < 0:
         raise ContractError("length must be nonnegative")
-    labels = [[f"z{k}_{j}" for j in range(n - k + 1)] for k in range(n + 1)]
-    faces = {
-        (k, j, i, eps): j + eps for k, j, i, eps in face_slots([len(layer) for layer in labels])
-    }
-    K = PrecubicalComplex(labels, faces, (0, n))
-    altitude = {(k, j): j for k in range(n + 1) for j in range(n - k + 1)}
-    return K, altitude
+    cells = [[(k, j) for j in range(n - k + 1)] for k in range(n + 1)]  # item (k, j) is cell (k, j)
+    K = complex_from_cells(
+        cells, lambda c, i, eps: (c[0] - 1, c[1] + eps), lambda c: "z%d_%d" % c, ((0, 0), (0, n))
+    )
+    return K, {c: c[1] for layer in cells for c in layer}
 
 
 # -- the ordered cover ---------------------------------------------------------
@@ -170,10 +172,9 @@ class OrderedCover:
     ground: tuple
     complex: PrecubicalComplex
     cells: list  # per dimension: list[CoverCell] aligned with complex indices
-    index: dict = field(repr=False)  # CoverCell -> Cell
 
     def cell_of(self, cover_cell: CoverCell) -> Cell:
-        return self.index[cover_cell]
+        return self.complex.cell_of_label(cover_cell.text())
 
     def cover_cell(self, cell: Cell) -> CoverCell:
         return self.cells[cell[0]][cell[1]]
@@ -183,9 +184,7 @@ class OrderedCover:
         return {cell: self.cover_cell(cell).altitude for cell in self.complex.cells()}
 
     def automorphism(self, sigma: Mapping) -> PrecubicalMap:
-        assign = []
-        for d, layer in enumerate(self.cells):
-            assign.append([self.index[c.act(sigma)][1] for c in layer])
+        assign = [[self.cell_of(c.act(sigma))[1] for c in layer] for layer in self.cells]
         return PrecubicalMap(self.complex, self.complex, assign, check=False)
 
     def symmetric_group(self) -> list[PrecubicalMap]:
@@ -195,9 +194,7 @@ class OrderedCover:
     def projection(self) -> tuple[PrecubicalMap, PrecubicalComplex, dict[Cell, int]]:
         """The altitude-indexed map onto the length-n covering of the final complex."""
         target, alt = build_final_covering(len(self.ground))
-        assign = []
-        for d, layer in enumerate(self.cells):
-            assign.append([target.cell_of_label(f"z{d}_{c.altitude}")[1] for c in layer])
+        assign = [[c.altitude for c in layer] for layer in self.cells]  # z{d}_{j} is (d, j)
         return PrecubicalMap(self.complex, target, assign), target, alt
 
 
@@ -221,7 +218,7 @@ def build_ordered_cover(labels) -> OrderedCover:
     in its order gives the faces.  Capped at 6 labels because every
     downstream check is exponential in the arity anyway.
     """
-    ground = default_labels(labels) if isinstance(labels, int) else tuple(labels)
+    ground = tuple(labels) if isinstance(labels, Iterable) else default_labels(labels)
     if len(set(ground)) != len(ground):
         raise ContractError("ground set has repeated labels")
     if len(ground) > 6:
@@ -237,13 +234,7 @@ def build_ordered_cover(labels) -> OrderedCover:
                         zeros = frozenset(rest) - set(ones)
                         cells[k].append(CoverCell(frozenset(ones), tuple(mid), zeros))
         cells[k].sort(key=CoverCell.sort_key)
-    index = {c: (d, k) for d, layer in enumerate(cells) for k, c in enumerate(layer)}
-    faces = {
-        (d, k, i, eps): index[cells[d][k].face(i, eps)][1]
-        for d, k, i, eps in face_slots([len(layer) for layer in cells])
-    }
-    labels_out = [[c.text() for c in layer] for layer in cells]
     init = CoverCell(frozenset(), (), frozenset(ground))
     final = CoverCell(frozenset(ground), (), frozenset())
-    K = PrecubicalComplex(labels_out, faces, (index[init][1], index[final][1]))
-    return OrderedCover(ground, K, cells, index)
+    K = complex_from_cells(cells, CoverCell.face, CoverCell.text, (init, final))
+    return OrderedCover(ground, K, cells)

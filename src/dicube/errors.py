@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the size check of the builders."""
 
 
 class StructuralError(Exception):
@@ -16,3 +16,8 @@ class ResourceCapError(Exception):
 class UsageError(Exception):
     """Bad command-line or registry usage (unknown id, unsupported combination)."""
 
+
+def require_size(value, name: str) -> None:
+    """ContractError unless value is an int; a bool is not a size."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ContractError(f"{name} must be an int, not {type(value).__name__}")

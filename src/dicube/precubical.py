@@ -9,9 +9,9 @@ canonical.  All values are immutable after construction.
 Face tables are walked in one way only: ``face_slots(dims)`` yields every
 slot (d, k, i, eps) of a complex with those cell counts, and
 ``PrecubicalComplex.face_entries()`` adds the target index of each slot.
-Builders fill a face mapping over ``face_slots`` of the new complex;
-relabelling operations (unions, wedges, re-basing, restrictions) renumber
-the ``face_entries`` of their inputs.
+Every construction (cubes, final complexes, the ordered cover, restrictions,
+pullbacks, quotients, coverings, unions, wedges) lists its cells per dimension
+as hashable items with a face rule, and ``complex_from_cells`` fills the table.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import ContractError, ResourceCapError, StructuralError
+from .errors import ContractError, ResourceCapError, StructuralError, require_size
 from .posets import _dot_escape, reachable
 
 Cell = tuple[int, int]  # (dimension, index within dimension)
@@ -272,6 +272,33 @@ def _json_int_field(obj: Mapping, name: str) -> int:
     return obj[name]
 
 
+def complex_from_cells(
+    layers: Sequence[Sequence[Hashable]],
+    face: Callable[[Hashable, int, int], Hashable],
+    label: Callable[[Hashable], str],
+    base: Optional[tuple[Hashable, Hashable]] = None,
+) -> PrecubicalComplex:
+    """The complex whose cells of dimension d are the items of ``layers[d]``,
+    in order: d^eps_i c is ``face(c, i, eps)``, an item of ``layers[d - 1]``,
+    c is named ``label(c)``, and ``base`` is a pair of items of ``layers[0]``.
+    ContractError when a face or a base item is not in that layer."""
+    index = [{item: k for k, item in enumerate(layer)} for layer in layers]
+    faces = {}
+    for d, k, i, eps in face_slots([len(layer) for layer in layers]):
+        target = index[d - 1].get(face(layers[d][k], i, eps))
+        if target is None:
+            raise ContractError(
+                f"face d^{eps}_{i} of {label(layers[d][k])!r} is not a cell of dimension {d - 1}"
+            )
+        faces[(d, k, i, eps)] = target
+    if base is not None:
+        vertices = index[0] if index else {}
+        if base[0] not in vertices or base[1] not in vertices:
+            raise ContractError(f"base {base} is not a pair of vertices")
+        base = (vertices[base[0]], vertices[base[1]])
+    return PrecubicalComplex([[label(c) for c in layer] for layer in layers], faces, base)
+
+
 @dataclass(frozen=True)
 class RelationViolation:
     """One failed precubical identity on a cell."""
@@ -459,36 +486,17 @@ def _accessible_indices(K: PrecubicalComplex) -> set[Cell]:
     return set(reachable([start], fwd.__getitem__)) & set(reachable([stop], back.__getitem__))
 
 
-def _restrict(K: PrecubicalComplex, keep: set[Cell]) -> tuple[PrecubicalComplex, dict[Cell, Cell]]:
-    """Sub-complex on `keep`, which must be face-closed; returns (L, old cell of new)."""
-    labels: list[list[str]] = [[] for _ in range(K.max_dim + 1)]
-    new_index: dict[Cell, Cell] = {}
-    for d in range(K.max_dim + 1):
-        for cell in K.cells_of_dim(d):
-            if cell in keep:
-                new_index[cell] = (d, len(labels[d]))
-                labels[d].append(K.label(cell))
-    faces = {}
-    for d, k, i, eps, face in K.face_entries():
-        if (d, k) not in keep:
-            continue
-        if (d - 1, face) not in keep:
-            raise ContractError(
-                f"cell set is not face-closed: {K.label((d, k))!r} keeps, "
-                f"{K.label((d - 1, face))!r} does not"
-            )
-        faces[(d, new_index[(d, k)][1], i, eps)] = new_index[(d - 1, face)][1]
-    base = None
-    if K.base is not None and K.base[0] in keep and K.base[1] in keep:
-        base = (new_index[K.base[0]][1], new_index[K.base[1]][1])
-    L = PrecubicalComplex(labels, faces, base)
-    old_of_new = {v: k for k, v in new_index.items()}
-    return L, old_of_new
+def _restrict(K: PrecubicalComplex, keep: set[Cell]) -> PrecubicalComplex:
+    """Sub-complex on `keep`, which must be face-closed; its cells keep their
+    order in K, and its base is K's when `keep` holds both base vertices."""
+    layers = [[c for c in K.cells_of_dim(d) if c in keep] for d in range(K.max_dim + 1)]
+    base = K.base if K.base is not None and set(K.base) <= keep else None
+    return complex_from_cells(layers, K.face, K.label, base)
 
 
 def accessible_part(K: PrecubicalComplex) -> PrecubicalComplex:
     """Sub-complex of cells between the base points in the step preorder."""
-    return _restrict(K, _accessible_indices(K))[0]
+    return _restrict(K, _accessible_indices(K))
 
 
 # -- non-self-linkedness ---------------------------------------------------
@@ -537,31 +545,24 @@ def pullback(
     if p.target is not q.target:
         raise ContractError("pullback needs maps into a common target")
     K, L = p.source, q.source
-    top = min(K.max_dim, L.max_dim)
-    labels: list[list[str]] = [[] for _ in range(top + 1)]
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
-    index: dict[tuple[int, int, int], int] = {}
-    for d in range(top + 1):
-        for kk in range(K.dims[d]):
-            for lk in range(L.dims[d]):
-                if p((d, kk)) == q((d, lk)):
-                    index[(d, kk, lk)] = len(pairs[d])
-                    pairs[d].append((kk, lk))
-                    labels[d].append(f"({K.label((d, kk))},{L.label((d, lk))})")
-    faces = {}
-    for d, n, i, eps in face_slots([len(layer) for layer in pairs]):
-        kk, lk = pairs[d][n]
-        fk = K.face((d, kk), i, eps)[1]
-        fl = L.face((d, lk), i, eps)[1]
-        faces[(d, n, i, eps)] = index[(d - 1, fk, fl)]
+    pairs = [
+        [(a, b) for a in K.cells_of_dim(d) for b in L.cells_of_dim(d) if p(a) == q(b)]
+        for d in range(min(K.max_dim, L.max_dim) + 1)
+    ]
     base = None
     if K.base is not None and L.base is not None:
         (k0, k1), (l0, l1) = K.base, L.base
         if p(k0) == q(l0) and p(k1) == q(l1):
-            base = (index[(0, k0[1], l0[1])], index[(0, k1[1], l1[1])])
-    P = PrecubicalComplex(labels, faces, base)
-    proj1 = PrecubicalMap(P, K, [[kk for kk, _ in layer] for layer in pairs], check=False)
-    proj2 = PrecubicalMap(P, L, [[lk for _, lk in layer] for layer in pairs], check=False)
+            base = ((k0, l0), (k1, l1))
+    P = complex_from_cells(
+        pairs,
+        lambda c, i, eps: (K.face(c[0], i, eps), L.face(c[1], i, eps)),
+        lambda c: f"({K.label(c[0])},{L.label(c[1])})",
+        base,
+    )
+    pairs = pairs[: P.max_dim + 1]  # P drops the empty top layers, where no images meet
+    proj1 = PrecubicalMap(P, K, [[a[1] for a, _ in layer] for layer in pairs], check=False)
+    proj2 = PrecubicalMap(P, L, [[b[1] for _, b in layer] for layer in pairs], check=False)
     return P, proj1, proj2
 
 
@@ -597,20 +598,10 @@ def quotient_by_automorphisms(
         reps[cell[0]].append(cell)
         for member in reachable([cell], lambda c: [g(c) for g in generators]):
             orbit_of[member] = cell
+    base = None if K.base is None else (orbit_of[K.base[0]], orbit_of[K.base[1]])
+    Q = complex_from_cells(reps, lambda c, i, eps: orbit_of[K.face(c, i, eps)], K.label, base)
     new_index = {rep: k for layer in reps for k, rep in enumerate(layer)}
-
-    faces = {
-        (d, k, i, eps): new_index[orbit_of[K.face(reps[d][k], i, eps)]]
-        for d, k, i, eps in face_slots([len(layer) for layer in reps])
-    }
-    labels = [[K.label(rep) for rep in layer] for layer in reps]
-    base = None
-    if K.base is not None:
-        base = (new_index[orbit_of[K.base[0]]], new_index[orbit_of[K.base[1]]])
-    Q = PrecubicalComplex(labels, faces, base)
-    assign = [[0] * K.dims[d] for d in range(K.max_dim + 1)]
-    for cell in K.cells():
-        assign[cell[0]][cell[1]] = new_index[orbit_of[cell]]
+    assign = [[new_index[orbit_of[c]] for c in K.cells_of_dim(d)] for d in range(K.max_dim + 1)]
     return Q, PrecubicalMap(K, Q, assign, check=False)
 
 
@@ -635,92 +626,67 @@ def length_covering(K: PrecubicalComplex, n: int) -> LengthCovering:
     """
     if K.base is None:
         raise ContractError("length covering needs a bipointed complex")
+    require_size(n, "length")
     if n < 0:
         raise ContractError("length must be nonnegative")
-    labels: list[list[str]] = [[] for _ in range(K.max_dim + 1)]
-    index: dict[tuple[int, int, int], int] = {}
-    members: list[list[tuple[int, int]]] = [[] for _ in range(K.max_dim + 1)]
-    for d in range(K.max_dim + 1):
-        for k in range(K.dims[d]):
-            for h in range(0, n - d + 1):
-                index[(d, k, h)] = len(members[d])
-                members[d].append((k, h))
-                labels[d].append(f"{K.label((d, k))}@{h}")
-    faces = {}
-    for d, m, i, eps in face_slots([len(layer) for layer in members]):
-        k, h = members[d][m]
-        faces[(d, m, i, eps)] = index[(d - 1, K.face((d, k), i, eps)[1], h + eps)]
-    init = index.get((0, K.base[0][1], 0))
-    final = index.get((0, K.base[1][1], n))
-    bounded = PrecubicalComplex(labels, faces, (init, final))
+    layers = [
+        [(cell, h) for cell in K.cells_of_dim(d) for h in range(n - d + 1)]
+        for d in range(K.max_dim + 1)
+    ]
+    bounded = complex_from_cells(
+        layers,
+        lambda c, i, eps: (K.face(c[0], i, eps), c[1] + eps),
+        lambda c: f"{K.label(c[0])}@{c[1]}",
+        ((K.base[0], 0), (K.base[1], n)),
+    )
     keep = _accessible_indices(bounded)
-    if not keep:
-        empty = PrecubicalComplex([], {}, None)
-        return LengthCovering(empty, PrecubicalMap(empty, K, [], check=False), {})
-    restricted, old_of_new = _restrict(bounded, keep)
-    assign: list[list[int]] = [[0] * c for c in restricted.dims]
-    altitude: dict[Cell, int] = {}
-    for cell in restricted.cells():
-        d, _ = cell
-        old = old_of_new[cell]
-        k, h = members[d][old[1]]
-        assign[d][cell[1]] = k
-        altitude[cell] = h
-    projection = PrecubicalMap(restricted, K, assign)
-    return LengthCovering(restricted, projection, altitude)
+    kept = [[c for k, c in enumerate(layer) if (d, k) in keep] for d, layer in enumerate(layers)]
+    restricted = _restrict(bounded, keep)  # its cell (d, k) is kept[d][k]
+    assign = [[cell[1] for cell, _ in layer] for layer in kept if layer]
+    altitude = {(d, k): h for d, layer in enumerate(kept) for k, (_, h) in enumerate(layer)}
+    return LengthCovering(restricted, PrecubicalMap(restricted, K, assign), altitude)
 
 
 # -- sums and wedges ----------------------------------------------------------
 
 
-def _renumbered_faces(K: PrecubicalComplex, move) -> dict[tuple[int, int, int, int], int]:
-    """K's face mapping with every cell (d, k) renumbered to (d, move(d, k))."""
-    return {(d, move(d, k), i, eps): move(d - 1, face) for d, k, i, eps, face in K.face_entries()}
+def _side_by_side(
+    K: PrecubicalComplex, L: PrecubicalComplex, glued: Optional[Cell] = None
+) -> PrecubicalComplex:
+    """K's cells, then L's, in each dimension, labelled "L:..." and "R:...".
+    L's vertex ``glued``, if given, is K's final vertex, and the base runs from
+    K's initial vertex to L's final one; otherwise no base is set."""
+    sides = {"L": K, "R": L}
 
+    def item(side: str, cell: Cell) -> tuple[str, Cell]:
+        return ("L", K.base[1]) if (side, cell) == ("R", glued) else (side, cell)
 
-def _count(K: PrecubicalComplex, d: int) -> int:
-    return K.dims[d] if d <= K.max_dim else 0
+    layers = [
+        [(s, c) for s, M in sides.items() for c in M.cells_of_dim(d) if (s, c) != ("R", glued)]
+        for d in range(max(K.max_dim, L.max_dim) + 1)
+    ]
+    return complex_from_cells(
+        layers,
+        lambda c, i, eps: item(c[0], sides[c[0]].face(c[1], i, eps)),
+        lambda c: f"{c[0]}:{sides[c[0]].label(c[1])}",
+        None if glued is None else (("L", K.base[0]), item("R", L.base[1])),
+    )
 
 
 def disjoint_union(K: PrecubicalComplex, L: PrecubicalComplex) -> PrecubicalComplex:
     """Disjoint union; labels are prefixed to stay unique, no base is set."""
-    labels = [
-        [f"L:{K.label((d, k))}" for k in range(_count(K, d))]
-        + [f"R:{L.label((d, k))}" for k in range(_count(L, d))]
-        for d in range(max(K.max_dim, L.max_dim) + 1)
-    ]
-    right = _renumbered_faces(L, lambda d, k: _count(K, d) + k)
-    return PrecubicalComplex(labels, _renumbered_faces(K, lambda d, k: k) | right, None)
+    return _side_by_side(K, L)
 
 
 def with_base(K: PrecubicalComplex, init_label: str, final_label: str) -> PrecubicalComplex:
-    init = K.cell_of_label(init_label)
-    final = K.cell_of_label(final_label)
-    if init[0] != 0 or final[0] != 0:
-        raise ContractError("base cells must be vertices")
-    labels = [[K.label((d, k)) for k in range(K.dims[d])] for d in range(K.max_dim + 1)]
-    return PrecubicalComplex(labels, _renumbered_faces(K, lambda d, k: k), (init[1], final[1]))
+    base = (K.cell_of_label(init_label), K.cell_of_label(final_label))
+    return complex_from_cells(
+        [K.cells_of_dim(d) for d in range(K.max_dim + 1)], K.face, K.label, base
+    )
 
 
 def serial_wedge(K: PrecubicalComplex, L: PrecubicalComplex) -> PrecubicalComplex:
     """K wedge L: glue the final vertex of K to the initial vertex of L."""
     if K.base is None or L.base is None:
         raise ContractError("serial wedge needs bipointed complexes")
-    glue_k = K.base[1][1]  # final vertex index of K
-    glue_l = L.base[0][1]  # initial vertex index of L
-
-    def l_cell(d: int, k: int) -> int:
-        # L's cells follow K's; its glued initial vertex becomes K's final one
-        if d > 0:
-            return _count(K, d) + k
-        if k == glue_l:
-            return glue_k
-        return K.dims[0] + (k if k < glue_l else k - 1)
-
-    labels: list[list[str]] = []
-    for d in range(max(K.max_dim, L.max_dim) + 1):
-        layer = [f"L:{K.label((d, k))}" for k in range(_count(K, d))]
-        layer += [f"R:{L.label((d, k))}" for k in range(_count(L, d)) if (d, k) != (0, glue_l)]
-        labels.append(layer)
-    faces = _renumbered_faces(K, lambda d, k: k) | _renumbered_faces(L, l_cell)
-    return PrecubicalComplex(labels, faces, (K.base[0][1], l_cell(0, L.base[1][1])))
+    return _side_by_side(K, L, L.base[0])

@@ -139,15 +139,12 @@ def check_orbit_iso(n_max: int, **_) -> tuple[str, object]:
         Z, zalt = build_final_covering(n)
         if Q.dims != Z.dims:
             return _fail({"n": n, "quotient_dims": list(Q.dims), "expected": list(Z.dims)})
-        # match orbit cells to covering cells by (dimension, altitude)
-        assign = []
-        for d in range(Q.max_dim + 1):
-            layer = []
-            for k in range(Q.dims[d]):
-                rep = cover.complex.cell_of_label(Q.label((d, k)))
-                alt = cover.cover_cell(rep).altitude
-                layer.append(Z.cell_of_label(f"z{d}_{alt}")[1])
-            assign.append(layer)
+        # an orbit cell, labelled as its least member, goes to the covering
+        # cell of its dimension d and altitude j: z{d}_{j}, that is (d, j)
+        assign = [
+            [cover.cover_cell(cover.complex.cell_of_label(Q.label(c))).altitude for c in layer]
+            for layer in map(Q.cells_of_dim, range(Q.max_dim + 1))
+        ]
         try:
             iso = PrecubicalMap(Q, Z, assign)
         except Exception as exc:  # face commutation failure

@@ -2,6 +2,7 @@ from math import comb, factorial
 
 import pytest
 
+from dicube.categories import build_break_category
 from dicube.complexes import (
     CoverCell,
     adjacent_transpositions,
@@ -271,3 +272,45 @@ def test_default_labels():
     assert default_labels(0) == ()
     with pytest.raises(ContractError):
         default_labels(-1)
+
+
+# -- malformed sizes ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: default_labels(2.5),
+        lambda: build_standard_cube(2.5),
+        lambda: build_ordered_cover(2.5),
+        lambda: build_final_complex(2.5),
+        lambda: build_final_covering("3"),
+        lambda: build_break_category(2.5),
+        lambda: length_covering(build_standard_cube(2), 2.5),
+        lambda: build_wedge_cube([1.5]),
+        lambda: default_labels(True),
+        lambda: build_standard_cube(True),
+        lambda: build_final_complex(True),
+        lambda: build_break_category(True),
+        lambda: build_wedge_cube(None),
+    ],
+    ids=[
+        "default_labels(2.5)",
+        "build_standard_cube(2.5)",
+        "build_ordered_cover(2.5)",
+        "build_final_complex(2.5)",
+        "build_final_covering('3')",
+        "build_break_category(2.5)",
+        "length_covering(K,2.5)",
+        "build_wedge_cube([1.5])",
+        "default_labels(True)",
+        "build_standard_cube(True)",
+        "build_final_complex(True)",
+        "build_break_category(True)",
+        "build_wedge_cube(None)",
+    ],
+)
+def test_a_size_that_is_not_an_int_is_a_contract_error(call):
+    # a bool is an int to Python, but never a size
+    with pytest.raises(ContractError):
+        call()

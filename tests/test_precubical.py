@@ -13,7 +13,9 @@ from dicube.errors import ContractError, ResourceCapError, StructuralError
 from dicube.precubical import (
     PrecubicalComplex,
     PrecubicalMap,
+    _restrict,
     accessible_part,
+    complex_from_cells,
     compute_altitude,
     disjoint_union,
     is_altitude_labeling,
@@ -128,6 +130,28 @@ def test_accessible_part_disconnected_base_is_empty():
     assert accessible_part(K).dims == ()
 
 
+def test_restricting_to_a_cell_set_that_is_not_face_closed_is_a_contract_error():
+    sq = build_standard_cube(2)
+    keep = set(sq.cells()) - {sq.cell_of_label("00")}
+    with pytest.raises(ContractError, match="is not a cell of dimension 0"):
+        _restrict(sq, keep)
+
+
+def test_cell_builder_rejects_a_face_outside_the_layer_below():
+    # an edge 0 -> 1 whose upper face is the vertex 2, which is not listed
+    with pytest.raises(ContractError, match=r"d\^1_1 of 'e' is not a cell of dimension 0"):
+        complex_from_cells([[0, 1], ["e"]], lambda c, i, eps: 2 * eps, str)
+
+
+def test_cell_builder_rejects_a_base_item_outside_layer_zero():
+    layers = [[0, 1], ["e"]]
+    with pytest.raises(ContractError, match="is not a pair of vertices"):
+        complex_from_cells(layers, lambda c, i, eps: eps, str, (0, "e"))
+    with pytest.raises(ContractError, match="is not a pair of vertices"):
+        with_base(build_standard_cube(1), "0", "*")
+    assert complex_from_cells(layers, lambda c, i, eps: eps, str, (0, 1)).base == ((0, 0), (0, 1))
+
+
 def test_accessible_part_idempotent_and_face_closed():
     K = bounded_final_cover(2)
     once = accessible_part(K)
@@ -217,6 +241,19 @@ def test_pullback_of_cover_projection_with_itself():
     for cell in P.cells():
         assert p(proj1(cell)) == p(proj2(cell))
     assert not proj1.violations() and not proj2.violations()
+
+
+def test_pullback_where_no_top_cells_meet_drops_those_dimensions():
+    # two edges of the square out of 00, one along each axis, meet only at 00
+    e, sq = build_standard_cube(1), build_standard_cube(2)
+
+    def edge(end: str, name: str) -> PrecubicalMap:
+        vertices = [sq.cell_of_label(v)[1] for v in ("00", end)]
+        return PrecubicalMap(e, sq, [vertices, [sq.cell_of_label(name)[1]]])
+
+    P, proj1, proj2 = pullback(edge("01", "0*"), edge("10", "*0"))
+    assert P.dims == (1,) and P.label((0, 0)) == "(0,0)"
+    assert proj1((0, 0)) == proj2((0, 0)) == e.base[0]
 
 
 def test_pullback_of_vertex_complexes_is_product():
