@@ -219,8 +219,12 @@ def build_ordered_cover(labels) -> OrderedCover:
     downstream check is exponential in the arity anyway.
     """
     ground = tuple(labels) if isinstance(labels, Iterable) else default_labels(labels)
-    if len(set(ground)) != len(ground):
-        raise ContractError("ground set has repeated labels")
+    try:
+        distinct = len(set(ground)) == len(ground)
+    except TypeError:  # an unhashable label
+        distinct = False
+    if not distinct:
+        raise ContractError("ground set must hold distinct hashable labels")
     if len(ground) > 6:
         raise ResourceCapError(f"ground set size {len(ground)} above cap 6")
     n = len(ground)

@@ -2,6 +2,11 @@
 
 Smith normal form over Z with optional unimodular transforms, and integral
 homology (Betti numbers plus torsion coefficients in divisibility order).
+Homology reduces the boundaries top-down and clears: a unit pivot of d_{k+1}
+pairs a degree-k generator with a degree-(k+1) one, the pivot block has
+determinant +-1, and d^2 = 0 makes d_k vanish on its image, so d_k is reduced
+without the pivot rows of d_{k+1} and keeps its rank and invariant factors
+(Kaczynski-Mrozek-Slusarek reduction; the clearing of Chen-Kerber).
 All arithmetic uses Python's arbitrary-precision integers; there is no
 floating point and no modular shortcut anywhere.
 """
@@ -285,16 +290,23 @@ def _dense_smith(a, m, n, want_transforms):
     return diag, U, V
 
 
-def _rank_and_divisors(columns: list[Column], nrows: int) -> tuple[int, tuple[int, ...]]:
-    """Rank and invariant factors of a column-sparse integer matrix.
+def _rank_and_divisors(
+    columns: list[Column], nrows: int, cleared: frozenset[int] = frozenset()
+) -> tuple[int, tuple[int, ...], frozenset[int]]:
+    """Rank, invariant factors and unit-pivot rows of a column-sparse matrix.
 
     Unit pivots are eliminated sparsely (Markowitz-flavoured: shortest rows
     first, then sparsest column); whatever remains without a +-1 entry is
     handed to the dense routine.  Unimodular row/column operations preserve
     the invariant factors, so the result equals the dense SNF diagonal.
+    The columns listed in ``cleared`` are left out before elimination.  The
+    third value is the set of rows used as unit pivots; rows that reach the
+    dense block are never in it.
     """
     rows: dict[int, dict[int, int]] = {}
     for c, col in enumerate(columns):
+        if c in cleared:
+            continue
         for r, v in col.items():
             if v:
                 rows.setdefault(r, {})[c] = v
@@ -305,7 +317,7 @@ def _rank_and_divisors(columns: list[Column], nrows: int) -> tuple[int, tuple[in
 
     heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)
-    unit_rank = 0
+    pivot_rows: set[int] = set()
     while heap:
         length, r = heapq.heappop(heap)
         row = rows.get(r)
@@ -341,10 +353,11 @@ def _rank_and_divisors(columns: list[Column], nrows: int) -> tuple[int, tuple[in
                 heapq.heappush(heap, (len(other), rr))
             else:
                 del rows[rr]
-        unit_rank += 1
+        pivot_rows.add(r)
 
+    unit_rank = len(pivot_rows)
     if not rows:
-        return unit_rank, (1,) * unit_rank
+        return unit_rank, (1,) * unit_rank, frozenset(pivot_rows)
     live_rows = sorted(rows)
     live_cols = sorted({c for row in rows.values() for c in row})
     cpos = {c: j for j, c in enumerate(live_cols)}
@@ -353,23 +366,34 @@ def _rank_and_divisors(columns: list[Column], nrows: int) -> tuple[int, tuple[in
         for c, v in rows[r].items():
             dense[i][cpos[c]] = v
     diag, _, _ = _dense_smith(dense, len(live_rows), len(live_cols), False)
-    return unit_rank + len(diag), (1,) * unit_rank + tuple(diag)
+    return unit_rank + len(diag), (1,) * unit_rank + tuple(diag), frozenset(pivot_rows)
 
 
 def boundary_rank_and_divisors(complex: ChainComplex, k: int) -> tuple[int, tuple[int, ...]]:
+    """Rank and invariant factors of d_k on its own, without clearing."""
     if k <= 0 or k > complex.top_degree:
         return 0, ()
-    return _rank_and_divisors(complex.boundary_columns(k), complex.ranks[k - 1])
+    return _rank_and_divisors(complex.boundary_columns(k), complex.ranks[k - 1])[:2]
 
 
 def homology(complex: ChainComplex) -> tuple[HomologyGroup, ...]:
     """Integral homology of a validated chain complex.
 
     H_k has free rank rank(C_k) - rank(d_k) - rank(d_{k+1}) and torsion the
-    invariant factors > 1 of d_{k+1}.
+    invariant factors > 1 of d_{k+1}.  Boundaries are reduced from the top
+    degree down, and d_k skips the columns that d_{k+1} used as unit-pivot
+    rows: those rows R and their pivot columns S span a block of det +-1, so
+    d_{k+1}(S) plus the other unit vectors is a basis of C_k on which
+    d_k vanishes (d^2 = 0), and dropping R keeps rank and invariant factors.
     """
     complex.check_boundary_squares_to_zero()
-    info = {k: boundary_rank_and_divisors(complex, k) for k in range(1, complex.top_degree + 1)}
+    info = {}
+    cleared: frozenset[int] = frozenset()
+    for k in range(complex.top_degree, 0, -1):
+        rank, divisors, cleared = _rank_and_divisors(
+            complex.boundary_columns(k), complex.ranks[k - 1], cleared
+        )
+        info[k] = rank, divisors
     groups = []
     for k, rk in enumerate(complex.ranks):
         rank_in = info.get(k, (0, ()))[0]

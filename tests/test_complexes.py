@@ -265,6 +265,12 @@ def test_cover_face_criterion_needs_common_ground():
         is_cover_face(a, b)
 
 
+@pytest.mark.parametrize("ground", [[[1], [2]], ["a", "a"], [{"a"}]], ids=["unhashable", "repeated", "set"])
+def test_ordered_cover_needs_distinct_hashable_labels(ground):
+    with pytest.raises(ContractError, match="distinct hashable labels"):
+        build_ordered_cover(ground)
+
+
 def test_default_labels():
     assert default_labels(3) == ("a", "b", "c")
     with pytest.raises(ContractError):

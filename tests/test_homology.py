@@ -4,7 +4,12 @@ from math import gcd
 
 import pytest
 
-from dicube.categories import build_break_category, nerve_complex, regular_orders_poset
+from dicube.categories import (
+    build_break_category,
+    nerve_complex,
+    regular_orders_poset,
+    symmetric_order_quotient,
+)
 from dicube.complexes import default_labels
 from dicube.errors import ContractError
 from dicube.homology import (
@@ -321,3 +326,80 @@ def test_homology_is_invariant_under_unimodular_change_of_basis(model, n):
         twisted = change_of_basis(cx, rng, 2 * sum(cx.ranks))
         assert twisted.ranks == cx.ranks
         assert homology(twisted) == want
+
+
+# -- top-down clearing ----------------------------------------------------------
+
+
+def homology_per_degree(cx):
+    """Homology from each boundary reduced on its own, without clearing."""
+    info = [boundary_rank_and_divisors(cx, k) for k in range(cx.top_degree + 2)]
+    return tuple(
+        HomologyGroup(rk - info[k][0] - info[k + 1][0], tuple(d for d in info[k + 1][1] if d > 1))
+        for k, rk in enumerate(cx.ranks)
+    )
+
+
+def test_dense_fallback_rows_are_not_cleared():
+    # d2 = (2, 3) has no unit entry, so its rows reach the dense block; they
+    # are not unit pivots, and clearing either column of d1 = (3, -2) would
+    # leave a cyclic H0
+    cx = ChainComplex([1, 2, 1], [[{0: 3}, {0: -2}], [{0: 2, 1: 3}]])
+    assert homology(cx) == (HomologyGroup(0), HomologyGroup(0), HomologyGroup(0))
+    assert homology(cx) == homology_per_degree(cx)
+
+
+def elementary_sum(pieces):
+    """Direct sum over degrees 0..4 of the complexes Z -> Z, x |-> d x, one
+    per piece (k, d), with the source in degree k + 1 and the target in k."""
+    ranks = [0] * 5
+    columns = [{} for _ in ranks]  # degree j: generator -> its boundary column
+    for k, d in pieces:
+        target, source = ranks[k], ranks[k + 1]
+        ranks[k] += 1
+        ranks[k + 1] += 1
+        columns[k + 1][source] = {target: d} if d else {}
+    return ChainComplex(
+        ranks, [[columns[j].get(i, {}) for i in range(ranks[j])] for j in range(1, 5)]
+    )
+
+
+def elementary_homology(pieces):
+    """Known homology of ``elementary_sum(pieces)``: each d = 0 piece is a Z
+    in both degrees, each |d| > 1 a Z/d in degree k; the cyclic parts are
+    regrouped into invariant factors 2 | 2 | ... or 3 | ... followed by 6s."""
+    groups = []
+    for j in range(5):
+        betti = sum(d == 0 and j in (k, k + 1) for k, d in pieces)
+        twos = sum(k == j and d in (2, 6) for k, d in pieces)
+        threes = sum(k == j and d in (3, 6) for k, d in pieces)
+        sixes = min(twos, threes)
+        torsion = (2,) * (twos - sixes) + (3,) * (threes - sixes) + (6,) * sixes
+        groups.append(HomologyGroup(betti, torsion))
+    return tuple(groups)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_clearing_on_twisted_elementary_sums(seed):
+    rng = random.Random(seed)
+    # one piece per degree keeps every chain group nonzero
+    pieces = [(k, rng.choice((0, 1, -1, 2, 3, 6))) for k in range(4)]
+    pieces += [(rng.randrange(4), rng.choice((0, 1, -1, 2, 3, 6))) for _ in range(rng.randint(0, 12))]
+    cx = elementary_sum(pieces)
+    want = elementary_homology(pieces)
+    assert homology(cx) == want
+    for _ in range(3):
+        twisted = change_of_basis(cx, rng, 2 * sum(cx.ranks))
+        assert homology(twisted) == want
+        assert homology_per_degree(twisted) == want
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_clearing_matches_per_degree_reduction_on_the_break_nerve(n):
+    cx = nerve_complex(build_break_category(n))
+    assert homology(cx) == homology_per_degree(cx)
+
+
+def test_clearing_matches_per_degree_reduction_on_the_regular_quotient():
+    cx = nerve_complex(symmetric_order_quotient(default_labels(4), "regular").quotient)
+    assert homology(cx) == homology_per_degree(cx)
