@@ -188,6 +188,7 @@ GOLDEN_NERVES = {
     'break-2': '8bacf96b072aa263',
     'break-3': '9fd92c476ea18947',
     'break-4': '5472e213f86b008c',
+    'break-5': 'd10ab3dbb867d804',
     'regular-orbit-1': ['55116b2f0d183774', '7ae717c9aac47e3a'],
     'regular-orbit-2': ['8bacf96b072aa263', '7bd5b7807ac4a59a'],
     'regular-orbit-3': ['b6b9b14a1c6f8766', 'c0c2f83d0fef4bb2'],
@@ -196,7 +197,7 @@ GOLDEN_NERVES = {
 
 def nerve_digests():
     out = {}
-    for n in range(2, 5):
+    for n in range(2, 6):
         out[f"break-{n}"] = chain_digest(nerve_complex(build_break_category(n)))
     for n in range(1, 4):
         q = symmetric_order_quotient(default_labels(n), "regular")
