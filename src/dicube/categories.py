@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import ContractError, ResourceCapError, require_size
 from .homology import ChainComplex
@@ -178,18 +178,58 @@ def poset_category(P: Poset) -> FiniteCategory:
 # -- nerves ---------------------------------------------------------------------
 
 
-def nerve_chains(C: FiniteCategory) -> list[list[tuple[int, ...]]]:
-    """Composable runs of non-identity morphisms, one level per run length;
-    level 0 lists the objects as empty runs tagged by object index."""
+def _nerve_levels(
+    C: FiniteCategory,
+) -> Iterator[tuple[list[int], list[tuple[int, ...]], Callable[[int, int], int]]]:
+    """The nerve on integer run ids, one level of runs of k >= 1 non-identity
+    morphisms at a time.  Level 1 lists the morphisms in index order, and
+    the runs p.m extending a run p get consecutive ids in the order of m, so
+    ids follow the lexicographic order of runs.  Each level yields every
+    run's last morphism, its faces d_0..d_k as ids one level down (objects
+    for k = 1), and ``child(q, m)``, the id of q.m for q one level down.
+    The faces of p.m are those of p extended by m, the last one by m after
+    last(p), and then p; in a loop-free category they are distinct.
+    """
     if not C.is_loop_free():
         raise ContractError("nerve is infinite: category has loops")
     idset = set(C.identity)
     steps = [[m for m in out if m not in idset] for out in C.out_of]
+    pos = {m: i for out in steps for i, m in enumerate(out)}
+    tgt = [mor.tgt for mor in C.morphisms]
+    last = C.non_identity()
+    objects, here = list(range(C.n_objects)), list(range(len(last)))  # one int object per id
+    id_of = dict(zip(last, here))
+    kids: list[Sequence[int]] = [[id_of[m] for m in out] for out in steps]
+    faces = [(objects[tgt[m]], objects[C.morphisms[m].src]) for m in last]
+    # for each morphism f: the non-identities g out of tgt f, and the
+    # positions of the composites g f among the non-identities out of src f
+    next_steps = [steps[t] for t in tgt]
+    after = [[pos[C.compose(g, f)] for g in next_steps[f]] for f in range(C.n_morphisms)]
+    while last:
+        yield last, faces, lambda q, m, kids=kids: kids[q][pos[m]]
+        above = list(range(sum(len(next_steps[f]) for f in last)))
+        next_last, next_faces, next_kids = [], [], []
+        for p, f, face in zip(here, last, faces):
+            out = next_steps[f]
+            if out:
+                tail = kids[face[-1]]
+                inner = [kids[q] for q in face[:-1]]
+                next_faces.extend(zip(*inner, [tail[j] for j in after[f]], itertools.repeat(p)))
+                next_kids.append(above[len(next_last) : len(next_last) + len(out)])
+                next_last.extend(out)
+            else:
+                next_kids.append(())
+        last, faces, kids, here = next_last, next_faces, next_kids, above
+
+
+def nerve_chains(C: FiniteCategory) -> list[list[tuple[int, ...]]]:
+    """Composable runs of non-identity morphisms, one level per run length;
+    level 0 lists the objects as empty runs tagged by object index."""
     levels: list[list[tuple[int, ...]]] = [[(o,) for o in range(C.n_objects)]]
-    current = [(m,) for m in C.non_identity()]
-    while current:
-        levels.append(current)
-        current = [run + (m,) for run in current for m in steps[C.morphisms[run[-1]].tgt]]
+    prev: list[tuple[int, ...]] = [()] * C.n_objects  # the last face of a morphism is its source
+    for last, faces, _ in _nerve_levels(C):
+        prev = [prev[face[-1]] + (m,) for m, face in zip(last, faces)]
+        levels.append(prev)
     return levels
 
 
@@ -198,47 +238,16 @@ def nerve_complex(C: FiniteCategory) -> ChainComplex:
 
     For a loop-free category no composite of non-identity morphisms is an
     identity, so the chains are freely generated by the runs from
-    ``nerve_chains`` and the boundary alternates drop/compose faces.
-    """
-    levels = nerve_chains(C)
-    rows = [{run: i for i, run in enumerate(level)} for level in levels[:-1]]
-    return ChainComplex([len(level) for level in levels], _nerve_boundaries(C, levels, rows))
-
-
-def _nerve_boundaries(
-    C: FiniteCategory,
-    levels: Sequence[Sequence[tuple[int, ...]]],
-    rows: Sequence[Mapping[tuple[int, ...], int]],
-) -> list[list[dict[int, int]]]:
-    """Sparse boundary columns of the runs in ``levels[k]`` for k >= 1:
+    ``nerve_chains`` and the boundary alternates drop/compose faces:
     d(f1, ..., fk) = (f2, ..., fk) + sum_i (-1)^i (..., f(i+1) f(i), ...)
-    + (-1)^k (f1, ..., f(k-1)), and d(f) = tgt f - src f on single
-    morphisms; ``rows[k - 1]`` maps each face run to its row index."""
-    boundaries = []
-    for k in range(1, len(levels)):
-        row_of = rows[k - 1]
-        cols = []
-        for run in levels[k]:
-            col: dict[int, int] = {}
-
-            def add(face: tuple[int, ...], sign: int):
-                row = row_of[face]
-                col[row] = col.get(row, 0) + sign
-
-            if k == 1:
-                add((C.morphisms[run[0]].tgt,), 1)
-                add((C.morphisms[run[0]].src,), -1)
-            else:
-                add(run[1:], 1)
-                for i in range(1, k):
-                    add(
-                        run[: i - 1] + (C.compose(run[i], run[i - 1]),) + run[i + 1 :],
-                        (-1) ** i,
-                    )
-                add(run[:-1], (-1) ** k)
-            cols.append({r: v for r, v in col.items() if v})
-        boundaries.append(cols)
-    return boundaries
+    + (-1)^k (f1, ..., f(k-1)).
+    """
+    ranks, boundaries = [C.n_objects], []
+    for _, faces, _ in _nerve_levels(C):
+        signs = tuple((-1) ** i for i in range(len(ranks) + 1))
+        boundaries.append([dict(zip(face, signs)) for face in faces])
+        ranks.append(len(faces))
+    return ChainComplex(ranks, boundaries)
 
 
 def composable_run_counts(C: FiniteCategory) -> list[int]:
@@ -370,28 +379,24 @@ def _blocks(breaks: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     return [(bounds[i] + 1, bounds[i + 1]) for i in range(len(bounds) - 1)]
 
 
-def _cond_blockwise(phi: tuple[int, ...], breaks: tuple[int, ...], n: int) -> bool:
-    # each target block is permuted into itself
-    for lo, hi in _blocks(breaks, n):
-        if {phi[i - 1] for i in range(lo, hi + 1)} != set(range(lo, hi + 1)):
-            return False
-    return True
-
-
-def _cond_monotone(phi: tuple[int, ...], breaks: tuple[int, ...], n: int) -> bool:
-    # increasing within each source block
-    for lo, hi in _blocks(breaks, n):
-        for i in range(lo, hi):
-            if not phi[i - 1] < phi[i]:
-                return False
-    return True
+def _shuffles(free: tuple[int, ...], sizes: Sequence[int]) -> list[tuple[int, ...]]:
+    """The maps of consecutive runs of the given sizes onto the sorted ``free``
+    that increase on each run, as image tuples in lexicographic order."""
+    if not sizes:
+        return [()]
+    return [
+        pick + rest
+        for pick in itertools.combinations(free, sizes[0])
+        for rest in _shuffles(tuple(v for v in free if v not in pick), sizes[1:])
+    ]
 
 
 def build_break_category(n: int) -> FiniteCategory:
     """The category of break sets: objects are subsets of {1..n-1}; morphisms
     from B to a coarser B' are the permutations of {1..n} preserving each
-    B'-block setwise and increasing within each B-block.  Composition is
-    composition of permutations (CLI model id: en).
+    B'-block setwise and increasing within each B-block, that is the
+    shuffles of the B-blocks inside each B'-block, listed in lexicographic
+    order.  Composition is composition of permutations (CLI model id: en).
     """
     require_size(n, "n")
     if n < 1:
@@ -408,13 +413,19 @@ def build_break_category(n: int) -> FiniteCategory:
     morphisms: list[Morphism] = []
     mor_index: dict[tuple[int, int, tuple[int, ...]], int] = {}
     for b_idx, breaks in enumerate(objects):
+        fine = _blocks(breaks, n)
         for b2_idx, coarser in enumerate(objects):
             if not set(coarser) <= set(breaks):
                 continue
-            for phi in itertools.permutations(range(1, n + 1)):
-                if _cond_blockwise(phi, coarser, n) and _cond_monotone(phi, breaks, n):
-                    mor_index[(b_idx, b2_idx, phi)] = len(morphisms)
-                    morphisms.append(Morphism(b_idx, b2_idx, phi))
+            # a shuffle of the fine blocks in each coarse block, blocks left to right
+            per_block = [
+                _shuffles(tuple(range(lo, hi + 1)), [b - a + 1 for a, b in fine if lo <= a <= hi])
+                for lo, hi in _blocks(coarser, n)
+            ]
+            for parts in itertools.product(*per_block):
+                phi = sum(parts, ())
+                mor_index[(b_idx, b2_idx, phi)] = len(morphisms)
+                morphisms.append(Morphism(b_idx, b2_idx, phi))
     ident = tuple(range(1, n + 1))
     identity = [mor_index[(i, i, ident)] for i in range(len(objects))]
 
@@ -562,25 +573,33 @@ def nerve_orbit_complex(
     never merge signed faces.
     """
     levels = nerve_chains(C)
-    group = range(len(act.on_objects))
-
-    def image(g: int, run: tuple[int, ...], k: int) -> tuple[int, ...]:
-        if k == 0:
-            return (act.on_objects[g][run[0]],)
-        return tuple(act.act_morphism(g, m) for m in run)
-
     rep_levels: list[list[tuple[int, ...]]] = []
-    rows: list[dict[tuple[int, ...], int]] = []  # each run to the index of its orbit
-    for k, level in enumerate(levels):
-        reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for run in level:
-            if run not in reps:
-                orbit = [image(g, run, k) for g in group]
-                reps.update(dict.fromkeys(orbit, min(orbit)))
-        rep_levels.append(sorted(set(reps.values())))
-        index = {run: i for i, run in enumerate(rep_levels[-1])}
-        rows.append({run: index[rep] for run, rep in reps.items()})
-    boundaries = _nerve_boundaries(C, rep_levels, rows)
+
+    def orbits(image: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+        # ids follow the lexicographic order of runs, so the least id is the least run
+        rep = [min(orbit) for orbit in zip(*image)]
+        reps = sorted(set(rep))
+        rep_levels.append([levels[len(rep_levels)][r] for r in reps])
+        index = {r: i for i, r in enumerate(reps)}
+        return reps, [index[r] for r in rep]
+
+    image = act.on_objects  # image[g][run id] at the current level
+    _, orbit_of = orbits(image)
+    boundaries = []
+    for last, faces, child in _nerve_levels(C):
+        image = [
+            [child(row[face[-1]], act.act_morphism(g, m)) for m, face in zip(last, faces)]
+            for g, row in enumerate(image)
+        ]
+        reps, next_orbit_of = orbits(image)
+        cols = []
+        for r in reps:
+            col: dict[int, int] = {}
+            for i, face in enumerate(faces[r]):
+                col[orbit_of[face]] = col.get(orbit_of[face], 0) + (-1) ** i
+            cols.append({row: v for row, v in col.items() if v})
+        boundaries.append(cols)
+        orbit_of = next_orbit_of
     return ChainComplex([len(level) for level in rep_levels], boundaries), rep_levels
 
 

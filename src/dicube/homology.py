@@ -51,8 +51,9 @@ class ChainComplex:
     column-sparse: a list (one entry per degree-k generator) of
     ``{row: coefficient}`` dicts.  Dense ``list[list[int]]`` input is
     accepted and converted.  Rows and coefficients must be ``int`` (``bool``
-    excluded).  Construction checks that every composite of consecutive
-    boundaries is zero.
+    excluded); a plain dict column of nonzero entries is kept, not copied.
+    Construction checks that every composite of consecutive boundaries is
+    zero.
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: Sequence):
@@ -73,10 +74,12 @@ class ChainComplex:
         cols: list[Column] = []
         if raw and isinstance(raw[0], dict):
             source = list(raw)
-        elif raw and isinstance(raw[0], (list, tuple)):
-            # dense rows -> sparse columns
+        elif raw and isinstance(raw[0], (list, tuple)) or not raw and nrows == 0:
+            # dense rows -> sparse columns; [] is also the dense form with no rows
             if len(raw) != nrows:
                 raise ContractError(f"boundary has {len(raw)} rows, expected {nrows}")
+            if any(not isinstance(row, (list, tuple)) or len(row) != ncols for row in raw):
+                raise ContractError(f"dense boundary rows must be lists of {ncols} entries")
             source = [{i: raw[i][j] for i in range(nrows)} for j in range(ncols)]
         else:
             source = list(raw)
@@ -85,16 +88,15 @@ class ChainComplex:
         for col in source:
             if not isinstance(col, dict):
                 raise ContractError(f"boundary columns must be dicts, got {col!r}")
-            clean = {}
             for r, v in col.items():
                 # a type test, not int(): int(0.5) is 0 and int(True) is 1
                 if type(r) is not int or type(v) is not int:
                     raise ContractError(f"boundary entries must be ints, got {r!r}: {v!r}")
                 if not (0 <= r < nrows):
                     raise ContractError(f"row index {r} out of range 0..{nrows - 1}")
-                if v:
-                    clean[r] = v
-            cols.append(clean)
+            if type(col) is not dict or not all(col.values()):
+                col = {r: v for r, v in col.items() if v}
+            cols.append(col)
         return cols
 
     @property
@@ -299,21 +301,18 @@ def _rank_and_divisors(
     first, then sparsest column); whatever remains without a +-1 entry is
     handed to the dense routine.  Unimodular row/column operations preserve
     the invariant factors, so the result equals the dense SNF diagonal.
-    The columns listed in ``cleared`` are left out before elimination.  The
+    Columns hold nonzero entries, as ``ChainComplex`` keeps them; those
+    listed in ``cleared`` are left out before elimination.  The
     third value is the set of rows used as unit pivots; rows that reach the
     dense block are never in it.
     """
     rows: dict[int, dict[int, int]] = {}
-    for c, col in enumerate(columns):
-        if c in cleared:
-            continue
-        for r, v in col.items():
-            if v:
-                rows.setdefault(r, {})[c] = v
     col_rows: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
+    for c, col in enumerate(columns):
+        if col and c not in cleared:
+            col_rows[c] = set(col)
+            for r, v in col.items():
+                rows.setdefault(r, {})[c] = v
 
     heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)
@@ -332,21 +331,22 @@ def _rank_and_divisors(
             # unit-free row can be dropped here for good
             continue
         c = min(units)[1]
-        piv = row[c]
         prow = rows.pop(r)
-        if piv == -1:
-            prow = {cc: -vv for cc, vv in prow.items()}
+        piv = prow.pop(c)  # +-1, its own inverse
         for cc in prow:
             col_rows[cc].discard(r)
-        for rr in sorted(col_rows.get(c, ())):
+        # column c leaves the matrix with its pivot: clear it from the other rows
+        others = col_rows.pop(c)
+        others.discard(r)
+        for rr in others:
             other = rows[rr]
-            f = other[c]
+            f = other.pop(c) * piv
             for cc, vv in prow.items():
                 new = other.get(cc, 0) - f * vv
                 if new:
                     other[cc] = new
-                    col_rows.setdefault(cc, set()).add(rr)
-                elif cc in other:
+                    col_rows[cc].add(rr)
+                else:
                     del other[cc]
                     col_rows[cc].discard(rr)
             if other:

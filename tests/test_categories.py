@@ -7,7 +7,6 @@ import pytest
 from dicube.categories import (
     FiniteCategory,
     Morphism,
-    _cond_blockwise,
     break_functor,
     break_hom_count_oracle,
     break_set,
@@ -15,6 +14,7 @@ from dicube.categories import (
     check_functoriality,
     composable_run_counts,
     monotone_numbering,
+    nerve_chains,
     nerve_complex,
     nerve_orbit_complex,
     poset_category,
@@ -354,6 +354,133 @@ def test_finite_category_rejects_indices_out_of_range(morphisms, identity):
         FiniteCategory(["*"], morphisms, identity, lambda g, f: 0)
 
 
+# the tuple-run nerve: runs as tuples of morphism indices, faces looked up by tuple
+
+
+def nerve_chains_by_tuples(C):
+    idset = set(C.identity)
+    steps = [[m for m in out if m not in idset] for out in C.out_of]
+    levels = [[(o,) for o in range(C.n_objects)]]
+    current = [(m,) for m in C.non_identity()]
+    while current:
+        levels.append(current)
+        current = [run + (m,) for run in current for m in steps[C.morphisms[run[-1]].tgt]]
+    return levels
+
+
+def nerve_boundaries_by_tuples(C, levels, rows):
+    """d(f1, ..., fk) = (f2, ..., fk) + sum_i (-1)^i (..., f(i+1) f(i), ...)
+    + (-1)^k (f1, ..., f(k-1)), and d(f) = tgt f - src f; ``rows[k - 1]``
+    maps each face run to its row index."""
+    boundaries = []
+    for k in range(1, len(levels)):
+        row_of = rows[k - 1]
+        cols = []
+        for run in levels[k]:
+            col = {}
+
+            def add(face, sign):
+                row = row_of[face]
+                col[row] = col.get(row, 0) + sign
+
+            if k == 1:
+                add((C.morphisms[run[0]].tgt,), 1)
+                add((C.morphisms[run[0]].src,), -1)
+            else:
+                add(run[1:], 1)
+                for i in range(1, k):
+                    add(run[: i - 1] + (C.compose(run[i], run[i - 1]),) + run[i + 1 :], (-1) ** i)
+                add(run[:-1], (-1) ** k)
+            cols.append({r: v for r, v in col.items() if v})
+        boundaries.append(cols)
+    return boundaries
+
+
+def nerve_by_tuples(C):
+    levels = nerve_chains_by_tuples(C)
+    rows = [{run: i for i, run in enumerate(level)} for level in levels[:-1]]
+    return [len(level) for level in levels], nerve_boundaries_by_tuples(C, levels, rows)
+
+
+def nerve_orbits_by_tuples(C, act):
+    """Orbit ranks, boundaries and least runs, from the tuple-run nerve."""
+    levels = nerve_chains_by_tuples(C)
+    rep_levels, rows = [], []
+    for k, level in enumerate(levels):
+        reps = {}
+        for run in level:
+            if run not in reps:
+                orbit = [
+                    (act.on_objects[g][run[0]],)
+                    if k == 0
+                    else tuple(act.act_morphism(g, m) for m in run)
+                    for g in range(len(act.on_objects))
+                ]
+                reps.update(dict.fromkeys(orbit, min(orbit)))
+        rep_levels.append(sorted(set(reps.values())))
+        index = {run: i for i, run in enumerate(rep_levels[-1])}
+        rows.append({run: index[rep] for run, rep in reps.items()})
+    ranks = [len(level) for level in rep_levels]
+    return ranks, nerve_boundaries_by_tuples(C, rep_levels, rows), rep_levels
+
+
+def columns_of(cx):
+    return [cx.boundary_columns(k) for k in range(1, cx.top_degree + 1)]
+
+
+def assert_nerve_matches_the_tuple_runs(C):
+    ranks, boundaries = nerve_by_tuples(C)
+    cx = nerve_complex(C)
+    assert list(cx.ranks) == ranks
+    assert columns_of(cx) == boundaries
+    assert nerve_chains(C) == nerve_chains_by_tuples(C)
+
+
+def shuffled_poset_category(P, rng):
+    """A poset as a category with its morphisms listed in random order, so
+    the morphisms out of one object need not be consecutive."""
+    pairs = rel_pairs(P.leq)
+    rng.shuffle(pairs)
+    index = {pair: m for m, pair in enumerate(pairs)}
+    return FiniteCategory(
+        P.elements,
+        [Morphism(i, j) for i, j in pairs],
+        [index[(i, i)] for i in range(len(P.elements))],
+        lambda g, f: index[(pairs[f][0], pairs[g][1])],
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_break_nerve_matches_the_tuple_runs(n):
+    assert_nerve_matches_the_tuple_runs(build_break_category(n))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_poset_nerves_match_the_tuple_runs(seed):
+    rng = random.Random(seed)
+    P = random_poset(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.7]))
+    assert_nerve_matches_the_tuple_runs(poset_category(P))
+    assert_nerve_matches_the_tuple_runs(shuffled_poset_category(P, rng))
+
+
+def test_regular_quotient_nerve_and_orbit_complex_match_the_tuple_runs():
+    q = symmetric_order_quotient(default_labels(3), "regular")
+    assert_nerve_matches_the_tuple_runs(q.quotient)
+    orbit_cx, orbit_levels = nerve_orbit_complex(q.category, q.action)
+    ranks, boundaries, rep_levels = nerve_orbits_by_tuples(q.category, q.action)
+    assert list(orbit_cx.ranks) == ranks
+    assert columns_of(orbit_cx) == boundaries
+    assert orbit_levels == rep_levels
+
+
+@pytest.mark.parametrize("size", [0, 1, 3])
+def test_nerve_of_a_category_with_only_identities_is_its_objects(size):
+    C = poset_category(Poset([f"p{i}" for i in range(size)], [1 << i for i in range(size)]))
+    assert nerve_complex(C).ranks == (size,)
+    assert nerve_chains(C) == [[(o,) for o in range(size)]]
+    assert_nerve_matches_the_tuple_runs(C)
+
+
 IDENTITIES_OF_U_AND_V = [Morphism(0, 0), Morphism(1, 1)]
 
 
@@ -417,6 +544,75 @@ def test_break_category_loop_free_with_trivial_endos(n):
         assert E.hom(i, i) == [E.identity[i]]
 
 
+def blocks(breaks, n):
+    bounds = [0, *breaks, n]
+    return [(bounds[i] + 1, bounds[i + 1]) for i in range(len(bounds) - 1)]
+
+
+def cond_blockwise(phi, breaks, n):
+    # each target block is permuted into itself
+    for lo, hi in blocks(breaks, n):
+        if {phi[i - 1] for i in range(lo, hi + 1)} != set(range(lo, hi + 1)):
+            return False
+    return True
+
+
+def cond_monotone(phi, breaks, n):
+    # increasing within each source block
+    for lo, hi in blocks(breaks, n):
+        for i in range(lo, hi):
+            if not phi[i - 1] < phi[i]:
+                return False
+    return True
+
+
+def break_category_by_filter(n):
+    """The break category from its definition: for each pair of break sets
+    B, B' with B' inside B, every permutation of {1..n} in lexicographic
+    order that keeps each B'-block and increases on each B-block; composed
+    as permutations.  Returns the objects, the (src, tgt, phi) morphisms,
+    the identities and the composition table in ``composable_pairs`` order."""
+    objects = sorted(
+        (b for size in range(n) for b in itertools.combinations(range(1, n), size)),
+        key=lambda b: (len(b), b),
+    )
+    morphisms = []
+    for a, breaks in enumerate(objects):
+        for b, coarser in enumerate(objects):
+            if set(coarser) <= set(breaks):
+                morphisms.extend(
+                    (a, b, phi)
+                    for phi in itertools.permutations(range(1, n + 1))
+                    if cond_blockwise(phi, coarser, n) and cond_monotone(phi, breaks, n)
+                )
+    index = {mor: i for i, mor in enumerate(morphisms)}
+    ident = tuple(range(1, n + 1))
+    identity = [index[(a, a, ident)] for a in range(len(objects))]
+    out_of = [[] for _ in objects]
+    for g, (a, _, _) in enumerate(morphisms):
+        out_of[a].append(g)
+    compose = {}
+    for f, (a, b, phi) in enumerate(morphisms):
+        for g in out_of[b]:
+            _, c, psi = morphisms[g]
+            compose[(g, f)] = index[(a, c, tuple(psi[i - 1] for i in phi))]
+    return objects, morphisms, identity, compose
+
+
+def assert_break_category_matches_its_definition(n):
+    E = build_break_category(n)
+    objects, morphisms, identity, compose = break_category_by_filter(n)
+    assert E.objects == objects
+    assert [(mor.src, mor.tgt, mor.payload) for mor in E.morphisms] == morphisms
+    assert E.identity == identity
+    assert list(E._compose.items()) == list(compose.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_break_category_matches_the_permutation_filter(n):
+    assert_break_category_matches_its_definition(n)
+
+
 def test_break_category_euler_characteristic_zero():
     for n in (2, 3, 4):
         assert euler_characteristic(nerve_complex(build_break_category(n))) == 0
@@ -442,7 +638,7 @@ def test_blockwise_condition_matches_the_pairwise_form(n):
     for size in range(n):
         for breaks in itertools.combinations(range(1, n), size):
             for phi in itertools.permutations(range(1, n + 1)):
-                assert _cond_blockwise(phi, breaks, n) == cond_blockwise_by_pairs(phi, breaks, n)
+                assert cond_blockwise(phi, breaks, n) == cond_blockwise_by_pairs(phi, breaks, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -15,6 +16,7 @@ from dicube.errors import ContractError
 from dicube.homology import (
     ChainComplex,
     HomologyGroup,
+    _rank_and_divisors,
     boundary_rank_and_divisors,
     euler_characteristic,
     homology,
@@ -136,6 +138,62 @@ def test_sparse_divisors_match_dense_snf():
         assert rank == rational_rank(a)
 
 
+def random_sparse_matrix(rng, max_size=40):
+    """An m x n integer matrix with few entries per column, so that unit
+    elimination fills in; +-1 and non-unit entries, and some empty rows and
+    zero columns.  Returns the rows and the column count."""
+    m, n = rng.randint(0, max_size), rng.randint(0, max_size)
+    density = rng.choice((0.04, 0.08, 0.15))
+    values = (1, -1, 1, -1, 2, -2, 3, -4, 6)
+    a = [[rng.choice(values) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+    for i in rng.sample(range(m), m // 6):
+        a[i] = [0] * n
+    for j in rng.sample(range(n), n // 6):
+        for row in a:
+            row[j] = 0
+    return a, n
+
+
+def sparse_columns(a, n):
+    return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparse_elimination_matches_dense_snf_on_random_sparse_matrices(seed, monkeypatch):
+    rng = random.Random(seed)
+    a, n = random_sparse_matrix(rng)
+    m = len(a)
+    dense_ranks = []
+    # the package exports a function named homology, which hides the module
+    module = importlib.import_module("dicube.homology")
+    dense_smith = module._dense_smith
+
+    def counting_dense_smith(block, rows, cols, want):
+        diag, u, v = dense_smith(block, rows, cols, want)
+        dense_ranks.append(len(diag))
+        return diag, u, v
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_dense_smith", counting_dense_smith)
+        rank, divisors, pivot_rows = _rank_and_divisors(sparse_columns(a, n), m)
+    assert divisors == smith_normal_form(a).diagonal
+    assert rank == len(divisors) == rational_rank(a)
+    # one pivot row per unit pivot; those rows carry a block of invariant factors 1
+    assert len(pivot_rows) == rank - sum(dense_ranks)
+    assert smith_normal_form([a[i] for i in sorted(pivot_rows)]).diagonal == (1,) * len(pivot_rows)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cleared_columns_reduce_like_deleted_columns(seed):
+    rng = random.Random(1000 + seed)
+    a, n = random_sparse_matrix(rng)
+    m = len(a)
+    cols = sparse_columns(a, n)
+    cleared = frozenset(j for j in range(n) if rng.random() < 0.3)
+    kept = [col for j, col in enumerate(cols) if j not in cleared]
+    assert _rank_and_divisors(cols, m, cleared) == _rank_and_divisors(kept, m)
+
+
 # -- homology --------------------------------------------------------------------
 
 
@@ -250,6 +308,27 @@ def test_smith_normal_form_rejects_entries_that_are_not_ints(matrix):
 def test_chain_complex_rejects_ranks_that_are_not_ints(ranks, boundaries):
     with pytest.raises(ContractError):
         ChainComplex(ranks, boundaries)
+
+
+@pytest.mark.parametrize("ranks", [[0, 2], [2, 0], [0, 0]])
+def test_dense_boundary_round_trips_through_a_zero_module(ranks):
+    cx = ChainComplex(ranks, [[{} for _ in range(ranks[1])]])
+    back = ChainComplex(cx.ranks, [cx.boundary_dense(1)])
+    assert back.boundary_columns(1) == cx.boundary_columns(1) == [{}] * ranks[1]
+    assert homology(back) == homology(cx) == tuple(HomologyGroup(r) for r in ranks)
+
+
+@pytest.mark.parametrize(
+    "dense",
+    [
+        pytest.param([[1, 0], [0]], id="short-row"),
+        pytest.param([[1, 0], [0, 1, 0]], id="long-row"),
+        pytest.param([[1, 0], 5], id="row-not-a-list"),
+    ],
+)
+def test_chain_complex_rejects_a_ragged_dense_boundary(dense):
+    with pytest.raises(ContractError):
+        ChainComplex([2, 2], [dense])
 
 
 def test_euler_characteristic_checked_against_homology():
