@@ -2,6 +2,8 @@
 
 Smith normal form over Z with optional unimodular transforms, and integral
 homology (Betti numbers plus torsion coefficients in divisibility order).
+A boundary is reduced by passes of sparse +-1 pivots, shortest row first,
+until a pass makes none; the unit-free rest goes to the dense form.
 Homology reduces the boundaries top-down and clears: a unit pivot of d_{k+1}
 pairs a degree-k generator with a degree-(k+1) one, the pivot block has
 determinant +-1, and d^2 = 0 makes d_k vanish on its image, so d_k is reduced
@@ -13,7 +15,6 @@ floating point and no modular shortcut anywhere.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,6 +58,8 @@ class ChainComplex:
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: Sequence):
+        if not isinstance(ranks, (list, tuple)) or not isinstance(boundaries, (list, tuple)):
+            raise ContractError("ranks and boundaries must be lists")
         self.ranks = tuple(ranks)
         if any(type(r) is not int or r < 0 for r in self.ranks):
             raise ContractError(f"ranks must be nonnegative ints, got {list(self.ranks)!r}")
@@ -72,17 +75,16 @@ class ChainComplex:
     @staticmethod
     def _normalize(raw, nrows: int, ncols: int) -> list[Column]:
         cols: list[Column] = []
-        if raw and isinstance(raw[0], dict):
-            source = list(raw)
-        elif raw and isinstance(raw[0], (list, tuple)) or not raw and nrows == 0:
+        if not isinstance(raw, (list, tuple)):
+            raise ContractError(f"a boundary must be a list of columns or rows, got {raw!r}")
+        source = raw
+        if raw and isinstance(raw[0], (list, tuple)) or not raw and nrows == 0:
             # dense rows -> sparse columns; [] is also the dense form with no rows
             if len(raw) != nrows:
                 raise ContractError(f"boundary has {len(raw)} rows, expected {nrows}")
             if any(not isinstance(row, (list, tuple)) or len(row) != ncols for row in raw):
                 raise ContractError(f"dense boundary rows must be lists of {ncols} entries")
             source = [{i: raw[i][j] for i in range(nrows)} for j in range(ncols)]
-        else:
-            source = list(raw)
         if len(source) != ncols:
             raise ContractError(f"boundary has {len(source)} columns, expected {ncols}")
         for col in source:
@@ -164,8 +166,10 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], transforms: bool = False)
     column swaps, followed by a divisibility fix-up, so the diagonal is a
     divisibility chain.  With ``transforms=True`` the accumulated row and
     column operations are returned as unimodular U and V.  ContractError
-    for a ragged matrix or an entry that is not an int (a bool is not one).
+    unless the matrix is a list of equal-length rows of ints (not bools).
     """
+    if not isinstance(matrix, list | tuple) or not all(isinstance(r, list | tuple) for r in matrix):
+        raise ContractError("matrix must be a list of rows")
     a = [list(row) for row in matrix]
     if any(type(v) is not int for row in a for v in row):
         raise ContractError("matrix entries must be ints")
@@ -297,10 +301,12 @@ def _rank_and_divisors(
 ) -> tuple[int, tuple[int, ...], frozenset[int]]:
     """Rank, invariant factors and unit-pivot rows of a column-sparse matrix.
 
-    Unit pivots are eliminated sparsely (Markowitz-flavoured: shortest rows
-    first, then sparsest column); whatever remains without a +-1 entry is
-    handed to the dense routine.  Unimodular row/column operations preserve
-    the invariant factors, so the result equals the dense SNF diagonal.
+    Unit pivots are eliminated sparsely in passes over the live rows, shortest
+    first as the pass starts (ties in insertion order); a row still holding a
+    +-1 entry pivots on the one whose column has the fewest rows.  Passes
+    repeat until one makes no pivot, so no +-1 entry reaches the dense
+    routine.  Unimodular row/column operations preserve the invariant
+    factors, so the result equals the dense SNF diagonal.
     Columns hold nonzero entries, as ``ChainComplex`` keeps them; those
     listed in ``cleared`` are left out before elimination.  The
     third value is the set of rows used as unit pivots; rows that reach the
@@ -314,46 +320,37 @@ def _rank_and_divisors(
             for r, v in col.items():
                 rows.setdefault(r, {})[c] = v
 
-    heap = [(len(row), r) for r, row in rows.items()]
-    heapq.heapify(heap)
     pivot_rows: set[int] = set()
-    while heap:
-        length, r = heapq.heappop(heap)
-        row = rows.get(r)
-        if row is None:
-            continue
-        if len(row) != length:
-            heapq.heappush(heap, (len(row), r))
-            continue
-        units = [(len(col_rows[c]), c) for c, v in row.items() if v == 1 or v == -1]
-        if not units:
-            # rows are re-queued whenever elimination touches them, so a
-            # unit-free row can be dropped here for good
-            continue
-        c = min(units)[1]
-        prow = rows.pop(r)
-        piv = prow.pop(c)  # +-1, its own inverse
-        for cc in prow:
-            col_rows[cc].discard(r)
-        # column c leaves the matrix with its pivot: clear it from the other rows
-        others = col_rows.pop(c)
-        others.discard(r)
-        for rr in others:
-            other = rows[rr]
-            f = other.pop(c) * piv
-            for cc, vv in prow.items():
-                new = other.get(cc, 0) - f * vv
-                if new:
-                    other[cc] = new
-                    col_rows[cc].add(rr)
-                else:
-                    del other[cc]
-                    col_rows[cc].discard(rr)
-            if other:
-                heapq.heappush(heap, (len(other), rr))
-            else:
-                del rows[rr]
-        pivot_rows.add(r)
+    pivoted = True
+    while pivoted:
+        pivoted = False
+        for r, row in sorted(rows.items(), key=lambda item: len(item[1])):
+            units = [(len(col_rows[c]), c) for c, v in row.items() if v == 1 or v == -1]
+            if not units:
+                continue  # also a row emptied earlier in this pass
+            c = min(units)[1]
+            del rows[r]
+            piv = row.pop(c)  # +-1, its own inverse
+            for cc in row:
+                col_rows[cc].discard(r)
+            # column c leaves the matrix with its pivot: clear it from the other rows
+            others = col_rows.pop(c)
+            others.discard(r)
+            for rr in others:
+                other = rows[rr]
+                f = other.pop(c) * piv
+                for cc, vv in row.items():
+                    new = other.get(cc, 0) - f * vv
+                    if new:
+                        other[cc] = new
+                        col_rows[cc].add(rr)
+                    else:
+                        del other[cc]
+                        col_rows[cc].discard(rr)
+                if not other:
+                    del rows[rr]
+            pivot_rows.add(r)
+            pivoted = True
 
     unit_rank = len(pivot_rows)
     if not rows:

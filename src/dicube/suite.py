@@ -512,7 +512,7 @@ def run_suite(
     params: Optional[dict] = None,
 ) -> list[VerificationReport]:
     """Runs the selected checks (all of them for None) and returns reports in
-    selection order; `n_max` must be at least 1, `jobs` bounds parallel execution."""
+    selection order; `n_max` is an int of at least 1, `jobs` bounds parallel execution."""
     if selection is None:
         ids = list(REGISTRY)
     else:
@@ -520,8 +520,8 @@ def run_suite(
         for check_id in ids:
             if check_id not in REGISTRY:
                 raise UsageError(f"unknown proposition id {check_id!r}")
-    if n_max is not None and n_max < 1:
-        raise UsageError(f"n_max must be at least 1, got {n_max}")
+    if n_max is not None and (type(n_max) is not int or n_max < 1):
+        raise UsageError(f"n_max must be an int of at least 1, got {n_max!r}")
     extra = dict(params or {})
 
     def run_one(check_id: str) -> VerificationReport:

@@ -212,6 +212,12 @@ def test_n_max_below_one_is_a_usage_error(n_max, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("n_max", [2.5, True, "3"])
+def test_n_max_that_is_not_an_int_is_a_usage_error(n_max):
+    with pytest.raises(UsageError):
+        run_suite(["euler-zero"], n_max=n_max)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
