@@ -137,13 +137,20 @@ class CoverCell:
         return CoverCell(self.ones | {element}, mid, self.zeros)
 
     def act(self, sigma: Mapping) -> "CoverCell":
-        """Right action by a permutation of the ground set: preimage on all parts."""
-        inv = {v: k for k, v in sigma.items()}
-        return CoverCell(
-            frozenset(inv[x] for x in self.ones),
-            tuple(inv[x] for x in self.mid),
-            frozenset(inv[x] for x in self.zeros),
-        )
+        """Right action by a permutation of the ground set: preimage on all parts.
+        ContractError unless sigma maps the cell's labels one to one onto them."""
+        if isinstance(sigma, Mapping):
+            try:
+                inv = {v: k for k, v in sigma.items()}
+                if len(inv) == len(sigma):
+                    return CoverCell(
+                        frozenset(inv[x] for x in self.ones),
+                        tuple(inv[x] for x in self.mid),
+                        frozenset(inv[x] for x in self.zeros),
+                    )
+            except (KeyError, TypeError):  # a label without preimage, or an unhashable image
+                pass
+        raise ContractError(f"relabelling {sigma!r} does not permute the labels of {self.text()}")
 
     def text(self) -> str:
         return "({}|{}|{})".format(

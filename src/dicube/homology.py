@@ -2,8 +2,11 @@
 
 Smith normal form over Z with optional unimodular transforms, and integral
 homology (Betti numbers plus torsion coefficients in divisibility order).
-A boundary is reduced by passes of sparse +-1 pivots, shortest row first,
-until a pass makes none; the unit-free rest goes to the dense form.
+The dense form pivots on the smallest nonzero entry in one loop, so entries
+stay near the size of the invariant factors; transforms are carried as
+identity columns and rows of the same matrix.  A boundary is reduced by
+passes of sparse +-1 pivots, shortest row first, until a pass makes none;
+the unit-free rest goes to the dense form.
 Homology reduces the boundaries top-down and clears: a unit pivot of d_{k+1}
 pairs a degree-k generator with a degree-(k+1) one, the pivot block has
 determinant +-1, and d^2 = 0 makes d_k vanish on its image, so d_k is reduced
@@ -139,7 +142,8 @@ class SmithNormalForm:
 
     ``diagonal`` lists the positive invariant factors d1 | d2 | ...; zero
     rows/columns are dropped.  When transforms are requested, U (m x m) and
-    V (n x n) are unimodular with U * M * V equal to the padded diagonal.
+    V (n x n) are unimodular with U * M * V equal to ``padded()``, the
+    diagonal in an m x n matrix of zeros; otherwise both are None.
     """
 
     diagonal: tuple[int, ...]
@@ -160,13 +164,14 @@ class SmithNormalForm:
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]], transforms: bool = False) -> SmithNormalForm:
-    """Smith normal form of an integer matrix.
+    """Smith normal form of an integer matrix, which is left unchanged.
 
-    Pivots are chosen as the smallest nonzero absolute value with row and
-    column swaps, followed by a divisibility fix-up, so the diagonal is a
-    divisibility chain.  With ``transforms=True`` the accumulated row and
-    column operations are returned as unimodular U and V.  ContractError
-    unless the matrix is a list of equal-length rows of ints (not bools).
+    Each pivot is the smallest nonzero absolute value left, and a pivot that
+    does not divide the rest is replaced by a smaller one, so the diagonal is
+    a divisibility chain and entries stay near its size.  With
+    ``transforms=True`` the row and column operations are returned as
+    unimodular U and V.  ContractError unless the matrix is a list of
+    equal-length rows of ints (not bools).
     """
     if not isinstance(matrix, list | tuple) or not all(isinstance(r, list | tuple) for r in matrix):
         raise ContractError("matrix must be a list of rows")
@@ -187,113 +192,53 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], transforms: bool = False)
 
 
 def _dense_smith(a, m, n, want_transforms):
-    """In-place dense SNF; returns (diagonal list, U or None, V or None)."""
-    U = [[int(i == j) for j in range(m)] for i in range(m)] if want_transforms else None
-    V = [[int(i == j) for j in range(n)] for i in range(n)] if want_transforms else None
+    """Dense SNF of the m x n rows ``a``: (diagonal, U or None, V or None).
 
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            if U is not None:
-                U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            if V is not None:
-                for row in V:
-                    row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, factor):
-        if factor:
-            arow, srow = a[dst], a[src]
-            for c in range(n):
-                arow[c] += factor * srow[c]
-            if U is not None:
-                urow, usrc = U[dst], U[src]
-                for c in range(m):
-                    urow[c] += factor * usrc[c]
-
-    def add_col(dst, src, factor):
-        if factor:
-            for row in a:
-                row[dst] += factor * row[src]
-            if V is not None:
-                for row in V:
-                    row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-v for v in a[i]]
-        if U is not None:
-            U[i] = [-v for v in U[i]]
-
+    Each round swaps the smallest nonzero |entry| of the trailing block to
+    (t, t) and subtracts quotient multiples of its row and column.  A
+    remainder left in row or column t is a smaller pivot for the next round;
+    a trailing entry the pivot does not divide has its row added into row t
+    first.  ``a`` is reduced in place unless transforms are asked for: then
+    row i of a copy is extended by row i of the m x m identity (becoming U)
+    and n identity rows are appended (becoming V), so that row operations
+    update U and column operations update V.
+    """
+    if want_transforms:
+        a = [row + [int(i == k) for k in range(m)] for i, row in enumerate(a)]
+        a += [[int(i == k) for k in range(n)] for i in range(n)]
     t = 0
-    limit = min(m, n)
-    while t < limit:
-        # pivot: smallest nonzero absolute value in the trailing submatrix
-        pivot = None
-        best = None
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
+    while t < min(m, n):
+        block = ((abs(v), i, j) for i in range(t, m) for j, v in enumerate(a[i][t:n], t) if v)
+        pivot = min(block, default=None)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            if a[t][t] < 0:
-                negate_row(t)
-            # clear column t
-            restart = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # clear row t
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            if any(a[i][t] for i in range(t + 1, m)):
-                continue
-            # divisibility fix-up: every trailing entry must be divisible
-            d = a[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                row = a[i]
-                for j in range(t + 1, n):
-                    if row[j] % d:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
+        _, i, j = pivot
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        p = a[t][t]
+        for i in range(t + 1, m):
+            q = a[i][t] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+        for j in range(t + 1, n):
+            q = a[t][j] // p
+            if q:
+                for row in a:
+                    row[j] -= q * row[t]
+        if any(a[i][t] for i in range(t + 1, m)) or any(a[t][t + 1 : n]):
+            continue
+        offender = next((i for i in range(t + 1, m) if any(v % p for v in a[i][t + 1 : n])), None)
+        if offender is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            continue
+        if p < 0:
+            a[t] = [-v for v in a[t]]
         t += 1
-    diag = [a[k][k] for k in range(limit) if a[k][k]]
-    return diag, U, V
+    diagonal = [a[k][k] for k in range(t)]
+    if not want_transforms:
+        return diagonal, None, None
+    return diagonal, [row[n:] for row in a[:m]], a[m:]
 
 
 def _rank_and_divisors(
@@ -367,7 +312,10 @@ def _rank_and_divisors(
 
 
 def boundary_rank_and_divisors(complex: ChainComplex, k: int) -> tuple[int, tuple[int, ...]]:
-    """Rank and invariant factors of d_k on its own, without clearing."""
+    """Rank and invariant factors of d_k on its own, without clearing; (0, ())
+    for a degree out of range.  ContractError unless k is an int (not a bool)."""
+    if type(k) is not int:
+        raise ContractError(f"degree must be an int, got {k!r}")
     if k <= 0 or k > complex.top_degree:
         return 0, ()
     return _rank_and_divisors(complex.boundary_columns(k), complex.ranks[k - 1])[:2]

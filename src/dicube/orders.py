@@ -79,10 +79,14 @@ class DoubleOrder:
         return _read_blocks(self) is not None
 
     def act(self, sigma: Mapping) -> "DoubleOrder":
-        """Right action: i < j in the image iff sigma(i) < sigma(j) originally."""
+        """Right action: i < j in the image iff sigma(i) < sigma(j) originally.
+        ContractError unless sigma permutes the labels."""
         labels, x, y = self.labels, self.x, self.y
         pos = _positions(labels)
-        s = tuple([pos[sigma[lab]] for lab in labels])
+        try:
+            s = tuple([pos[sigma[lab]] for lab in labels])
+        except (KeyError, TypeError):
+            raise ContractError(f"relabelling {sigma!r} does not map the labels to labels") from None
         table = _bit_permutation(s)
         return DoubleOrder(
             labels, tuple([table[x[k]] for k in s]), tuple([table[y[k]] for k in s])
@@ -160,7 +164,10 @@ def _distinct(labels: tuple) -> bool:
 
 @lru_cache(maxsize=None)
 def _bit_permutation(s: tuple[int, ...]) -> tuple[int, ...]:
-    """table[mask] has bit j set iff mask has bit s[j] set."""
+    """table[mask] has bit j set iff mask has bit s[j] set.  ContractError
+    unless s is a permutation of its positions; the cache checks each s once."""
+    if sorted(s) != list(range(len(s))):
+        raise ContractError(f"relabelling positions {s} are not a permutation")
     image = [0] * len(s)
     for j, k in enumerate(s):
         image[k] |= 1 << j

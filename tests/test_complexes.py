@@ -184,6 +184,22 @@ def test_action_is_a_right_action():
                 assert cell.act(t).act(s) == cell.act(ts)
 
 
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        pytest.param({"a": "a", "b": "a"}, id="not-one-to-one"),
+        pytest.param({"a": "b"}, id="misses-a-label"),
+        pytest.param({"a": "a", "b": "c"}, id="not-onto-the-labels"),
+        pytest.param({"a": ["b"], "b": "a"}, id="unhashable-image"),
+        pytest.param(5, id="not-a-mapping"),
+    ],
+)
+def test_act_by_a_map_that_is_not_a_permutation_is_a_contract_error(sigma):
+    cell = CoverCell(frozenset("a"), ("b",), frozenset())
+    with pytest.raises(ContractError):
+        cell.act(sigma)
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_permutations_of_lists_the_identity_first(n):
     # free-action, union-sigma and cover properness skip the first as the identity

@@ -1,7 +1,8 @@
 import importlib
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -76,6 +77,23 @@ def mat_mul(a, b):
     ]
 
 
+def determinantal_divisors(a):
+    """Invariant factors without elimination: D_k is the gcd of the k x k
+    minors (Bareiss determinants) and d_k = D_k / D_(k-1), up to the rank."""
+    m, n = len(a), len(a[0]) if a else 0
+    factors, previous = [], 1
+    for k in range(1, min(m, n) + 1):
+        d = 0
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                d = gcd(d, bareiss_determinant([[a[i][j] for j in cols] for i in rows]))
+        if d == 0:
+            break
+        factors.append(d // previous)
+        previous = d
+    return tuple(factors)
+
+
 # -- Smith normal form ---------------------------------------------------------
 
 
@@ -113,6 +131,32 @@ def test_snf_random_reconstruction_and_divisibility(seed):
     assert abs(bareiss_determinant([list(r) for r in snf.V])) == 1
 
 
+def test_snf_diagonal_matches_the_determinantal_divisors():
+    rng = random.Random(5)
+    for _ in range(400):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        values = rng.choice(((0, 1, -1, 2), (0, 0, 2, -4, 6), tuple(range(-9, 10))))
+        a = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            # a combination of two rows, so the rank falls short
+            c = rng.randint(-3, 3)
+            a[-1] = [x + c * y for x, y in zip(a[0], a[1 % (m - 1)])]
+        assert smith_normal_form(a).diagonal == determinantal_divisors(a), a
+
+
+def test_snf_of_a_dense_45_by_45_matrix_with_transforms():
+    # pivoting that restarts on every remainder let intermediate entries grow
+    # to millions of bits on this matrix and took over a minute
+    rng = random.Random(45)
+    a = [[rng.randint(-5, 5) for _ in range(45)] for _ in range(45)]
+    snf = smith_normal_form(a, transforms=True)
+    U, V = [list(r) for r in snf.U], [list(r) for r in snf.V]
+    assert mat_mul(mat_mul(U, a), V) == snf.padded()
+    assert abs(bareiss_determinant(U)) == 1
+    assert abs(bareiss_determinant(V)) == 1
+    assert prod(snf.diagonal) == abs(bareiss_determinant(a))
+
+
 @pytest.mark.parametrize("seed", range(30, 42))
 def test_snf_rank_matches_rational_rank(seed):
     rng = random.Random(seed)
@@ -136,6 +180,28 @@ def test_sparse_divisors_match_dense_snf():
         rank, divisors = boundary_rank_and_divisors(complex_, 1)
         assert divisors == smith_normal_form(a).diagonal
         assert rank == rational_rank(a)
+
+
+@pytest.mark.parametrize(
+    "k, want",
+    [
+        pytest.param(1, (1, (1,)), id="in-range"),
+        pytest.param(0, (0, ()), id="zero"),
+        pytest.param(2, (0, ()), id="above-top"),
+        pytest.param(-1, (0, ()), id="negative"),
+        pytest.param(1.5, ContractError, id="float"),
+        pytest.param(True, ContractError, id="bool"),
+        pytest.param("1", ContractError, id="string"),
+    ],
+)
+def test_boundary_rank_and_divisors_takes_an_int_degree(k, want):
+    # a degree out of range has nothing to reduce; a bool is not a degree
+    cx = ChainComplex([1, 1], [[{0: 1}]])
+    if want is ContractError:
+        with pytest.raises(ContractError):
+            boundary_rank_and_divisors(cx, k)
+    else:
+        assert boundary_rank_and_divisors(cx, k) == want
 
 
 def random_sparse_matrix(rng, max_size=40):

@@ -592,6 +592,23 @@ def test_act_is_a_right_action():
 
 
 @pytest.mark.parametrize(
+    "sigma",
+    [
+        pytest.param({"a": "a", "b": "a", "c": "c"}, id="not-one-to-one"),
+        pytest.param({"a": "b", "b": "a"}, id="misses-a-label"),
+        pytest.param({"a": "d", "b": "b", "c": "c"}, id="not-a-label"),
+        pytest.param({"a": ["a"], "b": "b", "c": "c"}, id="unhashable-image"),
+        pytest.param(5, id="not-a-mapping"),
+    ],
+)
+def test_act_by_a_map_that_is_not_a_permutation_is_a_contract_error(sigma):
+    # the first used to map x{};y{b<a,c<a,c<b} to x{};y{c<a,c<b}, not a double order
+    o = regular_from_blocks(ABC, [["c", "b", "a"]])
+    with pytest.raises(ContractError):
+        o.act(sigma)
+
+
+@pytest.mark.parametrize(
     "labels",
     [
         pytest.param(["a", "b"], id="list"),
