@@ -500,9 +500,9 @@ def _orders_poset(labels, kind: str, grows: tuple[bool, bool]) -> tuple[Poset, l
     """The orders of a kind with a <= b iff b's x contains a's x, or lies
     inside it, as ``grows[0]`` is true or false, and likewise for y: each
     row ANDs member masks of the two components, comparing no two orders."""
+    orders = enumerate_orders(labels, kind)  # first, as it checks the labels
     families = order_families(tuple(labels), kind)
     up_x, up_y = (f.containing if g else f.within for f, g in zip(families, grows))
-    orders = enumerate_orders(labels, kind)
     return Poset([o.text() for o in orders], [up_x(o.x) & up_y(o.y) for o in orders]), orders
 
 

@@ -11,9 +11,13 @@ are read off the strict and the regular orders by bit (``RelFamily``): a set
 of orders is a bitmask, so neither family compares orders pairwise, and an
 order is semi-regular exactly when it closes the union of the regulars below.
 
-Relabelling goes through ``act``, which maps each row through
-``_bit_permutation(s)``, a 2**n-entry table built once per position tuple
-``s`` that moves bit ``s[j]`` of a row to bit ``j``.  Every ``DoubleOrder`` is
+The relation kernels the order checks share are memoized: the closure of a
+union component, or None when it cycles (``union_bar``), and semi-regularity
+by order.  One relabelling kernel, ``relabelling(labels, sigma)``, maps keys
+``(x, y)``: it moves each row through ``_bit_permutation(s)``, a 2**n-entry
+table built once per position tuple ``s`` that moves bit ``s[j]`` of a row to
+bit ``j``.  ``act`` wraps it, and the free-action check applies it to keys
+alone.  Every ``DoubleOrder`` is
 validated, but the strict-order test is memoized by relation and the label
 test by label tuple, so each costs a cache lookup after the first order.
 """
@@ -23,7 +27,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import or_
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .chains import CubeChain
 from .complexes import CoverCell, OrderedCover
@@ -44,7 +49,7 @@ from .posets import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoubleOrder:
     """A pair of strict partial orders (x, y) covering every distinct pair."""
 
@@ -81,16 +86,7 @@ class DoubleOrder:
     def act(self, sigma: Mapping) -> "DoubleOrder":
         """Right action: i < j in the image iff sigma(i) < sigma(j) originally.
         ContractError unless sigma permutes the labels."""
-        labels, x, y = self.labels, self.x, self.y
-        pos = _positions(labels)
-        try:
-            s = tuple([pos[sigma[lab]] for lab in labels])
-        except (KeyError, TypeError):
-            raise ContractError(f"relabelling {sigma!r} does not map the labels to labels") from None
-        table = _bit_permutation(s)
-        return DoubleOrder(
-            labels, tuple([table[x[k]] for k in s]), tuple([table[y[k]] for k in s])
-        )
+        return DoubleOrder(self.labels, *relabelling(self.labels, sigma)(self.key()))
 
     def key(self):
         return (self.x, self.y)
@@ -178,6 +174,28 @@ def _bit_permutation(s: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(table)
 
 
+Key = tuple[Rel, Rel]  # the rows (x, y) of a double order
+
+
+def relabelling(labels: tuple, sigma: Mapping) -> Callable[[Key], Key]:
+    """The relabelling by sigma of the keys of orders on ``labels``: the
+    image relates i to j iff the key relates sigma(i) to sigma(j).  Its
+    position tuple and bit table are built once, for any number of keys.
+    ContractError unless sigma permutes the labels."""
+    try:
+        pos = _positions(labels)
+        s = tuple([pos[sigma[lab]] for lab in labels])
+    except (KeyError, TypeError):
+        raise ContractError(f"relabelling {sigma!r} does not map the labels to labels") from None
+    table = _bit_permutation(s)
+
+    def relabel(key: Key) -> Key:
+        x, y = key
+        return tuple([table[x[k]] for k in s]), tuple([table[y[k]] for k in s])
+
+    return relabel
+
+
 def level_function(rel: Rel) -> Optional[tuple[int, ...]]:
     """The 1-based level map inducing rel (a < b iff level(a) < level(b)),
     or None when rel is not semi-linear: the levels rank the distinct below
@@ -193,11 +211,16 @@ def union_bar(o1: DoubleOrder, o2: DoubleOrder) -> Optional[DoubleOrder]:
     picks up a cycle (reflexive entry)."""
     if o1.labels != o2.labels:
         raise ContractError("union needs a common ground set")
-    x = rel_closure(tuple(a | b for a, b in zip(o1.x, o2.x)))
-    y = rel_closure(tuple(a | b for a, b in zip(o1.y, o2.y)))
-    if not rel_is_irreflexive(x) or not rel_is_irreflexive(y):
-        return None
-    return DoubleOrder(o1.labels, x, y)
+    x = _acyclic_closure(*map(or_, o1.x, o2.x))
+    y = None if x is None else _acyclic_closure(*map(or_, o1.y, o2.y))
+    return None if y is None else DoubleOrder(o1.labels, x, y)
+
+
+@lru_cache(maxsize=None)
+def _acyclic_closure(*rows: int) -> Optional[Rel]:
+    """The closure of rows, or None when it is reflexive: rows hold a cycle."""
+    closure = rel_closure(rows)
+    return closure if rel_is_irreflexive(closure) else None
 
 
 # -- regular orders as block sequences -------------------------------------------
@@ -353,6 +376,11 @@ def enumerate_orders(labels: Sequence, kind: str) -> list[DoubleOrder]:
     6 for the direct regular construction.
     """
     labels = tuple(labels)
+    # the cache below takes labels and kind as its key, so both must hash
+    if not _distinct(labels):
+        raise ContractError("labels must be distinct hashable labels")
+    if not isinstance(kind, str):
+        raise ContractError(f"unknown order class {kind!r}")
     return list(_enumerate_cached(labels, kind))
 
 
@@ -398,10 +426,12 @@ def poset_leq(o1: DoubleOrder, o2: DoubleOrder, variant: str) -> bool:
 # -- the retraction to regular orders and the chain union ---------------------------
 
 
+@lru_cache(maxsize=None)
 def is_semi_regular(o: DoubleOrder) -> bool:
     """Whether o is the closed union of the regular orders below it.  A union
     of regulars giving o is made of orders below o, and adding the others
-    closes inside the transitive o, so this is exactly semi-regularity."""
+    closes inside the transitive o, so this is exactly semi-regularity.
+    Memoized by order."""
     if o.n > 4:
         if o.is_regular:
             return True

@@ -49,6 +49,7 @@ from .orders import (
     double_order_to_chain,
     enumerate_orders,
     poset_leq,
+    relabelling,
     to_regular,
     union_bar,
 )
@@ -199,7 +200,8 @@ def check_free_action(n_max: int, **_) -> tuple[str, object]:
 
     Stabilizers along an orbit are conjugate (``act`` is a right action), so
     one member per orbit is tested against every non-identity relabeling; its
-    images, looked up in a key index of the family, mark the rest of the orbit.
+    images, keys relabelled by the kernel ``act`` wraps and looked up in a key
+    index of the family, mark the rest of the orbit.
     """
     counts = {}
     for n in range(1, min(n_max, 4) + 1):
@@ -207,15 +209,17 @@ def check_free_action(n_max: int, **_) -> tuple[str, object]:
         family = enumerate_orders(labels, "double")
         index = {o.key(): k for k, o in enumerate(family)}
         sigmas = permutations_of(labels)[1:]  # the first is the identity
+        relabels = [relabelling(labels, sigma) for sigma in sigmas]
         seen = bytearray(len(family))
         for i, o in enumerate(family):
             if seen[i]:
                 continue
-            for sigma in sigmas:
-                image = o.act(sigma)
-                if image.key() == o.key():
+            key = o.key()
+            for sigma, relabel in zip(sigmas, relabels):
+                image = relabel(key)
+                if image == key:
                     return _fail({"n": n, "order": o.text(), "sigma": str(sigma)})
-                k = index.get(image.key())
+                k = index.get(image)
                 if k is None:
                     reason = "image not in family"
                     return _fail({"n": n, "order": o.text(), "sigma": str(sigma), "reason": reason})

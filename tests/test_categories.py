@@ -137,6 +137,19 @@ def test_regular_orders_poset_rows_match_the_pairwise_fill(n, variant):
     assert list(P.leq) == pairwise_rows(orders, ORDER_POSET_LEQ[variant])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda labels: regular_orders_poset(labels, "sqsubseteq"), id="regular"),
+        pytest.param(semi_regular_orders_poset, id="semi-regular"),
+        pytest.param(lambda labels: symmetric_order_quotient(labels, "regular"), id="quotient"),
+    ],
+)
+def test_order_posets_of_unhashable_labels_are_a_contract_error(build):
+    with pytest.raises(ContractError):
+        build([[1], [2]])
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_semi_regular_orders_poset_rows_match_the_pairwise_fill(n):
     P, orders = semi_regular_orders_poset(default_labels(n))

@@ -178,6 +178,14 @@ def test_verify_cover_four_labels_regular_subchecks():
     assert report.ok and report.family == "regular"
 
 
+@pytest.mark.parametrize(
+    "labels", [[[1]], [[1], [2]], ["a", "a"]], ids=["unhashable", "unhashable-pair", "repeated"]
+)
+def test_verify_cover_rejects_labels_that_are_not_distinct_and_hashable(labels):
+    with pytest.raises(ContractError):
+        verify_cover(labels)
+
+
 def test_verify_cover_cap():
     with pytest.raises(ResourceCapError):
         verify_cover(default_labels(5))

@@ -20,9 +20,11 @@ from dicube.orders import (
     regular_blocks,
     regular_from_blocks,
     rel_from_pairs,
+    relabelling,
     to_regular,
     union_bar,
 )
+from dicube.posets import bit_positions, reachable, rel_closure
 
 AB = ("a", "b")
 ABC = ("a", "b", "c")
@@ -166,6 +168,64 @@ def test_union_bar_is_associative(n):
             defined += 1
             assert left.key() == right.key(), (a.text(), b.text(), c.text())
     assert defined > 0
+
+
+# -- the relation kernels against reachability ---------------------------------------
+
+
+def closure_by_reachability(rel):
+    """Row i holds every element reached from i in one step or more."""
+
+    def step(v):
+        return bit_positions(rel[v])
+
+    return tuple(sum(1 << j for j in reachable(step(i), step)) for i in range(len(rel)))
+
+
+def random_relation(n, rng):
+    density = rng.choice([0.1, 0.25, 0.5])
+    return tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rel_closure_matches_reachability_on_random_relations(seed):
+    rng = random.Random(seed)
+    cyclic = 0
+    for _ in range(200):
+        rel = random_relation(rng.randint(0, 6), rng)
+        expected = closure_by_reachability(rel)
+        assert rel_closure(rel) == expected, rel
+        cyclic += any(row >> i & 1 for i, row in enumerate(expected))
+    assert 0 < cyclic < 200
+
+
+def test_rel_closure_gives_int_rows_for_int_rows_after_equal_bool_rows():
+    # a cache keyed on the tuple alone would hand the bool rows back
+    for bools in [(True, False), (False, True, True, False, False, False, True)]:
+        assert rel_closure(bools) == bools
+        ints = tuple(map(int, bools))
+        closed = rel_closure(ints)
+        assert closed == ints and all(type(row) is int for row in closed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_union_bar_is_symmetric_and_undefined_exactly_on_a_cyclic_closure(n):
+    defined = undefined = 0
+    for a, b, _ in union_triples(n, random.Random(n)):
+        closures = [
+            closure_by_reachability(tuple(r1 | r2 for r1, r2 in zip(c1, c2)))
+            for c1, c2 in ((a.x, b.x), (a.y, b.y))
+        ]
+        cyclic = any(row >> i & 1 for rel in closures for i, row in enumerate(rel))
+        u = union_bar(a, b)
+        assert u == union_bar(b, a), (a.text(), b.text())
+        if cyclic:
+            assert u is None, (a.text(), b.text())
+            undefined += 1
+        else:
+            assert u.key() == tuple(closures), (a.text(), b.text())
+            defined += 1
+    assert defined > 0 and (undefined > 0) == (n > 1)  # one label never cycles
 
 
 # -- enumeration --------------------------------------------------------------------
@@ -324,7 +384,7 @@ def test_is_semi_regular_is_membership_in_the_union_fixpoint(n):
 
 
 def test_semi_regular_family_at_four_labels():
-    # the union fixpoint oracle takes minutes here; CI compares the two
+    # the union fixpoint oracle takes about as long as all of tier-1; CI compares the two
     family = enumerate_orders(default_labels(4), "semi-regular")
     assert len(family) == 3720
     assert [o.key() for o in family] == sorted(o.key() for o in family)
@@ -352,6 +412,22 @@ def test_double_family_equals_the_filter_by_definition(n):
 def test_semi_regulars_are_double():
     for o in enumerate_orders(ABC, "semi-regular"):
         assert o.is_double
+
+
+@pytest.mark.parametrize(
+    "labels, kind",
+    [
+        pytest.param([[1], [2]], "regular", id="unhashable-labels"),
+        pytest.param([[1], [2]], "double", id="unhashable-labels-double"),
+        pytest.param(["a", "a"], "regular", id="repeated-label"),
+        pytest.param(["a", "b"], ["regular"], id="unhashable-kind"),
+        pytest.param(["a", "b"], "total", id="unknown-kind"),
+    ],
+)
+def test_enumeration_rejects_bad_labels_and_kinds_with_a_contract_error(labels, kind):
+    for _ in range(2):  # the second call would be served by the memo
+        with pytest.raises(ContractError):
+            enumerate_orders(labels, kind)
 
 
 def test_enumeration_caps():
@@ -580,6 +656,16 @@ def test_act_matches_the_definition_on_every_double_order(n):
             assert image.key() == act_by_definition(o, sigma)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_relabelling_kernel_matches_act_on_every_double_order(n):
+    labels = default_labels(n)
+    family = enumerate_orders(labels, "double")
+    for sigma in permutations_of(labels):
+        relabel = relabelling(labels, sigma)
+        for o in family:
+            assert relabel(o.key()) == o.act(sigma).key() == act_by_definition(o, sigma)
+
+
 def test_act_is_a_right_action():
     # acting by sigma, then by tau, is acting once by l -> sigma(tau(l))
     labels = default_labels(3)
@@ -606,6 +692,8 @@ def test_act_by_a_map_that_is_not_a_permutation_is_a_contract_error(sigma):
     o = regular_from_blocks(ABC, [["c", "b", "a"]])
     with pytest.raises(ContractError):
         o.act(sigma)
+    with pytest.raises(ContractError):
+        relabelling(ABC, sigma)
 
 
 @pytest.mark.parametrize(
@@ -622,6 +710,13 @@ def test_double_order_rejects_labels_that_are_not_a_tuple_of_distinct_labels(lab
     for _ in range(2):  # the second call may be served by the memo
         with pytest.raises(ContractError, match="labels"):
             DoubleOrder(labels, rel_from_pairs(2, [(0, 1)]), (0, 0))
+
+
+def test_double_orders_are_frozen_and_keep_no_instance_dict():
+    o = regular_from_blocks(ABC, [["c", "b", "a"]])
+    assert not hasattr(o, "__dict__")
+    with pytest.raises(AttributeError):
+        o.x = (0, 0, 0)
 
 
 def test_validation_memo_still_rejects_bad_relations():
