@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,19 @@ def strip_times(payload):
     for entry in payload:
         entry.pop("wall_time", None)
     return payload
+
+
+SNAPSHOTS = Path(__file__).parent / "snapshots"
+
+
+@pytest.mark.parametrize("n_max", [1, 5])
+def test_suite_reports_equal_their_snapshot(n_max):
+    # n_max 1 gives the empty ranges of the checks that start at n = 2, and
+    # n_max 5 runs orbit-iso and euler-zero at their caps; compared as text,
+    # so the key order of every report counts
+    reports = strip_times([r.to_json_dict() for r in run_suite(None, n_max=n_max)])
+    text = json.dumps(reports, indent=1) + "\n"
+    assert text == (SNAPSHOTS / f"suite-n{n_max}.json").read_text()
 
 
 def test_registry_ids_are_the_documented_ones():
