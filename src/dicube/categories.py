@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import ContractError, ResourceCapError, require_size
 from .homology import ChainComplex
-from .orders import DoubleOrder, enumerate_orders, order_families, regular_blocks
+from .orders import DoubleOrder, _order_families, enumerate_orders, regular_blocks, relabelling
 from .posets import Poset, _dot_escape, label_text, reachable, rel_pairs
 
 
@@ -501,7 +501,7 @@ def _orders_poset(labels, kind: str, grows: tuple[bool, bool]) -> tuple[Poset, l
     inside it, as ``grows[0]`` is true or false, and likewise for y: each
     row ANDs member masks of the two components, comparing no two orders."""
     orders = enumerate_orders(labels, kind)  # first, as it checks the labels
-    families = order_families(tuple(labels), kind)
+    families = _order_families(tuple(labels), kind)
     up_x, up_y = (f.containing if g else f.within for f, g in zip(families, grows))
     return Poset([o.text() for o in orders], [up_x(o.x) & up_y(o.y) for o in orders]), orders
 
@@ -546,9 +546,9 @@ class SymmetricOrderQuotient:
 def symmetric_order_quotient(labels, kind: str) -> SymmetricOrderQuotient:
     """Quotient of (regular orders, reverse mixed order) or (semi-regular
     orders, inclusion) by the relabelings the adjacent transpositions span."""
-    from .complexes import adjacent_transpositions
+    from .complexes import adjacent_transpositions, label_tuple
 
-    labels = tuple(labels)
+    labels = label_tuple(labels)
     if kind == "regular":
         poset, orders = regular_orders_poset(labels, "sqsupseteq")
     elif kind == "semi-regular":
@@ -556,9 +556,10 @@ def symmetric_order_quotient(labels, kind: str) -> SymmetricOrderQuotient:
     else:
         raise ContractError(f"unknown order family {kind!r}")
     C = poset_category(poset)
-    key_index = {o.key(): i for i, o in enumerate(orders)}
-    swaps = adjacent_transpositions(labels)
-    act = GroupAction(C, [[key_index[o.act(s).key()] for o in orders] for s in swaps])
+    keys = [o.key() for o in orders]
+    key_index = {key: i for i, key in enumerate(keys)}
+    swaps = [relabelling(labels, s) for s in adjacent_transpositions(labels)]
+    act = GroupAction(C, [[key_index[swap(key)] for key in keys] for swap in swaps])
     Q, obj_map, mor_map = quotient_category(C, act)
     return SymmetricOrderQuotient(labels, orders, poset, C, act, Q, obj_map, mor_map)
 

@@ -23,6 +23,20 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
 
 
+def label_tuple(labels) -> tuple:
+    """A label set as a tuple.  ContractError unless it is an iterable of
+    distinct hashable labels; the entry points that take a label set check
+    it here, before a cache takes it as a key."""
+    try:
+        labels = tuple(labels)
+        distinct = len(set(labels)) == len(labels)
+    except TypeError:  # not iterable, or an unhashable label
+        distinct = False
+    if not distinct:
+        raise ContractError(f"not an iterable of distinct hashable labels: {labels!r}")
+    return labels
+
+
 # -- standard cubes -----------------------------------------------------------
 
 
@@ -207,13 +221,13 @@ class OrderedCover:
 
 def permutations_of(labels: Sequence) -> list[dict]:
     """Every relabelling as a dict, the identity first as itertools lists it."""
-    base = tuple(labels)
+    base = label_tuple(labels)
     return [dict(zip(base, image)) for image in itertools.permutations(base)]
 
 
 def adjacent_transpositions(labels: Sequence) -> list[dict]:
     """The n-1 swaps of neighbouring labels, the Coxeter generators of Σ_n."""
-    base = tuple(labels)
+    base = label_tuple(labels)
     return [{**dict(zip(base, base)), a: b, b: a} for a, b in zip(base, base[1:])]
 
 
@@ -225,13 +239,7 @@ def build_ordered_cover(labels) -> OrderedCover:
     in its order gives the faces.  Capped at 6 labels because every
     downstream check is exponential in the arity anyway.
     """
-    ground = tuple(labels) if isinstance(labels, Iterable) else default_labels(labels)
-    try:
-        distinct = len(set(ground)) == len(ground)
-    except TypeError:  # an unhashable label
-        distinct = False
-    if not distinct:
-        raise ContractError("ground set must hold distinct hashable labels")
+    ground = label_tuple(labels) if isinstance(labels, Iterable) else default_labels(labels)
     if len(ground) > 6:
         raise ResourceCapError(f"ground set size {len(ground)} above cap 6")
     n = len(ground)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Sequence
 
-from .complexes import permutations_of
+from .complexes import label_tuple, permutations_of
 from .errors import ContractError, ResourceCapError, StructuralError
 from .orders import (
     DoubleOrder,
@@ -60,7 +60,7 @@ def is_injective_configuration(f: Config) -> bool:
 def point_to_order(f: Config, labels: Sequence) -> DoubleOrder:
     """The regular order of an injective configuration: one block per first
     coordinate, in ascending order, each sorted by the second coordinate."""
-    labels = tuple(labels)
+    labels = label_tuple(labels)
     for a in labels:
         if a not in f:
             raise ContractError(f"configuration does not place label {a!r}")
@@ -75,7 +75,7 @@ def point_to_order(f: Config, labels: Sequence) -> DoubleOrder:
 def random_configuration(labels: Sequence, rng: random.Random) -> Config:
     """Random injective rational configuration; small coordinate ranges make
     first-coordinate ties (and hence y comparisons) common."""
-    labels = tuple(labels)
+    labels = label_tuple(labels)
     while True:
         f = {
             a: (
@@ -150,7 +150,7 @@ def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
 
 def cover_report(labels) -> tuple[CoverReport, list[DoubleOrder]]:
     """An empty report and the family the cover passes run over."""
-    labels = tuple(labels)
+    labels = label_tuple(labels)
     if len(labels) <= 3:
         return CoverReport(labels, "semi-regular"), enumerate_orders(labels, "semi-regular")
     if len(labels) == 4:
@@ -245,7 +245,7 @@ def nerve_retraction_check(labels, seed: int = 0) -> bool:
     """
     import itertools
 
-    labels = tuple(labels)
+    labels = label_tuple(labels)
     family = enumerate_orders(labels, "semi-regular")
     keys = {o.key(): o for o in family}
 

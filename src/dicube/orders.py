@@ -31,7 +31,7 @@ from operator import or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .chains import CubeChain
-from .complexes import CoverCell, OrderedCover
+from .complexes import CoverCell, OrderedCover, label_tuple
 from .errors import ContractError, ResourceCapError, StructuralError
 from .posets import (
     Rel,
@@ -375,10 +375,8 @@ def enumerate_orders(labels: Sequence, kind: str) -> list[DoubleOrder]:
     Caps: 4 labels for the filtered families ("double", "semi-regular"),
     6 for the direct regular construction.
     """
-    labels = tuple(labels)
-    # the cache below takes labels and kind as its key, so both must hash
-    if not _distinct(labels):
-        raise ContractError("labels must be distinct hashable labels")
+    labels = label_tuple(labels)
+    # the cache below takes kind as part of its key, so it must hash
     if not isinstance(kind, str):
         raise ContractError(f"unknown order class {kind!r}")
     return list(_enumerate_cached(labels, kind))
@@ -403,8 +401,9 @@ def _enumerate_cached(labels: tuple, kind: str) -> tuple[DoubleOrder, ...]:
 
 
 @lru_cache(maxsize=None)
-def order_families(labels: tuple, kind: str) -> tuple[RelFamily, RelFamily]:
-    """The x parts and the y parts of an order family, each read by bit."""
+def _order_families(labels: tuple, kind: str) -> tuple[RelFamily, RelFamily]:
+    """The x parts and the y parts of an order family, each read by bit, for
+    a label tuple and kind that ``enumerate_orders`` has accepted."""
     orders, n = _enumerate_cached(labels, kind), len(labels)
     return RelFamily([o.x for o in orders], n), RelFamily([o.y for o in orders], n)
 
@@ -436,7 +435,7 @@ def is_semi_regular(o: DoubleOrder) -> bool:
         if o.is_regular:
             return True
         raise ResourceCapError("semi-regularity decision is capped at 4 labels")
-    xs, ys = order_families(o.labels, "regular")
+    xs, ys = _order_families(o.labels, "regular")
     below = xs.within(o.x) & ys.within(o.y)
     return below != 0 and rel_closure(xs.union(below)) == o.x and rel_closure(ys.union(below)) == o.y
 

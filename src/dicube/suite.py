@@ -75,88 +75,81 @@ class VerificationReport:
         }
 
 
-def _pass(details=None) -> tuple[str, object]:
-    return "pass", details
+@dataclass(frozen=True)
+class Fail:
+    """What a check returns in place of its value when a proposition fails."""
 
-
-def _fail(details) -> tuple[str, object]:
-    return "fail", details
+    payload: object
 
 
 # -- individual checks -----------------------------------------------------------
 
 
-def check_chain_order_iso(n_max: int, **_) -> tuple[str, object]:
+def check_chain_order_iso(n: int, top: int, **_) -> object:
     """Chains of the ordered cover against (regular orders, reverse mixed
     order): mutually inverse, order tables equal, relabeling-equivariant.
     The tables are the rows of the two posets, each chain row relabelled
     through the chain-to-order map."""
-    counts = {}
-    for n in range(1, min(n_max, 4) + 1):
-        labels = default_labels(n)
-        cover = build_ordered_cover(labels)
-        chain_order, chains = chain_poset(cover.complex)
-        reg_order, regs = regular_orders_poset(labels, "sqsupseteq")
-        if len(chains) != len(regs):
-            return _fail({"n": n, "chains": len(chains), "regular_orders": len(regs)})
-        images = [chain_to_double_order(cover, c) for c in chains]
-        if len({o.key() for o in images}) != len(images):
-            return _fail({"n": n, "reason": "chain-to-order map is not injective"})
-        if {o.key() for o in images} != {o.key() for o in regs}:
-            return _fail({"n": n, "reason": "chain-to-order map is not onto"})
+    labels = default_labels(n)
+    cover = build_ordered_cover(labels)
+    chain_order, chains = chain_poset(cover.complex)
+    reg_order, regs = regular_orders_poset(labels, "sqsupseteq")
+    if len(chains) != len(regs):
+        return Fail({"chains": len(chains), "regular_orders": len(regs)})
+    images = [chain_to_double_order(cover, c) for c in chains]
+    if len({o.key() for o in images}) != len(images):
+        return Fail({"reason": "chain-to-order map is not injective"})
+    if {o.key() for o in images} != {o.key() for o in regs}:
+        return Fail({"reason": "chain-to-order map is not onto"})
+    for c, o in zip(chains, images):
+        if double_order_to_chain(cover, o) != c:
+            return Fail({"chain": c.text(cover.complex), "reason": "round trip"})
+    key_index = {o.key(): k for k, o in enumerate(regs)}
+    at = [key_index[o.key()] for o in images]  # chain i maps to order at[i]
+    for i, row in enumerate(chain_order.leq):
+        order_row = reg_order.leq[at[i]]
+        if sum(1 << at[j] for j in bit_positions(row)) == order_row:
+            continue
+        j = next(j for j in range(len(chains)) if row >> j & 1 != order_row >> at[j] & 1)
+        pair = [chains[i].text(cover.complex), chains[j].text(cover.complex)]
+        le, ge = bool(row >> j & 1), bool(order_row >> at[j] & 1)
+        return Fail({"pair": pair, "chain_leq": le, "order_geq": ge})
+    # both actions are right actions with the same product, (x.s).t = x.(s o t),
+    # so equivariance under the adjacent transpositions gives it under
+    # every product of them, which is every relabelling
+    for sigma in adjacent_transpositions(labels):
+        aut = cover.automorphism(sigma)
         for c, o in zip(chains, images):
-            if double_order_to_chain(cover, o) != c:
-                return _fail({"n": n, "chain": c.text(cover.complex), "reason": "round trip"})
-        key_index = {o.key(): k for k, o in enumerate(regs)}
-        at = [key_index[o.key()] for o in images]  # chain i maps to order at[i]
-        for i, row in enumerate(chain_order.leq):
-            order_row = reg_order.leq[at[i]]
-            if sum(1 << at[j] for j in bit_positions(row)) == order_row:
-                continue
-            j = next(j for j in range(len(chains)) if row >> j & 1 != order_row >> at[j] & 1)
-            pair = [chains[i].text(cover.complex), chains[j].text(cover.complex)]
-            le, ge = bool(row >> j & 1), bool(order_row >> at[j] & 1)
-            return _fail({"n": n, "pair": pair, "chain_leq": le, "order_geq": ge})
-        # both actions are right actions with the same product, (x.s).t = x.(s o t),
-        # so equivariance under the adjacent transpositions gives it under
-        # every product of them, which is every relabelling
-        for sigma in adjacent_transpositions(labels):
-            aut = cover.automorphism(sigma)
-            for c, o in zip(chains, images):
-                moved = CubeChain(tuple(aut(cell) for cell in c.cells))
-                if chain_to_double_order(cover, moved).key() != o.act(sigma).key():
-                    return _fail({"n": n, "sigma": str(sigma), "chain": c.text(cover.complex)})
-        counts[n] = len(chains)
-    return _pass({"poset_sizes": counts})
+            moved = CubeChain(tuple(aut(cell) for cell in c.cells))
+            if chain_to_double_order(cover, moved).key() != o.act(sigma).key():
+                return Fail({"sigma": str(sigma), "chain": c.text(cover.complex)})
+    return len(chains)
 
 
-def check_orbit_iso(n_max: int, **_) -> tuple[str, object]:
+def check_orbit_iso(n: int, top: int, **_) -> object:
     """Quotient of the ordered cover by all relabelings (the adjacent swaps
     span them) matches the length covering of the final complex, cell for cell."""
-    results = {}
-    for n in range(1, min(n_max, 5) + 1):
-        cover = build_ordered_cover(n)
-        Q, _proj = quotient_by_automorphisms(cover.complex, cover.symmetric_group())
-        Z, zalt = build_final_covering(n)
-        if Q.dims != Z.dims:
-            return _fail({"n": n, "quotient_dims": list(Q.dims), "expected": list(Z.dims)})
-        # an orbit cell, labelled as its least member, goes to the covering
-        # cell of its dimension d and altitude j: z{d}_{j}, that is (d, j)
-        assign = [
-            [cover.cover_cell(cover.complex.cell_of_label(Q.label(c))).altitude for c in layer]
-            for layer in map(Q.cells_of_dim, range(Q.max_dim + 1))
-        ]
-        try:
-            iso = PrecubicalMap(Q, Z, assign)
-        except Exception as exc:  # face commutation failure
-            return _fail({"n": n, "reason": str(exc)})
-        if not (iso.is_isomorphism() and iso.is_bipointed):
-            return _fail({"n": n, "reason": "orbit map is not a bipointed isomorphism"})
-        results[n] = list(Q.dims)
-    return _pass({"dims": results})
+    cover = build_ordered_cover(n)
+    Q, _proj = quotient_by_automorphisms(cover.complex, cover.symmetric_group())
+    Z, zalt = build_final_covering(n)
+    if Q.dims != Z.dims:
+        return Fail({"quotient_dims": list(Q.dims), "expected": list(Z.dims)})
+    # an orbit cell, labelled as its least member, goes to the covering
+    # cell of its dimension d and altitude j: z{d}_{j}, that is (d, j)
+    assign = [
+        [cover.cover_cell(cover.complex.cell_of_label(Q.label(c))).altitude for c in layer]
+        for layer in map(Q.cells_of_dim, range(Q.max_dim + 1))
+    ]
+    try:
+        iso = PrecubicalMap(Q, Z, assign)
+    except Exception as exc:  # face commutation failure
+        return Fail({"reason": str(exc)})
+    if not (iso.is_isomorphism() and iso.is_bipointed):
+        return Fail({"reason": "orbit map is not a bipointed isomorphism"})
+    return list(Q.dims)
 
 
-def check_non_self_linked(n_max: int, target: str = "ordered-cover", **_) -> tuple[str, object]:
+def check_non_self_linked(n_max: int, target: str = "ordered-cover", **_) -> object:
     """The ordered cover is non-self-linked; the truncated final complex is
     not (reported as a failure with its counterexample cell)."""
     if target not in ("ordered-cover", "final-truncated"):
@@ -166,21 +159,21 @@ def check_non_self_linked(n_max: int, target: str = "ordered-cover", **_) -> tup
             cover = build_ordered_cover(n)
             report = is_non_self_linked(cover.complex)
             if not report.ok:
-                return _fail({"n": n, "cell": cover.complex.label(report.cell)})
+                return Fail({"n": n, "cell": cover.complex.label(report.cell)})
     z = build_final_complex(2)
     control = is_non_self_linked(z)
     if control.ok:
-        return _fail({"reason": "truncated final complex unexpectedly non-self-linked"})
+        return Fail({"reason": "truncated final complex unexpectedly non-self-linked"})
     if target == "final-truncated":
         counterexample = {"model": "z", "max_dim": 2, "cell": z.label(control.cell)}
-        return _fail({**counterexample, "collision": [list(v) for v in control.collision]})
-    return _pass({"n_checked": min(n_max, 4), "control_counterexample": z.label(control.cell)})
+        return Fail({**counterexample, "collision": [list(v) for v in control.collision]})
+    return {"n_checked": min(n_max, 4), "control_counterexample": z.label(control.cell)}
 
 
-def check_face_swap(n_max: int, **_) -> tuple[str, object]:
+def check_face_swap(n_max: int, **_) -> object:
     """The constructive swap identity, symbolically verified on the standard
     cube for every compatible (p, q, V, W) with p + q <= n_max."""
-    bound = min(n_max, 7) if n_max >= 2 else n_max
+    bound = min(n_max, 7)
     cases = 0
     for p in range(0, bound + 1):
         for q in range(0, bound + 1 - p):
@@ -192,10 +185,10 @@ def check_face_swap(n_max: int, **_) -> tuple[str, object]:
                         continue
                     face_swap(p, q, V, W)  # raises if the identity fails
                     cases += 1
-    return _pass({"cases": cases, "max_p_plus_q": bound})
+    return {"cases": cases, "max_p_plus_q": bound}
 
 
-def check_free_action(n_max: int, **_) -> tuple[str, object]:
+def check_free_action(n: int, top: int, **_) -> object:
     """Relabelings act freely on the double orders.
 
     Stabilizers along an orbit are conjugate (``act`` is a right action), so
@@ -203,44 +196,38 @@ def check_free_action(n_max: int, **_) -> tuple[str, object]:
     images, keys relabelled by the kernel ``act`` wraps and looked up in a key
     index of the family, mark the rest of the orbit.
     """
-    counts = {}
-    for n in range(1, min(n_max, 4) + 1):
-        labels = default_labels(n)
-        family = enumerate_orders(labels, "double")
-        index = {o.key(): k for k, o in enumerate(family)}
-        sigmas = permutations_of(labels)[1:]  # the first is the identity
-        relabels = [relabelling(labels, sigma) for sigma in sigmas]
-        seen = bytearray(len(family))
-        for i, o in enumerate(family):
-            if seen[i]:
-                continue
-            key = o.key()
-            for sigma, relabel in zip(sigmas, relabels):
-                image = relabel(key)
-                if image == key:
-                    return _fail({"n": n, "order": o.text(), "sigma": str(sigma)})
-                k = index.get(image)
-                if k is None:
-                    reason = "image not in family"
-                    return _fail({"n": n, "order": o.text(), "sigma": str(sigma), "reason": reason})
-                seen[k] = 1
-        counts[n] = len(family)
-    return _pass({"double_orders": counts})
+    labels = default_labels(n)
+    family = enumerate_orders(labels, "double")
+    index = {o.key(): k for k, o in enumerate(family)}
+    sigmas = permutations_of(labels)[1:]  # the first is the identity
+    relabels = [relabelling(labels, sigma) for sigma in sigmas]
+    seen = bytearray(len(family))
+    for i, o in enumerate(family):
+        if seen[i]:
+            continue
+        key = o.key()
+        for sigma, relabel in zip(sigmas, relabels):
+            image = relabel(key)
+            if image == key:
+                return Fail({"order": o.text(), "sigma": str(sigma)})
+            k = index.get(image)
+            if k is None:
+                reason = "image not in family"
+                return Fail({"order": o.text(), "sigma": str(sigma), "reason": reason})
+            seen[k] = 1
+    return len(family)
 
 
-def check_union_sigma(n_max: int, **_) -> tuple[str, object]:
+def check_union_sigma(n: int, top: int, **_) -> object:
     """A regular order never unions consistently with a proper relabeling of
     itself."""
-    counts = {}
-    for n in range(1, min(n_max, 4) + 1):
-        labels = default_labels(n)
-        family = enumerate_orders(labels, "regular")
-        for sigma in permutations_of(labels)[1:]:  # the first is the identity
-            for o in family:
-                if union_bar(o, o.act(sigma)) is not None:
-                    return _fail({"n": n, "order": o.text(), "sigma": str(sigma)})
-        counts[n] = len(family)
-    return _pass({"regular_orders": counts})
+    labels = default_labels(n)
+    family = enumerate_orders(labels, "regular")
+    for sigma in permutations_of(labels)[1:]:  # the first is the identity
+        for o in family:
+            if union_bar(o, o.act(sigma)) is not None:
+                return Fail({"order": o.text(), "sigma": str(sigma)})
+    return len(family)
 
 
 def _poset_chains_as_orders(poset, orders):
@@ -248,43 +235,36 @@ def _poset_chains_as_orders(poset, orders):
         yield [orders[i] for i in chain]
 
 
-def check_fg_triangles(n_max: int, **_) -> tuple[str, object]:
+def check_fg_triangles(n: int, top: int, **_) -> object:
     """Retraction and union functors: union-then-retract is the top of every
     mixed-order chain; retract-then-union sits below the top of every
     inclusion chain, componentwise."""
-    counts = {}
-    for n in range(1, min(n_max, 3) + 1):
-        labels = default_labels(n)
-        rposet, regs = regular_orders_poset(labels, "sqsubseteq")
-        checked = 0
-        for chain in _poset_chains_as_orders(rposet, regs):
-            got = to_regular(chain_union(chain))
-            if got.key() != chain[-1].key():
-                return _fail({"n": n, "chain": [o.text() for o in chain], "triangle": "FG=max"})
-            checked += 1
-        sposet, semis = semi_regular_orders_poset(labels)
-        checked_sub = 0
-        for chain in _poset_chains_as_orders(sposet, semis):
-            image = []
-            seen = set()
-            for o in chain:
-                r = to_regular(o)
-                if r.key() not in seen:
-                    seen.add(r.key())
-                    image.append(r)
-            for a, b in zip(image, image[1:]):
-                if not poset_leq(a, b, "sqsubseteq"):
-                    return _fail(
-                        {"n": n, "chain": [o.text() for o in chain], "triangle": "sd(F) chain"}
-                    )
-            joined = chain_union(image)
-            if not poset_leq(joined, chain[-1], "subseteq"):
-                return _fail(
-                    {"n": n, "chain": [o.text() for o in chain], "triangle": "G sd(F) <= max"}
-                )
-            checked_sub += 1
-        counts[n] = {"mixed_chains": checked, "inclusion_chains": checked_sub}
-    return _pass(counts)
+    labels = default_labels(n)
+    rposet, regs = regular_orders_poset(labels, "sqsubseteq")
+    checked = 0
+    for chain in _poset_chains_as_orders(rposet, regs):
+        got = to_regular(chain_union(chain))
+        if got.key() != chain[-1].key():
+            return Fail({"chain": [o.text() for o in chain], "triangle": "FG=max"})
+        checked += 1
+    sposet, semis = semi_regular_orders_poset(labels)
+    checked_sub = 0
+    for chain in _poset_chains_as_orders(sposet, semis):
+        image = []
+        seen = set()
+        for o in chain:
+            r = to_regular(o)
+            if r.key() not in seen:
+                seen.add(r.key())
+                image.append(r)
+        for a, b in zip(image, image[1:]):
+            if not poset_leq(a, b, "sqsubseteq"):
+                return Fail({"chain": [o.text() for o in chain], "triangle": "sd(F) chain"})
+        joined = chain_union(image)
+        if not poset_leq(joined, chain[-1], "subseteq"):
+            return Fail({"chain": [o.text() for o in chain], "triangle": "G sd(F) <= max"})
+        checked_sub += 1
+    return {"mixed_chains": checked, "inclusion_chains": checked_sub}
 
 
 def quotient_law_failure(q: SymmetricOrderQuotient) -> Optional[dict]:
@@ -304,107 +284,91 @@ def quotient_law_failure(q: SymmetricOrderQuotient) -> Optional[dict]:
     return None
 
 
-def check_nerve_quotient(n_max: int, **_) -> tuple[str, object]:
+def check_nerve_quotient(n: int, top: int, **_) -> object:
     """Generator-level isomorphism between the orbit complex of the nerve and
     the nerve of the quotient, for regular orders under all relabelings,
     after the quotient's category laws and orbit-count identity."""
-    counts = {}
-    for n in range(1, min(n_max, 3) + 1):
-        q = symmetric_order_quotient(default_labels(n), "regular")
-        failure = quotient_law_failure(q)
-        if failure is not None:
-            return _fail({"n": n, **failure})
-        orbit_cx, orbit_levels = nerve_orbit_complex(q.category, q.action)
-        quot_levels = nerve_chains(q.quotient)
-        quot_cx = nerve_complex(q.quotient)
-        if orbit_cx.ranks != quot_cx.ranks:
-            return _fail(
-                {"n": n, "orbit_ranks": list(orbit_cx.ranks), "quotient_ranks": list(quot_cx.ranks)}
-            )
-        # the projection functor on runs must give a levelwise bijection
-        quot_index = [{run: i for i, run in enumerate(level)} for level in quot_levels]
-        mapping: list[list[int]] = []
-        for k, level in enumerate(orbit_levels):
-            if k == 0:
-                images = [(q.object_map[run[0]],) for run in level]
-            else:
-                images = [tuple(q.morphism_map[m] for m in run) for run in level]
-            if len(set(images)) != len(images) or set(images) != set(quot_levels[k]):
-                return _fail({"n": n, "level": k, "reason": "projection not bijective on runs"})
-            mapping.append([quot_index[k][img] for img in images])
-        for k in range(1, len(orbit_levels)):
-            for j, col in enumerate(orbit_cx.boundary_columns(k)):
-                expected = {mapping[k - 1][r]: v for r, v in col.items()}
-                got = quot_cx.boundary_columns(k)[mapping[k][j]]
-                if expected != got:
-                    return _fail({"n": n, "level": k, "generator": j, "reason": "boundary mismatch"})
-        counts[n] = list(orbit_cx.ranks)
-    return _pass(counts)
+    q = symmetric_order_quotient(default_labels(n), "regular")
+    failure = quotient_law_failure(q)
+    if failure is not None:
+        return Fail(failure)
+    orbit_cx, orbit_levels = nerve_orbit_complex(q.category, q.action)
+    quot_levels = nerve_chains(q.quotient)
+    quot_cx = nerve_complex(q.quotient)
+    if orbit_cx.ranks != quot_cx.ranks:
+        return Fail({"orbit_ranks": list(orbit_cx.ranks), "quotient_ranks": list(quot_cx.ranks)})
+    # the projection functor on runs must give a levelwise bijection
+    quot_index = [{run: i for i, run in enumerate(level)} for level in quot_levels]
+    mapping: list[list[int]] = []
+    for k, level in enumerate(orbit_levels):
+        if k == 0:
+            images = [(q.object_map[run[0]],) for run in level]
+        else:
+            images = [tuple(q.morphism_map[m] for m in run) for run in level]
+        if len(set(images)) != len(images) or set(images) != set(quot_levels[k]):
+            return Fail({"level": k, "reason": "projection not bijective on runs"})
+        mapping.append([quot_index[k][img] for img in images])
+    for k in range(1, len(orbit_levels)):
+        for j, col in enumerate(orbit_cx.boundary_columns(k)):
+            expected = {mapping[k - 1][r]: v for r, v in col.items()}
+            got = quot_cx.boundary_columns(k)[mapping[k][j]]
+            if expected != got:
+                return Fail({"level": k, "generator": j, "reason": "boundary mismatch"})
+    return list(orbit_cx.ranks)
 
 
-def check_bar_f_iso(n_max: int, **_) -> tuple[str, object]:
+def check_bar_f_iso(n: int, top: int, **_) -> object:
     """The functor to the break category is relabeling-invariant and induces a
     bijective functor from the quotient."""
-    counts = {}
-    for n in range(1, min(n_max, 4) + 1):
-        func = break_functor(default_labels(n))
-        check_functoriality(func)
-        # the orbit maps come from the relabeling action, so being constant on
-        # their fibers is invariance under every relabeling
-        q, D = func.quotient, func.target
-        for kind, orbit_of, image_of, size in (
-            ("object", q.object_map, func.object_map, D.n_objects),
-            ("morphism", q.morphism_map, func.morphism_map, D.n_morphisms),
-        ):
-            induced: dict[int, int] = {}
-            for orbit, image in zip(orbit_of, image_of):
-                if induced.setdefault(orbit, image) != image:
-                    witness = {"orbit": orbit, "images": [induced[orbit], image]}
-                    return _fail({"n": n, "reason": f"induced {kind} map ill-defined", **witness})
-            if sorted(induced.values()) != list(range(size)):
-                return _fail({"n": n, "reason": f"induced {kind} map not bijective"})
-        # spot-check against the independent hom-count oracle
-        for a_idx, a in enumerate(D.objects):
-            for b_idx, b in enumerate(D.objects):
-                if set(b) <= set(a):
-                    got = len(D.hom(a_idx, b_idx))
-                    want = break_hom_count_oracle(a, b, n)
-                    if got != want:
-                        return _fail({"n": n, "hom": [list(a), list(b)], "got": got, "want": want})
-        counts[n] = {
-            "objects": D.n_objects,
-            "morphisms": D.n_morphisms,
-        }
-    return _pass(counts)
+    func = break_functor(default_labels(n))
+    check_functoriality(func)
+    # the orbit maps come from the relabeling action, so being constant on
+    # their fibers is invariance under every relabeling
+    q, D = func.quotient, func.target
+    for kind, orbit_of, image_of, size in (
+        ("object", q.object_map, func.object_map, D.n_objects),
+        ("morphism", q.morphism_map, func.morphism_map, D.n_morphisms),
+    ):
+        induced: dict[int, int] = {}
+        for orbit, image in zip(orbit_of, image_of):
+            if induced.setdefault(orbit, image) != image:
+                witness = {"orbit": orbit, "images": [induced[orbit], image]}
+                return Fail({"reason": f"induced {kind} map ill-defined", **witness})
+        if sorted(induced.values()) != list(range(size)):
+            return Fail({"reason": f"induced {kind} map not bijective"})
+    # spot-check against the independent hom-count oracle
+    for a_idx, a in enumerate(D.objects):
+        for b_idx, b in enumerate(D.objects):
+            if set(b) <= set(a):
+                got = len(D.hom(a_idx, b_idx))
+                want = break_hom_count_oracle(a, b, n)
+                if got != want:
+                    return Fail({"hom": [list(a), list(b)], "got": got, "want": want})
+    return {"objects": D.n_objects, "morphisms": D.n_morphisms}
 
 
-def check_cover_complete(n_max: int, **_) -> tuple[str, object]:
-    """Completeness, the intersection rule, and random-configuration coverage."""
-    out = {}
-    for n in range(1, min(n_max, 3) + 1):
-        report = verify_cover(default_labels(n), samples=1000 if n == min(n_max, 3) else 200)
-        if not report.ok:
-            return _fail(report.failures)
-        out[n] = {
-            "intersections": report.intersections_checked,
-            "nonempty": report.nonempty_intersections,
-            "samples_covered": report.samples_covered,
-        }
-    return _pass(out)
+def check_cover_complete(n: int, top: int, **_) -> object:
+    """Completeness, the intersection rule, and random-coverage: 1,000
+    configurations at the top n of the run, 200 below it."""
+    report = verify_cover(default_labels(n), samples=1000 if n == top else 200)
+    if not report.ok:
+        return Fail(report.failures)
+    return {
+        "intersections": report.intersections_checked,
+        "nonempty": report.nonempty_intersections,
+        "samples_covered": report.samples_covered,
+    }
 
 
-def check_cover_proper(n_max: int, **_) -> tuple[str, object]:
+def check_cover_proper(n: int, top: int, **_) -> object:
     """Properness under non-identity relabelings plus constraint-set
     equivariance."""
-    out = {}
-    for n in range(1, min(n_max, 3) + 1):
-        report, family = cover_report(default_labels(n))
-        cover_properness(report, family)
-        cover_equivariance(report, family)
-        if not report.ok:
-            return _fail(report.failures)
-        out[n] = {"family": report.family, "members": len(family)}
-    return _pass(out)
+    report, family = cover_report(default_labels(n))
+    cover_properness(report, family)
+    cover_equivariance(report, family)
+    if not report.ok:
+        return Fail(report.failures)
+    return {"family": report.family, "members": len(family)}
 
 
 # pinned values are homology_signature outputs
@@ -419,7 +383,7 @@ PINNED_ORDERED_HOMOLOGY = {
 }
 
 
-def check_homology_cross_model(n_max: int, **_) -> tuple[str, object]:
+def check_homology_cross_model(n_max: int, **_) -> object:
     """Identical homology across the finite models of unordered plane
     configurations, plus agreement of the two ordered models."""
     out = {}
@@ -435,51 +399,42 @@ def check_homology_cross_model(n_max: int, **_) -> tuple[str, object]:
             )
         sigs = {name: homology_signature(groups) for name, groups in models.items()}
         if len(set(map(tuple, sigs.values()))) != 1:
-            return _fail({"n": n, "models": {k: homology_to_json(v) for k, v in models.items()}})
+            return Fail({"n": n, "models": {k: homology_to_json(v) for k, v in models.items()}})
         sig = next(iter(sigs.values()))
         if n in PINNED_HOMOLOGY and sig != PINNED_HOMOLOGY[n]:
-            return _fail({"n": n, "got": sig, "pinned": PINNED_HOMOLOGY[n]})
+            return Fail({"n": n, "got": sig, "pinned": PINNED_HOMOLOGY[n]})
         if n == 4:
             if sig[0] != (1, ()) or sig[1] != (1, ()) or 2 not in sig[2][1]:
-                return _fail({"n": n, "got": sig, "pinned": "Z, Z, 2-torsion in H2"})
+                return Fail({"n": n, "got": sig, "pinned": "Z, Z, 2-torsion in H2"})
         out[str(n)] = {"homology": sig, "models": sorted(models)}
     for n in range(2, min(n_max, 3) + 1):
         labels = default_labels(n)
         h_mixed = homology(regular_orders_poset(labels, "sqsubseteq")[0].order_complex())
         h_incl = homology(semi_regular_orders_poset(labels)[0].order_complex())
         if not same_homology(h_mixed, h_incl):
-            return _fail(
-                {
-                    "n": n,
-                    "ordered_models": {
-                        "regular-mixed": homology_to_json(h_mixed),
-                        "semi-regular-inclusion": homology_to_json(h_incl),
-                    },
-                }
-            )
+            ordered = {"regular-mixed": h_mixed, "semi-regular-inclusion": h_incl}
+            ordered = {name: homology_to_json(groups) for name, groups in ordered.items()}
+            return Fail({"n": n, "ordered_models": ordered})
         sig = homology_signature(h_mixed)
         if sig != PINNED_ORDERED_HOMOLOGY[n]:
-            return _fail({"n": n, "ordered": sig, "pinned": PINNED_ORDERED_HOMOLOGY[n]})
+            return Fail({"n": n, "ordered": sig, "pinned": PINNED_ORDERED_HOMOLOGY[n]})
         out[f"ordered-{n}"] = sig
-    return _pass(out)
+    return out
 
 
-def check_euler_zero(n_max: int, **_) -> tuple[str, object]:
+def check_euler_zero(n: int, top: int, **_) -> object:
     """Euler characteristic zero for the break-category nerves; materialized
     complexes up to 4, alternating run counts beyond."""
-    out = {}
-    for n in range(2, min(n_max, 5) + 1):
-        E = build_break_category(n)
-        counts = composable_run_counts(E)
-        chi_counts = sum((-1) ** k * c for k, c in enumerate(counts))
-        if n <= 4:
-            chi = euler_characteristic(nerve_complex(E))
-            if chi != chi_counts:
-                return _fail({"n": n, "materialized": chi, "counted": chi_counts})
-        if chi_counts != 0:
-            return _fail({"n": n, "euler": chi_counts})
-        out[n] = counts
-    return _pass(out)
+    E = build_break_category(n)
+    counts = composable_run_counts(E)
+    chi_counts = sum((-1) ** k * c for k, c in enumerate(counts))
+    if n <= 4:
+        chi = euler_characteristic(nerve_complex(E))
+        if chi != chi_counts:
+            return Fail({"materialized": chi, "counted": chi_counts})
+    if chi_counts != 0:
+        return Fail({"euler": chi_counts})
+    return counts
 
 
 # -- registry and runner ------------------------------------------------------------
@@ -487,26 +442,57 @@ def check_euler_zero(n_max: int, **_) -> tuple[str, object]:
 
 @dataclass(frozen=True)
 class CheckSpec:
+    """A registered check.  With a ``cap``, the one place a check's reach is
+    set, the runner calls ``fn(n, top, **params)`` for n from ``first_n`` to
+    ``top = min(n_max, cap)`` and keys the values by n, under ``key`` when it
+    is set.  Without one it calls ``fn(n_max, **params)`` once.  A check
+    returns its value, or a ``Fail``, whose dict payload gets the n first."""
+
     fn: Callable
     default_n: int
     description: str
+    cap: Optional[int] = None
+    first_n: int = 1
+    key: Optional[str] = None
 
 
 REGISTRY: dict[str, CheckSpec] = {
-    "chain-order-iso": CheckSpec(check_chain_order_iso, 3, "cube chains vs regular orders"),
-    "orbit-iso": CheckSpec(check_orbit_iso, 4, "cover quotient vs final covering"),
+    # id: check, default n_max, description, cap, first n, key of the per-n values
+    "chain-order-iso": CheckSpec(
+        check_chain_order_iso, 3, "cube chains vs regular orders", 4, key="poset_sizes"
+    ),
+    "orbit-iso": CheckSpec(check_orbit_iso, 4, "cover quotient vs final covering", 5, key="dims"),
     "non-self-linked": CheckSpec(check_non_self_linked, 3, "canonical-map injectivity"),
     "face-swap": CheckSpec(check_face_swap, 6, "constructive face-swap identity"),
-    "free-action": CheckSpec(check_free_action, 3, "free relabeling action on double orders"),
-    "union-sigma": CheckSpec(check_union_sigma, 3, "self-union under relabeling is cyclic"),
-    "F-G-triangles": CheckSpec(check_fg_triangles, 3, "retraction/union functor triangles"),
-    "nerve-quotient": CheckSpec(check_nerve_quotient, 3, "orbit complex vs quotient nerve"),
-    "bar-F-iso": CheckSpec(check_bar_f_iso, 3, "quotient functor to the break category"),
-    "cover-complete": CheckSpec(check_cover_complete, 3, "cover completeness and coverage"),
-    "cover-proper": CheckSpec(check_cover_proper, 3, "cover properness and equivariance"),
+    "free-action": CheckSpec(
+        check_free_action, 3, "free relabeling action on double orders", 4, key="double_orders"
+    ),
+    "union-sigma": CheckSpec(
+        check_union_sigma, 3, "self-union under relabeling is cyclic", 4, key="regular_orders"
+    ),
+    "F-G-triangles": CheckSpec(check_fg_triangles, 3, "retraction/union functor triangles", 3),
+    "nerve-quotient": CheckSpec(check_nerve_quotient, 3, "orbit complex vs quotient nerve", 3),
+    "bar-F-iso": CheckSpec(check_bar_f_iso, 3, "quotient functor to the break category", 4),
+    "cover-complete": CheckSpec(check_cover_complete, 3, "cover completeness and coverage", 3),
+    "cover-proper": CheckSpec(check_cover_proper, 3, "cover properness and equivariance", 3),
     "homology-cross-model": CheckSpec(check_homology_cross_model, 3, "model homology agreement"),
-    "euler-zero": CheckSpec(check_euler_zero, 4, "Euler characteristic of break nerves"),
+    "euler-zero": CheckSpec(check_euler_zero, 4, "Euler characteristic of break nerves", 5, 2),
 }
+
+
+def _run_check(spec: CheckSpec, n_max: int, params: dict) -> object:
+    """The details of one check, or its ``Fail``."""
+    if spec.cap is None:
+        return spec.fn(n_max, **params)
+    top = min(n_max, spec.cap)
+    values = {}
+    for n in range(spec.first_n, top + 1):
+        value = spec.fn(n, top, **params)
+        if isinstance(value, Fail):
+            # the cover checks fail with their list of failures, which carries no n
+            return Fail({"n": n, **value.payload}) if isinstance(value.payload, dict) else value
+        values[n] = value
+    return values if spec.key is None else {spec.key: values}
 
 
 def run_suite(
@@ -533,7 +519,10 @@ def run_suite(
         n = n_max if n_max is not None else spec.default_n
         start = time.perf_counter()
         try:
-            status, details = spec.fn(n, **extra)
+            details = _run_check(spec, n, extra)
+            status = "pass"
+            if isinstance(details, Fail):
+                status, details = "fail", details.payload
         except ResourceCapError as exc:
             status, details = "skipped", {"reason": "resource-cap", "message": str(exc)}
         except UsageError:

@@ -16,19 +16,7 @@ from dicube.categories import (
 from dicube.complexes import default_labels
 from dicube.homology import euler_characteristic, homology, homology_signature, same_homology
 from dicube.orders import enumerate_orders
-from dicube.suite import (
-    check_bar_f_iso,
-    check_chain_order_iso,
-    check_cover_complete,
-    check_cover_proper,
-    check_face_swap,
-    check_fg_triangles,
-    check_free_action,
-    check_nerve_quotient,
-    check_non_self_linked,
-    check_orbit_iso,
-    check_union_sigma,
-)
+from dicube.suite import run_suite
 
 
 @contextmanager
@@ -42,6 +30,12 @@ def criterion(number, name, budget_seconds):
     elapsed = time.perf_counter() - start
     print(f"ACCEPTANCE {number:2d} {name}: PASS ({elapsed:.2f}s)")
     assert elapsed < budget_seconds, f"budget {budget_seconds}s exceeded: {elapsed:.2f}s"
+
+
+def run_check(check_id, n_max, **params):
+    """The status and details of one registered check run to n_max."""
+    (report,) = run_suite([check_id], n_max=n_max, params=params)
+    return report.status, report.details
 
 
 def test_criterion_01_regular_order_cardinality():
@@ -59,67 +53,67 @@ def test_criterion_01_regular_order_cardinality():
 
 def test_criterion_02_chain_order_isomorphism():
     with criterion(2, "chain-order isomorphism", 60):
-        status, details = check_chain_order_iso(4)
+        status, details = run_check("chain-order-iso", 4)
         assert status == "pass", details
         assert details["poset_sizes"] == {1: 1, 2: 4, 3: 24, 4: 192}
 
 
 def test_criterion_03_orbit_isomorphism():
     with criterion(3, "orbit isomorphism", 30):
-        status, details = check_orbit_iso(5)
+        status, details = run_check("orbit-iso", 5)
         assert status == "pass", details
         assert details["dims"][5] == [6, 5, 4, 3, 2, 1]
 
 
 def test_criterion_04_non_self_linkedness():
     with criterion(4, "non-self-linkedness", 10):
-        status, details = check_non_self_linked(4)
+        status, details = run_check("non-self-linked", 4)
         assert status == "pass", details
-        failing_status, payload = check_non_self_linked(4, target="final-truncated")
+        failing_status, payload = run_check("non-self-linked", 4, target="final-truncated")
         assert failing_status == "fail" and payload["cell"] == "z1"
 
 
 def test_criterion_05_face_swap():
     with criterion(5, "face swap identity", 30):
-        status, details = check_face_swap(7)
+        status, details = run_check("face-swap", 7)
         assert status == "pass", details
         assert details["cases"] == 255 and details["max_p_plus_q"] == 7
 
 
 def test_criterion_06_free_action_and_union_sigma():
     with criterion(6, "free action and self-union", 60):
-        status, details = check_free_action(4)
+        status, details = run_check("free-action", 4)
         assert status == "pass", details
-        status, details = check_union_sigma(4)
+        status, details = run_check("union-sigma", 4)
         assert status == "pass", details
 
 
 def test_criterion_07_functor_triangles():
     with criterion(7, "functor triangles", 60):
-        status, details = check_fg_triangles(3)
+        status, details = run_check("F-G-triangles", 3)
         assert status == "pass", details
         assert all(v["mixed_chains"] > 0 for v in details.values())
 
 
 def test_criterion_08_quotient_nerve_isomorphism():
     with criterion(8, "quotient-nerve isomorphism", 60):
-        status, details = check_nerve_quotient(3)
+        status, details = run_check("nerve-quotient", 3)
         assert status == "pass", details
 
 
 def test_criterion_09_bar_functor_isomorphism():
     with criterion(9, "quotient functor bijectivity", 120):
-        status, details = check_bar_f_iso(4)
+        status, details = run_check("bar-F-iso", 4)
         assert status == "pass", details
         assert details[4] == {"objects": 8, "morphisms": 120}
 
 
 def test_criterion_10_cover_verification():
     with criterion(10, "cover verification", 120):
-        status, details = check_cover_complete(3)
+        status, details = run_check("cover-complete", 3)
         assert status == "pass", details
         assert details[3]["samples_covered"] == 1000
-        status, details = check_cover_proper(3)
+        status, details = run_check("cover-proper", 3)
         assert status == "pass", details
 
 

@@ -23,7 +23,8 @@ from dicube.categories import (
     semi_regular_orders_poset,
     symmetric_order_quotient,
 )
-from dicube.complexes import default_labels
+from dicube.complexes import adjacent_transpositions, default_labels, permutations_of
+from dicube.cover import nerve_retraction_check, point_to_order, random_configuration, verify_cover
 from dicube.errors import ContractError
 from dicube.homology import euler_characteristic, homology, same_homology
 from dicube.orders import DoubleOrder, enumerate_orders, level_function, poset_leq, rel_from_pairs
@@ -148,6 +149,26 @@ def test_regular_orders_poset_rows_match_the_pairwise_fill(n, variant):
 def test_order_posets_of_unhashable_labels_are_a_contract_error(build):
     with pytest.raises(ContractError):
         build([[1], [2]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: enumerate_orders(5, "regular"), id="enumerate_orders"),
+        pytest.param(lambda: verify_cover(5), id="verify_cover"),
+        pytest.param(lambda: point_to_order({}, 5), id="point_to_order"),
+        pytest.param(lambda: random_configuration(5, random.Random(0)), id="random_configuration"),
+        pytest.param(lambda: permutations_of(5), id="permutations_of"),
+        pytest.param(lambda: adjacent_transpositions(5), id="adjacent_transpositions"),
+        pytest.param(lambda: nerve_retraction_check(5), id="nerve_retraction_check"),
+        pytest.param(lambda: regular_orders_poset(5, "sqsubseteq"), id="regular_orders_poset"),
+        pytest.param(lambda: semi_regular_orders_poset(5), id="semi_regular_orders_poset"),
+        pytest.param(lambda: symmetric_order_quotient(5, "regular"), id="symmetric_order_quotient"),
+    ],
+)
+def test_a_label_set_that_is_not_iterable_is_a_contract_error(call):
+    with pytest.raises(ContractError, match="iterable"):
+        call()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from dicube.complexes import (
     build_final_covering,
     build_ordered_cover,
     build_standard_cube,
+    build_wedge_cube,
     unique_map_to_final,
 )
 from dicube.errors import ContractError, ResourceCapError, StructuralError
@@ -23,6 +25,7 @@ from dicube.precubical import (
     length_covering,
     pullback,
     quotient_by_automorphisms,
+    serial_wedge,
     validate_complex,
     with_base,
 )
@@ -484,3 +487,78 @@ def test_dot_export_lists_vertices_and_edges():
     dot = build_standard_cube(1).to_dot()
     assert dot.count("->") == 1
     assert 'label="0"' in dot and 'label="1"' in dot
+
+
+# -- seeded properties on random bipointed complexes ----------------------------------------
+
+
+def random_bipointed(rng: random.Random, depth: int = 2, loops: bool = True) -> PrecubicalComplex:
+    """A serial wedge of standard cubes, wedge cubes, final coverings and, with
+    ``loops``, final complexes, whose loops leave it without an altitude."""
+    kinds = ["cube", "wedge", "covering"] + ["final"] * loops + ["serial"] * (depth > 0)
+    kind = rng.choice(kinds)
+    if kind == "cube":
+        return build_standard_cube(rng.randint(0, 3))
+    if kind == "wedge":
+        return build_wedge_cube([rng.randint(1, 2) for _ in range(rng.randint(1, 3))])
+    if kind == "covering":
+        return build_final_covering(rng.randint(0, 3))[0]
+    if kind == "final":
+        return build_final_complex(rng.randint(0, 2))
+    return serial_wedge(*(random_bipointed(rng, depth - 1, loops) for _ in range(2)))
+
+
+def test_pullback_squares_commute_on_random_complexes():
+    # each side goes into one final covering through its altitude shifted by a
+    # random offset, so the images often meet in no cell of the top dimensions
+    rng = random.Random(8)
+    dropped = 0
+    for _ in range(120):
+        K, L = (random_bipointed(rng, loops=False) for _ in range(2))
+        alts = [compute_altitude(M) for M in (K, L)]
+        shifts = [rng.randint(0, 2) for _ in range(2)]
+        height = max(a[c] + c[0] + s for M, a, s in zip((K, L), alts, shifts) for c in M.cells())
+        Z, _ = build_final_covering(height)
+        p, q = (
+            PrecubicalMap(M, Z, [[a[(d, k)] + s for k in range(n)] for d, n in enumerate(M.dims)])
+            for M, a, s in zip((K, L), alts, shifts)
+        )
+        P, proj1, proj2 = pullback(p, q)
+        assert validate_complex(P) == []
+        assert not proj1.violations() and not proj2.violations()
+        for cell in P.cells():
+            assert p(proj1(cell)) == q(proj2(cell))
+        # every pair that meets is a cell of P, in each dimension up to the smaller top
+        for d in range(min(K.max_dim, L.max_dim) + 1):
+            meet = [(a, b) for a in K.cells_of_dim(d) for b in L.cells_of_dim(d) if p(a) == q(b)]
+            cells = P.cells_of_dim(d) if d <= P.max_dim else []
+            assert [(proj1(c), proj2(c)) for c in cells] == meet
+        dropped += P.max_dim < min(K.max_dim, L.max_dim)
+        if P.base is not None:
+            assert (proj1(P.base[0]), proj2(P.base[0])) == (K.base[0], L.base[0])
+    assert dropped > 0  # the seed reaches pullbacks with empty top dimensions
+
+
+def test_length_coverings_of_random_complexes_have_altitudes_and_commuting_projections():
+    rng = random.Random(11)
+    for _ in range(80):
+        K = random_bipointed(rng)
+        lc = length_covering(K, rng.randint(0, 4))
+        assert is_altitude_labeling(lc.complex, lc.altitude)
+        assert lc.projection.violations() == []
+        assert validate_complex(lc.complex) == []
+
+
+def test_accessible_part_is_idempotent_on_random_complexes():
+    # half the samples sit beside a second complex whose cells are all inaccessible
+    rng = random.Random(5)
+    shrunk = 0
+    for _ in range(80):
+        K = random_bipointed(rng)
+        if rng.random() < 0.5:
+            init, final = (f"L:{K.label(v)}" for v in K.base)
+            K = with_base(disjoint_union(K, random_bipointed(rng, 1)), init, final)
+        once = accessible_part(K)
+        assert accessible_part(once).to_json_dict() == once.to_json_dict()
+        shrunk += once.dims != K.dims
+    assert shrunk > 0

@@ -30,6 +30,16 @@ def test_suite_reports_equal_their_snapshot(n_max):
     assert text == (SNAPSHOTS / f"suite-n{n_max}.json").read_text()
 
 
+def test_readme_gives_the_n_range_of_each_check_from_the_registry():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = [line for line in readme.splitlines() if line.startswith("| `")]
+    for check_id, spec in REGISTRY.items():
+        n_range = "whole run" if spec.cap is None else f"{spec.first_n}..{spec.cap}"
+        (row,) = [row for row in rows if row.startswith(f"| `{check_id}` |")]
+        assert row.startswith(f"| `{check_id}` | {n_range}"), row
+        assert row.endswith(f" | {spec.default_n} |"), row
+
+
 def test_registry_ids_are_the_documented_ones():
     assert sorted(REGISTRY) == sorted(
         [
@@ -292,7 +302,8 @@ def test_bar_f_iso_fails_on_a_functor_not_induced_from_the_quotient(kind, whole_
 
     monkeypatch.setattr(suite, "break_functor", corrupted_break_functor)
     monkeypatch.setattr(suite, "check_functoriality", lambda func: None)
-    status, details = suite.check_bar_f_iso(3)
+    (report,) = run_suite(["bar-F-iso"], n_max=3)
+    status, details = report.status, report.details
     assert status == "fail"
     orbit, new, old = moved[0]
     if whole_orbit:
@@ -318,7 +329,6 @@ def patch_double_family(monkeypatch, family_at_3):
         "enumerate_orders",
         lambda labels, kind: family_at_3 if len(labels) == 3 else real(labels, kind),
     )
-    return suite
 
 
 def test_free_action_finds_a_fixed_order_outside_the_first_orbit(monkeypatch):
@@ -330,8 +340,9 @@ def test_free_action_finds_a_fixed_order_outside_the_first_orbit(monkeypatch):
     )
     fixed = family.index(y_orders_on_abc((0, 0, 0b011))[0])
     assert fixed == 2  # after c<a and c<b, the first orbit's two smallest keys
-    suite = patch_double_family(monkeypatch, family)
-    status, details = suite.check_free_action(3)
+    patch_double_family(monkeypatch, family)
+    (report,) = run_suite(["free-action"], n_max=3)
+    status, details = report.status, report.details
     assert status == "fail"
     assert details == {
         "n": 3,
@@ -341,8 +352,9 @@ def test_free_action_finds_a_fixed_order_outside_the_first_orbit(monkeypatch):
 
 
 def test_free_action_fails_on_a_family_not_closed_under_relabelling(monkeypatch):
-    suite = patch_double_family(monkeypatch, y_orders_on_abc((0, 0, 0b001)))
-    status, details = suite.check_free_action(3)
+    patch_double_family(monkeypatch, y_orders_on_abc((0, 0, 0b001)))
+    (report,) = run_suite(["free-action"], n_max=3)
+    status, details = report.status, report.details
     assert status == "fail"
     assert details == {
         "n": 3,
@@ -353,14 +365,14 @@ def test_free_action_fails_on_a_family_not_closed_under_relabelling(monkeypatch)
 
 
 def test_bar_f_iso_builds_one_regular_poset_category_per_n(monkeypatch):
-    from dicube import categories, suite
+    from dicube import categories
 
     sizes = []
     build = categories.poset_category
     monkeypatch.setattr(
         categories, "poset_category", lambda P: sizes.append(len(P.elements)) or build(P)
     )
-    assert suite.check_bar_f_iso(3)[0] == "pass"
+    assert run_suite(["bar-F-iso"], n_max=3)[0].status == "pass"
     assert sizes == [1, 4, 24]  # the regular orders at n = 1, 2, 3
 
 
