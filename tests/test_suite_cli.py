@@ -20,14 +20,16 @@ def strip_times(payload):
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 
 
-@pytest.mark.parametrize("n_max", [1, 5])
+@pytest.mark.parametrize("n_max", [1, 5, None])
 def test_suite_reports_equal_their_snapshot(n_max):
-    # n_max 1 gives the empty ranges of the checks that start at n = 2, and
-    # n_max 5 runs orbit-iso and euler-zero at their caps; compared as text,
-    # so the key order of every report counts
+    # n_max 1 gives the empty ranges of the checks that start at n = 2,
+    # n_max 5 runs orbit-iso and euler-zero at their caps, and None runs each
+    # check at its default size; compared as text, so the key order of every
+    # report counts
     reports = strip_times([r.to_json_dict() for r in run_suite(None, n_max=n_max)])
     text = json.dumps(reports, indent=1) + "\n"
-    assert text == (SNAPSHOTS / f"suite-n{n_max}.json").read_text()
+    name = "suite-default" if n_max is None else f"suite-n{n_max}"
+    assert text == (SNAPSHOTS / f"{name}.json").read_text()
 
 
 def test_readme_gives_the_n_range_of_each_check_from_the_registry():
