@@ -1,6 +1,7 @@
-"""Finite categories and their nerves: composition tables, loop-freeness,
-quotients by free group actions, the break category on {1..n-1}, and the
-functor from regular double orders onto it.
+"""Finite categories and their nerves: composition tables, loop-freeness
+(Kahn peeling through ``reachable``), quotients by free group actions, the
+break category on {1..n-1}, and the functor from regular double orders onto
+it.
 
 Each builder hands ``FiniteCategory`` one composition function; the
 constructor calls it once per composable pair and keeps the table, and
@@ -105,27 +106,25 @@ class FiniteCategory:
                     raise ContractError("associativity fails")
 
     def is_loop_free(self) -> bool:
-        """No non-identity endomorphisms and no directed cycles through them."""
-        edges: dict[int, set[int]] = {}
+        """No non-identity endomorphisms and no directed cycles through them:
+        Kahn peeling releases an object once every non-identity entering it
+        comes from a peeled object, and the category is loop-free iff every
+        object is peeled."""
+        targets: list[list[int]] = [[] for _ in self.objects]
+        entering = [0] * self.n_objects
         for m in self.non_identity():
             mor = self.morphisms[m]
-            if mor.src == mor.tgt:
-                return False
-            edges.setdefault(mor.src, set()).add(mor.tgt)
-        seen: dict[int, int] = {}  # 1 = on stack, 2 = done
+            targets[mor.src].append(mor.tgt)
+            entering[mor.tgt] += 1
 
-        def dfs(v: int) -> bool:
-            seen[v] = 1
-            for w in edges.get(v, ()):
-                state = seen.get(w)
-                if state == 1:
-                    return False
-                if state is None and not dfs(w):
-                    return False
-            seen[v] = 2
-            return True
+        def release(obj: int) -> Iterator[int]:
+            for tgt in targets[obj]:
+                entering[tgt] -= 1
+                if not entering[tgt]:
+                    yield tgt
 
-        return all(dfs(v) for v in range(len(self.objects)) if v not in seen)
+        sources = [obj for obj, count in enumerate(entering) if not count]
+        return len(reachable(sources, release)) == self.n_objects
 
     def object_label(self, i: int) -> str:
         return label_text(self.objects[i], brackets="{}")

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .complexes import build_standard_cube
 from .errors import ContractError
-from .posets import Poset
+from .posets import Poset, reachable
 from .precubical import (
     Cell,
     PrecubicalComplex,
@@ -36,8 +36,9 @@ class CubeChain:
 
 def enumerate_chains(K: PrecubicalComplex) -> list[CubeChain]:
     """All cube chains from the initial to the final vertex, in lexicographic
-    cell order.  The complex must have an altitude labeling: altitudes rise
-    strictly along a chain, so the search stops at the final vertex's
+    cell order.  ``reachable`` walks the (vertex, prefix) states from the
+    initial vertex.  The complex must have an altitude labeling: altitudes
+    rise strictly along a chain, so a state stops at the final vertex's
     altitude, and a complex without one (a loop, say) raises ContractError.
     """
     if K.base is None:
@@ -50,21 +51,15 @@ def enumerate_chains(K: PrecubicalComplex) -> list[CubeChain]:
     for d in range(1, K.max_dim + 1):
         for cell in K.cells_of_dim(d):
             outgoing.setdefault(K.initial_vertex(cell), []).append(cell)
-    for lst in outgoing.values():
-        lst.sort()
 
-    found: list[CubeChain] = []
-    stack: list[tuple[Cell, tuple[Cell, ...]]] = [(start, ())]
-    while stack:
-        vertex, prefix = stack.pop()
-        if vertex == stop:
-            found.append(CubeChain(prefix))
+    def extend(state: tuple[Cell, tuple[Cell, ...]]) -> list[tuple[Cell, tuple[Cell, ...]]]:
+        vertex, prefix = state
         if alt[vertex] >= alt[stop]:
-            continue
-        for cell in reversed(outgoing.get(vertex, ())):
-            stack.append((K.final_vertex(cell), prefix + (cell,)))
-    found.sort(key=lambda c: c.cells)
-    return found
+            return []
+        return [(K.final_vertex(cell), prefix + (cell,)) for cell in outgoing.get(vertex, ())]
+
+    states = reachable([(start, ())], extend)
+    return sorted((CubeChain(p) for v, p in states if v == stop), key=lambda c: c.cells)
 
 
 class ChainOrder:

@@ -200,10 +200,6 @@ class OrderedCover:
     def cover_cell(self, cell: Cell) -> CoverCell:
         return self.cells[cell[0]][cell[1]]
 
-    @property
-    def altitude(self) -> dict[Cell, int]:
-        return {cell: self.cover_cell(cell).altitude for cell in self.complex.cells()}
-
     def automorphism(self, sigma: Mapping) -> PrecubicalMap:
         assign = [[self.cell_of(c.act(sigma))[1] for c in layer] for layer in self.cells]
         return PrecubicalMap(self.complex, self.complex, assign, check=False)

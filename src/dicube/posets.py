@@ -1,8 +1,10 @@
 """Finite relations as row bitmasks, the one format of double orders and
-posets; families of relations read by bit; breadth-first reachability; and
-finite posets: validation, strict chains, covering pairs, Hasse diagrams in
-DOT and JSON export.  The order complex is the nerve of the poset category
-(``dicube.categories``)."""
+posets; families of relations read by bit; breadth-first reachability, the
+one graph search of the package (faces, accessible parts, orbits,
+relabelling groups, altitude labelings, loop-freeness, poset chains and cube
+chains all go through ``reachable``); and finite posets: validation, strict
+chains, covering pairs, Hasse diagrams in DOT and JSON export.  The order
+complex is the nerve of the poset category (``dicube.categories``)."""
 
 from __future__ import annotations
 
@@ -179,19 +181,12 @@ class Poset:
         return out
 
     def chains(self) -> list[tuple[int, ...]]:
-        """All nonempty strictly increasing chains, lexicographic by index tuple."""
+        """All nonempty strictly increasing chains in (length, tuple) order:
+        breadth-first from the one-element chains, each extended by the
+        elements above its top in ascending order."""
         above = [bit_positions(row & ~(1 << i)) for i, row in enumerate(self.leq)]
-        out: list[tuple[int, ...]] = []
-
-        def extend(chain: tuple[int, ...]):
-            out.append(chain)
-            for j in above[chain[-1]]:
-                extend(chain + (j,))
-
-        for i in range(len(self.elements)):
-            extend((i,))
-        out.sort(key=lambda c: (len(c), c))
-        return out
+        singletons = [(i,) for i in range(len(self.elements))]
+        return reachable(singletons, lambda chain: [chain + (j,) for j in above[chain[-1]]])
 
     def order_complex(self) -> ChainComplex:
         """Chain complex of the order complex (simplices = strict chains): the

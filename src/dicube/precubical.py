@@ -12,6 +12,9 @@ slot (d, k, i, eps) of a complex with those cell counts, and
 Every construction (cubes, final complexes, the ordered cover, restrictions,
 pullbacks, quotients, coverings, unions, wedges) lists its cells per dimension
 as hashable items with a face rule, and ``complex_from_cells`` fills the table.
+
+Every search over cells (faces, altitude labelings, accessibility, orbits) is
+a call to ``dicube.posets.reachable``.
 """
 
 from __future__ import annotations
@@ -420,45 +423,36 @@ class PrecubicalMap:
 
 
 def compute_altitude(K: PrecubicalComplex) -> Optional[dict[Cell, int]]:
-    """The altitude labeling alt(d^eps_i c) = alt(c) + eps, if consistent.
+    """The altitude labeling alt(d^eps_i c) = alt(c) + eps, if there is one.
 
-    Constraints are propagated breadth-first over the undirected cell
-    incidence graph; each connected component is anchored at a single cell
-    (the initial base vertex for its component when K is bipointed, the
-    least cell otherwise).  Returns None when any constraint closes
-    inconsistently.
+    Each connected component of the undirected cell incidence graph is
+    searched with ``reachable`` from its anchor at 0 (the initial base vertex
+    first, then the least unlabelled cell), and a cell takes the value its
+    first neighbour gives it.  The result stands only if it is an altitude
+    labeling; otherwise some constraint closes inconsistently and the answer
+    is None.
     """
     neighbors: dict[Cell, list[tuple[Cell, int]]] = {c: [] for c in K.cells()}
     for d, k, _i, eps, face in K.face_entries():
         neighbors[(d, k)].append(((d - 1, face), eps))
         neighbors[(d - 1, face)].append(((d, k), -eps))
     alt: dict[Cell, int] = {}
-    anchors: list[Cell] = []
-    if K.base is not None:
-        anchors.append(K.base[0])
-    anchors.extend(K.cells())
-    for anchor in anchors:
-        if anchor in alt:
-            continue
-        alt[anchor] = 0
-        frontier = [anchor]
-        while frontier:
-            nxt = []
-            for cell in frontier:
-                here = alt[cell]
-                for other, offset in neighbors[cell]:
-                    want = here + offset
-                    if other in alt:
-                        if alt[other] != want:
-                            return None
-                    else:
-                        alt[other] = want
-                        nxt.append(other)
-            frontier = nxt
-    return alt
+
+    def label(cell: Cell) -> Iterator[Cell]:
+        for other, offset in neighbors[cell]:
+            if other not in alt:
+                alt[other] = alt[cell] + offset
+                yield other
+
+    for anchor in ([K.base[0]] if K.base is not None else []) + list(K.cells()):
+        if anchor not in alt:
+            alt[anchor] = 0
+            reachable([anchor], label)
+    return alt if is_altitude_labeling(K, alt) else None
 
 
 def is_altitude_labeling(K: PrecubicalComplex, alt: Mapping[Cell, int]) -> bool:
+    """Every face constraint holds, and the initial base vertex is at 0."""
     if any(alt[(d - 1, face)] != alt[(d, k)] + eps for d, k, _i, eps, face in K.face_entries()):
         return False
     if K.base is not None and alt[K.base[0]] != 0:

@@ -131,7 +131,7 @@ def check_orbit_iso(n: int, top: int, **_) -> object:
     span them) matches the length covering of the final complex, cell for cell."""
     cover = build_ordered_cover(n)
     Q, _proj = quotient_by_automorphisms(cover.complex, cover.symmetric_group())
-    Z, zalt = build_final_covering(n)
+    Z, _ = build_final_covering(n)
     if Q.dims != Z.dims:
         return Fail({"quotient_dims": list(Q.dims), "expected": list(Z.dims)})
     # an orbit cell, labelled as its least member, goes to the covering

@@ -115,6 +115,21 @@ def test_poset_category_matches_pair_scan_on_random_posets(seed):
     assert_poset_category_matches_pair_scan(P)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_poset_chains_match_the_itertools_oracle_on_random_posets(seed):
+    # every index tuple of each length in itertools order, kept when each
+    # entry lies strictly below the next: (length, tuple) order by construction
+    rng = random.Random(seed)
+    P = random_poset(rng, rng.randint(1, 7), rng.choice([0.1, 0.3, 0.6]))
+    oracle = [
+        chain
+        for length in range(1, len(P) + 1)
+        for chain in itertools.permutations(range(len(P)), length)
+        if all(P.lt(a, b) for a, b in zip(chain, chain[1:]))
+    ]
+    assert P.chains() == oracle
+
+
 # -- order posets and relation families read by bit ----------------------------------
 
 
@@ -370,6 +385,18 @@ def test_nerve_rejects_loops():
         lambda g, f: table[g, f],
     )
     with pytest.raises(ContractError):
+        nerve_complex(C)
+
+
+def test_isomorphism_pair_is_a_loop_without_endomorphisms():
+    # f: a -> b and g: b -> a with g f = id_a and f g = id_b: a cycle of two
+    # objects, each with only its identity as endomorphism
+    table = {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2, (3, 1): 3, (0, 3): 3, (3, 2): 0, (2, 3): 1}
+    names = [(0, 0, "id_a"), (1, 1, "id_b"), (0, 1, "f"), (1, 0, "g")]
+    C = FiniteCategory(["a", "b"], [Morphism(*m) for m in names], [0, 1], lambda g, f: table[g, f])
+    C.validate()
+    assert not C.is_loop_free()
+    with pytest.raises(ContractError, match="loops"):
         nerve_complex(C)
 
 

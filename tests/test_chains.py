@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,6 +18,8 @@ from dicube.complexes import (
 )
 from dicube.errors import ContractError
 from dicube.orders import enumerate_orders
+from dicube.precubical import serial_wedge
+from test_precubical import has_loop_edge, random_bipointed
 
 
 def cover_chain(cover, *cell_labels):
@@ -73,6 +76,52 @@ def test_chains_need_an_altitude_labeling(n):
     z = build_final_complex(n)
     with pytest.raises(ContractError, match="altitude"):
         enumerate_chains(z)
+
+
+def chains_by_walk(K):
+    """Every run of positive-dimensional cells from the initial vertex to the
+    final one, by a depth-first walk that tries the cells in index order at
+    each vertex and records a run on reaching the final vertex: lexicographic
+    order, with no altitude pruning."""
+    start, stop = K.base
+    steps = [cell for cell in K.cells() if cell[0] > 0]
+    found = []
+
+    def walk(vertex, prefix):
+        if vertex == stop:
+            found.append(prefix)
+        for cell in steps:
+            if K.initial_vertex(cell) == vertex:
+                walk(K.final_vertex(cell), prefix + (cell,))
+
+    walk(start, ())
+    return found
+
+
+def test_chains_of_random_complexes_match_the_walk_and_multiply_under_serial_wedge():
+    rng = random.Random(23)
+    for _ in range(40):
+        K, L = (random_bipointed(rng, loops=False) for _ in range(2))
+        counts = []
+        for M in (K, L):
+            chains = enumerate_chains(M)
+            assert [c.cells for c in chains] == chains_by_walk(M)
+            counts.append(len(chains))
+        assert len(enumerate_chains(serial_wedge(K, L))) == counts[0] * counts[1]
+
+
+def test_chains_of_random_complexes_with_a_final_complex_need_an_altitude():
+    rng = random.Random(29)
+    refused = 0
+    for _ in range(80):
+        K = random_bipointed(rng)
+        if has_loop_edge(K):
+            with pytest.raises(ContractError, match="altitude"):
+                enumerate_chains(K)
+            refused += 1
+        else:
+            assert [c.cells for c in enumerate_chains(K)] == chains_by_walk(K)
+    assert refused > 0
 
 
 # -- the chain order ----------------------------------------------------------------

@@ -85,6 +85,12 @@ def test_altitude_absent_on_final_complex():
     assert compute_altitude(build_final_complex(2)) is None
 
 
+def test_altitude_absent_when_the_loop_lies_off_the_base_component():
+    # the square holds the base and has an altitude; the final edge beside it does not
+    K = disjoint_union(build_standard_cube(2), build_final_complex(1))
+    assert compute_altitude(with_base(K, "L:00", "L:11")) is None
+
+
 def test_altitude_of_final_covering():
     zt, expected = build_final_covering(3)
     alt = compute_altitude(zt)
@@ -506,6 +512,27 @@ def random_bipointed(rng: random.Random, depth: int = 2, loops: bool = True) -> 
     if kind == "final":
         return build_final_complex(rng.randint(0, 2))
     return serial_wedge(*(random_bipointed(rng, depth - 1, loops) for _ in range(2)))
+
+
+def has_loop_edge(K: PrecubicalComplex) -> bool:
+    """An edge with equal endpoints: in the family above, exactly the mark of
+    a final complex of positive dimension."""
+    return any(K.initial_vertex(e) == K.final_vertex(e) for e in K.cells_of_dim(1))
+
+
+def test_altitude_of_random_complexes_exists_exactly_without_loop_edges():
+    # the loops of a final complex are the one obstruction in this family
+    rng = random.Random(17)
+    absent = 0
+    for _ in range(120):
+        K = random_bipointed(rng)
+        looped = has_loop_edge(K)
+        alt = compute_altitude(K)
+        assert (alt is None) == looped
+        if alt is not None:
+            assert is_altitude_labeling(K, alt) and alt[K.base[0]] == 0
+        absent += looped
+    assert 0 < absent < 120  # the seed reaches both answers
 
 
 def test_pullback_squares_commute_on_random_complexes():
