@@ -1,7 +1,7 @@
 """Finite categories and their nerves: composition tables, loop-freeness
-(Kahn peeling through ``reachable``), quotients by free group actions, the
-break category on {1..n-1}, and the functor from regular double orders onto
-it.
+(Kahn peeling through ``reachable``), quotients by free group actions (both
+read off one orbit table, ``GroupAction.orbits``), the break category on
+{1..n-1}, and the functor from regular double orders onto it.
 
 Each builder hands ``FiniteCategory`` one composition function; the
 constructor calls it once per composable pair and keeps the table, and
@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 from .errors import ContractError, ResourceCapError, require_size
 from .homology import ChainComplex
 from .orders import DoubleOrder, _order_families, enumerate_orders, regular_blocks, relabelling
-from .posets import Poset, _dot_escape, label_text, reachable, rel_pairs
+from .posets import Poset, dot_digraph, label_text, reachable, rel_pairs
 
 
 @dataclass(frozen=True)
@@ -134,16 +134,9 @@ class FiniteCategory:
 
     def to_dot(self, name: str = "category") -> str:
         """Objects as nodes, non-identity morphisms as labeled edges."""
-        lines = [f"digraph {name} {{"]
-        for i in range(len(self.objects)):
-            lines.append(f'  n{i} [label="{_dot_escape(self.object_label(i))}"];')
-        for m in self.non_identity():
-            mor = self.morphisms[m]
-            lines.append(
-                f'  n{mor.src} -> n{mor.tgt} [label="{_dot_escape(self.morphism_label(m))}"];'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        mors = self.morphisms
+        edges = [(mors[m].src, mors[m].tgt, self.morphism_label(m)) for m in self.non_identity()]
+        return dot_digraph(name, "n", [self.object_label(i) for i in range(self.n_objects)], edges)
 
     def to_json_dict(self) -> dict:
         return {
@@ -312,58 +305,55 @@ class GroupAction:
         objs, mor = self.on_objects[g], self.C.morphisms[m]
         return self._hom[objs[mor.src]][objs[mor.tgt]]
 
+    def orbits(self) -> tuple[list[int], list[int], list[int]]:
+        """The object orbits of a free action, read off their least members:
+        the least object of each orbit in ascending order, each object's
+        orbit index, and for each object the element moving its orbit's least
+        object to it.  ContractError unless the action is free on objects."""
+        least: list[int] = []
+        orbit_of, away = [-1] * self.C.n_objects, [0] * self.C.n_objects
+        for o in range(self.C.n_objects):  # in order: an orbit is first met at its least object
+            if orbit_of[o] == -1:
+                for g, objs in enumerate(self.on_objects):
+                    if orbit_of[objs[o]] == -1:
+                        orbit_of[objs[o]], away[objs[o]] = len(least), g
+                least.append(o)
+        if len(least) * len(self.on_objects) != self.C.n_objects:  # some orbit is short
+            raise ContractError("orbits need a free action on objects")
+        return least, orbit_of, away
+
 
 def quotient_category(
     C: FiniteCategory, act: GroupAction
 ) -> tuple[FiniteCategory, list[int], list[int]]:
-    """Quotient by a free action: objects are orbits, morphisms are orbits.
-
-    Freeness on objects makes every morphism orbit hit each source object of
-    its source orbit exactly once, which pins down canonical representatives
-    and the composition rule.  Returns (quotient, object map, morphism map);
-    the nerve-quotient check tests the quotient's laws and orbit counts.
+    """Quotient by a free action: objects are orbits, morphisms are orbits,
+    each represented by its one member out of the least object of its source
+    orbit.  Composition anchors the second factor at the target of the
+    first.  Returns (quotient, object map, morphism map); the nerve-quotient
+    check tests the quotient's laws and orbit counts.
     """
     if act.C is not C:
         raise ContractError("action is attached to a different category")
-    if not act.is_free_on_objects():
-        raise ContractError("quotient construction requires a free action on objects")
+    least, obj_map, away = act.orbits()
+    mor_reps = [m for m, mor in enumerate(C.morphisms) if least[obj_map[mor.src]] == mor.src]
+    mor_map = [-1] * C.n_morphisms
+    for i, r in enumerate(mor_reps):
+        for g in range(len(act.on_objects)):
+            mor_map[act.act_morphism(g, r)] = i
+    if -1 in mor_map:
+        m = mor_map.index(-1)
+        raise ContractError(f"orbit of morphism {m} has no member at its representative")
 
-    # the least member of an object orbit represents it
-    obj_orbit_rep = [min(row[o] for row in act.on_objects) for o in range(C.n_objects)]
-    reps = sorted(set(obj_orbit_rep))
-    rep_index = {r: i for i, r in enumerate(reps)}
-    obj_map = [rep_index[r] for r in obj_orbit_rep]
-
-    # a morphism orbit by source: the action is free on objects, so the orbit
-    # has one member at each object of its source orbit, and the member at
-    # the representative object represents it
-    group = range(len(act.on_objects))
-    mor_orbit_rep: list[int] = [-1] * C.n_morphisms
-    member_at: dict[int, dict[int, int]] = {}
-    for m in range(C.n_morphisms):
-        if mor_orbit_rep[m] == -1:
-            orbit = [act.act_morphism(g, m) for g in group]
-            members = {C.morphisms[x].src: x for x in orbit}
-            rep = members.get(obj_orbit_rep[C.morphisms[m].src])
-            if rep is None:
-                raise ContractError(f"orbit of morphism {m} has no member at its representative")
-            for x in orbit:
-                mor_orbit_rep[x] = rep
-            member_at[rep] = members
-    mor_reps = sorted(member_at)
-    mor_rep_index = {r: i for i, r in enumerate(mor_reps)}
-    mor_map = [mor_rep_index[mor_orbit_rep[m]] for m in range(C.n_morphisms)]
-
-    objects = [C.objects[r] for r in reps]
+    objects = [C.objects[r] for r in least]
     morphisms = [C.morphisms[r] for r in mor_reps]
     morphisms = [Morphism(obj_map[mor.src], obj_map[mor.tgt], mor.payload) for mor in morphisms]
-    identity = [mor_map[C.identity[r]] for r in reps]
+    identity = [mor_map[C.identity[r]] for r in least]
 
     def compose(g: int, f: int) -> int:
-        # anchor the second factor at the target object of the first
         f_rep = mor_reps[f]
-        g_member = member_at[mor_reps[g]].get(C.morphisms[f_rep].tgt)
-        if g_member is None:
+        f_tgt = C.morphisms[f_rep].tgt
+        g_member = act.act_morphism(away[f_tgt], mor_reps[g])
+        if C.morphisms[g_member].src != f_tgt:
             raise ContractError("quotient composition found no anchored factor")
         return mor_map[C.compose(g_member, f_rep)]
 
@@ -566,40 +556,40 @@ def symmetric_order_quotient(labels, kind: str) -> SymmetricOrderQuotient:
 def nerve_orbit_complex(
     C: FiniteCategory, act: GroupAction
 ) -> tuple[ChainComplex, list[list[tuple[int, ...]]]]:
-    """Orbit complex of the nerve: generators are orbits of composable runs
-    (least run as representative), boundaries induced by any representative.
+    """Orbit complex of the nerve: generators are orbits of composable runs,
+    boundaries induced by their representatives.
 
-    Free action on objects makes the action on runs free as well, so orbits
-    never merge signed faces.
+    The action must be free on objects, hence on runs, so orbits never merge
+    signed faces.  An orbit's representative is its one run out of the least
+    object of its source orbit; a run starts where its prefix does, so these
+    are the runs extending a representative.  Where morphisms are listed by
+    source, as ``poset_category`` lists them, it is the orbit's least run.
     """
-    levels = nerve_chains(C)
-    rep_levels: list[list[tuple[int, ...]]] = []
-
-    def orbits(image: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-        # ids follow the lexicographic order of runs, so the least id is the least run
-        rep = [min(orbit) for orbit in zip(*image)]
-        reps = sorted(set(rep))
-        rep_levels.append([levels[len(rep_levels)][r] for r in reps])
-        index = {r: i for i, r in enumerate(reps)}
-        return reps, [index[r] for r in rep]
-
-    image = act.on_objects  # image[g][run id] at the current level
-    _, orbit_of = orbits(image)
+    least, orbit_of, _ = act.orbits()
+    reps, runs = least, [()] * len(least)
+    image = [[objs[o] for o in least] for objs in act.on_objects]  # image[g][i]: of reps[i]
+    rep_levels: list[list[tuple[int, ...]]] = [[(o,) for o in least]]
     boundaries = []
     for last, faces, child in _nerve_levels(C):
-        image = [
-            [child(row[face[-1]], act.act_morphism(g, m)) for m, face in zip(last, faces)]
-            for g, row in enumerate(image)
-        ]
-        reps, next_orbit_of = orbits(image)
+        # each representative run with the orbit index of its prefix
+        prefix = {p: orbit_of[f[-1]] for p, f in enumerate(faces) if reps[orbit_of[f[-1]]] == f[-1]}
+        reps, runs = list(prefix), [runs[i] + (last[p],) for p, i in prefix.items()]
+        rep_levels.append(runs)
         cols = []
-        for r in reps:
+        for p in reps:
             col: dict[int, int] = {}
-            for i, face in enumerate(faces[r]):
+            for i, face in enumerate(faces[p]):
                 col[orbit_of[face]] = col.get(orbit_of[face], 0) + (-1) ** i
             cols.append({row: v for row, v in col.items() if v})
         boundaries.append(cols)
-        orbit_of = next_orbit_of
+        image = [
+            [child(row[i], act.act_morphism(g, last[p])) for p, i in prefix.items()]
+            for g, row in enumerate(image)
+        ]
+        orbit_of = [0] * len(last)
+        for row in image:
+            for i, run in enumerate(row):
+                orbit_of[run] = i
     return ChainComplex([len(level) for level in rep_levels], boundaries), rep_levels
 
 

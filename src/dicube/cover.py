@@ -8,6 +8,7 @@ configurations).
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -28,13 +29,17 @@ Config = dict  # label -> (x, y), exact rationals: Fractions, or ints for witnes
 
 def u_contains(o: DoubleOrder, f: Config) -> bool:
     """True iff every ordered pair of o translates into a strict coordinate
-    inequality of f; comparisons are exact rationals."""
+    inequality of f; comparisons are exact rationals.  ContractError if f
+    does not place a label of o."""
     labels = o.labels
-    return all(
-        f[labels[i]][c] < f[labels[j]][c]
-        for c, rel in enumerate((o.x, o.y))
-        for i, j in rel_pairs(rel)
-    )
+    try:
+        return all(
+            f[labels[i]][c] < f[labels[j]][c]
+            for c, rel in enumerate((o.x, o.y))
+            for i, j in rel_pairs(rel)
+        )
+    except KeyError as exc:
+        raise ContractError(f"configuration does not place label {exc.args[0]!r}") from None
 
 
 def _linear_extension_ranks(o: DoubleOrder, rel: Rel) -> dict:
@@ -59,12 +64,17 @@ def is_injective_configuration(f: Config) -> bool:
 
 def point_to_order(f: Config, labels: Sequence) -> DoubleOrder:
     """The regular order of an injective configuration: one block per first
-    coordinate, in ascending order, each sorted by the second coordinate."""
+    coordinate, in ascending order, each sorted by the second coordinate.
+    ContractError unless f maps each label to a pair of ints or Fractions."""
     labels = label_tuple(labels)
-    for a in labels:
-        if a not in f:
-            raise ContractError(f"configuration does not place label {a!r}")
-    if not is_injective_configuration(f):
+    if not isinstance(f, Mapping):
+        raise ContractError("a configuration must map labels to points")
+    points = [f.get(a) for a in labels]
+    for a, xy in zip(labels, points):
+        rational = isinstance(xy, tuple) and {type(v) for v in xy} <= {int, Fraction}
+        if not (rational and len(xy) == 2):
+            raise ContractError(f"configuration does not place label {a!r} at a pair of rationals")
+    if len(set(points)) != len(points):
         raise ContractError("configuration is not injective")
     columns: dict = {}
     for a in sorted(labels, key=lambda a: f[a]):
@@ -114,6 +124,12 @@ def config_from_json_dict(data: Mapping) -> Config:
 def _json_coordinate(value, label) -> Fraction:
     if not isinstance(value, bool):
         try:
+            # Fraction builds 10**exponent, so the exponent is held below the
+            # digit limit of int(), which already refuses longer numerals
+            if isinstance(value, str) and "e" in value.lower():
+                exponent = abs(int(value.lower().rpartition("e")[2]))
+                if 0 < sys.get_int_max_str_digits() <= exponent:
+                    raise ValueError
             return Fraction(value)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             pass

@@ -34,15 +34,6 @@ class HomologyGroup:
     betti: int
     torsion: tuple[int, ...] = ()
 
-    def __str__(self) -> str:
-        parts = []
-        if self.betti == 1:
-            parts.append("Z")
-        elif self.betti > 1:
-            parts.append(f"Z^{self.betti}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
-        return " + ".join(parts) if parts else "0"
-
     def to_json_dict(self, dim: int) -> dict:
         return {"dim": dim, "betti": self.betti, "torsion": list(self.torsion)}
 

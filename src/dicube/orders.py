@@ -298,7 +298,7 @@ def classify(labels: Sequence, x_matrix, y_matrix) -> Classification:
     labels by the membership test of ``is_semi_regular``; above that it is
     reported as None rather than guessed.
     """
-    labels = tuple(labels)
+    labels = label_tuple(labels)
     n = len(labels)
     x = _rel_from_bool_matrix(x_matrix, n, "x_matrix")
     y = _rel_from_bool_matrix(y_matrix, n, "y_matrix")

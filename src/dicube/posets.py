@@ -3,14 +3,14 @@ posets; families of relations read by bit; breadth-first reachability, the
 one graph search of the package (faces, accessible parts, orbits,
 relabelling groups, altitude labelings, loop-freeness, poset chains and cube
 chains all go through ``reachable``); and finite posets: validation, strict
-chains, covering pairs, Hasse diagrams in DOT and JSON export.  The order
-complex is the nerve of the poset category (``dicube.categories``)."""
+chains, covering pairs, JSON export, and ``dot_digraph``, the one DOT writer.
+The order complex is the nerve of the poset category (``dicube.categories``)."""
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import and_, or_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ContractError
 from .homology import ChainComplex
@@ -201,13 +201,8 @@ class Poset:
 
     def to_dot(self, name: str = "poset") -> str:
         """Hasse diagram: one node per element, one edge per covering pair."""
-        lines = [f"digraph {name} {{"]
-        for i in range(len(self.elements)):
-            lines.append(f'  n{i} [label="{_dot_escape(self.element_label(i))}"];')
-        for i, j in self.covers():
-            lines.append(f"  n{i} -> n{j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        labels = [self.element_label(i) for i in range(len(self.elements))]
+        return dot_digraph(name, "n", labels, [(i, j, None) for i, j in self.covers()])
 
     def to_json_dict(self) -> dict:
         # tuple elements (e.g. chains of cell labels) serialize as arrays
@@ -230,5 +225,16 @@ def label_text(item, sep: str = ",", brackets: str = "") -> str:
     return str(item)
 
 
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+def dot_digraph(name: str, node: str, labels: Sequence[str], edges: Iterable[tuple]) -> str:
+    """A DOT digraph: nodes ``{node}{i}`` labelled ``labels[i]``, then one
+    arrow per edge (i, j, label), unlabelled where the label is None."""
+    lines = [f"digraph {name} {{"]
+    lines += [f"  {node}{i}{_dot_label(label)};" for i, label in enumerate(labels)]
+    lines += [f"  {node}{i} -> {node}{j}{_dot_label(label)};" for i, j, label in edges]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _dot_label(text: Optional[str]) -> str:
+    if text is None:
+        return ""
+    return ' [label="' + text.replace("\\", "\\\\").replace('"', '\\"') + '"]'

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ContractError, ResourceCapError, StructuralError, require_size
-from .posets import _dot_escape, reachable
+from .posets import dot_digraph, reachable
 
 Cell = tuple[int, int]  # (dimension, index within dimension)
 
@@ -248,16 +248,10 @@ class PrecubicalComplex:
     def to_dot(self, name: str = "complex") -> str:
         """One-skeleton: vertices as nodes, edges as arrows from their lower
         to their upper endpoint, labeled by the edge cell."""
-        lines = [f"digraph {name} {{"]
-        for k in range(self.dims[0] if self.max_dim >= 0 else 0):
-            lines.append(f'  v{k} [label="{_dot_escape(self.label((0, k)))}"];')
-        if self.max_dim >= 1:
-            for k in range(self.dims[1]):
-                lo = self._faces[1][k][0][0]
-                hi = self._faces[1][k][0][1]
-                lines.append(f'  v{lo} -> v{hi} [label="{_dot_escape(self.label((1, k)))}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        dims = self.dims + (0, 0)
+        labels = [self.label((0, k)) for k in range(dims[0])]
+        edges = [(*self._faces[1][k][0], self.label((1, k))) for k in range(dims[1])]
+        return dot_digraph(name, "v", labels, edges)
 
     def __repr__(self) -> str:
         return f"PrecubicalComplex(dims={list(self.dims)}, base={self._base})"

@@ -508,10 +508,12 @@ def run_suite(
     else:
         ids = list(selection)
         for check_id in ids:
-            if check_id not in REGISTRY:
+            if not isinstance(check_id, str) or check_id not in REGISTRY:
                 raise UsageError(f"unknown proposition id {check_id!r}")
     if n_max is not None and (type(n_max) is not int or n_max < 1):
         raise UsageError(f"n_max must be an int of at least 1, got {n_max!r}")
+    if params is not None and (not isinstance(params, dict) or set(params) - {"target"}):
+        raise UsageError(f"params must be a dict with no key but 'target', got {params!r}")
     extra = dict(params or {})
 
     def run_one(check_id: str) -> VerificationReport:

@@ -524,14 +524,25 @@ def test_random_poset_nerves_match_the_tuple_runs(seed):
     assert_nerve_matches_the_tuple_runs(shuffled_poset_category(P, rng))
 
 
+QUOTIENT_SIZES = [("regular", n) for n in (1, 2, 3, 4)] + [("semi-regular", n) for n in (1, 2, 3)]
+
+
 def test_regular_quotient_nerve_and_orbit_complex_match_the_tuple_runs():
-    q = symmetric_order_quotient(default_labels(3), "regular")
-    assert_nerve_matches_the_tuple_runs(q.quotient)
-    orbit_cx, orbit_levels = nerve_orbit_complex(q.category, q.action)
-    ranks, boundaries, rep_levels = nerve_orbits_by_tuples(q.category, q.action)
-    assert list(orbit_cx.ranks) == ranks
-    assert columns_of(orbit_cx) == boundaries
-    assert orbit_levels == rep_levels
+    for kind, n in QUOTIENT_SIZES:
+        q = symmetric_order_quotient(default_labels(n), kind)
+        assert_nerve_matches_the_tuple_runs(q.quotient)
+        orbit_cx, orbit_levels = nerve_orbit_complex(q.category, q.action)
+        ranks, boundaries, rep_levels = nerve_orbits_by_tuples(q.category, q.action)
+        assert list(orbit_cx.ranks) == ranks
+        assert columns_of(orbit_cx) == boundaries
+        assert orbit_levels == rep_levels
+
+
+def test_nerve_quotient_check_at_four_labels():
+    # the suite's cap of 3 stops short of this size
+    from dicube.suite import check_nerve_quotient
+
+    assert check_nerve_quotient(4, 4) == [8, 112, 248, 144]
 
 
 @pytest.mark.parametrize("size", [0, 1, 3])
@@ -856,6 +867,49 @@ def test_quotient_requires_free_action():
     assert act.is_free_on_objects() is False
     with pytest.raises(ContractError, match="free action"):
         quotient_category(C, act)
+    with pytest.raises(ContractError, match="free action"):
+        nerve_orbit_complex(C, act)
+
+
+def quotient_by_orbit_sets(C, act):
+    """Object map, morphism map and quotient JSON with every orbit taken as
+    the set of its images under every element, represented by its member
+    out of the least object of its source orbit."""
+    group = range(len(act.on_objects))
+    least = [min(objs[o] for objs in act.on_objects) for o in range(C.n_objects)]
+    orbits = [{act.act_morphism(g, m) for g in group} for m in range(C.n_morphisms)]
+    rep = []
+    for orbit in orbits:
+        (member,) = [x for x in orbit if least[C.morphisms[x].src] == C.morphisms[x].src]
+        rep.append(member)
+    obj_reps, mor_reps = sorted(set(least)), sorted(set(rep))
+    obj_map = [obj_reps.index(r) for r in least]
+    mor_map = [mor_reps.index(r) for r in rep]
+    ends = [(obj_map[C.morphisms[r].src], obj_map[C.morphisms[r].tgt]) for r in mor_reps]
+    compose = []
+    for (f, (_, b)), (g, (a, _)) in itertools.product(enumerate(ends), repeat=2):
+        if a == b:
+            f_rep = mor_reps[f]
+            (g_member,) = [
+                x for x in orbits[mor_reps[g]] if C.morphisms[x].src == C.morphisms[f_rep].tgt
+            ]
+            compose.append([g, f, mor_map[C.compose(g_member, f_rep)]])
+    as_json = {
+        "objects": [C.object_label(r) for r in obj_reps],
+        "morphisms": [
+            {"src": a, "tgt": b, "name": C.morphism_label(r)} for r, (a, b) in zip(mor_reps, ends)
+        ],
+        "identity": [mor_map[C.identity[r]] for r in obj_reps],
+        "compose": sorted(compose),
+    }
+    return obj_map, mor_map, as_json
+
+
+@pytest.mark.parametrize("kind, n", QUOTIENT_SIZES)
+def test_quotient_category_matches_the_orbit_sets(kind, n):
+    q = symmetric_order_quotient(default_labels(n), kind)
+    Q, obj_map, mor_map = quotient_category(q.category, q.action)
+    assert (obj_map, mor_map, Q.to_json_dict()) == quotient_by_orbit_sets(q.category, q.action)
 
 
 # -- group actions by object permutations ----------------------------------------------------

@@ -207,10 +207,11 @@ def test_config_json_round_trip():
 
 
 def test_config_from_json_dict_reads_integers_and_floats_exactly():
-    data = {"points": {"a": [0.5, -3], "b": ["2", 0.25]}}
+    data = {"points": {"a": [0.5, -3], "b": ["2", 0.25], "c": ["1e3", "2.5e-1"]}}
     assert config_from_json_dict(data) == {
         "a": (Fraction(1, 2), Fraction(-3)),
         "b": (Fraction(2), Fraction(1, 4)),
+        "c": (Fraction(1000), Fraction(1, 4)),
     }
 
 
@@ -225,6 +226,9 @@ def test_config_from_json_dict_reads_integers_and_floats_exactly():
         {"points": {"a": [True, "1"]}},
         {"points": {"a": [None, "1"]}},
         {"points": {"a": [float("nan"), "1"]}},
+        # as many digits as int() refuses in a numeral, spelled as an exponent
+        {"points": {"a": ["1e5000", "0"]}},
+        {"points": {"a": ["1e-5000", "0"]}},
     ],
 )
 def test_config_from_json_dict_rejects_malformed_input(data):

@@ -5,8 +5,10 @@ import pytest
 
 from dicube import cli
 from dicube.cli import main
-from dicube.complexes import build_final_complex
+from dicube.complexes import build_final_complex, default_labels
+from dicube.cover import point_to_order, u_contains
 from dicube.errors import ContractError, UsageError
+from dicube.orders import classify, enumerate_orders
 from dicube.precubical import is_non_self_linked
 from dicube.suite import REGISTRY, CheckSpec, exit_code, run_suite
 
@@ -242,6 +244,42 @@ def test_n_max_below_one_is_a_usage_error(n_max, capsys):
 def test_n_max_that_is_not_an_int_is_a_usage_error(n_max):
     with pytest.raises(UsageError):
         run_suite(["euler-zero"], n_max=n_max)
+
+
+def _place_a_at(xy):
+    return lambda: point_to_order({"a": xy}, ["a"])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: classify(None, [], []), ContractError, id="classify-labels-none"),
+        pytest.param(lambda: point_to_order(None, ["a"]), ContractError, id="point-config-none"),
+        pytest.param(lambda: point_to_order(None, []), ContractError, id="point-config-none-empty"),
+        pytest.param(_place_a_at((0,)), ContractError, id="point-one-coord"),
+        pytest.param(_place_a_at((0, 1, 2)), ContractError, id="point-three-coords"),
+        pytest.param(_place_a_at(("0", 1)), ContractError, id="point-str"),
+        pytest.param(_place_a_at((True, 1)), ContractError, id="point-bool"),
+        pytest.param(_place_a_at((0.5, 1)), ContractError, id="point-float"),
+        pytest.param(_place_a_at([0, 1]), ContractError, id="point-list"),
+        pytest.param(
+            lambda: u_contains(enumerate_orders(default_labels(2), "regular")[0], {"a": (0, 0)}),
+            ContractError,
+            id="u-contains-unplaced-label",
+        ),
+        pytest.param(
+            lambda: run_suite(["euler-zero"], 1, params=[1]), UsageError, id="params-list"
+        ),
+        pytest.param(
+            lambda: run_suite(["euler-zero"], 1, params={"bogus": 1}), UsageError, id="params-key"
+        ),
+        pytest.param(lambda: run_suite([["a"]], 1), UsageError, id="selection-unhashable"),
+        pytest.param(lambda: run_suite([7], 1), UsageError, id="selection-int"),
+    ],
+)
+def test_public_entry_points_refuse_malformed_input(call, error):
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize(
