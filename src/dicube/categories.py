@@ -295,11 +295,6 @@ class GroupAction:
                 if objs[mor.tgt] not in self._hom[objs[mor.src]]:
                     raise ContractError("action does not preserve the order")
 
-    def is_free_on_objects(self) -> bool:
-        """No element but the identity, ``on_objects[0]``, fixes an object."""
-        n = self.C.n_objects
-        return not any(objs[o] == o for objs in self.on_objects[1:] for o in range(n))
-
     def act_morphism(self, g: int, m: int) -> int:
         """The image g(a) -> g(b) of the morphism m: a -> b under element g."""
         objs, mor = self.on_objects[g], self.C.morphisms[m]
@@ -490,7 +485,7 @@ def _orders_poset(labels, kind: str, grows: tuple[bool, bool]) -> tuple[Poset, l
     inside it, as ``grows[0]`` is true or false, and likewise for y: each
     row ANDs member masks of the two components, comparing no two orders."""
     orders = enumerate_orders(labels, kind)  # first, as it checks the labels
-    families = _order_families(tuple(labels), kind)
+    families = _order_families(len(tuple(labels)), kind)
     up_x, up_y = (f.containing if g else f.within for f, g in zip(families, grows))
     return Poset([o.text() for o in orders], [up_x(o.x) & up_y(o.y) for o in orders]), orders
 
@@ -565,6 +560,8 @@ def nerve_orbit_complex(
     are the runs extending a representative.  Where morphisms are listed by
     source, as ``poset_category`` lists them, it is the orbit's least run.
     """
+    if act.C is not C:
+        raise ContractError("action is attached to a different category")
     least, orbit_of, _ = act.orbits()
     reps, runs = least, [()] * len(least)
     image = [[objs[o] for o in least] for objs in act.on_objects]  # image[g][i]: of reps[i]

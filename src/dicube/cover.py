@@ -19,12 +19,14 @@ from .errors import ContractError, ResourceCapError, StructuralError
 from .orders import (
     DoubleOrder,
     enumerate_orders,
+    order_keys,
     regular_from_blocks,
     union_bar,
 )
 from .posets import Rel, rel_below_counts, rel_pairs, rel_subset
 
 Config = dict  # label -> (x, y), exact rationals: Fractions, or ints for witness points
+# and for random samples, points p/q of the 1/12 grid given as the integers 12 * p/q
 
 
 def u_contains(o: DoubleOrder, f: Config) -> bool:
@@ -83,14 +85,15 @@ def point_to_order(f: Config, labels: Sequence) -> DoubleOrder:
 
 
 def random_configuration(labels: Sequence, rng: random.Random) -> Config:
-    """Random injective rational configuration; small coordinate ranges make
-    first-coordinate ties (and hence y comparisons) common."""
+    """Random injective configuration of points p/q (p from -12 to 12, q from
+    1 to 4) given exactly as the integers 12 * p/q; small coordinate ranges
+    make first-coordinate ties (and hence y comparisons) common."""
     labels = label_tuple(labels)
     while True:
         f = {
             a: (
-                Fraction(rng.randint(-12, 12), rng.randint(1, 4)),
-                Fraction(rng.randint(-12, 12), rng.randint(1, 4)),
+                12 * rng.randint(-12, 12) // rng.randint(1, 4),
+                12 * rng.randint(-12, 12) // rng.randint(1, 4),
             )
             for a in labels
         }
@@ -239,16 +242,15 @@ def cover_covering(report: CoverReport, samples: int, seed: int) -> None:
     regular order they induce."""
     labels = report.labels
     rng = random.Random(seed)
-    regulars = {o.key() for o in enumerate_orders(labels, "regular")}
+    regulars = set(order_keys(labels, "regular"))
     for _ in range(samples):
         f = random_configuration(labels, rng)
         o = point_to_order(f, labels)
         if o.key() in regulars and u_contains(o, f):
             report.samples_covered += 1
         else:
-            report.failures.append(
-                {"check": "covering", "config": config_to_json_dict(f)}
-            )
+            unscaled = {a: (Fraction(x, 12), Fraction(y, 12)) for a, (x, y) in f.items()}  # p/q
+            report.failures.append({"check": "covering", "config": config_to_json_dict(unscaled)})
 
 
 def nerve_retraction_check(labels, seed: int = 0) -> bool:

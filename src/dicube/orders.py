@@ -5,21 +5,23 @@ Relations are row bitmasks, handled by the relation primitives of
 
 A regular double order is an ordered sequence of blocks, each totally
 ordered by y: ``regular_from_blocks`` builds the order and ``regular_blocks``
-reads the blocks back, for the regular enumeration, the cube-chain bijection
-and the break functor's numberings.  The double and semi-regular families
-are read off the strict and the regular orders by bit (``RelFamily``): a set
-of orders is a bitmask, so neither family compares orders pairwise, and an
-order is semi-regular exactly when it closes the union of the regulars below.
+reads the blocks back.  Each family is one key table, its rows ``(x, y)`` in
+canonical order, cached per size (``order_keys``); ``enumerate_orders`` builds
+its orders once per label tuple.  The strict orders pick one of three states
+per pair; the regular keys come from block sequences, and the double and
+semi-regular families are read off the strict and the regular orders by bit
+(``RelFamily``), so neither compares orders pairwise: an order is
+semi-regular exactly when it closes the union of the regulars below.
 
 The relation kernels the order checks share are memoized: the closure of a
 union component, or None when it cycles (``union_bar``), and semi-regularity
-by order.  One relabelling kernel, ``relabelling(labels, sigma)``, maps keys
+by key.  One relabelling kernel, ``relabelling(labels, sigma)``, maps keys
 ``(x, y)``: it moves each row through ``_bit_permutation(s)``, a 2**n-entry
 table built once per position tuple ``s`` that moves bit ``s[j]`` of a row to
-bit ``j``.  ``act`` wraps it, and the free-action check applies it to keys
-alone.  Every ``DoubleOrder`` is
-validated, but the strict-order test is memoized by relation and the label
-test by label tuple, so each costs a cache lookup after the first order.
+bit ``j``.  ``act`` wraps it, and the free-action check applies it to the key
+table alone.  Every ``DoubleOrder`` a caller receives is validated, but the
+strict-order test is memoized by relation and the label test by label tuple,
+so each costs a cache lookup after the first order.
 """
 
 from __future__ import annotations
@@ -327,45 +329,52 @@ def classify(labels: Sequence, x_matrix, y_matrix) -> Classification:
 
 @lru_cache(maxsize=None)
 def _strict_orders(n: int) -> tuple[Rel, ...]:
+    """The strict orders on n positions, sorted: the transitive ones among
+    the choices, for each pair i < j, of no relation or either direction."""
     if n > 4:
         raise ResourceCapError("strict-order filter enumerations are capped at 4 labels")
-    positions = [(i, j) for i in range(n) for j in range(n) if i != j]
-    subsets = (
-        rel_from_pairs(n, [p for k, p in enumerate(positions) if bits >> k & 1])
-        for bits in range(1 << len(positions))
-    )
-    return tuple(sorted(rel for rel in subsets if rel_is_transitive(rel)))
+    choices = [((), ((i, j),), ((j, i),)) for i, j in itertools.combinations(range(n), 2)]
+    candidates = (rel_from_pairs(n, itertools.chain(*picked)) for picked in itertools.product(*choices))
+    return tuple(sorted(rel for rel in candidates if rel_is_transitive(rel)))
 
 
-def _enumerate_double_filter(labels: tuple) -> list[DoubleOrder]:
+def _double_keys(n: int) -> list[Key]:
     """Pairs (x, y) of strict orders with every distinct pair comparable in
     x or y: the comparable rows of y hold what those of x lack.  Walking x,
     then its partners, in sorted order lists them in key order."""
-    n = len(labels)
     strict = _strict_orders(n)
     full = (1 << n) - 1
     comparable = RelFamily([rel_comparable_rows(rel) for rel in strict], n)
-    orders = []
+    keys = []
     for x in strict:
         partners = comparable.containing(tuple(full & ~row for row in rel_comparable_rows(x)))
-        orders += [DoubleOrder(labels, x, strict[k]) for k in bit_positions(partners)]
-    return orders
+        keys += [(x, strict[k]) for k in bit_positions(partners)]
+    return keys
 
 
-def _enumerate_regular_blocks(labels: tuple) -> list[DoubleOrder]:
-    """Direct construction: the cuts of each permutation of the labels give
-    an ordered block sequence, and ``regular_from_blocks`` is a bijection
-    from those onto the regular orders."""
-    n = len(labels)
+def _regular_keys(n: int) -> list[Key]:
+    """Direct construction: the cuts of each permutation of the positions
+    give an ordered block sequence, and ``_block_rows`` is a bijection from
+    those onto the regular orders."""
     if n == 0:
-        return [regular_from_blocks(labels, ())]
-    out = []
-    for perm in itertools.permutations(labels):
+        return [((), ())]
+    keys = []
+    for perm in itertools.permutations(range(n)):
         for cut_bits in range(1 << (n - 1)):
             bounds = [0] + [c for c in range(1, n) if cut_bits >> (c - 1) & 1] + [n]
-            blocks = [perm[a:b] for a, b in zip(bounds, bounds[1:])]
-            out.append(regular_from_blocks(labels, blocks))
-    return sorted(out, key=DoubleOrder.key)
+            keys.append(_block_rows(n, [perm[a:b] for a, b in zip(bounds, bounds[1:])]))
+    return sorted(keys)
+
+
+def order_keys(labels: Sequence, kind: str) -> tuple[Key, ...]:
+    """The keys ``(x, y)`` of ``enumerate_orders(labels, kind)``, in its
+    order and with its caps and errors, from a table cached per size and
+    kind; no order is built."""
+    labels = label_tuple(labels)
+    # the caches below take kind as part of their key, so it must hash
+    if not isinstance(kind, str):
+        raise ContractError(f"unknown order class {kind!r}")
+    return _family_keys(len(labels), kind)
 
 
 def enumerate_orders(labels: Sequence, kind: str) -> list[DoubleOrder]:
@@ -376,36 +385,38 @@ def enumerate_orders(labels: Sequence, kind: str) -> list[DoubleOrder]:
     6 for the direct regular construction.
     """
     labels = label_tuple(labels)
-    # the cache below takes kind as part of its key, so it must hash
-    if not isinstance(kind, str):
-        raise ContractError(f"unknown order class {kind!r}")
+    order_keys(labels, kind)  # raises the caps and errors before a cache sees kind
     return list(_enumerate_cached(labels, kind))
 
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(labels: tuple, kind: str) -> tuple[DoubleOrder, ...]:
-    n = len(labels)
+    return tuple(DoubleOrder(labels, x, y) for x, y in _family_keys(len(labels), kind))
+
+
+@lru_cache(maxsize=None)
+def _family_keys(n: int, kind: str) -> tuple[Key, ...]:
     if kind == "double":
         if n > 4:
             raise ResourceCapError("double-order enumeration is capped at 4 labels")
-        return tuple(_enumerate_double_filter(labels))
+        return tuple(_double_keys(n))
     if kind == "regular":
         if n > 6:
             raise ResourceCapError("regular-order enumeration is capped at 6 labels")
-        return tuple(_enumerate_regular_blocks(labels))
+        return tuple(_regular_keys(n))
     if kind == "semi-regular":
         if n > 4:
             raise ResourceCapError("semi-regular enumeration is capped at 4 labels")
-        return tuple(o for o in _enumerate_cached(labels, "double") if is_semi_regular(o))
+        return tuple(key for key in _family_keys(n, "double") if _is_semi_regular(n, *key))
     raise ContractError(f"unknown order class {kind!r}")
 
 
 @lru_cache(maxsize=None)
-def _order_families(labels: tuple, kind: str) -> tuple[RelFamily, RelFamily]:
+def _order_families(n: int, kind: str) -> tuple[RelFamily, RelFamily]:
     """The x parts and the y parts of an order family, each read by bit, for
-    a label tuple and kind that ``enumerate_orders`` has accepted."""
-    orders, n = _enumerate_cached(labels, kind), len(labels)
-    return RelFamily([o.x for o in orders], n), RelFamily([o.y for o in orders], n)
+    a size and kind that ``order_keys`` has accepted."""
+    keys = _family_keys(n, kind)
+    return RelFamily([x for x, _ in keys], n), RelFamily([y for _, y in keys], n)
 
 
 # -- the two partial orders on double orders ---------------------------------------
@@ -425,19 +436,23 @@ def poset_leq(o1: DoubleOrder, o2: DoubleOrder, variant: str) -> bool:
 # -- the retraction to regular orders and the chain union ---------------------------
 
 
-@lru_cache(maxsize=None)
 def is_semi_regular(o: DoubleOrder) -> bool:
     """Whether o is the closed union of the regular orders below it.  A union
     of regulars giving o is made of orders below o, and adding the others
     closes inside the transitive o, so this is exactly semi-regularity.
-    Memoized by order."""
+    Memoized by key."""
     if o.n > 4:
         if o.is_regular:
             return True
         raise ResourceCapError("semi-regularity decision is capped at 4 labels")
-    xs, ys = _order_families(o.labels, "regular")
-    below = xs.within(o.x) & ys.within(o.y)
-    return below != 0 and rel_closure(xs.union(below)) == o.x and rel_closure(ys.union(below)) == o.y
+    return _is_semi_regular(o.n, o.x, o.y)
+
+
+@lru_cache(maxsize=None)
+def _is_semi_regular(n: int, x: Rel, y: Rel) -> bool:
+    xs, ys = _order_families(n, "regular")
+    below = xs.within(x) & ys.within(y)
+    return below != 0 and rel_closure(xs.union(below)) == x and rel_closure(ys.union(below)) == y
 
 
 def to_regular(o: DoubleOrder) -> DoubleOrder:

@@ -44,10 +44,12 @@ from .homology import (
     same_homology,
 )
 from .orders import (
+    DoubleOrder,
     chain_to_double_order,
     chain_union,
     double_order_to_chain,
     enumerate_orders,
+    order_keys,
     poset_leq,
     relabelling,
     to_regular,
@@ -194,28 +196,25 @@ def check_free_action(n: int, top: int, **_) -> object:
     Stabilizers along an orbit are conjugate (``act`` is a right action), so
     one member per orbit is tested against every non-identity relabeling; its
     images, keys relabelled by the kernel ``act`` wraps and looked up in a key
-    index of the family, mark the rest of the orbit.
+    index of the family's key table, mark the rest of the orbit.
     """
     labels = default_labels(n)
-    family = enumerate_orders(labels, "double")
-    index = {o.key(): k for k, o in enumerate(family)}
+    keys = order_keys(labels, "double")
+    index = {key: k for k, key in enumerate(keys)}
     sigmas = permutations_of(labels)[1:]  # the first is the identity
     relabels = [relabelling(labels, sigma) for sigma in sigmas]
-    seen = bytearray(len(family))
-    for i, o in enumerate(family):
+    seen = bytearray(len(keys))
+    for i, key in enumerate(keys):
         if seen[i]:
             continue
-        key = o.key()
         for sigma, relabel in zip(sigmas, relabels):
             image = relabel(key)
-            if image == key:
-                return Fail({"order": o.text(), "sigma": str(sigma)})
             k = index.get(image)
-            if k is None:
-                reason = "image not in family"
-                return Fail({"order": o.text(), "sigma": str(sigma), "reason": reason})
+            if image == key or k is None:
+                payload = {"order": DoubleOrder(labels, *key).text(), "sigma": str(sigma)}
+                return Fail(payload if image == key else {**payload, "reason": "image not in family"})
             seen[k] = 1
-    return len(family)
+    return len(keys)
 
 
 def check_union_sigma(n: int, top: int, **_) -> object:
@@ -505,6 +504,8 @@ def run_suite(
     selection order; `n_max` is an int of at least 1, `jobs` bounds parallel execution."""
     if selection is None:
         ids = list(REGISTRY)
+    elif not isinstance(selection, (list, tuple)):
+        raise UsageError(f"selection must be a list or tuple of proposition ids, got {selection!r}")
     else:
         ids = list(selection)
         for check_id in ids:

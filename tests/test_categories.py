@@ -864,11 +864,25 @@ def test_quotient_requires_free_action():
     from dicube.categories import GroupAction
 
     act = GroupAction(C, [[1, 0, 2]])
-    assert act.is_free_on_objects() is False
+    with pytest.raises(ContractError, match="free action"):
+        act.orbits()
     with pytest.raises(ContractError, match="free action"):
         quotient_category(C, act)
     with pytest.raises(ContractError, match="free action"):
         nerve_orbit_complex(C, act)
+
+
+def test_quotients_refuse_an_action_on_another_category():
+    # the action swaps the objects of a two-element antichain, not those of C2
+    from dicube.categories import GroupAction
+
+    C = poset_category(Poset(["u", "v"], [0b01, 0b10]))
+    C2 = poset_category(Poset(["p", "q", "r", "s"], [0b0001, 0b0010, 0b0100, 0b1000]))
+    act = GroupAction(C, [[1, 0]])
+    with pytest.raises(ContractError, match="different category"):
+        nerve_orbit_complex(C2, act)
+    with pytest.raises(ContractError, match="different category"):
+        quotient_category(C2, act)
 
 
 def quotient_by_orbit_sets(C, act):
@@ -975,7 +989,8 @@ def test_group_action_derives_the_morphism_tables():
     tables = _morphism_tables(act)
     assert tables[0] == tuple(range(C.n_morphisms))
     assert [pairs[m] for m in tables[1]] == [(1, 1), (1, 2), (0, 0), (0, 2), (2, 2)]
-    assert act.is_free_on_objects() is False
+    with pytest.raises(ContractError, match="free action"):
+        act.orbits()  # the swap fixes w
 
 
 def _morphism_tables(act):

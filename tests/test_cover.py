@@ -132,6 +132,22 @@ def pairwise_point_order(f, labels):
     return DoubleOrder(labels, rel_from_pairs(n, x_pairs), rel_from_pairs(n, y_pairs))
 
 
+def test_random_configuration_is_twelve_times_the_sampled_rationals():
+    labels = default_labels(4)
+    rng, oracle = random.Random(7), random.Random(7)
+    for _ in range(200):
+        while True:  # p then q for x, then for y, label by label, until injective
+            points = {
+                a: tuple(Fraction(oracle.randint(-12, 12), oracle.randint(1, 4)) for _ in "xy")
+                for a in labels
+            }
+            if len(set(points.values())) == len(labels):
+                break
+        f = random_configuration(labels, rng)
+        assert all(type(v) is int for xy in f.values() for v in xy)
+        assert f == {a: (12 * x, 12 * y) for a, (x, y) in points.items()}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_point_to_order_matches_pairwise_read_off(n):
     labels = default_labels(n)

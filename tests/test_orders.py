@@ -16,6 +16,7 @@ from dicube.orders import (
     enumerate_orders,
     is_semi_regular,
     level_function,
+    order_keys,
     poset_leq,
     regular_blocks,
     regular_from_blocks,
@@ -428,13 +429,42 @@ def test_enumeration_rejects_bad_labels_and_kinds_with_a_contract_error(labels, 
     for _ in range(2):  # the second call would be served by the memo
         with pytest.raises(ContractError):
             enumerate_orders(labels, kind)
+        with pytest.raises(ContractError):
+            order_keys(labels, kind)
 
 
 def test_enumeration_caps():
-    with pytest.raises(ResourceCapError):
-        enumerate_orders(default_labels(5), "double")
-    with pytest.raises(ResourceCapError):
-        enumerate_orders(default_labels(5), "semi-regular")
+    for enumerate_family in (enumerate_orders, order_keys):
+        for kind, cap in (("double", 4), ("semi-regular", 4), ("regular", 6)):
+            with pytest.raises(ResourceCapError, match=f"capped at {cap} labels"):
+                enumerate_family(default_labels(cap + 1), kind)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["double", "regular", "semi-regular"])
+def test_order_keys_are_the_keys_of_the_enumerated_orders(kind, n):
+    labels = default_labels(n)
+    assert list(order_keys(labels, kind)) == [o.key() for o in enumerate_orders(labels, kind)]
+
+
+def strict_orders_by_subsets(n):
+    """Every set of off-diagonal pairs, kept when transitive, sorted."""
+    positions = [(i, j) for i in range(n) for j in range(n) if i != j]
+    subsets = (
+        rel_from_pairs(n, [p for k, p in enumerate(positions) if bits >> k & 1])
+        for bits in range(1 << len(positions))
+    )
+    return tuple(sorted(rel for rel in subsets if rel_closure(rel) == rel))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_strict_orders_equal_the_transitive_relation_subsets(n):
+    assert _strict_orders(n) == strict_orders_by_subsets(n)
+
+
+def test_strict_orders_count_the_labelled_posets():
+    # OEIS A001035
+    assert [len(_strict_orders(n)) for n in range(5)] == [1, 1, 3, 19, 219]
 
 
 # -- the two partial orders -------------------------------------------------------------

@@ -282,6 +282,13 @@ def test_public_entry_points_refuse_malformed_input(call, error):
         call()
 
 
+@pytest.mark.parametrize("selection", [5, "euler-zero"], ids=["int", "str"])
+def test_a_selection_that_is_not_a_list_or_tuple_is_a_usage_error(selection):
+    # a str would otherwise be read as a list of one-letter ids
+    with pytest.raises(UsageError, match="list or tuple"):
+        run_suite(selection, n_max=1)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -361,13 +368,16 @@ def y_orders_on_abc(*y_rows):
 
 
 def patch_double_family(monkeypatch, family_at_3):
+    """Free-action reads the double family at 3 labels as the keys of
+    ``family_at_3``."""
     from dicube import suite
 
-    real = suite.enumerate_orders
+    real = suite.order_keys
+    keys_at_3 = tuple(o.key() for o in family_at_3)
     monkeypatch.setattr(
         suite,
-        "enumerate_orders",
-        lambda labels, kind: family_at_3 if len(labels) == 3 else real(labels, kind),
+        "order_keys",
+        lambda labels, kind: keys_at_3 if len(labels) == 3 else real(labels, kind),
     )
 
 
