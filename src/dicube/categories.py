@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .errors import ContractError, ResourceCapError, require_size
-from .homology import ChainComplex
+from .homology import ChainComplex, collector_suspended
 from .orders import DoubleOrder, _order_families, enumerate_orders, regular_blocks, relabelling
 from .posets import Poset, dot_digraph, label_text, reachable, rel_pairs
 
@@ -153,18 +153,19 @@ class FiniteCategory:
 def poset_category(P: Poset) -> FiniteCategory:
     """A poset as a category: one morphism per related pair, composed by
     looking up the pair (src f, tgt g)."""
-    morphisms = []
-    index = {}
-    for i, j in rel_pairs(P.leq):
-        index[(i, j)] = len(morphisms)
-        morphisms.append(Morphism(i, j, f"{P.element_label(i)}->{P.element_label(j)}"))
-    identity = [index[(i, i)] for i in range(len(P.elements))]
-    return FiniteCategory(
-        P.elements,
-        morphisms,
-        identity,
-        lambda g, f: index[(morphisms[f].src, morphisms[g].tgt)],
-    )
+    with collector_suspended():
+        morphisms = []
+        index = {}
+        for i, j in rel_pairs(P.leq):
+            index[(i, j)] = len(morphisms)
+            morphisms.append(Morphism(i, j, f"{P.element_label(i)}->{P.element_label(j)}"))
+        identity = [index[(i, i)] for i in range(len(P.elements))]
+        return FiniteCategory(
+            P.elements,
+            morphisms,
+            identity,
+            lambda g, f: index[(morphisms[f].src, morphisms[g].tgt)],
+        )
 
 
 # -- nerves ---------------------------------------------------------------------
@@ -235,11 +236,12 @@ def nerve_complex(C: FiniteCategory) -> ChainComplex:
     + (-1)^k (f1, ..., f(k-1)).
     """
     ranks, boundaries = [C.n_objects], []
-    for _, faces, _ in _nerve_levels(C):
-        signs = tuple((-1) ** i for i in range(len(ranks) + 1))
-        boundaries.append([dict(zip(face, signs)) for face in faces])
-        ranks.append(len(faces))
-    return ChainComplex(ranks, boundaries)
+    with collector_suspended():
+        for _, faces, _ in _nerve_levels(C):
+            signs = tuple((-1) ** i for i in range(len(ranks) + 1))
+            boundaries.append([dict(zip(face, signs)) for face in faces])
+            ranks.append(len(faces))
+        return ChainComplex(ranks, boundaries)
 
 
 def composable_run_counts(C: FiniteCategory) -> list[int]:
@@ -562,32 +564,33 @@ def nerve_orbit_complex(
     """
     if act.C is not C:
         raise ContractError("action is attached to a different category")
-    least, orbit_of, _ = act.orbits()
-    reps, runs = least, [()] * len(least)
-    image = [[objs[o] for o in least] for objs in act.on_objects]  # image[g][i]: of reps[i]
-    rep_levels: list[list[tuple[int, ...]]] = [[(o,) for o in least]]
-    boundaries = []
-    for last, faces, child in _nerve_levels(C):
-        # each representative run with the orbit index of its prefix
-        prefix = {p: orbit_of[f[-1]] for p, f in enumerate(faces) if reps[orbit_of[f[-1]]] == f[-1]}
-        reps, runs = list(prefix), [runs[i] + (last[p],) for p, i in prefix.items()]
-        rep_levels.append(runs)
-        cols = []
-        for p in reps:
-            col: dict[int, int] = {}
-            for i, face in enumerate(faces[p]):
-                col[orbit_of[face]] = col.get(orbit_of[face], 0) + (-1) ** i
-            cols.append({row: v for row, v in col.items() if v})
-        boundaries.append(cols)
-        image = [
-            [child(row[i], act.act_morphism(g, last[p])) for p, i in prefix.items()]
-            for g, row in enumerate(image)
-        ]
-        orbit_of = [0] * len(last)
-        for row in image:
-            for i, run in enumerate(row):
-                orbit_of[run] = i
-    return ChainComplex([len(level) for level in rep_levels], boundaries), rep_levels
+    with collector_suspended():
+        least, orbit_of, _ = act.orbits()
+        reps, runs = least, [()] * len(least)
+        image = [[objs[o] for o in least] for objs in act.on_objects]  # image[g][i]: of reps[i]
+        rep_levels: list[list[tuple[int, ...]]] = [[(o,) for o in least]]
+        boundaries = []
+        for last, faces, child in _nerve_levels(C):
+            # each representative run with the orbit index of its prefix
+            prefix = {p: orbit_of[f[-1]] for p, f in enumerate(faces) if reps[orbit_of[f[-1]]] == f[-1]}
+            reps, runs = list(prefix), [runs[i] + (last[p],) for p, i in prefix.items()]
+            rep_levels.append(runs)
+            cols = []
+            for p in reps:
+                col: dict[int, int] = {}
+                for i, face in enumerate(faces[p]):
+                    col[orbit_of[face]] = col.get(orbit_of[face], 0) + (-1) ** i
+                cols.append({row: v for row, v in col.items() if v})
+            boundaries.append(cols)
+            image = [
+                [child(row[i], act.act_morphism(g, last[p])) for p, i in prefix.items()]
+                for g, row in enumerate(image)
+            ]
+            orbit_of = [0] * len(last)
+            for row in image:
+                for i, run in enumerate(row):
+                    orbit_of[run] = i
+        return ChainComplex([len(level) for level in rep_levels], boundaries), rep_levels
 
 
 def check_functoriality(func: BreakFunctor) -> None:

@@ -2,7 +2,8 @@
 in exact rational arithmetic: membership, witness points (integer ranks),
 reading an order off a configuration, and the cover verification report, a
 list of failures (completeness, properness, equivariance, coverage by random
-configurations).
+configurations).  ``fractions`` is imported only to read a JSON configuration,
+to write a covering failure and to test a non-int coordinate in ``point_to_order``.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Sequence
 
@@ -73,8 +73,11 @@ def point_to_order(f: Config, labels: Sequence) -> DoubleOrder:
         raise ContractError("a configuration must map labels to points")
     points = [f.get(a) for a in labels]
     for a, xy in zip(labels, points):
-        rational = isinstance(xy, tuple) and {type(v) for v in xy} <= {int, Fraction}
-        if not (rational and len(xy) == 2):
+        rational = isinstance(xy, tuple) and len(xy) == 2
+        if rational and {type(v) for v in xy} != {int}:
+            from fractions import Fraction
+            rational = {type(v) for v in xy} <= {int, Fraction}
+        if not rational:
             raise ContractError(f"configuration does not place label {a!r} at a pair of rationals")
     if len(set(points)) != len(points):
         raise ContractError("configuration is not injective")
@@ -124,7 +127,8 @@ def config_from_json_dict(data: Mapping) -> Config:
     return config
 
 
-def _json_coordinate(value, label) -> Fraction:
+def _json_coordinate(value, label):
+    from fractions import Fraction
     if not isinstance(value, bool):
         try:
             # Fraction builds 10**exponent, so the exponent is held below the
@@ -249,6 +253,7 @@ def cover_covering(report: CoverReport, samples: int, seed: int) -> None:
         if o.key() in regulars and u_contains(o, f):
             report.samples_covered += 1
         else:
+            from fractions import Fraction
             unscaled = {a: (Fraction(x, 12), Fraction(y, 12)) for a, (x, y) in f.items()}  # p/q
             report.failures.append({"check": "covering", "config": config_to_json_dict(unscaled)})
 

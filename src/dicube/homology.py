@@ -14,17 +14,35 @@ without the pivot rows of d_{k+1} and keeps its rank and invariant factors
 (Kaczynski-Mrozek-Slusarek reduction; the clearing of Chen-Kerber).
 All arithmetic uses Python's arbitrary-precision integers; there is no
 floating point and no modular shortcut anywhere.
+``homology`` and ``poset_category``, ``nerve_complex`` and ``nerve_orbit_complex``
+run with the cyclic collector suspended: their millions of dicts, tuples and sets
+form no reference cycle, so reference counting frees them and scans find nothing.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ContractError
 
 # A sparse column: row index -> nonzero integer coefficient.
 Column = dict
+
+
+@contextmanager
+def collector_suspended() -> Iterator[None]:
+    """Disables the cyclic collector for the body and, also when it raises,
+    re-enables it if it was on at entry; on two threads a window may end early."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -122,9 +140,6 @@ class ChainComplex:
                     raise ContractError(
                         f"boundary composite is nonzero on degree-{k} generator {j}"
                     )
-
-    def euler_from_ranks(self) -> int:
-        return sum((-1) ** k * r for k, r in enumerate(self.ranks))
 
 
 @dataclass(frozen=True)
@@ -322,29 +337,30 @@ def homology(complex: ChainComplex) -> tuple[HomologyGroup, ...]:
     d_{k+1}(S) plus the other unit vectors is a basis of C_k on which
     d_k vanishes (d^2 = 0), and dropping R keeps rank and invariant factors.
     """
-    complex.check_boundary_squares_to_zero()
-    info = {}
-    cleared: frozenset[int] = frozenset()
-    for k in range(complex.top_degree, 0, -1):
-        rank, divisors, cleared = _rank_and_divisors(
-            complex.boundary_columns(k), complex.ranks[k - 1], cleared
-        )
-        info[k] = rank, divisors
-    groups = []
-    for k, rk in enumerate(complex.ranks):
-        rank_in = info.get(k, (0, ()))[0]
-        rank_out, divisors = info.get(k + 1, (0, ()))
-        betti = rk - rank_in - rank_out
-        if betti < 0:
-            raise ContractError(f"negative Betti number in degree {k}; boundaries inconsistent")
-        torsion = tuple(d for d in divisors if d > 1)
-        groups.append(HomologyGroup(betti, torsion))
-    return tuple(groups)
+    with collector_suspended():
+        complex.check_boundary_squares_to_zero()
+        info = {}
+        cleared: frozenset[int] = frozenset()
+        for k in range(complex.top_degree, 0, -1):
+            rank, divisors, cleared = _rank_and_divisors(
+                complex.boundary_columns(k), complex.ranks[k - 1], cleared
+            )
+            info[k] = rank, divisors
+        groups = []
+        for k, rk in enumerate(complex.ranks):
+            rank_in = info.get(k, (0, ()))[0]
+            rank_out, divisors = info.get(k + 1, (0, ()))
+            betti = rk - rank_in - rank_out
+            if betti < 0:
+                raise ContractError(f"negative Betti number in degree {k}; boundaries inconsistent")
+            torsion = tuple(d for d in divisors if d > 1)
+            groups.append(HomologyGroup(betti, torsion))
+        return tuple(groups)
 
 
 def euler_characteristic(complex: ChainComplex) -> int:
     """Alternating sum of the chain ranks, cross-checked against homology."""
-    chi = complex.euler_from_ranks()
+    chi = sum((-1) ** k * r for k, r in enumerate(complex.ranks))
     chi_h = sum((-1) ** k * g.betti for k, g in enumerate(homology(complex)))
     if chi != chi_h:
         raise ContractError(f"rank Euler characteristic {chi} != homological {chi_h}")

@@ -83,7 +83,7 @@ class DoubleOrder:
 
     @property
     def is_regular(self) -> bool:
-        return _read_blocks(self) is not None
+        return _read_blocks(self.n, self.x, self.y) is not None
 
     def act(self, sigma: Mapping) -> "DoubleOrder":
         """Right action: i < j in the image iff sigma(i) < sigma(j) originally.
@@ -258,20 +258,21 @@ def _block_rows(n: int, index_blocks: Sequence[Sequence[int]]) -> tuple[Rel, Rel
     return tuple(x), tuple(y)
 
 
-def _read_blocks(o: DoubleOrder) -> Optional[list[list[int]]]:
-    """The index blocks of o, or None when o is not regular.  A label's block
-    is fixed by its x below count, its place in the block by its y below
-    count; o is regular exactly when it is the block order so read."""
-    x_below, y_below = rel_below_counts(o.x), rel_below_counts(o.y)
-    listing = sorted(range(o.n), key=lambda i: (x_below[i], y_below[i]))
-    blocks = [list(group) for _, group in itertools.groupby(listing, key=x_below.__getitem__)]
-    return blocks if _block_rows(o.n, blocks) == (o.x, o.y) else None
+@lru_cache(maxsize=None)
+def _read_blocks(n: int, x: Rel, y: Rel) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The index blocks of the order (x, y) on n labels, or None unless it is
+    regular, memoized.  A label's block is fixed by its x below count, its place
+    in the block by its y below count; regular means equal to the order so read."""
+    x_below, y_below = rel_below_counts(x), rel_below_counts(y)
+    listing = sorted(range(n), key=lambda i: (x_below[i], y_below[i]))
+    blocks = tuple(tuple(group) for _, group in itertools.groupby(listing, key=x_below.__getitem__))
+    return blocks if _block_rows(n, blocks) == (x, y) else None
 
 
 def regular_blocks(o: DoubleOrder) -> tuple[tuple, ...]:
     """The x-levels of a regular order in order, each in ascending y order:
     the inverse of ``regular_from_blocks``.  ContractError unless regular."""
-    blocks = _read_blocks(o)
+    blocks = _read_blocks(o.n, o.x, o.y)
     if blocks is None:
         raise ContractError("order is not regular")
     return tuple(tuple(o.labels[i] for i in block) for block in blocks)

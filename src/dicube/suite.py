@@ -1,13 +1,13 @@
 """The named verification suite: each registered check runs one family of
 exhaustive propositions at a requested size and reports pass/fail with a
-reproducible counterexample payload on failure.
+reproducible counterexample payload on failure.  ``concurrent.futures`` is
+imported only when ``run_suite`` starts a pool: jobs > 1 and two checks or more.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -538,6 +538,7 @@ def run_suite(
 
     if jobs <= 1 or len(ids) <= 1:
         return [run_one(check_id) for check_id in ids]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(run_one, check_id) for check_id in ids]
         return [f.result() for f in futures]

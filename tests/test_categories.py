@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -386,6 +387,31 @@ def test_nerve_rejects_loops():
     )
     with pytest.raises(ContractError):
         nerve_complex(C)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_bulk_builders_hand_back_the_collector_state(enabled):
+    # poset_category, the nerve builders and homology run without the cyclic
+    # collector and leave it as the caller had it, also when the loop check
+    # raises inside
+    table = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+    loop = FiniteCategory(
+        ["*"], [Morphism(0, 0, "id"), Morphism(0, 0, "loop")], [0], lambda g, f: table[g, f]
+    )
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        q = symmetric_order_quotient(default_labels(2), "regular")  # a poset category
+        assert gc.isenabled() is enabled
+        homology(nerve_complex(build_break_category(3)))
+        assert gc.isenabled() is enabled
+        nerve_orbit_complex(q.category, q.action)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ContractError, match="loops"):
+            nerve_complex(loop)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_isomorphism_pair_is_a_loop_without_endomorphisms():

@@ -104,6 +104,8 @@ def test_point_to_order_examples():
     assert point_to_order(f, AB).key() == order(AB, [], [("a", "b")]).key()
     g = {"a": (Fraction(0), Fraction(0)), "b": (Fraction(1), Fraction(5))}
     assert point_to_order(g, AB).key() == order(AB, [("a", "b")], []).key()
+    mixed = {"a": (0, Fraction(1, 2)), "b": (Fraction(0), 1)}  # ints and Fractions together
+    assert point_to_order(mixed, AB).key() == order(AB, [], [("a", "b")]).key()
 
 
 def test_point_to_order_rejects_collisions():
@@ -116,6 +118,17 @@ def test_point_to_order_names_the_first_unplaced_label():
     f = {"b": (Fraction(0), Fraction(0))}
     with pytest.raises(ContractError, match="label 'a'"):
         point_to_order(f, ("a", "b", "c"))
+
+
+@pytest.mark.parametrize(
+    "coordinate",
+    [0.5, True, type("Fraction", (), {})(), type("Fraction", (Fraction,), {})(1, 2)],
+    ids=["float", "bool", "class-named-Fraction", "Fraction-subclass"],
+)
+def test_point_to_order_rejects_coordinates_that_are_not_ints_or_fractions(coordinate):
+    f = {"a": (0, coordinate), "b": (1, 0)}
+    with pytest.raises(ContractError, match="pair of rationals"):
+        point_to_order(f, AB)
 
 
 def pairwise_point_order(f, labels):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,6 +93,19 @@ def test_jobs_flag_keeps_report_order():
     par = run_suite(["union-sigma", "face-swap", "free-action"], n_max=2, jobs=3)
     assert [r.id for r in seq] == [r.id for r in par]
     assert [r.status for r in seq] == [r.status for r in par]
+
+
+def test_cli_import_loads_neither_the_thread_pool_nor_fractions():
+    # a fresh, isolated interpreter: this one has imported both modules already
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import dicube.cli; "
+        "print(sorted({'concurrent.futures', 'fractions'} & set(sys.modules)))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_non_self_linked_failure_payload_replays():
