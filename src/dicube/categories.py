@@ -11,8 +11,7 @@ every law check walks the same ``composable_pairs`` order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError, ResourceCapError, require_size
 from .homology import ChainComplex, collector_suspended
@@ -20,8 +19,7 @@ from .orders import DoubleOrder, _order_families, enumerate_orders, regular_bloc
 from .posets import Poset, dot_digraph, label_text, reachable, rel_pairs
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(NamedTuple):
     src: int
     tgt: int
     payload: object = None
@@ -446,8 +444,7 @@ def break_hom_count_oracle(breaks: tuple[int, ...], coarser: tuple[int, ...], n:
 # -- the functor from regular double orders ------------------------------------------
 
 
-@dataclass
-class BreakFunctor:
+class BreakFunctor(NamedTuple):
     """The functor from (regular orders, reverse mixed order) to the break
     category as object and morphism tables; its source is the poset category
     of ``quotient``, which also holds the relabeling action and orbit maps."""
@@ -514,8 +511,7 @@ def break_functor(labels) -> BreakFunctor:
     return BreakFunctor(q, target, object_map, morphism_map)
 
 
-@dataclass
-class SymmetricOrderQuotient:
+class SymmetricOrderQuotient(NamedTuple):
     """A family of double orders as a poset category, the symmetric-group
     action on it, and the quotient category."""
 

@@ -4,10 +4,9 @@ constructive face-swap identity on standard cubes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .complexes import build_standard_cube
 from .errors import ContractError
@@ -20,8 +19,7 @@ from .precubical import (
 )
 
 
-@dataclass(frozen=True)
-class CubeChain:
+class CubeChain(NamedTuple):
     """A run of positive-dimensional cubes joined final-vertex-to-initial-vertex."""
 
     cells: tuple[Cell, ...]

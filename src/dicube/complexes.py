@@ -6,8 +6,7 @@ its length coverings, and the ordered cover with its symmetric-group action.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ContractError, ResourceCapError, require_size
 from .precubical import Cell, PrecubicalComplex, PrecubicalMap, complex_from_cells, serial_wedge
@@ -120,8 +119,7 @@ def build_final_covering(n: int) -> tuple[PrecubicalComplex, dict[Cell, int]]:
 # -- the ordered cover ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverCell:
+class CoverCell(NamedTuple):
     """A cell of the ordered cover: a partition of the ground set into
     finished elements (`ones`), unstarted elements (`zeros`), and a totally
     ordered tuple of active elements (`mid`)."""
@@ -186,8 +184,7 @@ def is_cover_face(c1: CoverCell, c2: CoverCell) -> bool:
     return tuple(x for x in c2.mid if x in m1) == c1.mid
 
 
-@dataclass
-class OrderedCover:
+class OrderedCover(NamedTuple):
     """The ordered cover complex over a ground set, with cell bookkeeping."""
 
     ground: tuple

@@ -3,16 +3,15 @@ in exact rational arithmetic: membership, witness points (integer ranks),
 reading an order off a configuration, and the cover verification report, a
 list of failures (completeness, properness, equivariance, coverage by random
 configurations).  ``fractions`` is imported only to read a JSON configuration,
-to write a covering failure and to test a non-int coordinate in ``point_to_order``.
+to write a covering failure and to test a coordinate that is not an int.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, field
-from functools import reduce
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from functools import lru_cache, reduce
 
 from .complexes import label_tuple, permutations_of
 from .errors import ContractError, ResourceCapError, StructuralError
@@ -29,19 +28,38 @@ Config = dict  # label -> (x, y), exact rationals: Fractions, or ints for witnes
 # and for random samples, points p/q of the 1/12 grid given as the integers 12 * p/q
 
 
+def _rational_points(f: Config, labels: tuple) -> list:
+    """The points of the labels in f, in label order.  ContractError unless f
+    maps each label to a pair of ints or Fractions."""
+    if not isinstance(f, Mapping):
+        raise ContractError("a configuration must map labels to points")
+    points = [f.get(a) for a in labels]
+    for a, xy in zip(labels, points):
+        rational = isinstance(xy, tuple) and len(xy) == 2
+        if rational and not (type(xy[0]) is int is type(xy[1])):
+            from fractions import Fraction
+            rational = {type(v) for v in xy} <= {int, Fraction}
+        if not rational:
+            raise ContractError(f"configuration does not place label {a!r} at a pair of rationals")
+    return points
+
+
+@lru_cache(maxsize=None)
+def _constraints(x: Rel, y: Rel) -> tuple[tuple[int, int, int], ...]:
+    """The related pairs i, j of the components x (c = 0) and y (c = 1) as
+    (c, i, j): the strict inequalities point i < point j on coordinate c."""
+    return tuple((c, i, j) for c, rel in enumerate((x, y)) for i, j in rel_pairs(rel))
+
+
 def u_contains(o: DoubleOrder, f: Config) -> bool:
     """True iff every ordered pair of o translates into a strict coordinate
-    inequality of f; comparisons are exact rationals.  ContractError if f
-    does not place a label of o."""
-    labels = o.labels
-    try:
-        return all(
-            f[labels[i]][c] < f[labels[j]][c]
-            for c, rel in enumerate((o.x, o.y))
-            for i, j in rel_pairs(rel)
-        )
-    except KeyError as exc:
-        raise ContractError(f"configuration does not place label {exc.args[0]!r}") from None
+    inequality of f; comparisons are exact rationals.  ContractError unless
+    o is a double order and f places each of its labels as ``point_to_order``
+    requires."""
+    if not isinstance(o, DoubleOrder):
+        raise ContractError("membership needs a DoubleOrder")
+    points = _rational_points(f, o.labels)
+    return all(points[i][c] < points[j][c] for c, i, j in _constraints(o.x, o.y))
 
 
 def _linear_extension_ranks(o: DoubleOrder, rel: Rel) -> dict:
@@ -54,6 +72,8 @@ def _linear_extension_ranks(o: DoubleOrder, rel: Rel) -> dict:
 def witness_point(o: DoubleOrder) -> Config:
     """A configuration inside the constraint set: coordinates are the integer
     rank functions of total extensions of the two components."""
+    if not isinstance(o, DoubleOrder):
+        raise ContractError("a witness point needs a DoubleOrder")
     hx = _linear_extension_ranks(o, o.x)
     hy = _linear_extension_ranks(o, o.y)
     return {a: (hx[a], hy[a]) for a in o.labels}
@@ -69,16 +89,7 @@ def point_to_order(f: Config, labels: Sequence) -> DoubleOrder:
     coordinate, in ascending order, each sorted by the second coordinate.
     ContractError unless f maps each label to a pair of ints or Fractions."""
     labels = label_tuple(labels)
-    if not isinstance(f, Mapping):
-        raise ContractError("a configuration must map labels to points")
-    points = [f.get(a) for a in labels]
-    for a, xy in zip(labels, points):
-        rational = isinstance(xy, tuple) and len(xy) == 2
-        if rational and {type(v) for v in xy} != {int}:
-            from fractions import Fraction
-            rational = {type(v) for v in xy} <= {int, Fraction}
-        if not rational:
-            raise ContractError(f"configuration does not place label {a!r} at a pair of rationals")
+    points = _rational_points(f, labels)
     if len(set(points)) != len(points):
         raise ContractError("configuration is not injective")
     columns: dict = {}
@@ -143,17 +154,17 @@ def _json_coordinate(value, label):
     raise StructuralError(f"field 'points' entry {label!r} must hold rational numbers")
 
 
-@dataclass
 class CoverReport:
     """The counts of the cover passes run so far and their failures, each a
     dict naming its check; the cover holds while there are none."""
 
-    labels: tuple
-    family: str  # "semi-regular" or "regular"
-    intersections_checked: int = 0
-    nonempty_intersections: int = 0
-    samples_covered: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, labels: tuple, family: str):
+        self.labels = labels
+        self.family = family  # "semi-regular" or "regular"
+        self.intersections_checked = 0
+        self.nonempty_intersections = 0
+        self.samples_covered = 0
+        self.failures: list = []
 
     @property
     def ok(self) -> bool:

@@ -17,14 +17,17 @@ floating point and no modular shortcut anywhere.
 ``homology`` and ``poset_category``, ``nerve_complex`` and ``nerve_orbit_complex``
 run with the cyclic collector suspended: their millions of dicts, tuples and sets
 form no reference cycle, so reference counting frees them and scans find nothing.
+Results are ``typing.NamedTuple`` records, here and package-wide: no method code
+is generated at import, and a record builds as one tuple, equal to the plain
+tuple of its fields.  ``CheckSpec`` and ``DoubleOrder`` stay dataclasses for
+the benchmark tracer (see ``dicube.suite``).
 """
 
 from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ContractError
 
@@ -45,8 +48,7 @@ def collector_suspended() -> Iterator[None]:
             gc.enable()
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(NamedTuple):
     """One integral homology group: free rank plus torsion d1 | d2 | ..."""
 
     betti: int
@@ -142,8 +144,7 @@ class ChainComplex:
                     )
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
+class SmithNormalForm(NamedTuple):
     """Diagonal of the Smith normal form, plus transforms when requested.
 
     ``diagonal`` lists the positive invariant factors d1 | d2 | ...; zero

@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .chains import CubeChain
 from .complexes import CoverCell, OrderedCover, label_tuple
@@ -281,8 +281,7 @@ def regular_blocks(o: DoubleOrder) -> tuple[tuple, ...]:
 # -- classification -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     ok: bool
     diagnostic: str = ""
     order: Optional[DoubleOrder] = None

@@ -138,7 +138,10 @@ class Poset:
     bitmasks, ``leq[i] >> j & 1`` meaning element i <= element j."""
 
     def __init__(self, elements: Sequence, leq: Sequence[int]):
-        self.elements = list(elements)
+        try:
+            self.elements = list(elements)
+        except TypeError:
+            raise ContractError("elements must be a sequence") from None
         n = len(self.elements)
         try:
             self.leq: Rel = tuple(leq)

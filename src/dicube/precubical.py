@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ContractError, ResourceCapError, StructuralError, require_size
 from .posets import dot_digraph, reachable
@@ -296,8 +295,7 @@ def complex_from_cells(
     return PrecubicalComplex([[label(c) for c in layer] for layer in layers], faces, base)
 
 
-@dataclass(frozen=True)
-class RelationViolation:
+class RelationViolation(NamedTuple):
     """One failed precubical identity on a cell."""
 
     cell: Cell
@@ -490,8 +488,7 @@ def accessible_part(K: PrecubicalComplex) -> PrecubicalComplex:
 # -- non-self-linkedness ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonSelfLinkedReport:
+class NonSelfLinkedReport(NamedTuple):
     ok: bool
     cell: Optional[Cell] = None
     collision: Optional[tuple[tuple, tuple]] = None
@@ -596,8 +593,7 @@ def quotient_by_automorphisms(
 # -- length covering ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LengthCovering:
+class LengthCovering(NamedTuple):
     complex: PrecubicalComplex
     projection: PrecubicalMap  # onto the covered complex
     altitude: dict[Cell, int]

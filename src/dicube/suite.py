@@ -2,6 +2,11 @@
 exhaustive propositions at a requested size and reports pass/fail with a
 reproducible counterexample payload on failure.  ``concurrent.futures`` is
 imported only when ``run_suite`` starts a pool: jobs > 1 and two checks or more.
+Reports and ``Fail`` are NamedTuple records, as results are package-wide.  Two
+classes stay dataclasses because the benchmark tracer (``perfbench/tracer.py``)
+needs them: it rebuilds each ``CheckSpec`` of ``REGISTRY`` with
+``dataclasses.replace``, and it times ``DoubleOrder.__post_init__``, where
+every order is validated.
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .categories import (
     SymmetricOrderQuotient,
@@ -59,8 +64,7 @@ from .posets import bit_positions
 from .precubical import PrecubicalMap, is_non_self_linked, quotient_by_automorphisms
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     id: str
     params: dict
     status: str  # pass | fail | skipped
@@ -68,17 +72,10 @@ class VerificationReport:
     wall_time: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "params": self.params,
-            "status": self.status,
-            "details": self.details,
-            "wall_time": round(self.wall_time, 6),
-        }
+        return {**self._asdict(), "wall_time": round(self.wall_time, 6)}
 
 
-@dataclass(frozen=True)
-class Fail:
+class Fail(NamedTuple):
     """What a check returns in place of its value when a proposition fails."""
 
     payload: object

@@ -8,9 +8,10 @@ import pytest
 from dicube import cli
 from dicube.cli import main
 from dicube.complexes import build_final_complex, default_labels
-from dicube.cover import point_to_order, u_contains
+from dicube.cover import point_to_order, u_contains, witness_point
 from dicube.errors import ContractError, UsageError
 from dicube.orders import classify, enumerate_orders
+from dicube.posets import Poset
 from dicube.precubical import is_non_self_linked
 from dicube.suite import REGISTRY, CheckSpec, exit_code, run_suite
 
@@ -106,6 +107,22 @@ def test_cli_import_loads_neither_the_thread_pool_nor_fractions():
         [sys.executable, "-I", "-S", "-c", probe, src], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_defines_dataclasses_only_for_check_specs_and_double_orders():
+    # each dataclass costs generated methods compiled at import; the tracer
+    # replaces a CheckSpec with dataclasses.replace and wraps __post_init__
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import dicube.cli; "
+        "print(sorted(f'{m}.{k}' for m, mod in list(sys.modules.items()) if m.startswith('dicube') "
+        "for k, v in vars(mod).items() if isinstance(v, type) and v.__module__ == m "
+        "and '__dataclass_fields__' in vars(v)))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "['dicube.orders.DoubleOrder', 'dicube.suite.CheckSpec']"
 
 
 def test_non_self_linked_failure_payload_replays():
@@ -265,6 +282,10 @@ def _place_a_at(xy):
     return lambda: point_to_order({"a": xy}, ["a"])
 
 
+def _in_first_regular_order(f):
+    return lambda: u_contains(enumerate_orders(default_labels(2), "regular")[0], f)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -278,10 +299,23 @@ def _place_a_at(xy):
         pytest.param(_place_a_at((0.5, 1)), ContractError, id="point-float"),
         pytest.param(_place_a_at([0, 1]), ContractError, id="point-list"),
         pytest.param(
-            lambda: u_contains(enumerate_orders(default_labels(2), "regular")[0], {"a": (0, 0)}),
-            ContractError,
-            id="u-contains-unplaced-label",
+            _in_first_regular_order({"a": (0, 0)}), ContractError, id="u-contains-unplaced-label"
         ),
+        pytest.param(_in_first_regular_order(5), ContractError, id="u-contains-config-int"),
+        pytest.param(
+            _in_first_regular_order({"a": (1,), "b": (1, 2)}), ContractError, id="u-contains-one-coord"
+        ),
+        pytest.param(
+            _in_first_regular_order({"a": ("1", "2"), "b": (1, 2)}), ContractError, id="u-contains-str"
+        ),
+        pytest.param(
+            _in_first_regular_order({"a": ("1", "2"), "b": ("3", "4")}),
+            ContractError,
+            id="u-contains-all-str",
+        ),
+        pytest.param(lambda: u_contains(5, {}), ContractError, id="u-contains-order-int"),
+        pytest.param(lambda: witness_point(5), ContractError, id="witness-point-int"),
+        pytest.param(lambda: Poset(5, (1,)), ContractError, id="poset-elements-int"),
         pytest.param(
             lambda: run_suite(["euler-zero"], 1, params=[1]), UsageError, id="params-list"
         ),
