@@ -323,9 +323,11 @@ def quotient_category(
 ) -> tuple[FiniteCategory, list[int], list[int]]:
     """Quotient by a free action: objects are orbits, morphisms are orbits,
     each represented by its one member out of the least object of its source
-    orbit.  Composition anchors the second factor at the target of the
-    first.  Returns (quotient, object map, morphism map); the nerve-quotient
-    check tests the quotient's laws and orbit counts.
+    orbit.  Composition moves the second factor's representative, which
+    starts at the least object of its orbit, to the target of the first by
+    that object's ``away`` element, so the two always compose.  Returns
+    (quotient, object map, morphism map); the nerve-quotient check tests the
+    quotient's laws and orbit counts.
     """
     if act.C is not C:
         raise ContractError("action is attached to a different category")
@@ -346,10 +348,7 @@ def quotient_category(
 
     def compose(g: int, f: int) -> int:
         f_rep = mor_reps[f]
-        f_tgt = C.morphisms[f_rep].tgt
-        g_member = act.act_morphism(away[f_tgt], mor_reps[g])
-        if C.morphisms[g_member].src != f_tgt:
-            raise ContractError("quotient composition found no anchored factor")
+        g_member = act.act_morphism(away[C.morphisms[f_rep].tgt], mor_reps[g])
         return mor_map[C.compose(g_member, f_rep)]
 
     return FiniteCategory(objects, morphisms, identity, compose), obj_map, mor_map

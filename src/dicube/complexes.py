@@ -199,7 +199,7 @@ class OrderedCover(NamedTuple):
 
     def automorphism(self, sigma: Mapping) -> PrecubicalMap:
         assign = [[self.cell_of(c.act(sigma))[1] for c in layer] for layer in self.cells]
-        return PrecubicalMap(self.complex, self.complex, assign, check=False)
+        return PrecubicalMap(self.complex, self.complex, assign)
 
     def symmetric_group(self) -> list[PrecubicalMap]:
         """Generators of the relabelling group: the adjacent transpositions."""

@@ -330,9 +330,8 @@ def classify(labels: Sequence, x_matrix, y_matrix) -> Classification:
 @lru_cache(maxsize=None)
 def _strict_orders(n: int) -> tuple[Rel, ...]:
     """The strict orders on n positions, sorted: the transitive ones among
-    the choices, for each pair i < j, of no relation or either direction."""
-    if n > 4:
-        raise ResourceCapError("strict-order filter enumerations are capped at 4 labels")
+    the choices, for each pair i < j, of no relation or either direction.
+    ``_family_keys`` caps its callers at 4 labels."""
     choices = [((), ((i, j),), ((j, i),)) for i, j in itertools.combinations(range(n), 2)]
     candidates = (rel_from_pairs(n, itertools.chain(*picked)) for picked in itertools.product(*choices))
     return tuple(sorted(rel for rel in candidates if rel_is_transitive(rel)))

@@ -335,7 +335,12 @@ def validate_complex(K: PrecubicalComplex) -> list[RelationViolation]:
 
 
 class PrecubicalMap:
-    """A dimension-preserving cell map commuting with all face maps."""
+    """A dimension-preserving cell map commuting with all face maps.
+
+    Every construction checks both, so a map is valid by its type: the
+    functions that build maps (identities, pullback projections, quotient
+    projections, automorphisms) and those that take them check neither again.
+    """
 
     __slots__ = ("source", "target", "_assign")
 
@@ -344,7 +349,6 @@ class PrecubicalMap:
         source: PrecubicalComplex,
         target: PrecubicalComplex,
         assignment: Sequence[Sequence[int]],
-        check: bool = True,
     ):
         self.source = source
         self.target = target
@@ -366,10 +370,9 @@ class PrecubicalMap:
                     raise StructuralError(f"assignment out of range in dimension {d}")
             assign.append(tuple(layer))
         self._assign = tuple(assign)
-        if check:
-            bad = self.violations()
-            if bad:
-                raise ContractError(f"map does not commute with faces: {bad[0]}")
+        bad = self.violations()
+        if bad:
+            raise ContractError(f"map does not commute with faces: {bad[0]}")
 
     def __call__(self, cell: Cell) -> Cell:
         return (cell[0], self._assign[cell[0]][cell[1]])
@@ -400,15 +403,12 @@ class PrecubicalMap:
             return False
         return all(len(set(layer)) == len(layer) for layer in self._assign)
 
-    def is_isomorphism(self) -> bool:
-        return self.is_bijective and not self.violations()
-
     def assignment_key(self) -> tuple:
         return self._assign
 
     @staticmethod
     def identity(K: PrecubicalComplex) -> "PrecubicalMap":
-        return PrecubicalMap(K, K, [list(range(c)) for c in K.dims], check=False)
+        return PrecubicalMap(K, K, [list(range(c)) for c in K.dims])
 
 
 # -- altitude -------------------------------------------------------------
@@ -546,8 +546,8 @@ def pullback(
         base,
     )
     pairs = pairs[: P.max_dim + 1]  # P drops the empty top layers, where no images meet
-    proj1 = PrecubicalMap(P, K, [[a[1] for a, _ in layer] for layer in pairs], check=False)
-    proj2 = PrecubicalMap(P, L, [[b[1] for _, b in layer] for layer in pairs], check=False)
+    proj1 = PrecubicalMap(P, K, [[a[1] for a, _ in layer] for layer in pairs])
+    proj2 = PrecubicalMap(P, L, [[b[1] for _, b in layer] for layer in pairs])
     return P, proj1, proj2
 
 
@@ -559,21 +559,20 @@ def quotient_by_automorphisms(
 ) -> tuple[PrecubicalComplex, PrecubicalMap]:
     """Orbit quotient of K by the automorphism group the generators span.
 
-    Each generator is checked to be a bijection K -> K commuting with faces;
-    products of automorphisms are automorphisms, so the spanned group needs
-    no check.  An orbit is found by search along generator images from its
-    least cell, which represents it.  The faces of an orbit are read off its
-    representative: automorphisms commute with faces, so every member gives
-    the same face orbits, the quotient keeps the precubical identities of K,
-    and the projection commutes with faces.  Nothing here assumes freeness.
+    Each generator is checked to be a bijection K -> K; as a map it commutes
+    with faces by construction, and products of automorphisms are
+    automorphisms, so the spanned group needs no check.  An orbit is found by
+    search along generator images from its least cell, which represents it.
+    The faces of an orbit are read off its representative: automorphisms
+    commute with faces, so every member gives the same face orbits and the
+    quotient keeps the precubical identities of K.  The projection is checked
+    as every map is.  Nothing here assumes freeness.
     """
     for g in generators:
         if g.source is not K or g.target is not K:
             raise ContractError("generators must be maps K -> K")
         if not g.is_bijective:
             raise ContractError("generator is not bijective")
-        if g.violations():
-            raise ContractError("generator does not commute with faces")
 
     orbit_of: dict[Cell, Cell] = {}
     reps: list[list[Cell]] = [[] for _ in range(K.max_dim + 1)]
@@ -587,7 +586,7 @@ def quotient_by_automorphisms(
     Q = complex_from_cells(reps, lambda c, i, eps: orbit_of[K.face(c, i, eps)], K.label, base)
     new_index = {rep: k for layer in reps for k, rep in enumerate(layer)}
     assign = [[new_index[orbit_of[c]] for c in K.cells_of_dim(d)] for d in range(K.max_dim + 1)]
-    return Q, PrecubicalMap(K, Q, assign, check=False)
+    return Q, PrecubicalMap(K, Q, assign)
 
 
 # -- length covering ---------------------------------------------------------

@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .categories import (
     SymmetricOrderQuotient,
     break_functor,
-    break_hom_count_oracle,
     build_break_category,
     check_functoriality,
     composable_run_counts,
@@ -141,18 +140,17 @@ def check_orbit_iso(n: int, top: int, **_) -> object:
     ]
     try:
         iso = PrecubicalMap(Q, Z, assign)
-    except Exception as exc:  # face commutation failure
+    except ContractError as exc:  # face commutation failure
         return Fail({"reason": str(exc)})
-    if not (iso.is_isomorphism() and iso.is_bipointed):
+    if not (iso.is_bijective and iso.is_bipointed):
         return Fail({"reason": "orbit map is not a bipointed isomorphism"})
     return list(Q.dims)
 
 
 def check_non_self_linked(n_max: int, target: str = "ordered-cover", **_) -> object:
     """The ordered cover is non-self-linked; the truncated final complex is
-    not (reported as a failure with its counterexample cell)."""
-    if target not in ("ordered-cover", "final-truncated"):
-        raise UsageError(f"unknown non-self-linked target {target!r}")
+    not (reported as a failure with its counterexample cell).  ``run_suite``
+    has checked ``target``."""
     if target == "ordered-cover":
         for n in range(1, min(n_max, 4) + 1):
             cover = build_ordered_cover(n)
@@ -315,7 +313,8 @@ def check_nerve_quotient(n: int, top: int, **_) -> object:
 
 def check_bar_f_iso(n: int, top: int, **_) -> object:
     """The functor to the break category is relabeling-invariant and induces a
-    bijective functor from the quotient."""
+    bijective functor from the quotient.  The break category's hom counts are
+    pinned by the tests against ``categories.break_hom_count_oracle``."""
     func = break_functor(default_labels(n))
     check_functoriality(func)
     # the orbit maps come from the relabeling action, so being constant on
@@ -332,14 +331,6 @@ def check_bar_f_iso(n: int, top: int, **_) -> object:
                 return Fail({"reason": f"induced {kind} map ill-defined", **witness})
         if sorted(induced.values()) != list(range(size)):
             return Fail({"reason": f"induced {kind} map not bijective"})
-    # spot-check against the independent hom-count oracle
-    for a_idx, a in enumerate(D.objects):
-        for b_idx, b in enumerate(D.objects):
-            if set(b) <= set(a):
-                got = len(D.hom(a_idx, b_idx))
-                want = break_hom_count_oracle(a, b, n)
-                if got != want:
-                    return Fail({"hom": [list(a), list(b)], "got": got, "want": want})
     return {"objects": D.n_objects, "morphisms": D.n_morphisms}
 
 
@@ -512,6 +503,8 @@ def run_suite(
         raise UsageError(f"n_max must be an int of at least 1, got {n_max!r}")
     if params is not None and (not isinstance(params, dict) or set(params) - {"target"}):
         raise UsageError(f"params must be a dict with no key but 'target', got {params!r}")
+    if params and params.get("target") not in ("ordered-cover", "final-truncated"):
+        raise UsageError(f"unknown non-self-linked target {params['target']!r}")
     extra = dict(params or {})
 
     def run_one(check_id: str) -> VerificationReport:

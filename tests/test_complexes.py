@@ -110,7 +110,7 @@ def test_final_covering_agrees_with_length_covering(n):
             layer.append(direct.cell_of_label(f"z{d}_{h}")[1])
         assign.append(layer)
     iso = PrecubicalMap(lc.complex, direct, assign)
-    assert iso.is_isomorphism() and iso.is_bipointed
+    assert iso.is_bijective and iso.is_bipointed
 
 
 def test_final_covering_face_formula():

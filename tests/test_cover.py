@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -26,7 +28,7 @@ from dicube.orders import (
     rel_from_pairs,
     union_bar,
 )
-from dicube.posets import rel_pairs
+from dicube.posets import rel_closure, rel_is_irreflexive, rel_pairs, rel_subset
 
 AB = ("a", "b")
 
@@ -226,6 +228,32 @@ def test_nerve_retraction_two_labels_exhaustive():
 
 def test_nerve_retraction_three_labels_sampled():
     assert nerve_retraction_check(default_labels(3))
+
+
+def test_fold_of_pairwise_unions_is_the_closed_union_of_a_set():
+    # the lemma that lets nerve_retraction_check test pairs only, sampled at 3 labels
+    family = enumerate_orders(default_labels(3), "semi-regular")
+    keys = {o.key() for o in family}
+    rng = random.Random(28)
+    defined = 0
+    for _ in range(400):
+        # half the sets lie below one member, so that their union is an order
+        top = rng.choice(family)
+        below = [o for o in family if rel_subset(o.x, top.x) and rel_subset(o.y, top.y)]
+        pool = below if rng.random() < 0.5 else family
+        group = rng.sample(pool, min(len(pool), rng.randint(2, 6)))
+        joined = functools.reduce(lambda acc, o: acc if acc is None else union_bar(acc, o), group)
+        closed = [
+            rel_closure([functools.reduce(operator.or_, rows) for rows in zip(*parts)])
+            for parts in zip(*(o.key() for o in group))
+        ]
+        if not all(map(rel_is_irreflexive, closed)):
+            assert joined is None
+            continue
+        assert joined.key() == tuple(closed) and joined.key() in keys
+        assert all(rel_subset(o.x, joined.x) and rel_subset(o.y, joined.y) for o in group)
+        defined += 1
+    assert defined >= 150  # the seed reaches many sets whose union is an order
 
 
 def test_config_json_round_trip():

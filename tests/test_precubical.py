@@ -238,7 +238,7 @@ def test_pullback_over_final_along_identity_is_isomorphic():
     q = PrecubicalMap.identity(z)
     P, proj1, proj2 = pullback(p, q)
     assert P.dims == sq.dims
-    assert proj1.is_isomorphism() and proj1.is_bipointed
+    assert proj1.is_bijective and proj1.is_bipointed
 
 
 def test_pullback_of_cover_projection_with_itself():
@@ -282,11 +282,11 @@ def test_quotient_by_trivial_group_is_identity():
     sq = build_standard_cube(2)
     Q, proj = quotient_by_automorphisms(sq, [PrecubicalMap.identity(sq)])
     assert Q.dims == sq.dims
-    assert proj.is_isomorphism()
+    assert proj.is_bijective
 
 
 def test_quotient_of_cover_by_symmetric_group():
-    # quotient_by_automorphisms validates neither Q nor the projection; these are the pins
+    # quotient_by_automorphisms does not validate Q; these are the pins
     for n, dims in ((1, (2, 1)), (2, (3, 2, 1)), (3, (4, 3, 2, 1)), (4, (5, 4, 3, 2, 1))):
         cover = build_ordered_cover(n)
         Q, proj = quotient_by_automorphisms(cover.complex, cover.symmetric_group())
@@ -299,21 +299,26 @@ def test_quotient_rejects_a_generator_that_does_not_commute_with_faces():
     cover = build_ordered_cover(3)
     K = cover.complex
     # swap the base vertices and fix every other cell: a bijection K -> K,
-    # but the edges out of the initial vertex no longer start there
+    # but the edges out of the initial vertex no longer start there, so no
+    # such map, and so no such generator, can be built
     init, final = (cell[1] for cell in K.base)
     vertices = list(range(K.dims[0]))
     vertices[init], vertices[final] = final, init
-    swap = PrecubicalMap(K, K, [vertices] + [list(range(c)) for c in K.dims[1:]], check=False)
     with pytest.raises(ContractError, match="does not commute with faces"):
-        quotient_by_automorphisms(K, cover.symmetric_group() + [swap])
+        PrecubicalMap(K, K, [vertices] + [list(range(c)) for c in K.dims[1:]])
 
 
 def test_quotient_rejects_generators_that_are_not_bijections_of_k():
-    cover = build_ordered_cover(2)
-    K = cover.complex
-    collapse = PrecubicalMap(K, K, [[0] * c for c in K.dims], check=False)
+    # sending both edges of two disjoint edges onto the first commutes with faces
+    K = disjoint_union(build_standard_cube(1), build_standard_cube(1))
+    onto_left = [
+        [K.cell_of_label("L:" + K.label((d, k)).split(":")[1])[1] for k in range(count)]
+        for d, count in enumerate(K.dims)
+    ]
+    collapse = PrecubicalMap(K, K, onto_left)
     with pytest.raises(ContractError, match="not bijective"):
         quotient_by_automorphisms(K, [collapse])
+    K = build_ordered_cover(2).complex
     other = build_ordered_cover(2).complex
     with pytest.raises(ContractError, match="maps K -> K"):
         quotient_by_automorphisms(K, [PrecubicalMap.identity(other)])
@@ -323,7 +328,7 @@ def test_quotient_by_no_generators_is_identity():
     cover = build_ordered_cover(2)
     Q, proj = quotient_by_automorphisms(cover.complex, [])
     assert Q.dims == cover.complex.dims
-    assert proj.is_isomorphism() and proj.is_bipointed
+    assert proj.is_bijective and proj.is_bipointed
 
 
 def test_quotient_by_free_swap_action():
@@ -480,10 +485,13 @@ def test_malformed_containers_are_structural_errors(case):
 
 
 def test_map_violations_detected():
-    sq = build_standard_cube(1)
+    edge = build_standard_cube(1)
     z = build_final_complex(1)
-    bad = PrecubicalMap(sq, z, [[0, 0], [0]], check=False)
-    assert not bad.violations()  # this one is fine: both vertices hit z0
+    fine = PrecubicalMap(edge, z, [[0, 0], [0]])  # both vertices hit z0
+    assert fine.violations() == []
+    # swapping the ends of the edge and keeping the edge breaks d^0 and d^1
+    with pytest.raises(ContractError, match="does not commute with faces"):
+        PrecubicalMap(edge, edge, [[1, 0], [0]])
     z2 = build_final_complex(2)
     with pytest.raises(ContractError):
         unique_map_to_final(z2, build_final_complex(1))

@@ -256,8 +256,17 @@ def test_cli_verify_reports_check_exceptions_as_failures(exc, monkeypatch, tmp_p
     assert payload[1]["details"] == {"exception": type(exc).__name__, "message": str(exc)}
 
 
-def test_cli_verify_unknown_target_is_usage_error(capsys):
-    assert main(["verify", "--suite", "non-self-linked", "--n-max", "2", "--target", "bogus"]) == 2
+def test_cli_verify_unknown_target_is_usage_error(monkeypatch, capsys):
+    # the target is refused before any check runs, whichever checks are selected
+    from dicube import suite
+
+    ran = []
+    monkeypatch.setattr(suite, "_run_check", lambda spec, n, params: ran.append(spec))
+    for selection in ("non-self-linked", "face-swap", "all"):
+        assert main(["verify", "--suite", selection, "--n-max", "2", "--target", "bogus"]) == 2
+    with pytest.raises(UsageError, match="unknown non-self-linked target 5"):
+        run_suite(["face-swap"], params={"target": 5})
+    assert ran == [] and capsys.readouterr().out == ""
 
 
 def test_cli_verify_unknown_id_is_usage_error(capsys):
