@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .errors import ContractError, ResourceCapError, require_size
+from .complexes import label_tuple
+from .errors import ContractError, ResourceCapError, require_size, shared_in_run
 from .homology import ChainComplex, collector_suspended
 from .orders import DoubleOrder, _order_families, enumerate_orders, regular_blocks, relabelling
 from .posets import Poset, dot_digraph, label_text, reachable, rel_pairs
@@ -386,6 +387,11 @@ def build_break_category(n: int) -> FiniteCategory:
         raise ContractError(f"break category needs n >= 1, not {n}")
     if n > 7:
         raise ResourceCapError("break category is capped at n <= 7")
+    return _break_category(n)
+
+
+@shared_in_run
+def _break_category(n: int) -> FiniteCategory:
     objects = []
     for size in range(n):
         for combo in itertools.combinations(range(1, n), size):
@@ -470,20 +476,21 @@ def regular_orders_poset(labels, variant: str) -> tuple[Poset, list[DoubleOrder]
     grows = {"sqsubseteq": (True, False), "sqsupseteq": (False, True)}.get(variant)
     if grows is None:
         raise ContractError(f"unknown variant {variant!r}")
-    return _orders_poset(labels, "regular", grows)
+    return _orders_poset(label_tuple(labels), "regular", grows)
 
 
 def semi_regular_orders_poset(labels) -> tuple[Poset, list[DoubleOrder]]:
     """(semi-regular orders, componentwise inclusion) as a poset."""
-    return _orders_poset(labels, "semi-regular", (True, True))
+    return _orders_poset(label_tuple(labels), "semi-regular", (True, True))
 
 
+@shared_in_run
 def _orders_poset(labels, kind: str, grows: tuple[bool, bool]) -> tuple[Poset, list[DoubleOrder]]:
     """The orders of a kind with a <= b iff b's x contains a's x, or lies
     inside it, as ``grows[0]`` is true or false, and likewise for y: each
     row ANDs member masks of the two components, comparing no two orders."""
     orders = enumerate_orders(labels, kind)  # first, as it checks the labels
-    families = _order_families(len(tuple(labels)), kind)
+    families = _order_families(len(labels), kind)
     up_x, up_y = (f.containing if g else f.within for f, g in zip(families, grows))
     return Poset([o.text() for o in orders], [up_x(o.x) & up_y(o.y) for o in orders]), orders
 
@@ -527,15 +534,20 @@ class SymmetricOrderQuotient(NamedTuple):
 def symmetric_order_quotient(labels, kind: str) -> SymmetricOrderQuotient:
     """Quotient of (regular orders, reverse mixed order) or (semi-regular
     orders, inclusion) by the relabelings the adjacent transpositions span."""
-    from .complexes import adjacent_transpositions, label_tuple
-
     labels = label_tuple(labels)
+    if kind not in ("regular", "semi-regular"):
+        raise ContractError(f"unknown order family {kind!r}")
+    return _symmetric_order_quotient(labels, kind)
+
+
+@shared_in_run
+def _symmetric_order_quotient(labels: tuple, kind: str) -> SymmetricOrderQuotient:
+    from .complexes import adjacent_transpositions  # at call time, as tests replace it
+
     if kind == "regular":
         poset, orders = regular_orders_poset(labels, "sqsupseteq")
-    elif kind == "semi-regular":
-        poset, orders = semi_regular_orders_poset(labels)
     else:
-        raise ContractError(f"unknown order family {kind!r}")
+        poset, orders = semi_regular_orders_poset(labels)
     C = poset_category(poset)
     keys = [o.key() for o in orders]
     key_index = {key: i for i, key in enumerate(keys)}

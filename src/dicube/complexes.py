@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ContractError, ResourceCapError, require_size
+from .errors import ContractError, ResourceCapError, require_size, shared_in_run
 from .precubical import Cell, PrecubicalComplex, PrecubicalMap, complex_from_cells, serial_wedge
 
 STAR = "*"
@@ -235,6 +235,11 @@ def build_ordered_cover(labels) -> OrderedCover:
     ground = label_tuple(labels) if isinstance(labels, Iterable) else default_labels(labels)
     if len(ground) > 6:
         raise ResourceCapError(f"ground set size {len(ground)} above cap 6")
+    return _ordered_cover(ground)
+
+
+@shared_in_run
+def _ordered_cover(ground: tuple) -> OrderedCover:
     n = len(ground)
     cells: list[list[CoverCell]] = [[] for _ in range(n + 1)]
     for k in range(n + 1):

@@ -370,25 +370,18 @@ class PrecubicalMap:
                     raise StructuralError(f"assignment out of range in dimension {d}")
             assign.append(tuple(layer))
         self._assign = tuple(assign)
-        bad = self.violations()
-        if bad:
-            raise ContractError(f"map does not commute with faces: {bad[0]}")
+        for d, k, i, eps, face in source.face_entries():
+            expected = self((d - 1, face))
+            got = target.face(self((d, k)), i, eps)
+            if expected != got:
+                raise ContractError(
+                    "map does not commute with faces: "
+                    f"f(d^{eps}_{i} {source.label((d, k))!r}) = "
+                    f"{target.label(expected)!r} but d^{eps}_{i} f = {target.label(got)!r}"
+                )
 
     def __call__(self, cell: Cell) -> Cell:
         return (cell[0], self._assign[cell[0]][cell[1]])
-
-    def violations(self) -> list[str]:
-        out = []
-        for d, k, i, eps, face in self.source.face_entries():
-            expected = self((d - 1, face))
-            got = self.target.face(self((d, k)), i, eps)
-            if expected != got:
-                out.append(
-                    f"f(d^{eps}_{i} {self.source.label((d, k))!r}) = "
-                    f"{self.target.label(expected)!r} but d^{eps}_{i} f = "
-                    f"{self.target.label(got)!r}"
-                )
-        return out
 
     @property
     def is_bipointed(self) -> bool:

@@ -2,6 +2,12 @@
 exhaustive propositions at a requested size and reports pass/fail with a
 reproducible counterexample payload on failure.  ``concurrent.futures`` is
 imported only when ``run_suite`` starts a pool: jobs > 1 and two checks or more.
+One ``run_suite`` call builds each shared model once (the order quotients,
+the order posets, the break categories and the ordered covers, through the
+``shared_in_run`` builders of ``errors``), and every check of that call, on
+any thread, reads the same object; so no check may mutate a model it did not
+build.  Nothing outlives the call: later calls and direct library calls
+build fresh models.
 Reports and ``Fail`` are NamedTuple records, as results are package-wide.  Two
 classes stay dataclasses because the benchmark tracer (``perfbench/tracer.py``)
 needs them: it rebuilds each ``CheckSpec`` of ``REGISTRY`` with
@@ -39,7 +45,7 @@ from .complexes import (
     permutations_of,
 )
 from .cover import cover_equivariance, cover_properness, cover_report, verify_cover
-from .errors import ContractError, ResourceCapError, UsageError
+from .errors import ContractError, ResourceCapError, UsageError, models_shared
 from .homology import (
     euler_characteristic,
     homology,
@@ -526,12 +532,13 @@ def run_suite(
         elapsed = time.perf_counter() - start
         return VerificationReport(check_id, {"n_max": n, **extra}, status, details, elapsed)
 
-    if jobs <= 1 or len(ids) <= 1:
-        return [run_one(check_id) for check_id in ids]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_one, check_id) for check_id in ids]
-        return [f.result() for f in futures]
+    with models_shared():
+        if jobs <= 1 or len(ids) <= 1:
+            return [run_one(check_id) for check_id in ids]
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(run_one, check_id) for check_id in ids]
+            return [f.result() for f in futures]
 
 
 def exit_code(reports: Sequence[VerificationReport]) -> int:

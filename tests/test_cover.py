@@ -226,7 +226,7 @@ def test_nerve_retraction_two_labels_exhaustive():
     assert nerve_retraction_check(AB)
 
 
-def test_nerve_retraction_three_labels_sampled():
+def test_nerve_retraction_three_labels_every_pair():
     assert nerve_retraction_check(default_labels(3))
 
 

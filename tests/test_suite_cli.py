@@ -484,6 +484,108 @@ def test_bar_f_iso_builds_one_regular_poset_category_per_n(monkeypatch):
     assert sizes == [1, 4, 24]  # the regular orders at n = 1, 2, 3
 
 
+# -- models shared within one run -----------------------------------------------------
+
+
+def test_one_run_builds_each_model_once(monkeypatch):
+    from dicube import categories, complexes
+
+    quotients = []
+    quotient = categories.quotient_category
+    monkeypatch.setattr(
+        categories,
+        "quotient_category",
+        lambda C, act: quotients.append(C.objects) or quotient(C, act),
+    )
+    ids = ["nerve-quotient", "bar-F-iso", "homology-cross-model"]
+    assert {r.status for r in run_suite(ids, n_max=3)} == {"pass"}
+    # regular orders at n = 1..3 for all three checks, semi-regular at n = 2, 3
+    # for homology-cross-model; a poset category's objects are its order texts
+    families = [("regular", n) for n in (1, 2, 3)] + [("semi-regular", n) for n in (2, 3)]
+    expected = [[o.text() for o in enumerate_orders(default_labels(n), k)] for k, n in families]
+    assert sorted(quotients) == sorted(expected)
+
+    covers = []
+    build = complexes.complex_from_cells
+
+    def counting(cells, face, label, base=None):
+        if label is complexes.CoverCell.text:
+            covers.append(len(cells) - 1)  # the ground set size
+        return build(cells, face, label, base)
+
+    monkeypatch.setattr(complexes, "complex_from_cells", counting)
+    ids = ["chain-order-iso", "orbit-iso", "non-self-linked"]
+    assert {r.status for r in run_suite(ids, n_max=4)} == {"pass"}
+    assert covers == [1, 2, 3, 4]
+
+
+def test_no_model_outlives_its_run(monkeypatch):
+    from dicube import complexes, errors
+
+    clean = {1: [1], 2: [2, 2], 3: [4, 16, 12]}
+    assert run_suite(["nerve-quotient"], n_max=3)[0].details == clean
+    # without the last swap the group is smaller and still free: the check
+    # passes with larger orbit counts, which only fresh quotients give
+    adjacent_transpositions_without_the_last(monkeypatch)
+    faulted = {1: [1], 2: [4, 4], 3: [12, 48, 36]}
+    assert run_suite(["nerve-quotient"], n_max=3)[0].details == faulted
+    assert errors._shared_models is None
+
+    built = []
+
+    def building_then_refusing(n_max, **_):
+        built.extend([complexes.build_ordered_cover(2), complexes.build_ordered_cover(("a", "b"))])
+        raise UsageError("refused after a build")
+
+    spec = REGISTRY["face-swap"]
+    monkeypatch.setitem(
+        REGISTRY, "face-swap", CheckSpec(building_then_refusing, spec.default_n, spec.description)
+    )
+    with pytest.raises(UsageError, match="refused after a build"):
+        run_suite(["face-swap"], n_max=2)
+    assert built[0] is built[1]  # one cover for both spellings of its ground set
+    assert errors._shared_models is None
+    assert complexes.build_ordered_cover(2) is not built[0]
+    assert complexes.build_ordered_cover(2) is not complexes.build_ordered_cover(2)
+
+
+def test_a_shared_build_that_raises_caches_nothing_and_threads_wait_for_one_build():
+    import threading
+    import time
+
+    from dicube.errors import models_shared, shared_in_run
+
+    calls = []
+
+    @shared_in_run
+    def build(n):
+        calls.append(n)
+        if len(calls) == 1:
+            raise ContractError("the first build fails")
+        time.sleep(0.05)  # long enough for the other thread to ask meanwhile
+        return [n]
+
+    with models_shared():
+        with pytest.raises(ContractError):
+            build(1)
+        got = []
+        threads = [threading.Thread(target=lambda: got.append(build(1))) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got[0] is got[1] is build(1)
+    assert calls == [1, 1]
+    assert build(1) is not build(1)  # outside a run every call builds
+
+
+def test_reports_do_not_depend_on_the_order_of_the_checks():
+    # whichever check asks first builds a shared model
+    forward = strip_times([r.to_json_dict() for r in run_suite(None, n_max=3)])
+    backward = strip_times([r.to_json_dict() for r in run_suite(list(REGISTRY)[::-1], n_max=3)])
+    assert backward == forward[::-1]
+
+
 # -- planted faults: each check is seen to fail ---------------------------------------
 
 
