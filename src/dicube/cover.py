@@ -20,9 +20,11 @@ from .orders import (
     enumerate_orders,
     order_keys,
     regular_from_blocks,
+    relabelling,
     union_bar,
+    union_keys,
 )
-from .posets import Rel, rel_below_counts, rel_pairs, rel_subset
+from .posets import Rel, rel_below_counts, rel_from_pairs, rel_pairs, rel_subset
 
 Config = dict  # label -> (x, y), exact rationals: Fractions, or ints for witness points
 # and for random samples, points p/q of the 1/12 grid given as the integers 12 * p/q
@@ -223,30 +225,34 @@ def cover_completeness(report: CoverReport, family: list[DoubleOrder]) -> None:
 
 def cover_properness(report: CoverReport, family: list[DoubleOrder]) -> None:
     """Properness: a member and its image under a non-identity permutation
-    (all but the first, the identity) never meet.  Its regular retraction
-    never meets its image either; union-sigma checks that for every regular
-    order."""
+    (all but the first, the identity) never meet, that is, ``union_keys``
+    finds a cycle; each relabelling maps the members' keys, building no
+    order.  Its regular retraction never meets its image either; union-sigma
+    checks that for every regular order."""
     for sigma in permutations_of(report.labels)[1:]:
+        relabel = relabelling(report.labels, sigma)
         for o in family:
-            if union_bar(o, o.act(sigma)) is not None:
+            key = o.key()
+            if union_keys(key, relabel(key)) is not None:
                 report.failures.append(
                     {"check": "properness-union", "order": o.text(), "sigma": str(sigma)}
                 )
 
 
 def cover_equivariance(report: CoverReport, family: list[DoubleOrder]) -> None:
-    """Equivariance: permuting a member's constraints gives the permuted
-    member's constraints, as constraint-set equality."""
+    """Equivariance: permuting a member's constraints gives the constraints
+    of its relabelled key, as constraint-set equality: i < j in the image
+    iff sigma(i) < sigma(j) in the member."""
     labels = report.labels
+    n = len(labels)
+    constraints = [[rel_pairs(rel) for rel in o.key()] for o in family]
     for sigma in permutations_of(labels):
+        relabel = relabelling(labels, sigma)
         inv = {v: k for k, v in sigma.items()}
-        for o in family:
-            o_s = o.act(sigma)
-            expected_x = {(inv[labels[i]], inv[labels[j]]) for i, j in rel_pairs(o.x)}
-            got_x = {(labels[i], labels[j]) for i, j in rel_pairs(o_s.x)}
-            expected_y = {(inv[labels[i]], inv[labels[j]]) for i, j in rel_pairs(o.y)}
-            got_y = {(labels[i], labels[j]) for i, j in rel_pairs(o_s.y)}
-            if expected_x != got_x or expected_y != got_y:
+        at = [labels.index(inv[a]) for a in labels]  # position of sigma^-1(a)
+        for o, pairs in zip(family, constraints):
+            expected = tuple(rel_from_pairs(n, [(at[i], at[j]) for i, j in ps]) for ps in pairs)
+            if expected != relabel(o.key()):
                 report.failures.append(
                     {"check": "equivariance", "order": o.text(), "sigma": str(sigma)}
                 )

@@ -13,15 +13,17 @@ semi-regular families are read off the strict and the regular orders by bit
 (``RelFamily``), so neither compares orders pairwise: an order is
 semi-regular exactly when it closes the union of the regulars below.
 
-The relation kernels the order checks share are memoized: the closure of a
-union component, or None when it cycles (``union_bar``), and semi-regularity
-by key.  One relabelling kernel, ``relabelling(labels, sigma)``, maps keys
-``(x, y)``: it moves each row through ``_bit_permutation(s)``, a 2**n-entry
-table built once per position tuple ``s`` that moves bit ``s[j]`` of a row to
-bit ``j``.  ``act`` wraps it, and the free-action check applies it to the key
-table alone.  Every ``DoubleOrder`` a caller receives is validated, but the
-strict-order test is memoized by relation and the label test by label tuple,
-so each costs a cache lookup after the first order.
+The relation kernels the order checks share work on keys ``(x, y)`` and are
+memoized: the closure of a union component, or None when it cycles
+(``union_keys``, which ``union_bar`` wraps), and semi-regularity by key.  One
+relabelling kernel, ``relabelling(labels, sigma)``, maps keys: it moves each
+row through ``_bit_permutation(s)``, a 2**n-entry table built once per
+position tuple ``s`` that moves bit ``s[j]`` of a row to bit ``j``.  ``act``
+wraps it, and the free-action, union-sigma and cover-proper checks apply it,
+and ``union_keys``, to key tables alone.  Every ``DoubleOrder`` a caller
+receives is validated, but the strict-order test is memoized by relation and
+the label test by label tuple, so each costs a cache lookup after the first
+order.
 """
 
 from __future__ import annotations
@@ -213,9 +215,20 @@ def union_bar(o1: DoubleOrder, o2: DoubleOrder) -> Optional[DoubleOrder]:
     picks up a cycle (reflexive entry)."""
     if o1.labels != o2.labels:
         raise ContractError("union needs a common ground set")
-    x = _acyclic_closure(*map(or_, o1.x, o2.x))
-    y = None if x is None else _acyclic_closure(*map(or_, o1.y, o2.y))
-    return None if y is None else DoubleOrder(o1.labels, x, y)
+    key = union_keys(o1.key(), o2.key())
+    return None if key is None else DoubleOrder(o1.labels, *key)
+
+
+def union_keys(k1: Key, k2: Key) -> Optional[Key]:
+    """The key of ``union_bar`` on two keys ``(x, y)``, or None when a
+    closure cycles; no order is built.  ContractError unless the keys have
+    one size, as pairing the rows would drop the rows beyond the shorter."""
+    (x1, y1), (x2, y2) = k1, k2
+    if not len(x1) == len(y1) == len(x2) == len(y2):
+        raise ContractError("union needs keys of one size")
+    x = _acyclic_closure(*map(or_, x1, x2))
+    y = None if x is None else _acyclic_closure(*map(or_, y1, y2))
+    return None if y is None else (x, y)
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,7 @@ from dicube.orders import (
     relabelling,
     to_regular,
     union_bar,
+    union_keys,
 )
 from dicube.posets import bit_positions, reachable, rel_closure
 
@@ -140,6 +141,25 @@ def test_union_takes_transitive_closure():
     o2 = order(ABC, [("b", "c")], [])
     u = union_bar(o1, o2)
     assert u.x == rel_from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize(
+    "n, kind", [(1, "semi-regular"), (2, "semi-regular"), (3, "semi-regular"), (4, "regular")]
+)
+def test_key_union_is_the_key_of_union_bar(n, kind):
+    # union-sigma and cover-proper join keys, so each ordered pair must give
+    # the key of the order union_bar builds, or None with it
+    family = enumerate_orders(default_labels(n), kind)
+    for a, b in itertools.product(family, repeat=2):
+        u = union_bar(a, b)
+        assert union_keys(a.key(), b.key()) == (None if u is None else u.key()), (a.text(), b.text())
+
+
+def test_key_union_refuses_keys_of_different_sizes():
+    two, three = (enumerate_orders(default_labels(n), "regular")[0].key() for n in (2, 3))
+    for k1, k2 in ((two, three), (three, two), (two, (two[0], three[1]))):
+        with pytest.raises(ContractError, match="keys of one size"):
+            union_keys(k1, k2)
 
 
 def union_triples(n, rng):
@@ -551,7 +571,7 @@ def test_chain_union_requires_strict_mixed_chain():
         chain_union([top, top])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_chain_union_is_top_x_with_bottom_y(n):
     from dicube.categories import regular_orders_poset
 

@@ -524,11 +524,14 @@ def test_no_model_outlives_its_run(monkeypatch):
 
     clean = {1: [1], 2: [2, 2], 3: [4, 16, 12]}
     assert run_suite(["nerve-quotient"], n_max=3)[0].details == clean
-    # without the last swap the group is smaller and still free: the check
-    # passes with larger orbit counts, which only fresh quotients give
+    # without the last swap the group is smaller: the check fails with the
+    # size of that group, which only a fresh quotient gives
     adjacent_transpositions_without_the_last(monkeypatch)
-    faulted = {1: [1], 2: [4, 4], 3: [12, 48, 36]}
-    assert run_suite(["nerve-quotient"], n_max=3)[0].details == faulted
+    faulted = run_suite(["nerve-quotient"], n_max=3)[0]
+    assert faulted.status == "fail"
+    assert faulted.details == {
+        "n": 2, "reason": "acting group is not every relabeling", "elements": 1, "relabelings": 2
+    }
     assert errors._shared_models is None
 
     built = []
@@ -630,16 +633,16 @@ def cover_read_off_ignoring_the_configuration(monkeypatch):
     )
 
 
-def order_action_ignoring_the_relabelling(monkeypatch):
-    from dicube.orders import DoubleOrder
+def cover_relabelling_ignoring_sigma(monkeypatch):
+    from dicube import cover
 
-    monkeypatch.setattr(DoubleOrder, "act", lambda self, sigma: self)
+    monkeypatch.setattr(cover, "relabelling", lambda labels, sigma: lambda key: key)
 
 
-def suite_union_returning_its_first_argument(monkeypatch):
+def suite_key_union_returning_its_first_argument(monkeypatch):
     from dicube import suite
 
-    monkeypatch.setattr(suite, "union_bar", lambda a, b: a)
+    monkeypatch.setattr(suite, "union_keys", lambda a, b: a)
 
 
 def retraction_returning_its_input(monkeypatch):
@@ -815,8 +818,8 @@ def names_an_order_that_never_meets_its_relabelling(failures):
     order = _semi_regular_by_text(2)[failures[0]["order"]]
     sigma = ast.literal_eval(failures[0]["sigma"])
     assert sigma == {"a": "b", "b": "a"}
-    # the order relabelled by hand (the planted act is still in place) never
-    # meets the order itself: each comparison i < j becomes j < i
+    # the order relabelled by hand, not by the planted kernel, never meets
+    # the order itself: each comparison i < j becomes j < i
     moved = DoubleOrder(order.labels, *(swapped_rows(rel) for rel in (order.x, order.y)))
     assert union_bar(order, moved) is None
 
@@ -850,6 +853,14 @@ PLANTED_FAULTS = [
         id="quotient-right-identity-broken",
     ),
     pytest.param(
+        "nerve-quotient",
+        adjacent_transpositions_without_the_last,
+        is_payload(
+            {"n": 2, "reason": "acting group is not every relabeling", "elements": 1, "relabelings": 2}
+        ),
+        id="subgroup-acts-on-the-regular-orders",
+    ),
+    pytest.param(
         "chain-order-iso",
         order_poset_of_the_wrong_variant,
         names_a_chain_pair_the_orders_disagree_on,
@@ -881,13 +892,13 @@ PLANTED_FAULTS = [
     ),
     pytest.param(
         "cover-proper",
-        order_action_ignoring_the_relabelling,
+        cover_relabelling_ignoring_sigma,
         names_an_order_that_never_meets_its_relabelling,
         id="order-action-ignores-the-relabelling",
     ),
     pytest.param(
         "union-sigma",
-        suite_union_returning_its_first_argument,
+        suite_key_union_returning_its_first_argument,
         names_a_regular_order_apart_from_its_relabelling,
         id="union-sigma-union-returns-its-first-argument",
     ),
@@ -927,3 +938,68 @@ def test_planted_fault_fails_its_check(check_id, plant, names_the_fault, monkeyp
     assert reports[0].status == "fail"
     assert exit_code(reports) == 1
     names_the_fault(reports[0].details)
+
+
+def fg_triangles_by_chains(n):
+    """The F-G-triangles check as a walk over every chain of both posets, the
+    oracle of the check by comparable pairs: the details, or a ``Fail`` for
+    the first chain in (length, tuple) order that breaks a triangle.  It
+    reads the posets and the retraction through ``suite``, so a fault
+    planted there shows."""
+    from dicube import suite
+    from dicube.orders import chain_union, poset_leq
+
+    labels = default_labels(n)
+    rposet, regs = suite.regular_orders_poset(labels, "sqsubseteq")
+    mixed = [[regs[i] for i in chain] for chain in rposet.chains()]
+    for chain in mixed:
+        if suite.to_regular(chain_union(chain)).key() != chain[-1].key():
+            return suite.Fail({"chain": [o.text() for o in chain], "triangle": "FG=max"})
+    sposet, semis = suite.semi_regular_orders_poset(labels)
+    inclusion = [[semis[i] for i in chain] for chain in sposet.chains()]
+    for chain in inclusion:
+        image = list({r.key(): r for r in map(suite.to_regular, chain)}.values())
+        if not all(poset_leq(a, b, "sqsubseteq") for a, b in zip(image, image[1:])):
+            return suite.Fail({"chain": [o.text() for o in chain], "triangle": "sd(F) chain"})
+        if not poset_leq(chain_union(image), chain[-1], "subseteq"):
+            return suite.Fail({"chain": [o.text() for o in chain], "triangle": "G sd(F) <= max"})
+    return {"mixed_chains": len(mixed), "inclusion_chains": len(inclusion)}
+
+
+def inclusion_poset_reversed(monkeypatch):
+    from dicube import suite
+    from dicube.posets import Poset, rel_transpose
+
+    real = suite.semi_regular_orders_poset
+
+    def reversed_poset(labels):
+        poset, orders = real(labels)
+        return Poset(poset.elements, rel_transpose(poset.leq)), orders
+
+    monkeypatch.setattr(suite, "semi_regular_orders_poset", reversed_poset)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fg_triangles_by_pairs_agrees_with_the_chain_walk(n):
+    from dicube.suite import Fail, check_fg_triangles
+
+    details = check_fg_triangles(n, n)
+    assert details == fg_triangles_by_chains(n)
+    assert not isinstance(details, Fail)
+
+
+# each fault passes every chain of one order, so the first chain to fail
+# has two: it is the first failing pair too, and both give one payload
+@pytest.mark.parametrize(
+    "plant",
+    [retraction_returning_its_input, inclusion_poset_reversed],
+    ids=["retraction-returns-its-input", "inclusion-poset-reversed"],
+)
+@pytest.mark.parametrize("n", [2, 3])
+def test_fg_triangles_by_pairs_and_by_chains_fail_alike(n, plant, monkeypatch):
+    from dicube.suite import Fail, check_fg_triangles
+
+    plant(monkeypatch)
+    faulted = check_fg_triangles(n, n)
+    assert isinstance(faulted, Fail)
+    assert faulted == fg_triangles_by_chains(n)
