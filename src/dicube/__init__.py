@@ -25,7 +25,6 @@ from .complexes import (
     build_standard_cube,
     build_wedge_cube,
     default_labels,
-    is_cover_face,
     permutations_of,
     unique_map_to_final,
 )
@@ -59,7 +58,6 @@ from .homology import (
     homology,
     homology_signature,
     same_homology,
-    smith_normal_form,
 )
 from .cover import point_to_order, u_contains, verify_cover, witness_point
 from .suite import REGISTRY, VerificationReport, run_suite

@@ -85,9 +85,6 @@ class FiniteCategory:
         except KeyError:
             raise ContractError(f"morphisms {g} and {f} are not composable") from None
 
-    def hom(self, a: int, b: int) -> list[int]:
-        return [m for m in self.out_of[a] if self.morphisms[m].tgt == b]
-
     def validate(self) -> None:
         """Identity and associativity laws over the full composition table."""
         for m, mor in enumerate(self.morphisms):
@@ -427,23 +424,6 @@ def _break_category(n: int) -> FiniteCategory:
         return mor_index[key]
 
     return FiniteCategory(objects, morphisms, identity, compose)
-
-
-def break_hom_count_oracle(breaks: tuple[int, ...], coarser: tuple[int, ...], n: int) -> int:
-    """Independent count of block-respecting shuffles: per coarse block, the
-    multinomial of the sizes of the fine blocks inside it."""
-    import math
-
-    if not set(coarser) <= set(breaks):
-        return 0
-    fine = _blocks(breaks, n)
-    total = 1
-    for lo, hi in _blocks(coarser, n):
-        sizes = [b_hi - b_lo + 1 for b_lo, b_hi in fine if lo <= b_lo and b_hi <= hi]
-        total *= math.factorial(hi - lo + 1)
-        for s in sizes:
-            total //= math.factorial(s)
-    return total
 
 
 # -- the functor from regular double orders ------------------------------------------

@@ -15,10 +15,13 @@ STAR = "*"
 
 
 def default_labels(n: int) -> tuple[str, ...]:
-    """Canonical index names a, b, c, ... for ground sets of size 0..26."""
+    """Canonical index names a, b, c, ... for ground sets of size 0..26;
+    ResourceCapError above 26, as for any size above a model's cap."""
     require_size(n, "n")
-    if not 0 <= n <= 26:
+    if n < 0:
         raise ContractError(f"default labels name 0 to 26 elements, not {n}")
+    if n > 26:
+        raise ResourceCapError(f"default labels name 0 to 26 elements, not {n}")
     return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
 
 
@@ -39,13 +42,12 @@ def label_tuple(labels) -> tuple:
 # -- standard cubes -----------------------------------------------------------
 
 
-def build_standard_cube(arity) -> PrecubicalComplex:
-    """The standard cube on an ordered finite set (or on 1..n for an int).
+def build_standard_cube(n: int) -> PrecubicalComplex:
+    """The standard n-cube.
 
-    Cells are functions to {0, 1, *} written positionally, e.g. "01*"; the
-    i-th face direction of a cell is its i-th star in position order.
+    Cells are functions from 1..n to {0, 1, *} written positionally, e.g.
+    "01*"; the i-th face direction of a cell is its i-th star in position order.
     """
-    n = len(tuple(arity)) if isinstance(arity, Iterable) else arity
     require_size(n, "arity")
     if n < 0:
         raise ContractError("arity must be nonnegative")
@@ -129,15 +131,8 @@ class CoverCell(NamedTuple):
     zeros: frozenset
 
     @property
-    def dim(self) -> int:
-        return len(self.mid)
-
-    @property
     def altitude(self) -> int:
         return len(self.ones)
-
-    def ground_set(self) -> frozenset:
-        return self.ones | frozenset(self.mid) | self.zeros
 
     def face(self, i: int, eps: int) -> "CoverCell":
         if not (1 <= i <= len(self.mid)):
@@ -171,17 +166,6 @@ class CoverCell(NamedTuple):
 
     def sort_key(self):
         return (tuple(sorted(self.ones)), self.mid)
-
-
-def is_cover_face(c1: CoverCell, c2: CoverCell) -> bool:
-    """Face criterion: active elements nest with matching order, finished and
-    unstarted elements nest the other way round."""
-    if c1.ground_set() != c2.ground_set():
-        raise ContractError("cells live over different ground sets")
-    m1, m2 = set(c1.mid), set(c2.mid)
-    if not (m1 <= m2 and c2.zeros <= c1.zeros and c2.ones <= c1.ones):
-        return False
-    return tuple(x for x in c2.mid if x in m1) == c1.mid
 
 
 class OrderedCover(NamedTuple):

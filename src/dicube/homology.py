@@ -1,12 +1,11 @@
 """Exact integer linear algebra for finite chain complexes.
 
-Smith normal form over Z with optional unimodular transforms, and integral
-homology (Betti numbers plus torsion coefficients in divisibility order).
-The dense form pivots on the smallest nonzero entry in one loop, so entries
-stay near the size of the invariant factors; transforms are carried as
-identity columns and rows of the same matrix.  A boundary is reduced by
-passes of sparse +-1 pivots, shortest row first, until a pass makes none;
-the unit-free rest goes to the dense form.
+Integral homology (Betti numbers plus torsion coefficients in divisibility
+order) of a complex given by sparse boundary columns.  A boundary is reduced
+by passes of sparse +-1 pivots, shortest row first, until a pass makes none;
+the unit-free rest goes to a dense Smith normal form, which pivots on the
+smallest nonzero entry in one loop, so entries stay near the size of the
+invariant factors.
 Homology reduces the boundaries top-down and clears: a unit pivot of d_{k+1}
 pairs a degree-k generator with a degree-(k+1) one, the pivot block has
 determinant +-1, and d^2 = 0 makes d_k vanish on its image, so d_k is reduced
@@ -60,9 +59,9 @@ class ChainComplex:
     ``ranks[k]`` is the rank of the degree-k module.  ``boundaries[k-1]``
     is the matrix of the boundary map from degree k to degree k-1, stored
     column-sparse: a list (one entry per degree-k generator) of
-    ``{row: coefficient}`` dicts.  Dense ``list[list[int]]`` input is
-    accepted and converted.  Rows and coefficients must be ``int`` (``bool``
-    excluded); a plain dict column of nonzero entries is kept, not copied.
+    ``{row: coefficient}`` dicts.  Rows and coefficients must be ``int``
+    (``bool`` excluded); a plain dict column of nonzero entries is kept, not
+    copied.
     Construction checks that every composite of consecutive boundaries is
     zero.
     """
@@ -86,18 +85,10 @@ class ChainComplex:
     def _normalize(raw, nrows: int, ncols: int) -> list[Column]:
         cols: list[Column] = []
         if not isinstance(raw, (list, tuple)):
-            raise ContractError(f"a boundary must be a list of columns or rows, got {raw!r}")
-        source = raw
-        if raw and isinstance(raw[0], (list, tuple)) or not raw and nrows == 0:
-            # dense rows -> sparse columns; [] is also the dense form with no rows
-            if len(raw) != nrows:
-                raise ContractError(f"boundary has {len(raw)} rows, expected {nrows}")
-            if any(not isinstance(row, (list, tuple)) or len(row) != ncols for row in raw):
-                raise ContractError(f"dense boundary rows must be lists of {ncols} entries")
-            source = [{i: raw[i][j] for i in range(nrows)} for j in range(ncols)]
-        if len(source) != ncols:
-            raise ContractError(f"boundary has {len(source)} columns, expected {ncols}")
-        for col in source:
+            raise ContractError(f"a boundary must be a list of columns, got {raw!r}")
+        if len(raw) != ncols:
+            raise ContractError(f"boundary has {len(raw)} columns, expected {ncols}")
+        for col in raw:
             if not isinstance(col, dict):
                 raise ContractError(f"boundary columns must be dicts, got {col!r}")
             for r, v in col.items():
@@ -119,13 +110,6 @@ class ChainComplex:
         """Sparse columns of the boundary map degree k -> k-1 (1 <= k <= top)."""
         return self._cols[k - 1]
 
-    def boundary_dense(self, k: int) -> list[list[int]]:
-        rows = [[0] * self.ranks[k] for _ in range(self.ranks[k - 1])]
-        for j, col in enumerate(self._cols[k - 1]):
-            for i, v in col.items():
-                rows[i][j] = v
-        return rows
-
     def check_boundary_squares_to_zero(self) -> None:
         for k in range(2, len(self.ranks)):
             lower = self._cols[k - 2]
@@ -138,60 +122,6 @@ class ChainComplex:
                     raise ContractError(
                         f"boundary composite is nonzero on degree-{k} generator {j}"
                     )
-
-
-class SmithNormalForm(NamedTuple):
-    """Diagonal of the Smith normal form, plus transforms when requested.
-
-    ``diagonal`` lists the positive invariant factors d1 | d2 | ...; zero
-    rows/columns are dropped.  When transforms are requested, U (m x m) and
-    V (n x n) are unimodular with U * M * V equal to ``padded()``, the
-    diagonal in an m x n matrix of zeros; otherwise both are None.
-    """
-
-    diagonal: tuple[int, ...]
-    shape: tuple[int, int]
-    U: tuple[tuple[int, ...], ...] | None = None
-    V: tuple[tuple[int, ...], ...] | None = None
-
-    @property
-    def rank(self) -> int:
-        return len(self.diagonal)
-
-    def padded(self) -> list[list[int]]:
-        m, n = self.shape
-        out = [[0] * n for _ in range(m)]
-        for t, d in enumerate(self.diagonal):
-            out[t][t] = d
-        return out
-
-
-def smith_normal_form(matrix: Sequence[Sequence[int]], transforms: bool = False) -> SmithNormalForm:
-    """Smith normal form of an integer matrix, which is left unchanged.
-
-    Each pivot is the smallest nonzero absolute value left, and a pivot that
-    does not divide the rest is replaced by a smaller one, so the diagonal is
-    a divisibility chain and entries stay near its size.  With
-    ``transforms=True`` the row and column operations are returned as
-    unimodular U and V.  ContractError unless the matrix is a list of
-    equal-length rows of ints (not bools).
-    """
-    if not isinstance(matrix, list | tuple) or not all(isinstance(r, list | tuple) for r in matrix):
-        raise ContractError("matrix must be a list of rows")
-    a = [list(row) for row in matrix]
-    if any(type(v) is not int for row in a for v in row):
-        raise ContractError("matrix entries must be ints")
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
-        raise ContractError("ragged matrix")
-    diag, U, V = _dense_smith(a, m, n, transforms)
-    return SmithNormalForm(
-        diagonal=tuple(diag),
-        shape=(m, n),
-        U=tuple(map(tuple, U)) if U is not None else None,
-        V=tuple(map(tuple, V)) if V is not None else None,
-    )
 
 
 def _dense_smith(a, m, n, want_transforms):
@@ -312,16 +242,6 @@ def _rank_and_divisors(
             dense[i][cpos[c]] = v
     diag, _, _ = _dense_smith(dense, len(live_rows), len(live_cols), False)
     return unit_rank + len(diag), (1,) * unit_rank + tuple(diag), frozenset(pivot_rows)
-
-
-def boundary_rank_and_divisors(complex: ChainComplex, k: int) -> tuple[int, tuple[int, ...]]:
-    """Rank and invariant factors of d_k on its own, without clearing; (0, ())
-    for a degree out of range.  ContractError unless k is an int (not a bool)."""
-    if type(k) is not int:
-        raise ContractError(f"degree must be an int, got {k!r}")
-    if k <= 0 or k > complex.top_degree:
-        return 0, ()
-    return _rank_and_divisors(complex.boundary_columns(k), complex.ranks[k - 1])[:2]
 
 
 def homology(complex: ChainComplex) -> tuple[HomologyGroup, ...]:

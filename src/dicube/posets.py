@@ -169,9 +169,6 @@ class Poset:
             if leq[j] & ~leq[i]:
                 raise ContractError("leq not transitive")
 
-    def lt(self, i: int, j: int) -> bool:
-        return i != j and bool(self.leq[i] >> j & 1)
-
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with i < j and nothing strictly between."""
         above = [row & ~(1 << i) for i, row in enumerate(self.leq)]

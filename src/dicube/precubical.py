@@ -240,7 +240,7 @@ class PrecubicalComplex:
             raise StructuralError(f"complex text must be a string, not {type(text).__name__}")
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise StructuralError(f"complex text is not JSON: {exc}") from None
         return cls.from_json_dict(data)
 
@@ -395,9 +395,6 @@ class PrecubicalMap:
         if self.source.dims != self.target.dims:
             return False
         return all(len(set(layer)) == len(layer) for layer in self._assign)
-
-    def assignment_key(self) -> tuple:
-        return self._assign
 
     @staticmethod
     def identity(K: PrecubicalComplex) -> "PrecubicalMap":

@@ -323,7 +323,7 @@ def check_nerve_quotient(n: int, top: int, **_) -> object:
 def check_bar_f_iso(n: int, top: int, **_) -> object:
     """The functor to the break category is relabeling-invariant and induces a
     bijective functor from the quotient.  The break category's hom counts are
-    pinned by the tests against ``categories.break_hom_count_oracle``."""
+    pinned against a multinomial count by the oracle in tests/test_categories.py."""
     func = break_functor(default_labels(n))
     check_functoriality(func)
     # the orbit maps come from the relabeling action, so being constant on

@@ -52,7 +52,7 @@ def test_the_dense_hook_reads_the_arguments_the_elimination_passes(tracer, monke
         return result
 
     monkeypatch.setattr(homology_module, "_dense_smith", recording)
-    assert homology(ChainComplex([1, 1], [[[2]]]))[0].torsion == (2,)
+    assert homology(ChainComplex([1, 1], [[{0: 2}]]))[0].torsion == (2,)
     assert len(calls) == 1
     counters = {}
     for args, result in calls:

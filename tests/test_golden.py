@@ -8,13 +8,18 @@ command writes to standard output.  Rewriting how the face table, the
 composition tables or the nerve boundaries are walked must leave every
 digest unchanged.  The seeded property test checks face iteration, the JSON
 round trip and the precubical identities on random composite complexes.
+The names the package exports are pinned too, one a line, so that adding or
+removing a public name shows up as a one-line change here.
 """
 
 import hashlib
+import inspect
 import json
 import random
 
 import pytest
+
+import dicube
 
 from dicube.categories import (
     build_break_category,
@@ -59,7 +64,9 @@ def complex_digest(K) -> str:
 
 
 def map_digest(f) -> str:
-    return _sha(json.dumps(f.assignment_key(), separators=(",", ":")))
+    K = f.source
+    assignment = [[f((d, k))[1] for k in range(K.dims[d])] for d in range(K.max_dim + 1)]
+    return _sha(json.dumps(assignment, separators=(",", ":")))
 
 
 def chain_digest(C) -> str:
@@ -293,3 +300,75 @@ def test_face_entries_round_trip_and_identities_on_random_complexes():
         back = PrecubicalComplex.from_json(K.to_json())
         assert back.to_json_dict() == K.to_json_dict()
         assert validate_complex(K) == []
+
+
+# -- the public names -------------------------------------------------------------------------
+
+PUBLIC_NAMES = [
+    "ChainComplex",
+    "ChainOrder",
+    "ContractError",
+    "CoverCell",
+    "CubeChain",
+    "DoubleOrder",
+    "FiniteCategory",
+    "GroupAction",
+    "HomologyGroup",
+    "OrderedCover",
+    "Poset",
+    "PrecubicalComplex",
+    "PrecubicalMap",
+    "REGISTRY",
+    "ResourceCapError",
+    "StructuralError",
+    "UsageError",
+    "VerificationReport",
+    "accessible_part",
+    "adjacent_transpositions",
+    "break_functor",
+    "build_break_category",
+    "build_final_complex",
+    "build_final_covering",
+    "build_ordered_cover",
+    "build_standard_cube",
+    "build_wedge_cube",
+    "chain_poset",
+    "chain_to_double_order",
+    "chain_union",
+    "classify",
+    "compute_altitude",
+    "default_labels",
+    "double_order_to_chain",
+    "enumerate_chains",
+    "enumerate_orders",
+    "euler_characteristic",
+    "face_swap",
+    "homology",
+    "homology_signature",
+    "is_non_self_linked",
+    "length_covering",
+    "nerve_complex",
+    "permutations_of",
+    "point_to_order",
+    "poset_category",
+    "poset_leq",
+    "pullback",
+    "quotient_by_automorphisms",
+    "quotient_category",
+    "run_suite",
+    "same_homology",
+    "serial_wedge",
+    "symmetric_order_quotient",
+    "to_regular",
+    "u_contains",
+    "union_bar",
+    "unique_map_to_final",
+    "validate_complex",
+    "verify_cover",
+    "witness_point",
+]
+
+
+def test_the_package_exports_the_pinned_names():
+    exported = (n for n, v in vars(dicube).items() if not n.startswith("_") and not inspect.ismodule(v))
+    assert sorted(exported) == PUBLIC_NAMES

@@ -424,8 +424,10 @@ def test_from_json_rejects_a_violated_precubical_identity():
 
 
 def test_from_json_rejects_text_that_is_not_json():
-    with pytest.raises(StructuralError, match="not JSON"):
-        PrecubicalComplex.from_json("nope")
+    # undecodable bytes are not JSON either
+    for text in ("nope", b"\xff"):
+        with pytest.raises(StructuralError, match="not JSON"):
+            PrecubicalComplex.from_json(text)
 
 
 def test_from_json_rejects_an_argument_that_is_not_text():

@@ -367,6 +367,21 @@ def test_cli_break_category_size_out_of_range(n, code, capsys):
     assert err.startswith("usage error" if code == 2 else "resource cap")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "yA", "--n", "27"],
+        ["homology", "--model", "r-poset", "--n", "27"],
+        ["homology", "--model", "quotient", "--n", "27"],
+        ["export", "--model", "rplus-poset", "--n", "27", "--format", "json"],
+    ],
+)
+def test_a_size_beyond_the_default_labels_is_a_resource_cap(argv, capsys):
+    # a size above a model's cap exits 3, also where the labels a..z run out first
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("resource cap")
+
+
 def test_cli_verify_deterministic_output(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["verify", "--suite", "euler-zero", "--n-max", "3", "--out", str(a)])
