@@ -14,7 +14,7 @@ import itertools
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .complexes import label_tuple
-from .errors import ContractError, ResourceCapError, require_size, shared_in_run
+from .errors import ContractError, require_size, shared_in_run
 from .homology import ChainComplex, collector_suspended
 from .orders import DoubleOrder, _order_families, enumerate_orders, regular_blocks, relabelling
 from .posets import Poset, dot_digraph, label_text, reachable, rel_pairs
@@ -379,11 +379,7 @@ def build_break_category(n: int) -> FiniteCategory:
     shuffles of the B-blocks inside each B'-block, listed in lexicographic
     order.  Composition is composition of permutations (CLI model id: en).
     """
-    require_size(n, "n")
-    if n < 1:
-        raise ContractError(f"break category needs n >= 1, not {n}")
-    if n > 7:
-        raise ResourceCapError("break category is capped at n <= 7")
+    require_size(n, "break category size", low=1, cap=7)
     return _break_category(n)
 
 

@@ -9,7 +9,7 @@ from operator import and_
 from typing import NamedTuple, Sequence
 
 from .complexes import build_standard_cube
-from .errors import ContractError
+from .errors import ContractError, require_size
 from .posets import Poset, reachable
 from .precubical import (
     Cell,
@@ -129,10 +129,10 @@ def face_swap(p: int, q: int, V, W) -> tuple[frozenset, frozenset]:
     Computed by recursion on s = p + |W| and verified symbolically on the
     standard cube before returning.
     """
+    require_size(p, "p")
+    require_size(q, "q")
     V = frozenset(V)
     W = frozenset(W)
-    if p < 0 or q < 0:
-        raise ContractError("cube dimensions must be nonnegative")
     if not V <= frozenset(range(1, p + 1)):
         raise ContractError(f"V must be a subset of 1..{p}")
     if not W <= frozenset(range(1, q + 1)):

@@ -6,10 +6,13 @@ its length coverings, and the ordered cover with its symmetric-group action.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ContractError, ResourceCapError, require_size, shared_in_run
-from .precubical import Cell, PrecubicalComplex, PrecubicalMap, complex_from_cells, serial_wedge
+from .errors import ContractError, require_size, shared_in_run
+from .precubical import (
+    Cell, PrecubicalComplex, PrecubicalMap, complex_from_cells, length_covering, serial_wedge
+)
 
 STAR = "*"
 
@@ -17,11 +20,7 @@ STAR = "*"
 def default_labels(n: int) -> tuple[str, ...]:
     """Canonical index names a, b, c, ... for ground sets of size 0..26;
     ResourceCapError above 26, as for any size above a model's cap."""
-    require_size(n, "n")
-    if n < 0:
-        raise ContractError(f"default labels name 0 to 26 elements, not {n}")
-    if n > 26:
-        raise ResourceCapError(f"default labels name 0 to 26 elements, not {n}")
+    require_size(n, "number of default labels", cap=26)
     return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
 
 
@@ -47,10 +46,9 @@ def build_standard_cube(n: int) -> PrecubicalComplex:
 
     Cells are functions from 1..n to {0, 1, *} written positionally, e.g.
     "01*"; the i-th face direction of a cell is its i-th star in position order.
+    Capped at arity 12, the bound of the 3^n scan of ``is_non_self_linked``.
     """
-    require_size(n, "arity")
-    if n < 0:
-        raise ContractError("arity must be nonnegative")
+    require_size(n, "arity", cap=12)
     by_dim: list[list[tuple[str, ...]]] = [[] for _ in range(n + 1)]
     for values in itertools.product("01" + STAR, repeat=n):
         by_dim[values.count(STAR)].append(values)
@@ -69,25 +67,16 @@ def build_wedge_cube(dims: Sequence[int]) -> PrecubicalComplex:
     if not isinstance(dims, Sequence):
         raise ContractError(f"wedge cube dimensions must be a sequence, not {type(dims).__name__}")
     for d in dims:
-        require_size(d, "wedge cube dimension")
-    if not dims:
-        return build_standard_cube(0)
-    if any(d <= 0 for d in dims):
-        raise ContractError("wedge cube dimensions must be positive")
-    out = build_standard_cube(dims[0])
-    for d in dims[1:]:
-        out = serial_wedge(out, build_standard_cube(d))
-    return out
+        require_size(d, "wedge cube dimension", low=1)
+    return reduce(serial_wedge, [build_standard_cube(d) for d in dims or [0]])
 
 
 # -- the final complex and its length coverings -------------------------------
 
 
 def build_final_complex(max_dim: int) -> PrecubicalComplex:
-    """One cube per dimension up to max_dim; all faces collapse one level down."""
-    require_size(max_dim, "max_dim")
-    if max_dim < 0:
-        raise ContractError("max_dim must be nonnegative")
+    """One cube per dimension up to max_dim <= 26; all faces collapse one level down."""
+    require_size(max_dim, "final complex dimension", cap=26)
     layers = [[m] for m in range(max_dim + 1)]
     return complex_from_cells(layers, lambda m, i, eps: m - 1, "z{}".format, (0, 0))
 
@@ -102,20 +91,14 @@ def unique_map_to_final(K: PrecubicalComplex, Z: PrecubicalComplex) -> Precubica
 
 
 def build_final_covering(n: int) -> tuple[PrecubicalComplex, dict[Cell, int]]:
-    """Length-n covering of the final complex, built directly.
+    """Length-n covering of the final complex of dimension n, with its altitude.
 
-    Dimension k holds cells z{k}_{j} for 0 <= j <= n-k; every face in
-    direction eps lands on z{k-1}_{j+eps}; the base runs from z0_0 to z0_n
-    and the altitude of z{k}_{j} is j.
+    Dimension k holds cells z{k}_{j} for 0 <= j <= n-k, cell (k, j); every
+    face in direction eps lands on z{k-1}_{j+eps}; the base runs from z0_0
+    to z0_n and the altitude of z{k}_{j} is j.
     """
-    require_size(n, "length")
-    if n < 0:
-        raise ContractError("length must be nonnegative")
-    cells = [[(k, j) for j in range(n - k + 1)] for k in range(n + 1)]  # item (k, j) is cell (k, j)
-    K = complex_from_cells(
-        cells, lambda c, i, eps: (c[0] - 1, c[1] + eps), lambda c: "z%d_%d" % c, ((0, 0), (0, n))
-    )
-    return K, {c: c[1] for layer in cells for c in layer}
+    covering = length_covering(build_final_complex(n), n)
+    return covering.complex, covering.altitude
 
 
 # -- the ordered cover ---------------------------------------------------------
@@ -217,8 +200,7 @@ def build_ordered_cover(labels) -> OrderedCover:
     downstream check is exponential in the arity anyway.
     """
     ground = label_tuple(labels) if isinstance(labels, Iterable) else default_labels(labels)
-    if len(ground) > 6:
-        raise ResourceCapError(f"ground set size {len(ground)} above cap 6")
+    require_size(len(ground), "ground set size", cap=6)
     return _ordered_cover(ground)
 
 

@@ -14,7 +14,7 @@ from collections.abc import Mapping, Sequence
 from functools import lru_cache, reduce
 
 from .complexes import label_tuple, permutations_of
-from .errors import ContractError, ResourceCapError, StructuralError
+from .errors import ContractError, StructuralError, require_size
 from .orders import (
     DoubleOrder,
     enumerate_orders,
@@ -187,11 +187,9 @@ def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
 def cover_report(labels) -> tuple[CoverReport, list[DoubleOrder]]:
     """An empty report and the family the cover passes run over."""
     labels = label_tuple(labels)
-    if len(labels) <= 3:
-        return CoverReport(labels, "semi-regular"), enumerate_orders(labels, "semi-regular")
-    if len(labels) == 4:
-        return CoverReport(labels, "regular"), enumerate_orders(labels, "regular")
-    raise ResourceCapError("cover verification is capped at 4 labels")
+    require_size(len(labels), "label count of a cover verification", cap=4)
+    kind = "semi-regular" if len(labels) <= 3 else "regular"
+    return CoverReport(labels, kind), enumerate_orders(labels, kind)
 
 
 def cover_completeness(report: CoverReport, family: list[DoubleOrder]) -> None:

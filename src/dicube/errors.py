@@ -22,10 +22,15 @@ class UsageError(Exception):
     """Bad command-line or registry usage (unknown id, unsupported combination)."""
 
 
-def require_size(value, name: str) -> None:
-    """ContractError unless value is an int; a bool is not a size."""
+def require_size(value, name: str, low: int = 0, cap=None) -> None:
+    """The one size gate of the builders: ContractError unless value is an
+    int (a bool is not a size) of at least low, ResourceCapError above cap."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ContractError(f"{name} must be an int, not {type(value).__name__}")
+    if value < low:
+        raise ContractError(f"{name} must be at least {low}, not {value}")
+    if cap is not None and value > cap:
+        raise ResourceCapError(f"{name} is capped at {cap}, not {value}")
 
 
 # (builder, args) -> [lock] until the build returns, then [lock, model];

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .chains import CubeChain
 from .complexes import CoverCell, OrderedCover, label_tuple
-from .errors import ContractError, ResourceCapError, StructuralError
+from .errors import ContractError, ResourceCapError, StructuralError, require_size
 from .posets import (
     Rel,
     RelFamily,
@@ -309,7 +309,7 @@ def classify(labels: Sequence, x_matrix, y_matrix) -> Classification:
 
     Each matrix must be an n x n list of lists of booleans (StructuralError
     names the argument otherwise); relations that are not strict orders give
-    a Classification with ``ok`` false.  Semi-regularity is decided up to 4
+    a Classification with ``ok`` false.  Semi-regularity is decided up to 6
     labels by the membership test of ``is_semi_regular``; above that it is
     reported as None rather than guessed.
     """
@@ -323,7 +323,10 @@ def classify(labels: Sequence, x_matrix, y_matrix) -> Classification:
         if not rel_is_transitive(rel):
             return Classification(False, f"{name} relation is not transitive")
     order = DoubleOrder(labels, x, y)
-    semi = is_semi_regular(order) if n <= 4 else None
+    try:
+        semi = is_semi_regular(order)
+    except ResourceCapError:
+        semi = None
     levels = level_function(x)
     level = dict(zip(labels, levels)) if levels is not None else None
     return Classification(
@@ -409,16 +412,13 @@ def _enumerate_cached(labels: tuple, kind: str) -> tuple[DoubleOrder, ...]:
 @lru_cache(maxsize=None)
 def _family_keys(n: int, kind: str) -> tuple[Key, ...]:
     if kind == "double":
-        if n > 4:
-            raise ResourceCapError("double-order enumeration is capped at 4 labels")
+        require_size(n, "label count of a double-order enumeration", cap=4)
         return tuple(_double_keys(n))
     if kind == "regular":
-        if n > 6:
-            raise ResourceCapError("regular-order enumeration is capped at 6 labels")
+        require_size(n, "label count of a regular-order enumeration", cap=6)
         return tuple(_regular_keys(n))
     if kind == "semi-regular":
-        if n > 4:
-            raise ResourceCapError("semi-regular enumeration is capped at 4 labels")
+        require_size(n, "label count of a semi-regular enumeration", cap=4)
         return tuple(key for key in _family_keys(n, "double") if _is_semi_regular(n, *key))
     raise ContractError(f"unknown order class {kind!r}")
 
@@ -452,11 +452,7 @@ def is_semi_regular(o: DoubleOrder) -> bool:
     """Whether o is the closed union of the regular orders below it.  A union
     of regulars giving o is made of orders below o, and adding the others
     closes inside the transitive o, so this is exactly semi-regularity.
-    Memoized by key."""
-    if o.n > 4:
-        if o.is_regular:
-            return True
-        raise ResourceCapError("semi-regularity decision is capped at 4 labels")
+    Decided up to 6 labels, the cap of the regular family; memoized by key."""
     return _is_semi_regular(o.n, o.x, o.y)
 
 

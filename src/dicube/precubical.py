@@ -23,7 +23,7 @@ import itertools
 import json
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import ContractError, ResourceCapError, StructuralError, require_size
+from .errors import ContractError, StructuralError, require_size
 from .posets import dot_digraph, reachable
 
 Cell = tuple[int, int]  # (dimension, index within dimension)
@@ -210,6 +210,7 @@ class PrecubicalComplex:
         dims = data.get("dims")
         if not isinstance(dims, list) or not all(_is_json_int(c) and c >= 0 for c in dims):
             raise StructuralError("field 'dims' must be a list of nonnegative integers")
+        require_size(sum(dims), "cell count", cap=3**12)  # the 12-cube, the largest built
         labels = [[f"c{d}_{k}" for k in range(count)] for d, count in enumerate(dims)]
         entries = data.get("faces", [])
         if not isinstance(entries, list):
@@ -493,8 +494,7 @@ def is_non_self_linked(K: PrecubicalComplex) -> NonSelfLinkedReport:
     The canonical map of an n-cell is evaluated on all 3^n cells of the
     standard n-cube, so dimensions above 12 raise ResourceCapError.
     """
-    if K.max_dim > 12:
-        raise ResourceCapError(f"complex has dimension {K.max_dim}, above the 3^n enumeration cap 12")
+    require_size(K.max_dim, "dimension", low=-1, cap=12)  # -1: the empty complex
     for d in range(0, K.max_dim + 1):
         for cell in K.cells_of_dim(d):
             images: dict[Cell, tuple] = {}
@@ -589,8 +589,9 @@ class LengthCovering(NamedTuple):
 
 
 def length_covering(K: PrecubicalComplex, n: int) -> LengthCovering:
-    """The length-n covering: pairs (cell, height) restricted to the
-    accessible part, with base ((0,0), (1,n)).
+    """The length-n covering, n at most 26: pairs (cell, height), labelled
+    ``{label}_{height}``, restricted to the accessible part, with base
+    ((0,0), (1,n)).
 
     Heights are generated with 0 <= h and h + dim <= n; accessible cells of
     the unbounded covering satisfy both bounds (altitude and altitude+dim are
@@ -599,9 +600,7 @@ def length_covering(K: PrecubicalComplex, n: int) -> LengthCovering:
     """
     if K.base is None:
         raise ContractError("length covering needs a bipointed complex")
-    require_size(n, "length")
-    if n < 0:
-        raise ContractError("length must be nonnegative")
+    require_size(n, "length", cap=26)
     layers = [
         [(cell, h) for cell in K.cells_of_dim(d) for h in range(n - d + 1)]
         for d in range(K.max_dim + 1)
@@ -609,7 +608,7 @@ def length_covering(K: PrecubicalComplex, n: int) -> LengthCovering:
     bounded = complex_from_cells(
         layers,
         lambda c, i, eps: (K.face(c[0], i, eps), c[1] + eps),
-        lambda c: f"{K.label(c[0])}@{c[1]}",
+        lambda c: f"{K.label(c[0])}_{c[1]}",
         ((K.base[0], 0), (K.base[1], n)),
     )
     keep = _accessible_indices(bounded)

@@ -1,8 +1,12 @@
+import ast
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
+import dicube
 from dicube.categories import build_break_category
+from dicube.chains import face_swap
 from dicube.complexes import (
     CoverCell,
     adjacent_transpositions,
@@ -15,8 +19,10 @@ from dicube.complexes import (
     permutations_of,
     unique_map_to_final,
 )
-from dicube.errors import ContractError, ResourceCapError
+from dicube.errors import ContractError, ResourceCapError, StructuralError
+from dicube.orders import order_keys
 from dicube.precubical import (
+    PrecubicalComplex,
     PrecubicalMap,
     compute_altitude,
     length_covering,
@@ -346,3 +352,67 @@ def test_a_size_that_is_not_an_int_is_a_contract_error(call):
     # a bool is an int to Python, but never a size
     with pytest.raises(ContractError):
         call()
+
+
+# -- the size gate ----------------------------------------------------------------
+
+
+def _label_set(size):
+    # n distinct labels for an int n; any other value is passed on as the label set
+    return tuple(range(size)) if type(size) is int else size
+
+
+def _gate_cases(name, build, low, cap, malformed=ContractError):
+    """A bool, a float, the size below ``low`` (unless None) and the size
+    above ``cap`` given to ``build``, with the error each must raise."""
+    cases = [("bool", True, malformed), ("float", 2.0, malformed)]
+    if low is not None:
+        cases.append(("below", low - 1, malformed))
+    cases.append(("above", cap + 1, ResourceCapError))
+    return [pytest.param(build, size, error, id=f"{name}-{case}") for case, size, error in cases]
+
+
+@pytest.mark.parametrize(
+    "build, size, error",
+    [
+        *_gate_cases("default_labels", default_labels, 0, 26),
+        *_gate_cases("build_standard_cube", build_standard_cube, 0, 12),
+        *_gate_cases("build_wedge_cube", lambda d: build_wedge_cube([1, d]), 1, 12),
+        *_gate_cases("build_final_complex", build_final_complex, 0, 26),
+        *_gate_cases("build_final_covering", build_final_covering, 0, 26),
+        *_gate_cases("length_covering", lambda n: length_covering(build_standard_cube(1), n), 0, 26),
+        *_gate_cases("build_break_category", build_break_category, 1, 7),
+        *_gate_cases("build_ordered_cover", build_ordered_cover, 0, 6),
+        *_gate_cases("face_swap", lambda p: face_swap(p, p, (), ()), 0, 12),
+        *_gate_cases("order_keys-double", lambda n: order_keys(_label_set(n), "double"), None, 4),
+        *_gate_cases("order_keys-regular", lambda n: order_keys(_label_set(n), "regular"), None, 6),
+        *_gate_cases(
+            "order_keys-semi-regular", lambda n: order_keys(_label_set(n), "semi-regular"), None, 4
+        ),
+        *_gate_cases(
+            "from_json_dict",
+            lambda count: PrecubicalComplex.from_json_dict({"dims": [count]}),
+            0,
+            3**12,
+            malformed=StructuralError,
+        ),
+    ],
+)
+def test_every_sized_entry_point_states_its_range_at_the_gate(build, size, error):
+    # each case is refused before anything is built
+    with pytest.raises(error):
+        build(size)
+
+
+def test_only_the_size_gate_raises_a_resource_cap():
+    # the caps are decided in errors.require_size; a module raising
+    # ResourceCapError itself would hold a second copy of that policy
+    raisers = []
+    for path in sorted(Path(dicube.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name == "ResourceCapError":
+                raisers.append(f"{path.name}:{node.lineno}")
+    assert len(raisers) == 1 and raisers[0].startswith("errors.py:"), raisers

@@ -170,12 +170,12 @@ GOLDEN_BUILDERS = {
     'final-covering-4': ['aef5514146a0c9f0', 'ba4100ed55aa64fd'],
     'length-covering-cube2-0': ['522a8ff852b48e88', '4f53cda18c2baa0c', '4f53cda18c2baa0c'],
     'length-covering-cube2-1': ['522a8ff852b48e88', '4f53cda18c2baa0c', '4f53cda18c2baa0c'],
-    'length-covering-cube2-2': ['46b8dfbb2875d020', '07cf47317cd6a162', 'bd1e52ec47874954'],
+    'length-covering-cube2-2': ['d91c80aaa452f3ee', '07cf47317cd6a162', 'bd1e52ec47874954'],
     'length-covering-cube2-3': ['522a8ff852b48e88', '4f53cda18c2baa0c', '4f53cda18c2baa0c'],
-    'length-covering-final-0': ['6aceedd94aee6f0f', 'db407f11d7ede59a', '5bd3101783c978d8'],
-    'length-covering-final-1': ['55ebe89921ddd89e', 'd69cccf7674bf568', '081a8a442982118d'],
-    'length-covering-final-2': ['7f06adaf8c344a92', '6e1b67ba2ed6a7c1', '757411ffeccbde8c'],
-    'length-covering-final-3': ['8fc354de0fe85c19', '712837e4947bc337', '8bae6fda108b4f44'],
+    'length-covering-final-0': ['f5783cda724cc795', 'db407f11d7ede59a', '5bd3101783c978d8'],
+    'length-covering-final-1': ['11627f7e1937885f', 'd69cccf7674bf568', '081a8a442982118d'],
+    'length-covering-final-2': ['bcc7bacb3b272245', '6e1b67ba2ed6a7c1', '757411ffeccbde8c'],
+    'length-covering-final-3': ['666405112ab2c5a1', '712837e4947bc337', '8bae6fda108b4f44'],
     'ordered-cover-1': ['4a7ebb68e78da124'],
     'ordered-cover-2': ['cae111cd35346796'],
     'ordered-cover-3': ['c311f29e42832d5b'],

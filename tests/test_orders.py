@@ -456,7 +456,7 @@ def test_enumeration_rejects_bad_labels_and_kinds_with_a_contract_error(labels, 
 def test_enumeration_caps():
     for enumerate_family in (enumerate_orders, order_keys):
         for kind, cap in (("double", 4), ("semi-regular", 4), ("regular", 6)):
-            with pytest.raises(ResourceCapError, match=f"capped at {cap} labels"):
+            with pytest.raises(ResourceCapError, match=f"capped at {cap}, not"):
                 enumerate_family(default_labels(cap + 1), kind)
 
 
@@ -537,6 +537,51 @@ def test_to_regular_rejects_non_semi_regular():
     assert o.is_double and not is_semi_regular(o)
     with pytest.raises(ContractError):
         to_regular(o)
+
+
+# -- semi-regularity above four labels --------------------------------------------
+# decided up to 6 labels, the cap of the regular family that it reads
+
+ABCDE = default_labels(5)
+# the three-label counterexample above, with d and e put after a, b and c
+LIFTED = order(
+    ABCDE,
+    [("c", "a"), *((p, q) for p in "abc" for q in "de"), ("d", "e")],
+    [("b", "a"), ("b", "c")],
+)
+
+
+def test_every_regular_order_at_five_labels_is_semi_regular():
+    regulars = enumerate_orders(ABCDE, "regular")
+    assert len(regulars) == 1920
+    assert all(is_semi_regular(o) for o in regulars)
+
+
+def test_a_lifted_counterexample_stays_non_semi_regular():
+    assert LIFTED.is_double and not is_semi_regular(LIFTED)
+    with pytest.raises(ContractError):
+        to_regular(LIFTED)
+
+
+def _classify_order(o):
+    def rows(rel):
+        return [[bool(rel[i] >> j & 1) for j in range(o.n)] for i in range(o.n)]
+
+    return classify(o.labels, rows(o.x), rows(o.y))
+
+
+def test_classify_decides_semi_regularity_at_five_labels():
+    assert _classify_order(LIFTED).is_semi_regular is False
+    assert _classify_order(enumerate_orders(ABCDE, "regular")[0]).is_semi_regular is True
+
+
+def test_classify_leaves_semi_regularity_open_above_six_labels():
+    labels = default_labels(7)
+    empty = [[False] * 7 for _ in labels]
+    c = classify(labels, empty, empty)
+    assert c.ok and c.is_semi_regular is None
+    with pytest.raises(ResourceCapError):
+        is_semi_regular(c.order)
 
 
 def test_to_regular_is_equivariant():

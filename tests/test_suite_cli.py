@@ -374,6 +374,9 @@ def test_cli_break_category_size_out_of_range(n, code, capsys):
         ["homology", "--model", "r-poset", "--n", "27"],
         ["homology", "--model", "quotient", "--n", "27"],
         ["export", "--model", "rplus-poset", "--n", "27", "--format", "json"],
+        ["gen", "z", "--n", "27"],
+        ["gen", "z-tilde", "--n", "27"],
+        ["export", "--model", "z", "--n", "27", "--format", "json"],
     ],
 )
 def test_a_size_beyond_the_default_labels_is_a_resource_cap(argv, capsys):
