@@ -223,21 +223,18 @@ def nerve_chains(C: FiniteCategory) -> list[list[tuple[int, ...]]]:
 
 
 def nerve_complex(C: FiniteCategory) -> ChainComplex:
-    """Normalized chain complex of the nerve.
+    """Normalized chain complex of the nerve, as face tables.
 
     For a loop-free category no composite of non-identity morphisms is an
     identity, so the chains are freely generated by the runs from
     ``nerve_chains`` and the boundary alternates drop/compose faces:
     d(f1, ..., fk) = (f2, ..., fk) + sum_i (-1)^i (..., f(i+1) f(i), ...)
-    + (-1)^k (f1, ..., f(k-1)).
+    + (-1)^k (f1, ..., f(k-1)).  The faces d_0..d_k that ``_nerve_levels``
+    yields as run ids go to ``ChainComplex.simplicial`` as they are.
     """
-    ranks, boundaries = [C.n_objects], []
     with collector_suspended():
-        for _, faces, _ in _nerve_levels(C):
-            signs = tuple((-1) ** i for i in range(len(ranks) + 1))
-            boundaries.append([dict(zip(face, signs)) for face in faces])
-            ranks.append(len(faces))
-        return ChainComplex(ranks, boundaries)
+        levels = [faces for _, faces, _ in _nerve_levels(C)]
+        return ChainComplex.simplicial([C.n_objects, *map(len, levels)], levels)
 
 
 def composable_run_counts(C: FiniteCategory) -> list[int]:
@@ -537,13 +534,14 @@ def nerve_orbit_complex(
     C: FiniteCategory, act: GroupAction
 ) -> tuple[ChainComplex, list[list[tuple[int, ...]]]]:
     """Orbit complex of the nerve: generators are orbits of composable runs,
-    boundaries induced by their representatives.
+    boundaries induced by their representatives, whose faces map to orbits.
 
-    The action must be free on objects, hence on runs, so orbits never merge
-    signed faces.  An orbit's representative is its one run out of the least
-    object of its source orbit; a run starts where its prefix does, so these
-    are the runs extending a representative.  Where morphisms are listed by
-    source, as ``poset_category`` lists them, it is the orbit's least run.
+    The action must be free on objects, hence on runs, so the faces of a run
+    stay in distinct orbits: a face moved onto a sibling would force a cycle.
+    An orbit's representative is its one run out of the least object of its
+    source orbit; a run starts where its prefix does, so these are the runs
+    extending a representative.  Where morphisms are listed by source, as
+    ``poset_category`` lists them, it is the orbit's least run.
     """
     if act.C is not C:
         raise ContractError("action is attached to a different category")
@@ -552,19 +550,13 @@ def nerve_orbit_complex(
         reps, runs = least, [()] * len(least)
         image = [[objs[o] for o in least] for objs in act.on_objects]  # image[g][i]: of reps[i]
         rep_levels: list[list[tuple[int, ...]]] = [[(o,) for o in least]]
-        boundaries = []
+        levels = []
         for last, faces, child in _nerve_levels(C):
             # each representative run with the orbit index of its prefix
             prefix = {p: orbit_of[f[-1]] for p, f in enumerate(faces) if reps[orbit_of[f[-1]]] == f[-1]}
             reps, runs = list(prefix), [runs[i] + (last[p],) for p, i in prefix.items()]
             rep_levels.append(runs)
-            cols = []
-            for p in reps:
-                col: dict[int, int] = {}
-                for i, face in enumerate(faces[p]):
-                    col[orbit_of[face]] = col.get(orbit_of[face], 0) + (-1) ** i
-                cols.append({row: v for row, v in col.items() if v})
-            boundaries.append(cols)
+            levels.append([tuple(map(orbit_of.__getitem__, faces[p])) for p in reps])
             image = [
                 [child(row[i], act.act_morphism(g, last[p])) for p, i in prefix.items()]
                 for g, row in enumerate(image)
@@ -573,7 +565,7 @@ def nerve_orbit_complex(
             for row in image:
                 for i, run in enumerate(row):
                     orbit_of[run] = i
-        return ChainComplex([len(level) for level in rep_levels], boundaries), rep_levels
+        return ChainComplex.simplicial([len(level) for level in rep_levels], levels), rep_levels
 
 
 def check_functoriality(func: BreakFunctor) -> None:

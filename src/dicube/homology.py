@@ -1,11 +1,12 @@
 """Exact integer linear algebra for finite chain complexes.
 
 Integral homology (Betti numbers plus torsion coefficients in divisibility
-order) of a complex given by sparse boundary columns.  A boundary is reduced
-by passes of sparse +-1 pivots, shortest row first, until a pass makes none;
-the unit-free rest goes to a dense Smith normal form, which pivots on the
-smallest nonzero entry in one loop, so entries stay near the size of the
-invariant factors.
+order) of a complex given by sparse boundary columns or by the face tables of
+a nerve, whose d^2 = 0 is checked by the simplicial identities and whose
+elimination reads its rows from the faces.  A boundary is reduced by passes of
+sparse +-1 pivots, shortest row first, until a pass makes none; the unit-free
+rest goes to a dense Smith normal form, which pivots on the smallest nonzero
+entry in one loop, so entries stay near the size of the invariant factors.
 Homology reduces the boundaries top-down and clears: a unit pivot of d_{k+1}
 pairs a degree-k generator with a degree-(k+1) one, the pivot block has
 determinant +-1, and d^2 = 0 makes d_k vanish on its image, so d_k is reduced
@@ -21,8 +22,9 @@ form no reference cycle, so reference counting frees them and scans find nothing
 from __future__ import annotations
 
 import gc
+import itertools
 from contextlib import contextmanager
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError
 
@@ -61,25 +63,35 @@ class ChainComplex:
     column-sparse: a list (one entry per degree-k generator) of
     ``{row: coefficient}`` dicts.  Rows and coefficients must be ``int``
     (``bool`` excluded); a plain dict column of nonzero entries is kept, not
-    copied.
+    copied.  ``ChainComplex.simplicial`` takes face tables instead.
     Construction checks that every composite of consecutive boundaries is
     zero.
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: Sequence):
+        self._set_ranks(ranks, boundaries)
+        self._faces = None
+        self._cols = [self._normalize(b, self.ranks[k - 1], self.ranks[k]) for k, b in enumerate(boundaries, 1)]
+        self.check_boundary_squares_to_zero()
+
+    @classmethod
+    def simplicial(cls, ranks: Sequence[int], faces: Sequence) -> ChainComplex:
+        """The face-table form of a nerve: ``faces[k-1]`` holds one tuple per degree-k
+        generator, its faces d_0..d_k as distinct ids one degree down; d_i has sign (-1)^i."""
+        cx = cls.__new__(cls)
+        cx._set_ranks(ranks, faces)
+        cx._faces = [cls._face_level(f, k, cx.ranks[k - 1], cx.ranks[k]) for k, f in enumerate(faces, 1)]
+        cx.check_boundary_squares_to_zero()
+        return cx
+
+    def _set_ranks(self, ranks, boundaries) -> None:
         if not isinstance(ranks, (list, tuple)) or not isinstance(boundaries, (list, tuple)):
             raise ContractError("ranks and boundaries must be lists")
         self.ranks = tuple(ranks)
         if any(type(r) is not int or r < 0 for r in self.ranks):
             raise ContractError(f"ranks must be nonnegative ints, got {list(self.ranks)!r}")
         if len(boundaries) != max(len(self.ranks) - 1, 0):
-            raise ContractError(
-                f"expected {max(len(self.ranks) - 1, 0)} boundary matrices, got {len(boundaries)}"
-            )
-        self._cols: list[list[Column]] = []
-        for k, raw in enumerate(boundaries, start=1):
-            self._cols.append(self._normalize(raw, nrows=self.ranks[k - 1], ncols=self.ranks[k]))
-        self.check_boundary_squares_to_zero()
+            raise ContractError(f"expected {max(len(self.ranks) - 1, 0)} boundaries, got {len(boundaries)}")
 
     @staticmethod
     def _normalize(raw, nrows: int, ncols: int) -> list[Column]:
@@ -102,15 +114,47 @@ class ChainComplex:
             cols.append(col)
         return cols
 
+    @staticmethod
+    def _face_level(level, k: int, nrows: int, ncols: int) -> list[tuple[int, ...]]:
+        if not isinstance(level, (list, tuple)) or len(level) != ncols or set(map(type, level)) - {tuple}:
+            raise ContractError(f"degree {k} needs a list of {ncols} face tuples")
+        ids = list(itertools.chain.from_iterable(level))
+        if set(map(type, ids)) - {int} or ids and (min(ids) < 0 or max(ids) >= nrows):
+            raise ContractError(f"degree-{k} faces must be ints in 0..{nrows - 1}")
+        # k+1 distinct ids in each tuple and (k+1) ncols in all: exactly k+1 in each
+        if len(ids) != (k + 1) * ncols or not set(map(len, map(set, level))) <= {k + 1}:
+            raise ContractError(f"each degree-{k} generator needs {k + 1} distinct faces")
+        return level
+
     @property
     def top_degree(self) -> int:
         return len(self.ranks) - 1
 
+    def _entries(self, k: int) -> Iterator[Iterable[tuple[int, int]]]:
+        """The columns of d_k as (row, coefficient) pairs, in column order."""
+        if self._faces is None:
+            return map(dict.items, self._cols[k - 1])
+        signs = tuple((-1) ** i for i in range(k + 1))
+        return map(zip, self._faces[k - 1], itertools.repeat(signs))
+
     def boundary_columns(self, k: int) -> list[Column]:
-        """Sparse columns of the boundary map degree k -> k-1 (1 <= k <= top)."""
-        return self._cols[k - 1]
+        """Sparse columns of d_k (1 <= k <= top), built anew from face tables."""
+        return self._cols[k - 1] if self._faces is None else list(map(dict, self._entries(k)))
 
     def check_boundary_squares_to_zero(self) -> None:
+        """Face tables by the simplicial identities d_i d_j = d_{j-1} d_i (i < j),
+        which cancel d^2 in pairs; dict columns by multiplying the boundaries."""
+        if self._faces is not None:
+            lower = []  # d_0..d_{k-1} of level k-1, one list each; none when it is empty
+            for k, level in enumerate(self._faces, 1):
+                upper = [list(column) for column in zip(*level)]
+                for i, j in itertools.combinations(range(len(lower) + 1), 2):
+                    left = list(map(lower[i].__getitem__, upper[j]))
+                    right = list(map(lower[j - 1].__getitem__, upper[i]))
+                    if left != right:
+                        raise ContractError(f"d_{i} d_{j} != d_{j - 1} d_{i} in degree {k}")
+                lower = upper
+            return
         for k in range(2, len(self.ranks)):
             lower = self._cols[k - 2]
             for j, col in enumerate(self._cols[k - 1]):
@@ -175,7 +219,7 @@ def _dense_smith(a, m, n, want_transforms):
 
 
 def _rank_and_divisors(
-    columns: list[Column], nrows: int, cleared: frozenset[int] = frozenset()
+    columns: Iterable[Iterable[tuple[int, int]]], nrows: int, cleared: frozenset[int] = frozenset()
 ) -> tuple[int, tuple[int, ...], frozenset[int]]:
     """Rank, invariant factors and unit-pivot rows of a column-sparse matrix.
 
@@ -185,18 +229,19 @@ def _rank_and_divisors(
     repeat until one makes no pivot, so no +-1 entry reaches the dense
     routine.  Unimodular row/column operations preserve the invariant
     factors, so the result equals the dense SNF diagonal.
-    Columns hold nonzero entries, as ``ChainComplex`` keeps them; those
-    listed in ``cleared`` are left out before elimination.  The
+    Each column comes as (row, coefficient) pairs, nonzero and one per row;
+    columns listed in ``cleared`` are left out before elimination.  The
     third value is the set of rows used as unit pivots; rows that reach the
     dense block are never in it.
     """
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
     for c, col in enumerate(columns):
-        if col and c not in cleared:
-            col_rows[c] = set(col)
-            for r, v in col.items():
+        if c not in cleared:
+            col_rows[c] = keys = set()
+            for r, v in col:
                 rows.setdefault(r, {})[c] = v
+                keys.add(r)
 
     pivot_rows: set[int] = set()
     pivoted = True
@@ -260,7 +305,7 @@ def homology(complex: ChainComplex) -> tuple[HomologyGroup, ...]:
         cleared: frozenset[int] = frozenset()
         for k in range(complex.top_degree, 0, -1):
             rank, divisors, cleared = _rank_and_divisors(
-                complex.boundary_columns(k), complex.ranks[k - 1], cleared
+                complex._entries(k), complex.ranks[k - 1], cleared
             )
             info[k] = rank, divisors
         groups = []

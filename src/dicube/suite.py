@@ -46,7 +46,7 @@ from .complexes import (
     permutations_of,
 )
 from .cover import cover_equivariance, cover_properness, cover_report, verify_cover
-from .errors import ContractError, ResourceCapError, UsageError, models_shared
+from .errors import ContractError, ResourceCapError, UsageError, models_shared, require_size
 from .homology import (
     euler_characteristic,
     homology,
@@ -312,10 +312,10 @@ def check_nerve_quotient(n: int, top: int, **_) -> object:
             return Fail({"level": k, "reason": "projection not bijective on runs"})
         mapping.append([quot_index[k][img] for img in images])
     for k in range(1, len(orbit_levels)):
+        quot_cols = quot_cx.boundary_columns(k)
         for j, col in enumerate(orbit_cx.boundary_columns(k)):
             expected = {mapping[k - 1][r]: v for r, v in col.items()}
-            got = quot_cx.boundary_columns(k)[mapping[k][j]]
-            if expected != got:
+            if expected != quot_cols[mapping[k][j]]:
                 return Fail({"level": k, "generator": j, "reason": "boundary mismatch"})
     return list(orbit_cx.ranks)
 
@@ -508,8 +508,11 @@ def run_suite(
         for check_id in ids:
             if not isinstance(check_id, str) or check_id not in REGISTRY:
                 raise UsageError(f"unknown proposition id {check_id!r}")
-    if n_max is not None and (type(n_max) is not int or n_max < 1):
-        raise UsageError(f"n_max must be an int of at least 1, got {n_max!r}")
+    if n_max is not None:
+        try:
+            require_size(n_max, "n_max", low=1)
+        except ContractError as exc:
+            raise UsageError(str(exc)) from None
     if params is not None and (not isinstance(params, dict) or set(params) - {"target"}):
         raise UsageError(f"params must be a dict with no key but 'target', got {params!r}")
     if params and params.get("target") not in ("ordered-cover", "final-truncated"):

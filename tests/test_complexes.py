@@ -101,21 +101,23 @@ def test_final_covering_zero_is_a_point():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_final_covering_agrees_with_length_covering(n):
-    direct, direct_alt = build_final_covering(n)
-    lc = length_covering(build_final_complex(n), n)
-    assert direct.dims == lc.complex.dims
-    if n == 0:
-        return
-    # match cells by (dimension, altitude) and verify the face tables agree
-    assign = []
-    for d in range(lc.complex.max_dim + 1):
-        layer = []
-        for k in range(lc.complex.dims[d]):
-            h = lc.altitude[(d, k)]
-            layer.append(direct.cell_of_label(f"z{d}_{h}")[1])
-        assign.append(layer)
-    iso = PrecubicalMap(lc.complex, direct, assign)
+    # build_final_covering is the length covering of the final complex; the
+    # oracle is the direct face rule: z{k}_{j} faces onto z{k-1}_{j+eps}
+    labels = [[f"z{k}_{j}" for j in range(n - k + 1)] for k in range(n + 1)]
+    faces = {
+        (k, j, i, eps): j + eps
+        for k in range(1, n + 1)
+        for j in range(n - k + 1)
+        for i in range(1, k + 1)
+        for eps in (0, 1)
+    }
+    rule = PrecubicalComplex(labels, faces, (0, n))
+    covering, altitude = build_final_covering(n)
+    assert covering.dims == rule.dims
+    cells = [[covering.cell_of_label(name) for name in layer] for layer in labels]
+    iso = PrecubicalMap(rule, covering, [[cell[1] for cell in layer] for layer in cells])
     assert iso.is_bijective and iso.is_bipointed
+    assert [[altitude[cell] for cell in layer] for layer in cells] == [list(range(n - k + 1)) for k in range(n + 1)]
 
 
 def test_final_covering_face_formula():

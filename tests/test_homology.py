@@ -7,13 +7,17 @@ from math import gcd, prod
 import pytest
 
 from dicube.categories import (
+    _nerve_levels,
     build_break_category,
     nerve_complex,
+    nerve_orbit_complex,
     regular_orders_poset,
     symmetric_order_quotient,
 )
+from dicube.cli import MODELS
 from dicube.complexes import default_labels
 from dicube.errors import ContractError
+from dicube.posets import Poset
 from dicube.homology import (
     ChainComplex,
     HomologyGroup,
@@ -207,7 +211,7 @@ def test_sparse_divisors_match_dense_snf():
             {i: a[i][j] for i in range(m) if a[i][j]} for j in range(n)
         ]
         complex_ = ChainComplex([m, n], [cols])
-        rank, divisors = _rank_and_divisors(complex_.boundary_columns(1), complex_.ranks[0])[:2]
+        rank, divisors = _rank_and_divisors([col.items() for col in complex_.boundary_columns(1)], complex_.ranks[0])[:2]
         assert divisors == snf_diagonal(a)
         assert rank == rational_rank(a)
 
@@ -248,7 +252,7 @@ def test_sparse_elimination_matches_dense_snf_on_random_sparse_matrices(seed, mo
 
     with monkeypatch.context() as patch:
         patch.setattr(module, "_dense_smith", counting_dense_smith)
-        rank, divisors, pivot_rows = _rank_and_divisors(sparse_columns(a, n), m)
+        rank, divisors, pivot_rows = _rank_and_divisors([col.items() for col in sparse_columns(a, n)], m)
     assert divisors == snf_diagonal(a)
     assert rank == len(divisors) == rational_rank(a)
     # one pivot row per unit pivot; those rows carry a block of invariant factors 1
@@ -261,7 +265,7 @@ def test_cleared_columns_reduce_like_deleted_columns(seed):
     rng = random.Random(1000 + seed)
     a, n = random_sparse_matrix(rng)
     m = len(a)
-    cols = sparse_columns(a, n)
+    cols = [col.items() for col in sparse_columns(a, n)]
     cleared = frozenset(j for j in range(n) if rng.random() < 0.3)
     kept = [col for j, col in enumerate(cols) if j not in cleared]
     assert _rank_and_divisors(cols, m, cleared) == _rank_and_divisors(kept, m)
@@ -481,7 +485,7 @@ def homology_per_degree(cx):
     """Homology from each boundary reduced on its own, without clearing."""
     info = [(0, ())]
     for k in range(1, cx.top_degree + 1):
-        info.append(_rank_and_divisors(cx.boundary_columns(k), cx.ranks[k - 1])[:2])
+        info.append(_rank_and_divisors([col.items() for col in cx.boundary_columns(k)], cx.ranks[k - 1])[:2])
     info.append((0, ()))
     return tuple(
         HomologyGroup(rk - info[k][0] - info[k + 1][0], tuple(d for d in info[k + 1][1] if d > 1))
@@ -552,3 +556,92 @@ def test_clearing_matches_per_degree_reduction_on_the_break_nerve(n):
 def test_clearing_matches_per_degree_reduction_on_the_regular_quotient():
     cx = nerve_complex(symmetric_order_quotient(default_labels(4), "regular").quotient)
     assert homology(cx) == homology_per_degree(cx)
+
+
+# -- face tables ---------------------------------------------------------------
+
+
+def break_face_tables(n):
+    """Ranks and face tables of the break-category nerve, as the builder yields them."""
+    C = build_break_category(n)
+    levels = [faces for _, faces, _ in _nerve_levels(C)]
+    return [C.n_objects, *map(len, levels)], levels
+
+
+def with_run(levels, k, x, run):
+    """``levels`` with run x of degree k replaced by ``run``."""
+    planted = list(levels)
+    planted[k - 1] = [*levels[k - 1][:x], run, *levels[k - 1][x + 1 :]]
+    return planted
+
+
+def test_swapping_two_faces_of_any_run_fails_the_simplicial_identities():
+    ranks, levels = break_face_tables(3)
+    assert ranks == [4, 16, 12]
+    ChainComplex.simplicial(ranks, levels)
+    swaps = 0
+    for k, level in enumerate(levels, 1):
+        for x, run in enumerate(level):
+            for a, b in combinations(range(k + 1), 2):
+                swapped = list(run)
+                swapped[a], swapped[b] = run[b], run[a]
+                with pytest.raises(ContractError, match=r"d_\d d_\d != "):
+                    ChainComplex.simplicial(ranks, with_run(levels, k, x, tuple(swapped)))
+                swaps += 1
+    assert swaps == 16 + 3 * 12
+
+
+@pytest.mark.parametrize(
+    "plant, reason",
+    [
+        pytest.param(lambda r, lv: (r, with_run(lv, 2, 0, (0, 6, 16))), "ints in", id="id-out-of-range"),
+        pytest.param(lambda r, lv: (r, with_run(lv, 2, 0, (0, 6, -1))), "ints in", id="negative-id"),
+        pytest.param(lambda r, lv: (r, with_run(lv, 1, 0, (True, 0))), "ints in", id="bool-id"),
+        pytest.param(lambda r, lv: (r, with_run(lv, 2, 0, (0, 6, 12.0))), "ints in", id="float-id"),
+        pytest.param(lambda r, lv: (r, with_run(lv, 2, 0, (0, 6))), "distinct", id="short-run"),
+        pytest.param(lambda r, lv: (r, with_run(lv, 2, 0, (0, 6, 12, 13))), "distinct", id="long-run"),
+        pytest.param(lambda r, lv: (r, with_run(lv, 2, 0, (0, 6, 6))), "distinct", id="repeated-id"),
+        pytest.param(lambda r, lv: (r, with_run(lv, 2, 0, (0, 6, 12, 12))), "distinct", id="long-run-repeating"),
+        pytest.param(lambda r, lv: (r, with_run(lv, 2, 0, [0, 6, 12])), "tuples", id="run-not-a-tuple"),
+        pytest.param(lambda r, lv: (r, with_run(lv, 2, 0, None)), "tuples", id="run-none"),
+        pytest.param(lambda r, lv: (r, [lv[0], lv[1][:-1]]), "tuples", id="one-run-short"),
+        pytest.param(lambda r, lv: (r, [lv[0], lv[1] + lv[1][:1]]), "tuples", id="one-run-over"),
+        pytest.param(lambda r, lv: (r, [lv[0], None]), "tuples", id="level-none"),
+        pytest.param(lambda r, lv: (r, lv[:1]), "boundaries", id="level-missing"),
+        pytest.param(lambda r, lv: (r, [lv[0], [run[0] for run in lv[1]]]), "tuples", id="runs-not-tuples"),
+        pytest.param(lambda r, lv: ([4, 16.0, 12], lv), "ranks", id="float-rank"),
+    ],
+)
+def test_face_table_planted_faults_are_contract_errors(plant, reason):
+    ranks, levels = plant(*break_face_tables(3))
+    with pytest.raises(ContractError, match=reason):
+        ChainComplex.simplicial(ranks, levels)
+
+
+def test_an_empty_face_level_is_a_zero_module():
+    cx = ChainComplex.simplicial([2, 0, 0], [[], []])
+    assert cx.boundary_columns(1) == cx.boundary_columns(2) == []
+    assert homology(cx) == (HomologyGroup(2), HomologyGroup(0), HomologyGroup(0))
+
+
+def face_table_complex(model, n):
+    """The complex ``homology --model`` builds, or the regular orbit complex."""
+    if model == "orbit":
+        q = symmetric_order_quotient(default_labels(n), "regular")
+        return nerve_orbit_complex(q.category, q.action)[0]
+    M = MODELS[model](n)
+    return M.order_complex() if isinstance(M, Poset) else nerve_complex(M)
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [("en", n) for n in range(1, 6)]
+    + [(m, n) for m in ("quotient", "orbit", "r-poset", "chain-poset", "rplus-poset") for n in range(1, 5)],
+)
+def test_face_tables_agree_with_their_dict_columns(model, n):
+    # the dict route, with its multiplication check, is the oracle
+    cx = face_table_complex(model, n)
+    columns = [cx.boundary_columns(k) for k in range(1, cx.top_degree + 1)]
+    for k, level in enumerate(columns, 1):
+        assert set(map(len, level)) <= {k + 1}
+    assert homology(cx) == homology(ChainComplex(cx.ranks, columns))
