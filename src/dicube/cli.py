@@ -64,6 +64,7 @@ def _cmd_gen(args) -> int:
 def _cmd_homology(args) -> int:
     M = MODELS[args.model](args.n)
     complex_ = M.order_complex() if isinstance(M, Poset) else nerve_complex(M)
+    del M  # the complex holds no reference to the model, which is freed before elimination
     _emit(json.dumps(homology_to_json(homology(complex_)), separators=(",", ":")), args.out)
     return 0
 
@@ -73,6 +74,8 @@ def _cmd_verify(args) -> int:
         selection = None
     else:
         selection = [s.strip() for s in args.suite.split(",") if s.strip()]
+        if not selection:
+            raise UsageError(f"--suite {args.suite!r} names no check")
     params = {}
     if args.target:
         params["target"] = args.target

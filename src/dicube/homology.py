@@ -4,9 +4,11 @@ Integral homology (Betti numbers plus torsion coefficients in divisibility
 order) of a complex given by sparse boundary columns or by the face tables of
 a nerve, whose d^2 = 0 is checked by the simplicial identities and whose
 elimination reads its rows from the faces.  A boundary is reduced by passes of
-sparse +-1 pivots, shortest row first, until a pass makes none; the unit-free
-rest goes to a dense Smith normal form, which pivots on the smallest nonzero
-entry in one loop, so entries stay near the size of the invariant factors.
+sparse +-1 pivots, shortest row first, until a pass makes none; a column lists
+its rows in its own face tuple until fill-in adds one, and an exact count of
+its rows, not a set, picks the sparsest unit.  The unit-free rest goes to a
+dense Smith normal form, which pivots on the smallest nonzero entry in one
+loop, so entries stay near the size of the invariant factors.
 Homology reduces the boundaries top-down and clears: a unit pivot of d_{k+1}
 pairs a degree-k generator with a degree-(k+1) one, the pivot block has
 determinant +-1, and d^2 = 0 makes d_k vanish on its image, so d_k is reduced
@@ -130,16 +132,16 @@ class ChainComplex:
     def top_degree(self) -> int:
         return len(self.ranks) - 1
 
-    def _entries(self, k: int) -> Iterator[Iterable[tuple[int, int]]]:
-        """The columns of d_k as (row, coefficient) pairs, in column order."""
+    def _columns(self, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The columns of d_k as (rows, coefficients), in column order; a face
+        table hands over its own tuples."""
         if self._faces is None:
-            return map(dict.items, self._cols[k - 1])
-        signs = tuple((-1) ** i for i in range(k + 1))
-        return map(zip, self._faces[k - 1], itertools.repeat(signs))
+            return ((tuple(col), tuple(col.values())) for col in self._cols[k - 1])
+        return zip(self._faces[k - 1], itertools.repeat(tuple((-1) ** i for i in range(k + 1))))
 
     def boundary_columns(self, k: int) -> list[Column]:
         """Sparse columns of d_k (1 <= k <= top), built anew from face tables."""
-        return self._cols[k - 1] if self._faces is None else list(map(dict, self._entries(k)))
+        return self._cols[k - 1] if self._faces is None else [dict(zip(*col)) for col in self._columns(k)]
 
     def check_boundary_squares_to_zero(self) -> None:
         """Face tables by the simplicial identities d_i d_j = d_{j-1} d_i (i < j),
@@ -219,7 +221,7 @@ def _dense_smith(a, m, n, want_transforms):
 
 
 def _rank_and_divisors(
-    columns: Iterable[Iterable[tuple[int, int]]], nrows: int, cleared: frozenset[int] = frozenset()
+    columns: Iterable[tuple[Sequence[int], Sequence[int]]], nrows: int, cleared: frozenset[int] = frozenset()
 ) -> tuple[int, tuple[int, ...], frozenset[int]]:
     """Rank, invariant factors and unit-pivot rows of a column-sparse matrix.
 
@@ -229,47 +231,63 @@ def _rank_and_divisors(
     repeat until one makes no pivot, so no +-1 entry reaches the dense
     routine.  Unimodular row/column operations preserve the invariant
     factors, so the result equals the dense SNF diagonal.
-    Each column comes as (row, coefficient) pairs, nonzero and one per row;
+    Each column comes as (rows, coefficients): distinct rows, nonzero values;
     columns listed in ``cleared`` are left out before elimination.  The
     third value is the set of rows used as unit pivots; rows that reach the
     dense block are never in it.
+    No set of rows is kept per column.  The rows listed for a column start as
+    its own ``rows`` tuple, not copied, and become a list the first time
+    fill-in adds a row; the input is never changed.  An entry may go stale
+    (the row has since lost the column) or repeat, so a pivot clears only
+    the listed rows that still hold its column.  An exact count of rows per
+    column, kept wherever a row gains or loses it, picks the sparsest unit.
     """
     rows: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    for c, col in enumerate(columns):
-        if c not in cleared:
-            col_rows[c] = keys = set()
-            for r, v in col:
-                rows.setdefault(r, {})[c] = v
-                keys.add(r)
+    listed: list = []  # per column: rows that hold or once held it
+    count: list[int] = []  # per column: rows that hold it
+    for c, (keys, values) in enumerate(columns):
+        keys = () if c in cleared else tuple(keys)  # a tuple is not copied
+        listed.append(keys)
+        count.append(len(keys))
+        for r, v in zip(keys, values):
+            rows.setdefault(r, {})[c] = v
 
     pivot_rows: set[int] = set()
     pivoted = True
     while pivoted:
         pivoted = False
         for r, row in sorted(rows.items(), key=lambda item: len(item[1])):
-            units = [(len(col_rows[c]), c) for c, v in row.items() if v == 1 or v == -1]
+            units = [(count[c], c) for c, v in row.items() if v == 1 or v == -1]
             if not units:
                 continue  # also a row emptied earlier in this pass
             c = min(units)[1]
             del rows[r]
             piv = row.pop(c)  # +-1, its own inverse
             for cc in row:
-                col_rows[cc].discard(r)
+                count[cc] -= 1
             # column c leaves the matrix with its pivot: clear it from the other rows
-            others = col_rows.pop(c)
-            others.discard(r)
+            others, listed[c] = listed[c], None
             for rr in others:
-                other = rows[rr]
-                f = other.pop(c) * piv
+                other = rows.get(rr)
+                f = other.pop(c, 0) * piv if other else 0
+                if not f:
+                    continue  # row r itself, or a stale or repeated entry
                 for cc, vv in row.items():
-                    new = other.get(cc, 0) - f * vv
-                    if new:
-                        other[cc] = new
-                        col_rows[cc].add(rr)
+                    old = other.get(cc)
+                    if old is None:
+                        other[cc] = -f * vv
+                        count[cc] += 1
+                        keys = listed[cc]
+                        if type(keys) is tuple:
+                            keys = listed[cc] = list(keys)
+                        keys.append(rr)
                     else:
-                        del other[cc]
-                        col_rows[cc].discard(rr)
+                        new = old - f * vv
+                        if new:
+                            other[cc] = new
+                        else:
+                            del other[cc]
+                            count[cc] -= 1
                 if not other:
                     del rows[rr]
             pivot_rows.add(r)
@@ -305,7 +323,7 @@ def homology(complex: ChainComplex) -> tuple[HomologyGroup, ...]:
         cleared: frozenset[int] = frozenset()
         for k in range(complex.top_degree, 0, -1):
             rank, divisors, cleared = _rank_and_divisors(
-                complex._entries(k), complex.ranks[k - 1], cleared
+                complex._columns(k), complex.ranks[k - 1], cleared
             )
             info[k] = rank, divisors
         groups = []

@@ -114,6 +114,11 @@ def sparse_columns(a, n):
     return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(n)]
 
 
+def kernel_columns(columns):
+    """Dict columns in the elimination's input form, (rows, coefficients)."""
+    return [(tuple(col), tuple(col.values())) for col in columns]
+
+
 def dense_smith(a, transforms=False):
     """The dense Smith normal form of the rows ``a``, which are left as they
     are: (diagonal, U, V), with U and V None unless transforms are asked for."""
@@ -211,7 +216,7 @@ def test_sparse_divisors_match_dense_snf():
             {i: a[i][j] for i in range(m) if a[i][j]} for j in range(n)
         ]
         complex_ = ChainComplex([m, n], [cols])
-        rank, divisors = _rank_and_divisors([col.items() for col in complex_.boundary_columns(1)], complex_.ranks[0])[:2]
+        rank, divisors = _rank_and_divisors(kernel_columns(complex_.boundary_columns(1)), complex_.ranks[0])[:2]
         assert divisors == snf_diagonal(a)
         assert rank == rational_rank(a)
 
@@ -252,7 +257,7 @@ def test_sparse_elimination_matches_dense_snf_on_random_sparse_matrices(seed, mo
 
     with monkeypatch.context() as patch:
         patch.setattr(module, "_dense_smith", counting_dense_smith)
-        rank, divisors, pivot_rows = _rank_and_divisors([col.items() for col in sparse_columns(a, n)], m)
+        rank, divisors, pivot_rows = _rank_and_divisors(kernel_columns(sparse_columns(a, n)), m)
     assert divisors == snf_diagonal(a)
     assert rank == len(divisors) == rational_rank(a)
     # one pivot row per unit pivot; those rows carry a block of invariant factors 1
@@ -265,7 +270,7 @@ def test_cleared_columns_reduce_like_deleted_columns(seed):
     rng = random.Random(1000 + seed)
     a, n = random_sparse_matrix(rng)
     m = len(a)
-    cols = [col.items() for col in sparse_columns(a, n)]
+    cols = kernel_columns(sparse_columns(a, n))
     cleared = frozenset(j for j in range(n) if rng.random() < 0.3)
     kept = [col for j, col in enumerate(cols) if j not in cleared]
     assert _rank_and_divisors(cols, m, cleared) == _rank_and_divisors(kept, m)
@@ -485,7 +490,7 @@ def homology_per_degree(cx):
     """Homology from each boundary reduced on its own, without clearing."""
     info = [(0, ())]
     for k in range(1, cx.top_degree + 1):
-        info.append(_rank_and_divisors([col.items() for col in cx.boundary_columns(k)], cx.ranks[k - 1])[:2])
+        info.append(_rank_and_divisors(kernel_columns(cx.boundary_columns(k)), cx.ranks[k - 1])[:2])
     info.append((0, ()))
     return tuple(
         HomologyGroup(rk - info[k][0] - info[k + 1][0], tuple(d for d in info[k + 1][1] if d > 1))

@@ -273,6 +273,18 @@ def test_cli_verify_unknown_id_is_usage_error(capsys):
     assert main(["verify", "--suite", "bogus"]) == 2
 
 
+@pytest.mark.parametrize("selection", [",", " ", "", " , ,"])
+def test_cli_verify_empty_selection_is_usage_error(selection, monkeypatch, capsys):
+    # a run that verifies nothing must not exit 0; run_suite([]) itself stays an empty report
+    from dicube import suite
+
+    ran = []
+    monkeypatch.setattr(suite, "_run_check", lambda spec, n, params: ran.append(spec))
+    assert main(["verify", "--suite", selection, "--n-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert ran == [] and captured.out == "" and "names no check" in captured.err
+
+
 @pytest.mark.parametrize("n_max", [0, -2])
 def test_n_max_below_one_is_a_usage_error(n_max, capsys):
     with pytest.raises(UsageError):
