@@ -1,8 +1,9 @@
 """Shared exception types, the size check of the builders, and the run-scoped
-memo of the model builders."""
+memo of the model builders: a plain dict per thread, with no lock, since a
+run's checks all run on the thread that opened it."""
 
 import functools
-from _thread import allocate_lock
+from _thread import _local
 from contextlib import contextmanager
 
 
@@ -33,50 +34,40 @@ def require_size(value, name: str, low: int = 0, cap=None) -> None:
         raise ResourceCapError(f"{name} is capped at {cap}, not {value}")
 
 
-# (builder, args) -> [lock] until the build returns, then [lock, model];
-# None while no run is open
-_shared_models = None
-_open_runs = 0
-_memo_lock = allocate_lock()
+# its memo, (builder, args) -> model, is set while a run is open on this thread
+_run = _local()
 
 
 @contextmanager
 def models_shared():
     """Inside, each ``shared_in_run`` builder builds a model once per argument
-    tuple and hands every later caller that same object.  The memo is one
-    for the process: scopes may nest or overlap on several threads, a call
-    from any thread while one is open reads it, and it goes when the last
-    scope exits, also when its body raises."""
-    global _shared_models, _open_runs
-    with _memo_lock:
-        if not _open_runs:
-            _shared_models = {}
-        _open_runs += 1
+    tuple and hands every later call that same object.  The memo belongs to
+    the thread that opens the scope: a nested scope shares it, a run on
+    another thread keeps its own, and it goes when the outermost scope exits,
+    also when its body raises."""
+    if getattr(_run, "memo", None) is not None:
+        yield
+        return
+    _run.memo = {}
     try:
         yield
     finally:
-        with _memo_lock:
-            _open_runs -= 1
-            if not _open_runs:
-                _shared_models = None
+        del _run.memo
 
 
 def shared_in_run(builder):
     """Memoizes ``builder`` inside ``models_shared`` and leaves it as it is
     outside.  Callers pass positional arguments that already hash as the
-    builder's normalized input; a build that raises caches nothing, and two
-    threads asking for one model wait for a single build."""
+    builder's normalized input; a build that raises caches nothing."""
 
     @functools.wraps(builder)
     def shared(*args):
-        memo = _shared_models
+        memo = getattr(_run, "memo", None)
         if memo is None:
             return builder(*args)
-        with _memo_lock:
-            slot = memo.setdefault((builder, args), [allocate_lock()])
-        with slot[0]:
-            if len(slot) == 1:
-                slot.append(builder(*args))
-        return slot[1]
+        key = (builder, args)
+        if key not in memo:
+            memo[key] = builder(*args)
+        return memo[key]
 
     return shared

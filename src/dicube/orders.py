@@ -19,8 +19,9 @@ memoized: the closure of a union component, or None when it cycles
 relabelling kernel, ``relabelling(labels, sigma)``, maps keys: it moves each
 row through ``_bit_permutation(s)``, a 2**n-entry table built once per
 position tuple ``s`` that moves bit ``s[j]`` of a row to bit ``j``.  ``act``
-wraps it, and the free-action, union-sigma and cover-proper checks apply it,
-and ``union_keys``, to key tables alone.  Every ``DoubleOrder`` a caller
+wraps it, the free-action check applies it to a key table, and
+``self_meetings`` joins each key of a table to its images by ``union_keys``
+for the union-sigma and cover-proper checks.  Every ``DoubleOrder`` a caller
 receives is validated, but the strict-order test is memoized by relation and
 the label test by label tuple, so each costs a cache lookup after the first
 order.
@@ -32,10 +33,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .chains import CubeChain
-from .complexes import CoverCell, OrderedCover, label_tuple
+from .complexes import CoverCell, OrderedCover, label_tuple, permutations_of
 from .errors import ContractError, ResourceCapError, StructuralError, require_size
 from .posets import (
     Rel,
@@ -229,6 +230,18 @@ def union_keys(k1: Key, k2: Key) -> Optional[Key]:
     x = _acyclic_closure(*map(or_, x1, x2))
     y = None if x is None else _acyclic_closure(*map(or_, y1, y2))
     return None if y is None else (x, y)
+
+
+def self_meetings(labels: tuple, keys: Sequence[Key]) -> Iterator[tuple[Key, dict]]:
+    """Each (key, sigma) whose key meets its image under a non-identity
+    relabelling sigma, that is, ``union_keys`` finds no cycle: sigma by sigma
+    in ``permutations_of`` order, the keys in their order for each sigma.
+    One ``relabelling`` per sigma maps the keys; no order is built."""
+    for sigma in permutations_of(labels)[1:]:  # the first is the identity
+        relabel = relabelling(labels, sigma)
+        for key in keys:
+            if union_keys(key, relabel(key)) is not None:
+                yield key, sigma
 
 
 @lru_cache(maxsize=None)

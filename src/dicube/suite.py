@@ -1,13 +1,12 @@
 """The named verification suite: each registered check runs one family of
 exhaustive propositions at a requested size and reports pass/fail with a
-reproducible counterexample payload on failure.  ``concurrent.futures`` is
-imported only when ``run_suite`` starts a pool: jobs > 1 and two checks or more.
-One ``run_suite`` call builds each shared model once (the order quotients,
-the order posets, the break categories and the ordered covers, through the
-``shared_in_run`` builders of ``errors``), and every check of that call, on
-any thread, reads the same object; so no check may mutate a model it did not
-build.  Nothing outlives the call: later calls and direct library calls
-build fresh models.
+reproducible counterexample payload on failure.  ``run_suite`` runs the
+selected checks one after another on the calling thread.  One call builds
+each shared model once (the order quotients, the order posets, the break
+categories and the ordered covers, through the ``shared_in_run`` builders of
+``errors``), and every check of that call reads the same object; so no check
+may mutate a model it did not build.  Nothing outlives the call: later calls
+and direct library calls build fresh models.
 Reports and ``Fail`` are NamedTuple records, as results are package-wide.  Two
 classes stay dataclasses because the benchmark tracer (``perfbench/tracer.py``)
 needs them: it rebuilds each ``CheckSpec`` of ``REGISTRY`` with
@@ -62,8 +61,8 @@ from .orders import (
     order_keys,
     poset_leq,
     relabelling,
+    self_meetings,
     to_regular,
-    union_keys,
 )
 from .posets import bit_positions
 from .precubical import PrecubicalMap, is_non_self_linked, quotient_by_automorphisms
@@ -220,15 +219,12 @@ def check_free_action(n: int, top: int, **_) -> object:
 
 def check_union_sigma(n: int, top: int, **_) -> object:
     """A regular order never unions consistently with a proper relabeling of
-    itself: each relabelling maps the regular key table, and ``union_keys``
-    joins each key with its image, building an order only to name a failure."""
+    itself: ``self_meetings`` finds no key of the regular key table meeting
+    its image, and an order is built only to name the first that does."""
     labels = default_labels(n)
     keys = order_keys(labels, "regular")
-    for sigma in permutations_of(labels)[1:]:  # the first is the identity
-        relabel = relabelling(labels, sigma)
-        for key in keys:
-            if union_keys(key, relabel(key)) is not None:
-                return Fail({"order": DoubleOrder(labels, *key).text(), "sigma": str(sigma)})
+    for key, sigma in self_meetings(labels, keys):
+        return Fail({"order": DoubleOrder(labels, *key).text(), "sigma": str(sigma)})
     return len(keys)
 
 
@@ -494,11 +490,10 @@ def _run_check(spec: CheckSpec, n_max: int, params: dict) -> object:
 def run_suite(
     selection: Optional[Sequence[str]] = None,
     n_max: Optional[int] = None,
-    jobs: int = 1,
     params: Optional[dict] = None,
 ) -> list[VerificationReport]:
-    """Runs the selected checks (all of them for None) and returns reports in
-    selection order; `n_max` is an int of at least 1, `jobs` bounds parallel execution."""
+    """Runs the selected checks (all of them for None) one after another and
+    returns their reports in selection order; `n_max` is an int of at least 1."""
     if selection is None:
         ids = list(REGISTRY)
     elif not isinstance(selection, (list, tuple)):
@@ -519,32 +514,27 @@ def run_suite(
         raise UsageError(f"unknown non-self-linked target {params['target']!r}")
     extra = dict(params or {})
 
-    def run_one(check_id: str) -> VerificationReport:
-        spec = REGISTRY[check_id]
-        n = n_max if n_max is not None else spec.default_n
-        start = time.perf_counter()
-        try:
-            details = _run_check(spec, n, extra)
-            status = "pass"
-            if isinstance(details, Fail):
-                status, details = "fail", details.payload
-        except ResourceCapError as exc:
-            status, details = "skipped", {"reason": "resource-cap", "message": str(exc)}
-        except UsageError:
-            raise
-        except Exception as exc:
-            # a broken invariant inside a check is a verdict, not a crash
-            status, details = "fail", {"exception": type(exc).__name__, "message": str(exc)}
-        elapsed = time.perf_counter() - start
-        return VerificationReport(check_id, {"n_max": n, **extra}, status, details, elapsed)
-
+    reports = []
     with models_shared():
-        if jobs <= 1 or len(ids) <= 1:
-            return [run_one(check_id) for check_id in ids]
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_one, check_id) for check_id in ids]
-            return [f.result() for f in futures]
+        for check_id in ids:
+            spec = REGISTRY[check_id]
+            n = n_max if n_max is not None else spec.default_n
+            start = time.perf_counter()
+            try:
+                details = _run_check(spec, n, extra)
+                status = "pass"
+                if isinstance(details, Fail):
+                    status, details = "fail", details.payload
+            except ResourceCapError as exc:
+                status, details = "skipped", {"reason": "resource-cap", "message": str(exc)}
+            except UsageError:
+                raise
+            except Exception as exc:
+                # a broken invariant inside a check is a verdict, not a crash
+                status, details = "fail", {"exception": type(exc).__name__, "message": str(exc)}
+            elapsed = time.perf_counter() - start
+            reports.append(VerificationReport(check_id, {"n_max": n, **extra}, status, details, elapsed))
+    return reports
 
 
 def exit_code(reports: Sequence[VerificationReport]) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +23,7 @@ from dicube.orders import (
     regular_from_blocks,
     rel_from_pairs,
     relabelling,
+    self_meetings,
     to_regular,
     union_bar,
     union_keys,
@@ -759,6 +761,24 @@ def test_relabelling_kernel_matches_act_on_every_double_order(n):
         relabel = relabelling(labels, sigma)
         for o in family:
             assert relabel(o.key()) == o.act(sigma).key() == act_by_definition(o, sigma)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_self_meetings_yield_the_keys_that_meet_a_relabelling_in_order(n):
+    # keys of any two strict orders, so that some meet their images: the
+    # empty pair meets every image, and no double order meets one
+    labels = default_labels(n)
+    keys = list(itertools.product(_strict_orders(n), repeat=2))
+    rows = [SimpleNamespace(labels=labels, n=n, x=x, y=y) for x, y in keys]
+    expected = [
+        (key, sigma)
+        for sigma in permutations_of(labels)[1:]
+        for key, o in zip(keys, rows)
+        if union_keys(key, act_by_definition(o, sigma)) is not None
+    ]
+    assert list(self_meetings(labels, keys)) == expected
+    assert bool(expected) == (n > 1)
+    assert not list(self_meetings(labels, order_keys(labels, "double")))
 
 
 def test_act_is_a_right_action():

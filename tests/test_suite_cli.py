@@ -10,7 +10,7 @@ from dicube.cli import main
 from dicube.complexes import build_final_complex, default_labels
 from dicube.cover import point_to_order, u_contains, witness_point
 from dicube.errors import ContractError, UsageError
-from dicube.orders import classify, enumerate_orders
+from dicube.orders import classify, enumerate_orders, union_keys
 from dicube.posets import Poset
 from dicube.precubical import is_non_self_linked
 from dicube.suite import REGISTRY, CheckSpec, exit_code, run_suite
@@ -87,13 +87,6 @@ def test_suite_runs_are_deterministic_modulo_timing():
     a = strip_times([r.to_json_dict() for r in run_suite(["union-sigma", "face-swap"], n_max=3)])
     b = strip_times([r.to_json_dict() for r in run_suite(["union-sigma", "face-swap"], n_max=3)])
     assert a == b
-
-
-def test_jobs_flag_keeps_report_order():
-    seq = run_suite(["union-sigma", "face-swap", "free-action"], n_max=2)
-    par = run_suite(["union-sigma", "face-swap", "free-action"], n_max=2, jobs=3)
-    assert [r.id for r in seq] == [r.id for r in par]
-    assert [r.status for r in seq] == [r.status for r in par]
 
 
 def test_cli_import_loads_neither_the_thread_pool_nor_fractions():
@@ -397,6 +390,34 @@ def test_a_size_beyond_the_default_labels_is_a_resource_cap(argv, capsys):
     assert capsys.readouterr().err.startswith("resource cap")
 
 
+def test_cli_verify_ignores_jobs(tmp_path):
+    # the benchmark harness passes --jobs; the checks run one after another either way
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    suite = "union-sigma,face-swap,free-action"
+    assert main(["verify", "--suite", suite, "--n-max", "3", "--jobs", "1", "--out", str(a)]) == 0
+    assert main(["verify", "--suite", suite, "--n-max", "3", "--jobs", "2", "--out", str(b)]) == 0
+    assert strip_times(json.loads(a.read_text())) == strip_times(json.loads(b.read_text()))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "z", "--n", "2"],
+        ["homology", "--model", "en", "--n", "2"],
+        ["verify", "--suite", "face-swap", "--n-max", "2"],
+        ["export", "--model", "r-poset", "--n", "2", "--format", "dot"],
+    ],
+)
+@pytest.mark.parametrize("where", ["missing/x.json", "."])
+def test_an_unwritable_out_is_a_usage_error(argv, where, tmp_path, capsys):
+    # a file in a directory that does not exist, or a directory itself
+    out = tmp_path / where
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot write --out {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_verify_deterministic_output(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["verify", "--suite", "euler-zero", "--n-max", "3", "--out", str(a)])
@@ -550,7 +571,7 @@ def test_one_run_builds_each_model_once(monkeypatch):
 
 
 def test_no_model_outlives_its_run(monkeypatch):
-    from dicube import complexes, errors
+    from dicube import complexes
 
     clean = {1: [1], 2: [2, 2], 3: [4, 16, 12]}
     assert run_suite(["nerve-quotient"], n_max=3)[0].details == clean
@@ -562,7 +583,6 @@ def test_no_model_outlives_its_run(monkeypatch):
     assert faulted.details == {
         "n": 2, "reason": "acting group is not every relabeling", "elements": 1, "relabelings": 2
     }
-    assert errors._shared_models is None
 
     built = []
 
@@ -577,15 +597,12 @@ def test_no_model_outlives_its_run(monkeypatch):
     with pytest.raises(UsageError, match="refused after a build"):
         run_suite(["face-swap"], n_max=2)
     assert built[0] is built[1]  # one cover for both spellings of its ground set
-    assert errors._shared_models is None
+    # the run that raised left no memo: every later call builds
     assert complexes.build_ordered_cover(2) is not built[0]
     assert complexes.build_ordered_cover(2) is not complexes.build_ordered_cover(2)
 
 
-def test_a_shared_build_that_raises_caches_nothing_and_threads_wait_for_one_build():
-    import threading
-    import time
-
+def test_a_shared_build_that_raises_caches_nothing_and_nested_runs_share_one_memo():
     from dicube.errors import models_shared, shared_in_run
 
     calls = []
@@ -595,21 +612,42 @@ def test_a_shared_build_that_raises_caches_nothing_and_threads_wait_for_one_buil
         calls.append(n)
         if len(calls) == 1:
             raise ContractError("the first build fails")
-        time.sleep(0.05)  # long enough for the other thread to ask meanwhile
         return [n]
 
     with models_shared():
         with pytest.raises(ContractError):
             build(1)
-        got = []
-        threads = [threading.Thread(target=lambda: got.append(build(1))) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert got[0] is got[1] is build(1)
+        first = build(1)
+        with models_shared():  # a nested scope reads the outer memo
+            assert build(1) is first
+        assert build(1) is first  # and leaving it keeps the memo
     assert calls == [1, 1]
     assert build(1) is not build(1)  # outside a run every call builds
+
+
+def test_a_run_on_another_thread_neither_sees_nor_clears_this_threads_memo():
+    import threading
+
+    from dicube.errors import models_shared, shared_in_run
+
+    @shared_in_run
+    def build(n):
+        return [n]
+
+    with models_shared():
+        mine = build(1)
+        theirs = []
+
+        def other_run():
+            with models_shared():
+                theirs.extend([build(1), build(1)])
+
+        thread = threading.Thread(target=other_run)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert theirs[0] is theirs[1] is not mine  # the other run built its own
+        assert build(1) is mine  # and its end left this memo in place
 
 
 def test_reports_do_not_depend_on_the_order_of_the_checks():
@@ -663,16 +701,16 @@ def cover_read_off_ignoring_the_configuration(monkeypatch):
     )
 
 
-def cover_relabelling_ignoring_sigma(monkeypatch):
-    from dicube import cover
+def key_relabelling_ignoring_sigma(monkeypatch):
+    from dicube import orders
 
-    monkeypatch.setattr(cover, "relabelling", lambda labels, sigma: lambda key: key)
+    monkeypatch.setattr(orders, "relabelling", lambda labels, sigma: lambda key: key)
 
 
-def suite_key_union_returning_its_first_argument(monkeypatch):
-    from dicube import suite
+def key_union_returning_its_first_argument(monkeypatch):
+    from dicube import orders
 
-    monkeypatch.setattr(suite, "union_keys", lambda a, b: a)
+    monkeypatch.setattr(orders, "union_keys", lambda a, b: a)
 
 
 def retraction_returning_its_input(monkeypatch):
@@ -802,14 +840,13 @@ def _regular_by_text(n):
 def names_a_regular_order_apart_from_its_relabelling(details):
     import ast
 
-    from dicube.orders import union_bar
-
     assert sorted(details) == ["n", "order", "sigma"] and details["n"] == 2
     order = _regular_by_text(2)[details["order"]]
     sigma = ast.literal_eval(details["sigma"])
     assert sigma == {"a": "b", "b": "a"}
-    # the planted union met the relabelled order; the closure union does not
-    assert union_bar(order, order.act(sigma)) is None
+    # the planted union met the relabelled order; the closure union, bound
+    # at import before the plant, does not
+    assert union_keys(order.key(), order.act(sigma).key()) is None
 
 
 def names_a_chain_whose_union_is_not_yet_regular(details):
@@ -922,13 +959,13 @@ PLANTED_FAULTS = [
     ),
     pytest.param(
         "cover-proper",
-        cover_relabelling_ignoring_sigma,
+        key_relabelling_ignoring_sigma,
         names_an_order_that_never_meets_its_relabelling,
         id="order-action-ignores-the-relabelling",
     ),
     pytest.param(
         "union-sigma",
-        suite_key_union_returning_its_first_argument,
+        key_union_returning_its_first_argument,
         names_a_regular_order_apart_from_its_relabelling,
         id="union-sigma-union-returns-its-first-argument",
     ),
