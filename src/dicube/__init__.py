@@ -23,7 +23,6 @@ from .complexes import (
     build_final_covering,
     build_ordered_cover,
     build_standard_cube,
-    build_wedge_cube,
     default_labels,
     permutations_of,
     unique_map_to_final,
@@ -33,7 +32,6 @@ from .orders import (
     DoubleOrder,
     chain_to_double_order,
     chain_union,
-    classify,
     double_order_to_chain,
     enumerate_orders,
     poset_leq,

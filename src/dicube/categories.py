@@ -42,14 +42,18 @@ class FiniteCategory:
         identity: Sequence[int],
         compose: Callable[[int, int], int],
     ):
-        self.objects = list(objects)
-        self.morphisms = list(morphisms)
-        self.identity = list(identity)
+        try:
+            self.objects, self.morphisms = list(objects), list(morphisms)
+            self.identity = list(identity)
+        except TypeError:  # one of them is not iterable
+            raise ContractError("objects, morphisms and identities must be sequences") from None
         if len(self.identity) != len(self.objects):
             raise ContractError("one identity per object required")
         n_obj, n_mor = len(self.objects), len(self.morphisms)  # an index is an int, not a bool
         self.out_of: list[list[int]] = [[] for _ in self.objects]
         for m, mor in enumerate(self.morphisms):
+            if not isinstance(mor, Morphism):
+                raise ContractError(f"morphism {m} is not a Morphism")
             if not all(type(v) is int and 0 <= v < n_obj for v in (mor.src, mor.tgt)):
                 raise ContractError(f"morphism {m} has an endpoint that is not an object index")
             self.out_of[mor.src].append(m)
@@ -269,7 +273,10 @@ class GroupAction:
 
     def __init__(self, C: FiniteCategory, generators: Sequence[Sequence[int]]):
         self.C = C
-        self.generators = [tuple(row) for row in generators]
+        try:
+            self.generators = [tuple(row) for row in generators]
+        except TypeError:  # the tables, or one of them, are not iterable
+            raise ContractError("action tables must permute the objects") from None
         self._hom: list[dict[int, int]] = [{} for _ in C.objects]  # _hom[a][b] is a -> b
         for m, mor in enumerate(C.morphisms):
             if self._hom[mor.src].setdefault(mor.tgt, m) != m:

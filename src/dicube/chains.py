@@ -24,10 +24,6 @@ class CubeChain(NamedTuple):
 
     cells: tuple[Cell, ...]
 
-    @property
-    def length(self) -> int:
-        return sum(d for d, _ in self.cells)
-
     def text(self, K: PrecubicalComplex) -> str:
         return ";".join(K.label(c) for c in self.cells)
 

@@ -1,18 +1,15 @@
 """Constructors for the named complexes the library verifies things about:
-standard cubes, serial wedge cubes, the one-cube-per-dimension final complex,
-its length coverings, and the ordered cover with its symmetric-group action.
+standard cubes, the one-cube-per-dimension final complex, its length
+coverings, and the ordered cover with its symmetric-group action.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ContractError, require_size, shared_in_run
-from .precubical import (
-    Cell, PrecubicalComplex, PrecubicalMap, complex_from_cells, length_covering, serial_wedge
-)
+from .precubical import Cell, PrecubicalComplex, PrecubicalMap, complex_from_cells, length_covering
 
 STAR = "*"
 
@@ -60,15 +57,6 @@ def build_standard_cube(n: int) -> PrecubicalComplex:
         return values[:pos] + (str(eps),) + values[pos + 1 :]
 
     return complex_from_cells(by_dim, face, "".join, (("0",) * n, ("1",) * n))
-
-
-def build_wedge_cube(dims: Sequence[int]) -> PrecubicalComplex:
-    """Serial wedge of standard cubes, final vertex glued to next initial one."""
-    if not isinstance(dims, Sequence):
-        raise ContractError(f"wedge cube dimensions must be a sequence, not {type(dims).__name__}")
-    for d in dims:
-        require_size(d, "wedge cube dimension", low=1)
-    return reduce(serial_wedge, [build_standard_cube(d) for d in dims or [0]])
 
 
 # -- the final complex and its length coverings -------------------------------

@@ -2,19 +2,18 @@
 in exact rational arithmetic: membership, witness points (integer ranks),
 reading an order off a configuration, and the cover verification report, a
 list of failures (completeness, properness, equivariance, coverage by random
-configurations).  ``fractions`` is imported only to read a JSON configuration,
-to write a covering failure and to test a coordinate that is not an int.
+configurations).  ``fractions`` is imported only to write a covering failure
+and to test a coordinate that is not an int.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 from collections.abc import Mapping, Sequence
 from functools import lru_cache, reduce
 
 from .complexes import label_tuple, permutations_of
-from .errors import ContractError, StructuralError, require_size
+from .errors import ContractError, require_size
 from .orders import (
     DoubleOrder,
     enumerate_orders,
@@ -124,36 +123,6 @@ def config_to_json_dict(f: Config) -> dict:
             for a, xy in sorted(f.items())
         }
     }
-
-
-def config_from_json_dict(data: Mapping) -> Config:
-    """Inverse of ``config_to_json_dict``; StructuralError names the field at
-    fault.  A coordinate is anything ``Fraction`` reads except a boolean."""
-    points = data.get("points") if isinstance(data, Mapping) else None
-    if not isinstance(points, Mapping):
-        raise StructuralError("field 'points' must be a JSON object")
-    config = {}
-    for a, xy in points.items():
-        if not isinstance(xy, list) or len(xy) != 2:
-            raise StructuralError(f"field 'points' entry {a!r} must be a list of two coordinates")
-        config[a] = (_json_coordinate(xy[0], a), _json_coordinate(xy[1], a))
-    return config
-
-
-def _json_coordinate(value, label):
-    from fractions import Fraction
-    if not isinstance(value, bool):
-        try:
-            # Fraction builds 10**exponent, so the exponent is held below the
-            # digit limit of int(), which already refuses longer numerals
-            if isinstance(value, str) and "e" in value.lower():
-                exponent = abs(int(value.lower().rpartition("e")[2]))
-                if 0 < sys.get_int_max_str_digits() <= exponent:
-                    raise ValueError
-            return Fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            pass
-    raise StructuralError(f"field 'points' entry {label!r} must hold rational numbers")
 
 
 class CoverReport:

@@ -33,11 +33,11 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .chains import CubeChain
 from .complexes import CoverCell, OrderedCover, label_tuple, permutations_of
-from .errors import ContractError, ResourceCapError, StructuralError, require_size
+from .errors import ContractError, require_size
 from .posets import (
     Rel,
     RelFamily,
@@ -105,43 +105,6 @@ class DoubleOrder:
 
         return f"x{part(self.x)};y{part(self.y)}"
 
-    def to_json_dict(self) -> dict:
-        n = self.n
-        return {
-            "x": [[bool(self.x[i] >> j & 1) for j in range(n)] for i in range(n)],
-            "y": [[bool(self.y[i] >> j & 1) for j in range(n)] for i in range(n)],
-            "labels": list(self.labels),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "DoubleOrder":
-        """Inverse of ``to_json_dict``; StructuralError names the field at
-        fault, ContractError reports relations that are not strict orders."""
-        if not isinstance(data, Mapping):
-            raise StructuralError("double order must be a JSON object")
-        for field in ("labels", "x", "y"):
-            if field not in data:
-                raise StructuralError(f"double order is missing field {field!r}")
-        if not isinstance(data["labels"], list):
-            raise StructuralError("field 'labels' must be a list")
-        labels = tuple(data["labels"])
-        if not _distinct(labels):
-            raise StructuralError("field 'labels' must hold distinct hashable labels")
-        x, y = (_rel_from_bool_matrix(data[field], len(labels), field) for field in ("x", "y"))
-        return cls(labels, x, y)
-
-
-def _rel_from_bool_matrix(matrix, n: int, field: str) -> Rel:
-    """The relation whose row i, column j is ``matrix[i][j]``; StructuralError
-    names ``field`` unless ``matrix`` is an n x n list of lists of booleans."""
-    if not isinstance(matrix, list) or len(matrix) != n or any(
-        not isinstance(row, list) or len(row) != n for row in matrix
-    ):
-        raise StructuralError(f"field {field!r} must be a {n}x{n} list of lists")
-    if any(not isinstance(v, bool) for row in matrix for v in row):
-        raise StructuralError(f"field {field!r} must hold only booleans")
-    return rel_from_pairs(n, [(i, j) for i in range(n) for j in range(n) if matrix[i][j]])
-
 
 @lru_cache(maxsize=None, typed=True)
 def _is_strict_order(*rows) -> bool:
@@ -199,16 +162,6 @@ def relabelling(labels: tuple, sigma: Mapping) -> Callable[[Key], Key]:
         return tuple([table[x[k]] for k in s]), tuple([table[y[k]] for k in s])
 
     return relabel
-
-
-def level_function(rel: Rel) -> Optional[tuple[int, ...]]:
-    """The 1-based level map inducing rel (a < b iff level(a) < level(b)),
-    or None when rel is not semi-linear: the levels rank the distinct below
-    counts, and rel is semi-linear exactly when it equals their order."""
-    counts = rel_below_counts(rel)
-    rank = {c: k for k, c in enumerate(sorted(set(counts)), start=1)}
-    induced = tuple(sum(1 << j for j, c in enumerate(counts) if c > ci) for ci in counts)
-    return tuple(rank[c] for c in counts) if induced == rel else None
 
 
 def union_bar(o1: DoubleOrder, o2: DoubleOrder) -> Optional[DoubleOrder]:
@@ -302,55 +255,6 @@ def regular_blocks(o: DoubleOrder) -> tuple[tuple, ...]:
     if blocks is None:
         raise ContractError("order is not regular")
     return tuple(tuple(o.labels[i] for i in block) for block in blocks)
-
-
-# -- classification -------------------------------------------------------------
-
-
-class Classification(NamedTuple):
-    ok: bool
-    diagnostic: str = ""
-    order: Optional[DoubleOrder] = None
-    is_double: bool = False
-    is_regular: bool = False
-    is_semi_regular: Optional[bool] = None
-    level: Optional[dict] = None
-
-
-def classify(labels: Sequence, x_matrix, y_matrix) -> Classification:
-    """Validates a pair of relation matrices and computes the class flags.
-
-    Each matrix must be an n x n list of lists of booleans (StructuralError
-    names the argument otherwise); relations that are not strict orders give
-    a Classification with ``ok`` false.  Semi-regularity is decided up to 6
-    labels by the membership test of ``is_semi_regular``; above that it is
-    reported as None rather than guessed.
-    """
-    labels = label_tuple(labels)
-    n = len(labels)
-    x = _rel_from_bool_matrix(x_matrix, n, "x_matrix")
-    y = _rel_from_bool_matrix(y_matrix, n, "y_matrix")
-    for name, rel in (("x", x), ("y", y)):
-        if not rel_is_irreflexive(rel):
-            return Classification(False, f"{name} relation is reflexive")
-        if not rel_is_transitive(rel):
-            return Classification(False, f"{name} relation is not transitive")
-    order = DoubleOrder(labels, x, y)
-    try:
-        semi = is_semi_regular(order)
-    except ResourceCapError:
-        semi = None
-    levels = level_function(x)
-    level = dict(zip(labels, levels)) if levels is not None else None
-    return Classification(
-        True,
-        "",
-        order,
-        order.is_double,
-        order.is_regular,
-        semi,
-        level,
-    )
 
 
 # -- enumeration ------------------------------------------------------------------

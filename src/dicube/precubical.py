@@ -10,7 +10,7 @@ Face tables are walked in one way only: ``face_slots(dims)`` yields every
 slot (d, k, i, eps) of a complex with those cell counts, and
 ``PrecubicalComplex.face_entries()`` adds the target index of each slot.
 Every construction (cubes, final complexes, the ordered cover, restrictions,
-pullbacks, quotients, coverings, unions, wedges) lists its cells per dimension
+pullbacks, quotients, coverings, wedges) lists its cells per dimension
 as hashable items with a face rule, and ``complex_from_cells`` fills the table.
 
 Every search over cells (faces, altitude labelings, accessibility, orbits) is
@@ -619,46 +619,28 @@ def length_covering(K: PrecubicalComplex, n: int) -> LengthCovering:
     return LengthCovering(restricted, PrecubicalMap(restricted, K, assign), altitude)
 
 
-# -- sums and wedges ----------------------------------------------------------
+# -- serial wedges ------------------------------------------------------------
 
 
-def _side_by_side(
-    K: PrecubicalComplex, L: PrecubicalComplex, glued: Optional[Cell] = None
-) -> PrecubicalComplex:
-    """K's cells, then L's, in each dimension, labelled "L:..." and "R:...".
-    L's vertex ``glued``, if given, is K's final vertex, and the base runs from
-    K's initial vertex to L's final one; otherwise no base is set."""
+def serial_wedge(K: PrecubicalComplex, L: PrecubicalComplex) -> PrecubicalComplex:
+    """K wedge L: glue the final vertex of K to the initial vertex of L.
+    K's cells come first, then L's, in each dimension, labelled "L:..." and
+    "R:..."; the base runs from K's initial vertex to L's final one."""
+    if K.base is None or L.base is None:
+        raise ContractError("serial wedge needs bipointed complexes")
     sides = {"L": K, "R": L}
+    glued = ("R", L.base[0])
 
     def item(side: str, cell: Cell) -> tuple[str, Cell]:
-        return ("L", K.base[1]) if (side, cell) == ("R", glued) else (side, cell)
+        return ("L", K.base[1]) if (side, cell) == glued else (side, cell)
 
     layers = [
-        [(s, c) for s, M in sides.items() for c in M.cells_of_dim(d) if (s, c) != ("R", glued)]
+        [(s, c) for s, M in sides.items() for c in M.cells_of_dim(d) if (s, c) != glued]
         for d in range(max(K.max_dim, L.max_dim) + 1)
     ]
     return complex_from_cells(
         layers,
         lambda c, i, eps: item(c[0], sides[c[0]].face(c[1], i, eps)),
         lambda c: f"{c[0]}:{sides[c[0]].label(c[1])}",
-        None if glued is None else (("L", K.base[0]), item("R", L.base[1])),
+        (("L", K.base[0]), item("R", L.base[1])),
     )
-
-
-def disjoint_union(K: PrecubicalComplex, L: PrecubicalComplex) -> PrecubicalComplex:
-    """Disjoint union; labels are prefixed to stay unique, no base is set."""
-    return _side_by_side(K, L)
-
-
-def with_base(K: PrecubicalComplex, init_label: str, final_label: str) -> PrecubicalComplex:
-    base = (K.cell_of_label(init_label), K.cell_of_label(final_label))
-    return complex_from_cells(
-        [K.cells_of_dim(d) for d in range(K.max_dim + 1)], K.face, K.label, base
-    )
-
-
-def serial_wedge(K: PrecubicalComplex, L: PrecubicalComplex) -> PrecubicalComplex:
-    """K wedge L: glue the final vertex of K to the initial vertex of L."""
-    if K.base is None or L.base is None:
-        raise ContractError("serial wedge needs bipointed complexes")
-    return _side_by_side(K, L, L.base[0])

@@ -27,7 +27,7 @@ from dicube.complexes import adjacent_transpositions, default_labels, permutatio
 from dicube.cover import nerve_retraction_check, point_to_order, random_configuration, verify_cover
 from dicube.errors import ContractError
 from dicube.homology import euler_characteristic, homology, same_homology
-from dicube.orders import DoubleOrder, enumerate_orders, level_function, poset_leq, rel_from_pairs
+from dicube.orders import DoubleOrder, enumerate_orders, poset_leq, rel_from_pairs
 from dicube.posets import (
     Poset,
     RelFamily,
@@ -37,6 +37,8 @@ from dicube.posets import (
     rel_pairs,
     rel_subset,
 )
+
+from test_orders import level_function
 
 
 def order(labels, x_pairs, y_pairs):
@@ -592,17 +594,22 @@ IDENTITIES_OF_U_AND_V = [Morphism(0, 0), Morphism(1, 1)]
 
 
 @pytest.mark.parametrize(
-    "morphisms, identity",
+    "objects, morphisms, identity",
     [
-        pytest.param(IDENTITIES_OF_U_AND_V + [Morphism(1.0, 1.0)], [0, 1], id="float-endpoint"),
-        pytest.param(IDENTITIES_OF_U_AND_V + [Morphism(True, True)], [0, 1], id="bool-endpoint"),
-        pytest.param(IDENTITIES_OF_U_AND_V, [0, 1.0], id="float-identity"),
-        pytest.param(IDENTITIES_OF_U_AND_V, [0, True], id="bool-identity"),
+        pytest.param(["u", "v"], IDENTITIES_OF_U_AND_V + [Morphism(1.0, 1.0)], [0, 1], id="float-endpoint"),
+        pytest.param(["u", "v"], IDENTITIES_OF_U_AND_V + [Morphism(True, True)], [0, 1], id="bool-endpoint"),
+        pytest.param(["u", "v"], IDENTITIES_OF_U_AND_V, [0, 1.0], id="float-identity"),
+        pytest.param(["u", "v"], IDENTITIES_OF_U_AND_V, [0, True], id="bool-identity"),
+        # a plain pair has no src or tgt to read
+        pytest.param([0], [(0, 0)], [0], id="tuple-morphism"),
+        pytest.param(5, IDENTITIES_OF_U_AND_V, [0, 1], id="int-objects"),
+        pytest.param(["u", "v"], 5, [0, 1], id="int-morphisms"),
+        pytest.param(["u", "v"], IDENTITIES_OF_U_AND_V, 5, id="int-identity"),
     ],
 )
-def test_finite_category_rejects_indices_that_are_not_ints(morphisms, identity):
+def test_finite_category_rejects_indices_that_are_not_ints(objects, morphisms, identity):
     with pytest.raises(ContractError):
-        FiniteCategory(["u", "v"], morphisms, identity, lambda g, f: g)
+        FiniteCategory(objects, morphisms, identity, lambda g, f: g)
 
 
 def test_break_category_two_is_a_circle():
@@ -994,6 +1001,8 @@ CHAIN = Poset(["u", "v"], [0b11, 0b10])
         pytest.param(poset_category(ANTICHAIN), [[0, 1], [1.0, 0]], id="float-entry"),
         pytest.param(poset_category(ANTICHAIN), [[0, 1], [True, 0]], id="bool-entry"),
         pytest.param(poset_category(CHAIN), [[0, 1], [1, 0]], id="related-to-unrelated"),
+        pytest.param(poset_category(ANTICHAIN), 5, id="int-tables"),
+        pytest.param(poset_category(ANTICHAIN), [[0, 1], 7], id="int-table"),
     ],
 )
 def test_group_action_rejects_with_contract_error(category, on_objects):

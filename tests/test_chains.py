@@ -55,7 +55,7 @@ def test_chains_of_ordered_cover_match_regular_orders():
             ends = [start] + [K.final_vertex(cell) for cell in c.cells]
             assert [K.initial_vertex(cell) for cell in c.cells] == ends[:-1]
             assert ends[-1] == stop and all(d > 0 for d, _ in c.cells)
-            assert c.length == n
+            assert sum(d for d, _ in c.cells) == n
 
 
 def test_chains_of_final_covering():

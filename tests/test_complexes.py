@@ -1,4 +1,5 @@
 import ast
+from functools import reduce
 from math import comb, factorial
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from dicube.complexes import (
     build_final_covering,
     build_ordered_cover,
     build_standard_cube,
-    build_wedge_cube,
     default_labels,
     permutations_of,
     unique_map_to_final,
@@ -26,6 +26,7 @@ from dicube.precubical import (
     PrecubicalMap,
     compute_altitude,
     length_covering,
+    serial_wedge,
     validate_complex,
 )
 
@@ -49,6 +50,12 @@ def test_cube_counts_formula(n):
     K = build_standard_cube(n)
     assert K.dims == tuple(comb(n, d) * 2 ** (n - d) for d in range(n + 1))
     assert validate_complex(K) == []
+
+
+def build_wedge_cube(dims):
+    """Serial wedge of standard cubes of the given positive dimensions, each
+    final vertex glued to the next initial one; the point for no dimensions."""
+    return reduce(serial_wedge, [build_standard_cube(d) for d in dims or [0]])
 
 
 def test_wedge_cube_counts_by_gluing_oracle():
@@ -325,12 +332,10 @@ def test_default_labels():
         lambda: build_final_covering("3"),
         lambda: build_break_category(2.5),
         lambda: length_covering(build_standard_cube(2), 2.5),
-        lambda: build_wedge_cube([1.5]),
         lambda: default_labels(True),
         lambda: build_standard_cube(True),
         lambda: build_final_complex(True),
         lambda: build_break_category(True),
-        lambda: build_wedge_cube(None),
         lambda: build_standard_cube(("a", "b")),
     ],
     ids=[
@@ -341,12 +346,10 @@ def test_default_labels():
         "build_final_covering('3')",
         "build_break_category(2.5)",
         "length_covering(K,2.5)",
-        "build_wedge_cube([1.5])",
         "default_labels(True)",
         "build_standard_cube(True)",
         "build_final_complex(True)",
         "build_break_category(True)",
-        "build_wedge_cube(None)",
         "build_standard_cube(('a','b'))",
     ],
 )
@@ -379,7 +382,6 @@ def _gate_cases(name, build, low, cap, malformed=ContractError):
     [
         *_gate_cases("default_labels", default_labels, 0, 26),
         *_gate_cases("build_standard_cube", build_standard_cube, 0, 12),
-        *_gate_cases("build_wedge_cube", lambda d: build_wedge_cube([1, d]), 1, 12),
         *_gate_cases("build_final_complex", build_final_complex, 0, 26),
         *_gate_cases("build_final_covering", build_final_covering, 0, 26),
         *_gate_cases("length_covering", lambda n: length_covering(build_standard_cube(1), n), 0, 26),

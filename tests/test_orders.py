@@ -6,17 +6,15 @@ import pytest
 
 from dicube.chains import CubeChain, enumerate_chains
 from dicube.complexes import build_ordered_cover, default_labels, permutations_of
-from dicube.errors import ContractError, ResourceCapError, StructuralError
+from dicube.errors import ContractError, ResourceCapError
 from dicube.orders import (
     DoubleOrder,
     _strict_orders,
     chain_to_double_order,
     chain_union,
-    classify,
     double_order_to_chain,
     enumerate_orders,
     is_semi_regular,
-    level_function,
     order_keys,
     poset_leq,
     regular_blocks,
@@ -28,7 +26,7 @@ from dicube.orders import (
     union_bar,
     union_keys,
 )
-from dicube.posets import bit_positions, reachable, rel_closure
+from dicube.posets import bit_positions, reachable, rel_below_counts, rel_closure
 
 AB = ("a", "b")
 ABC = ("a", "b", "c")
@@ -44,46 +42,17 @@ def order(labels, x_pairs, y_pairs):
     )
 
 
-def matrix(labels, pairs):
-    pos = {lab: i for i, lab in enumerate(labels)}
-    out = [[False] * len(labels) for _ in labels]
-    for a, b in pairs:
-        out[pos[a]][pos[b]] = True
-    return out
+# -- the level function ------------------------------------------------------------
 
 
-# -- classification ------------------------------------------------------------
-
-
-def test_classify_total_x():
-    c = classify(AB, matrix(AB, [("a", "b")]), matrix(AB, []))
-    assert c.ok and c.is_double and c.is_regular and c.is_semi_regular
-    assert c.level == {"a": 1, "b": 2}
-
-
-def test_classify_semi_regular_not_regular():
-    c = classify(AB, matrix(AB, [("a", "b")]), matrix(AB, [("a", "b")]))
-    assert c.ok and c.is_double and not c.is_regular and c.is_semi_regular
-
-
-def test_classify_not_double():
-    c = classify(AB, matrix(AB, []), matrix(AB, []))
-    assert c.ok and not c.is_double and not c.is_regular
-
-
-def test_classify_rejects_non_strict_input():
-    reflexive = [[True, False], [False, False]]
-    c = classify(AB, reflexive, matrix(AB, []))
-    assert not c.ok and "reflexive" in c.diagnostic
-    non_transitive = matrix(ABC, [("a", "b"), ("b", "c")])
-    c = classify(ABC, non_transitive, matrix(ABC, []))
-    assert not c.ok and "transitive" in c.diagnostic
-
-
-@pytest.mark.parametrize("x_matrix", [[[False]], 5, [[False, 0], [False, False]]])
-def test_classify_rejects_malformed_matrices(x_matrix):
-    with pytest.raises(StructuralError, match="'x_matrix'"):
-        classify(AB, x_matrix, matrix(AB, []))
+def level_function(rel):
+    """The 1-based level map inducing rel (a < b iff level(a) < level(b)),
+    or None when rel is not semi-linear: the levels rank the distinct below
+    counts, and rel is semi-linear exactly when it equals their order."""
+    counts = rel_below_counts(rel)
+    rank = {c: k for k, c in enumerate(sorted(set(counts)), start=1)}
+    induced = tuple(sum(1 << j for j, c in enumerate(counts) if c > ci) for ci in counts)
+    return tuple(rank[c] for c in counts) if induced == rel else None
 
 
 def test_level_function_detects_semi_linearity():
@@ -565,25 +534,11 @@ def test_a_lifted_counterexample_stays_non_semi_regular():
         to_regular(LIFTED)
 
 
-def _classify_order(o):
-    def rows(rel):
-        return [[bool(rel[i] >> j & 1) for j in range(o.n)] for i in range(o.n)]
-
-    return classify(o.labels, rows(o.x), rows(o.y))
-
-
-def test_classify_decides_semi_regularity_at_five_labels():
-    assert _classify_order(LIFTED).is_semi_regular is False
-    assert _classify_order(enumerate_orders(ABCDE, "regular")[0]).is_semi_regular is True
-
-
-def test_classify_leaves_semi_regularity_open_above_six_labels():
-    labels = default_labels(7)
-    empty = [[False] * 7 for _ in labels]
-    c = classify(labels, empty, empty)
-    assert c.ok and c.is_semi_regular is None
+def test_semi_regularity_is_left_undecided_above_six_labels():
+    # the membership test reads the regular family, which is capped at 6 labels
+    empty = (0,) * 7
     with pytest.raises(ResourceCapError):
-        is_semi_regular(c.order)
+        is_semi_regular(DoubleOrder(default_labels(7), empty, empty))
 
 
 def test_to_regular_is_equivariant():
@@ -690,38 +645,6 @@ def test_union_with_relabeled_self_fails_unless_identity():
                     assert u is not None and u.key() == o.key()
                 else:
                     assert u is None
-
-
-def test_serialization_round_trip():
-    o = order(ABC, [("a", "b"), ("a", "c")], [("b", "c")])
-    data = o.to_json_dict()
-    assert data["labels"] == ["a", "b", "c"]
-    assert DoubleOrder.from_json_dict(data).key() == o.key()
-
-
-@pytest.mark.parametrize(
-    "data, field",
-    [
-        ({}, "labels"),
-        ({"labels": ["a"], "x": [[False]]}, "y"),
-        ({"labels": "ab", "x": [], "y": []}, "labels"),
-        ({"labels": ["a", "a"], "x": [[False] * 2] * 2, "y": [[False] * 2] * 2}, "labels"),
-        ({"labels": ["a", "b"], "x": [[False]], "y": [[False] * 2] * 2}, "x"),
-        ({"labels": ["a", "b"], "x": [[False] * 2, [False]], "y": [[False] * 2] * 2}, "x"),
-        ({"labels": ["a", "b"], "x": 5, "y": [[False] * 2] * 2}, "x"),
-        ({"labels": ["a", "b"], "x": [[False] * 2] * 2, "y": [[False, 1], [0, False]]}, "y"),
-        ({"labels": ["a", "b"], "x": [[False] * 2] * 2, "y": [(False, False)] * 2}, "y"),
-    ],
-)
-def test_from_json_dict_rejects_malformed_input(data, field):
-    with pytest.raises(StructuralError, match=repr(field)):
-        DoubleOrder.from_json_dict(data)
-
-
-def test_from_json_dict_rejects_relations_that_are_not_strict_orders():
-    data = {"labels": ["a", "b"], "x": [[True, False], [False, False]], "y": [[False] * 2] * 2}
-    with pytest.raises(ContractError):
-        DoubleOrder.from_json_dict(data)
 
 
 # -- the relabelling fast path against the plain definition --------------------------------------
@@ -857,11 +780,6 @@ def test_semi_regular_membership_matches_the_enumeration(n):
         expected = o.key() in semi
         flags.append(expected)
         assert is_semi_regular(o) == expected
-        x = [[bool(o.x[i] >> j & 1) for j in range(n)] for i in range(n)]
-        y = [[bool(o.y[i] >> j & 1) for j in range(n)] for i in range(n)]
-        c = classify(labels, x, y)
-        assert c.order.key() == o.key()
-        assert c.is_semi_regular == expected
     assert flags.count(True) == len(semi)
     assert (False in flags) == (n == 3)
 

@@ -8,7 +8,6 @@ from dicube.complexes import (
     build_final_covering,
     build_ordered_cover,
     build_standard_cube,
-    build_wedge_cube,
     unique_map_to_final,
 )
 from dicube.errors import ContractError, ResourceCapError, StructuralError
@@ -19,7 +18,6 @@ from dicube.precubical import (
     accessible_part,
     complex_from_cells,
     compute_altitude,
-    disjoint_union,
     is_altitude_labeling,
     is_non_self_linked,
     length_covering,
@@ -27,8 +25,31 @@ from dicube.precubical import (
     quotient_by_automorphisms,
     serial_wedge,
     validate_complex,
-    with_base,
 )
+
+from test_complexes import build_wedge_cube
+
+
+def disjoint_union(K: PrecubicalComplex, L: PrecubicalComplex) -> PrecubicalComplex:
+    """K's cells, then L's, in each dimension, labelled "L:..." and "R:...",
+    with no base."""
+    sides = {"L": K, "R": L}
+    return complex_from_cells(
+        [
+            [(s, c) for s, M in sides.items() for c in M.cells_of_dim(d)]
+            for d in range(max(K.max_dim, L.max_dim) + 1)
+        ],
+        lambda c, i, eps: (c[0], sides[c[0]].face(c[1], i, eps)),
+        lambda c: f"{c[0]}:{sides[c[0]].label(c[1])}",
+    )
+
+
+def with_base(K: PrecubicalComplex, init_label: str, final_label: str) -> PrecubicalComplex:
+    """K with the base running between the vertices of the two labels."""
+    base = (K.cell_of_label(init_label), K.cell_of_label(final_label))
+    return complex_from_cells(
+        [K.cells_of_dim(d) for d in range(K.max_dim + 1)], K.face, K.label, base
+    )
 
 
 def broken_square():

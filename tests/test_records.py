@@ -7,7 +7,6 @@ from dicube.chains import CubeChain
 from dicube.complexes import CoverCell, OrderedCover
 from dicube.cover import CoverReport
 from dicube.homology import HomologyGroup
-from dicube.orders import Classification
 from dicube.precubical import LengthCovering, NonSelfLinkedReport, RelationViolation
 from dicube.suite import Fail, VerificationReport
 
@@ -26,11 +25,6 @@ RECORDS = [
     ),
     (OrderedCover(("a",), None, []), "OrderedCover(ground=('a',), complex=None, cells=[])"),
     (CubeChain(((1, 0),)), "CubeChain(cells=((1, 0),))"),
-    (
-        Classification(False, "x relation is reflexive"),
-        "Classification(ok=False, diagnostic='x relation is reflexive', order=None, "
-        "is_double=False, is_regular=False, is_semi_regular=None, level=None)",
-    ),
     (Morphism(0, 1), "Morphism(src=0, tgt=1, payload=None)"),
     (
         BreakFunctor(None, None, [0], [0]),

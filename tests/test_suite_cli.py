@@ -10,7 +10,7 @@ from dicube.cli import main
 from dicube.complexes import build_final_complex, default_labels
 from dicube.cover import point_to_order, u_contains, witness_point
 from dicube.errors import ContractError, UsageError
-from dicube.orders import classify, enumerate_orders, union_keys
+from dicube.orders import enumerate_orders, union_keys
 from dicube.posets import Poset
 from dicube.precubical import is_non_self_linked
 from dicube.suite import REGISTRY, CheckSpec, exit_code, run_suite
@@ -303,7 +303,6 @@ def _in_first_regular_order(f):
 @pytest.mark.parametrize(
     "call, error",
     [
-        pytest.param(lambda: classify(None, [], []), ContractError, id="classify-labels-none"),
         pytest.param(lambda: point_to_order(None, ["a"]), ContractError, id="point-config-none"),
         pytest.param(lambda: point_to_order(None, []), ContractError, id="point-config-none-empty"),
         pytest.param(_place_a_at((0,)), ContractError, id="point-one-coord"),
@@ -819,12 +818,14 @@ def names_a_pair_whose_witness_misses_the_second(failures):
 
 
 def names_a_configuration_outside_the_planted_order(failures):
+    from fractions import Fraction
+
     from dicube.complexes import default_labels
-    from dicube.cover import config_from_json_dict, is_injective_configuration, u_contains
+    from dicube.cover import is_injective_configuration, u_contains
     from dicube.orders import enumerate_orders
 
     assert sorted(failures[0]) == ["check", "config"] and failures[0]["check"] == "covering"
-    f = config_from_json_dict(failures[0]["config"])
+    f = {a: tuple(map(Fraction, xy)) for a, xy in failures[0]["config"]["points"].items()}
     assert sorted(f) == list(default_labels(2)) and is_injective_configuration(f)
     # the order the planted read-off gives every configuration misses this one
     assert not u_contains(enumerate_orders(default_labels(2), "regular")[0], f)
