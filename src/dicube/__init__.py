@@ -49,14 +49,7 @@ from .categories import (
     quotient_category,
     symmetric_order_quotient,
 )
-from .homology import (
-    ChainComplex,
-    HomologyGroup,
-    euler_characteristic,
-    homology,
-    homology_signature,
-    same_homology,
-)
+from .homology import ChainComplex, HomologyGroup, euler_characteristic, homology, homology_signature
 from .cover import point_to_order, u_contains, verify_cover, witness_point
 from .suite import REGISTRY, VerificationReport, run_suite
 

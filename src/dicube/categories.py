@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .complexes import label_tuple
+from .complexes import adjacent_transpositions, label_tuple
 from .errors import ContractError, require_size, shared_in_run
 from .homology import ChainComplex, collector_suspended
 from .orders import DoubleOrder, _order_families, enumerate_orders, regular_blocks, relabelling
@@ -152,7 +152,9 @@ class FiniteCategory:
 
 def poset_category(P: Poset) -> FiniteCategory:
     """A poset as a category: one morphism per related pair, composed by
-    looking up the pair (src f, tgt g)."""
+    looking up the pair (src f, tgt g).  Its nerve is the order complex of P:
+    the runs of non-identity morphisms are the strict chains, in (length,
+    tuple) order."""
     with collector_suspended():
         morphisms = []
         index = {}
@@ -453,10 +455,10 @@ def monotone_numbering(o: DoubleOrder) -> tuple:
 
 def regular_orders_poset(labels, variant: str) -> tuple[Poset, list[DoubleOrder]]:
     """(R, variant) as a poset; variant "sqsupseteq" is the reverse mixed order."""
-    grows = {"sqsubseteq": (True, False), "sqsupseteq": (False, True)}.get(variant)
-    if grows is None:
+    if variant not in ("sqsubseteq", "sqsupseteq"):  # a tuple test: a list is no dict key
         raise ContractError(f"unknown variant {variant!r}")
-    return _orders_poset(label_tuple(labels), "regular", grows)
+    x_grows = variant == "sqsubseteq"
+    return _orders_poset(label_tuple(labels), "regular", (x_grows, not x_grows))
 
 
 def semi_regular_orders_poset(labels) -> tuple[Poset, list[DoubleOrder]]:
@@ -503,7 +505,6 @@ class SymmetricOrderQuotient(NamedTuple):
 
     labels: tuple
     orders: list[DoubleOrder]
-    poset: Poset
     category: FiniteCategory
     action: GroupAction
     quotient: FiniteCategory
@@ -522,8 +523,6 @@ def symmetric_order_quotient(labels, kind: str) -> SymmetricOrderQuotient:
 
 @shared_in_run
 def _symmetric_order_quotient(labels: tuple, kind: str) -> SymmetricOrderQuotient:
-    from .complexes import adjacent_transpositions  # at call time, as tests replace it
-
     if kind == "regular":
         poset, orders = regular_orders_poset(labels, "sqsupseteq")
     else:
@@ -534,7 +533,7 @@ def _symmetric_order_quotient(labels: tuple, kind: str) -> SymmetricOrderQuotien
     swaps = [relabelling(labels, s) for s in adjacent_transpositions(labels)]
     act = GroupAction(C, [[key_index[swap(key)] for key in keys] for swap in swaps])
     Q, obj_map, mor_map = quotient_category(C, act)
-    return SymmetricOrderQuotient(labels, orders, poset, C, act, Q, obj_map, mor_map)
+    return SymmetricOrderQuotient(labels, orders, C, act, Q, obj_map, mor_map)
 
 
 def nerve_orbit_complex(

@@ -107,7 +107,7 @@ def _cube(n: int) -> PrecubicalComplex:
     return build_standard_cube(n)
 
 
-def _face_swap_holds(p: int, q: int, V: frozenset, W: frozenset, Vp: frozenset, Wp: frozenset) -> bool:
+def _face_swap_holds(p: int, V: frozenset, W: frozenset, Vp: frozenset, Wp: frozenset) -> bool:
     """Checks d^1_V d^0_{W'} = d^0_W d^1_{V'} on the top cell of the standard
     s-cube; composites of face maps are determined by their value there."""
     s = p + len(W)
@@ -127,8 +127,10 @@ def face_swap(p: int, q: int, V, W) -> tuple[frozenset, frozenset]:
     """
     require_size(p, "p")
     require_size(q, "q")
-    V = frozenset(V)
-    W = frozenset(W)
+    try:
+        V, W = frozenset(V), frozenset(W)
+    except TypeError:  # not iterable, or an unhashable member
+        raise ContractError("V and W must be iterables of hashables") from None
     if not V <= frozenset(range(1, p + 1)):
         raise ContractError(f"V must be a subset of 1..{p}")
     if not W <= frozenset(range(1, q + 1)):
@@ -136,7 +138,7 @@ def face_swap(p: int, q: int, V, W) -> tuple[frozenset, frozenset]:
     if p - len(V) != q - len(W):
         raise ContractError("need p - |V| = q - |W|")
     Vp, Wp = _face_swap_rec(p, q, V, W)
-    if not _face_swap_holds(p, q, V, W, Vp, Wp):
+    if not _face_swap_holds(p, V, W, Vp, Wp):
         raise AssertionError("face swap recursion produced a non-identity")
     return Vp, Wp
 

@@ -16,6 +16,7 @@ from typing import Optional
 from .categories import (
     build_break_category,
     nerve_complex,
+    poset_category,
     regular_orders_poset,
     semi_regular_orders_poset,
     symmetric_order_quotient,
@@ -66,7 +67,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_homology(args) -> int:
     M = MODELS[args.model](args.n)
-    complex_ = M.order_complex() if isinstance(M, Poset) else nerve_complex(M)
+    complex_ = nerve_complex(poset_category(M) if isinstance(M, Poset) else M)
     del M  # the complex holds no reference to the model, which is freed before elimination
     _emit(json.dumps(homology_to_json(homology(complex_)), separators=(",", ":")), args.out)
     return 0

@@ -53,9 +53,6 @@ class HomologyGroup(NamedTuple):
     betti: int
     torsion: tuple[int, ...] = ()
 
-    def to_json_dict(self, dim: int) -> dict:
-        return {"dim": dim, "betti": self.betti, "torsion": list(self.torsion)}
-
 
 class ChainComplex:
     """Chain complex of free Z-modules with explicit integer boundaries.
@@ -221,7 +218,7 @@ def _dense_smith(a, m, n, want_transforms):
 
 
 def _rank_and_divisors(
-    columns: Iterable[tuple[Sequence[int], Sequence[int]]], nrows: int, cleared: frozenset[int] = frozenset()
+    columns: Iterable[tuple[Sequence[int], Sequence[int]]], cleared: frozenset[int] = frozenset()
 ) -> tuple[int, tuple[int, ...], frozenset[int]]:
     """Rank, invariant factors and unit-pivot rows of a column-sparse matrix.
 
@@ -322,9 +319,7 @@ def homology(complex: ChainComplex) -> tuple[HomologyGroup, ...]:
         info = {}
         cleared: frozenset[int] = frozenset()
         for k in range(complex.top_degree, 0, -1):
-            rank, divisors, cleared = _rank_and_divisors(
-                complex._columns(k), complex.ranks[k - 1], cleared
-            )
+            rank, divisors, cleared = _rank_and_divisors(complex._columns(k), cleared)
             info[k] = rank, divisors
         groups = []
         for k, rk in enumerate(complex.ranks):
@@ -345,7 +340,7 @@ def euler_characteristic(complex: ChainComplex) -> int:
 
 
 def homology_to_json(groups: Sequence[HomologyGroup]) -> list[dict]:
-    return [g.to_json_dict(k) for k, g in enumerate(groups)]
+    return [{"dim": k, "betti": g.betti, "torsion": list(g.torsion)} for k, g in enumerate(groups)]
 
 
 def homology_signature(groups: Sequence[HomologyGroup]) -> list[tuple[int, tuple[int, ...]]]:
@@ -354,8 +349,3 @@ def homology_signature(groups: Sequence[HomologyGroup]) -> list[tuple[int, tuple
     while out and out[-1] == (0, ()):
         out.pop()
     return out
-
-
-def same_homology(a: Sequence[HomologyGroup], b: Sequence[HomologyGroup]) -> bool:
-    """Equal Betti numbers and torsion multisets degreewise (trailing zeros ignored)."""
-    return homology_signature(a) == homology_signature(b)

@@ -4,7 +4,8 @@ one graph search of the package (faces, accessible parts, orbits,
 relabelling groups, altitude labelings, loop-freeness, poset chains and cube
 chains all go through ``reachable``); and finite posets: validation, strict
 chains, covering pairs, JSON export, and ``dot_digraph``, the one DOT writer.
-The order complex is the nerve of the poset category (``dicube.categories``)."""
+The order complex of P is ``nerve_complex(poset_category(P))`` in
+``dicube.categories``."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from operator import and_, or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ContractError
-from .homology import ChainComplex
 
 Rel = tuple[int, ...]  # row bitmasks: rel[i] >> j & 1 relates element i to element j
 
@@ -187,14 +187,6 @@ class Poset:
         above = [bit_positions(row & ~(1 << i)) for i, row in enumerate(self.leq)]
         singletons = [(i,) for i in range(len(self.elements))]
         return reachable(singletons, lambda chain: [chain + (j,) for j in above[chain[-1]]])
-
-    def order_complex(self) -> ChainComplex:
-        """Chain complex of the order complex (simplices = strict chains): the
-        nerve of the poset category, whose runs of non-identity morphisms are
-        the strict chains in (length, tuple) order."""
-        from .categories import nerve_complex, poset_category
-
-        return nerve_complex(poset_category(self))
 
     def element_label(self, i: int) -> str:
         return label_text(self.elements[i], ";")

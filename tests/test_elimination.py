@@ -17,7 +17,7 @@ from dicube.homology import ChainComplex, _dense_smith, _rank_and_divisors, homo
 from test_homology import face_table_complex, kernel_columns, random_sparse_matrix, sparse_columns
 
 
-def set_based_rank_and_divisors(columns, nrows, cleared=frozenset()):
+def set_based_rank_and_divisors(columns, cleared=frozenset()):
     """The elimination with one set of rows per column, kept exact by every
     pivot and fill-in: the oracle for the pivot order."""
     rows = {}
@@ -79,7 +79,7 @@ def reductions(cx, kernel):
     each boundary clearing the pivot rows of the one above, as ``homology`` does."""
     out, cleared = [], frozenset()
     for k in range(cx.top_degree, 0, -1):
-        out.append(kernel(cx._columns(k), cx.ranks[k - 1], cleared))
+        out.append(kernel(cx._columns(k), cleared))
         cleared = out[-1][2]
     return out
 
@@ -89,7 +89,7 @@ def regained_column():
     pivot of row 1, so column 2 lists row 3 twice when row 2 pivots on it,
     and row 3 still holds column 3 then."""
     columns = [{0: 1, 3: 1}, {1: 1, 3: 1}, {0: 1, 1: 2, 2: 1, 3: 1}, {2: 1, 4: 1}, {4: 3}]
-    return kernel_columns(columns), 5
+    return kernel_columns(columns)
 
 
 def random_cases():
@@ -98,8 +98,8 @@ def random_cases():
         rng = random.Random(5000 + seed)
         a, n = random_sparse_matrix(rng)
         cols = kernel_columns(sparse_columns(a, n))
-        yield cols, len(a), frozenset()
-        yield cols, len(a), frozenset(j for j in range(n) if rng.random() < 0.3)
+        yield cols, frozenset()
+        yield cols, frozenset(j for j in range(n) if rng.random() < 0.3)
 
 
 @pytest.mark.parametrize(
@@ -113,17 +113,17 @@ def test_pivots_match_the_set_based_kernel_on_model_nerves(model, n):
 
 
 def test_pivots_match_the_set_based_kernel_on_random_sparse_matrices():
-    for cols, m, cleared in random_cases():
-        assert _rank_and_divisors(cols, m, cleared) == set_based_rank_and_divisors(cols, m, cleared)
+    for cols, cleared in random_cases():
+        assert _rank_and_divisors(cols, cleared) == set_based_rank_and_divisors(cols, cleared)
 
 
 def test_a_column_lost_and_regained_is_cleared_once():
-    cols, m = regained_column()
-    want = set_based_rank_and_divisors(cols, m)
+    cols = regained_column()
+    want = set_based_rank_and_divisors(cols)
     assert want == (5, (1, 1, 1, 1, 6), frozenset({0, 1, 2, 4}))
-    assert _rank_and_divisors(cols, m) == want
+    assert _rank_and_divisors(cols) == want
     with pytest.raises(KeyError):
-        planted_kernel("other.pop(c, 0)", "other.pop(c)")(cols, m)
+        planted_kernel("other.pop(c, 0)", "other.pop(c)")(cols)
 
 
 def planted_kernel(old, new):
@@ -139,15 +139,15 @@ def planted_kernel(old, new):
 
 def mismatches(kernel):
     """The cases on which ``kernel`` raises or differs from the oracle."""
-    cases = [(*regained_column(), frozenset()), *random_cases()]
+    cases = [(regained_column(), frozenset()), *random_cases()]
     found = []
-    for cols, m, cleared in cases:
+    for cols, cleared in cases:
         try:
-            got = kernel(cols, m, cleared)
+            got = kernel(cols, cleared)
         except KeyError:
             got = None
-        if got != set_based_rank_and_divisors(cols, m, cleared):
-            found.append((cols, m, cleared))
+        if got != set_based_rank_and_divisors(cols, cleared):
+            found.append((cols, cleared))
     return found
 
 

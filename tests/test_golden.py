@@ -10,7 +10,8 @@ digest unchanged.  The seeded property test checks face iteration, the JSON
 round trip and the precubical identities on random composite complexes.
 The names the package exports are pinned too, one a line, so that adding or
 removing a public name shows up as a one-line change here, and so are the
-few definitions in the package that no other line of it names.
+few definitions in the package that no other line of it names.  The module
+import graph must have no cycle and no import that waits for a call.
 """
 
 import ast
@@ -18,7 +19,8 @@ import hashlib
 import inspect
 import json
 import random
-import re
+from collections import Counter
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -358,7 +360,6 @@ PUBLIC_NAMES = [
     "quotient_by_automorphisms",
     "quotient_category",
     "run_suite",
-    "same_homology",
     "serial_wedge",
     "symmetric_order_quotient",
     "to_regular",
@@ -378,34 +379,82 @@ def test_the_package_exports_the_pinned_names():
 
 # -- code that only the tests reach -----------------------------------------------------------
 
+PACKAGE = Path(dicube.__file__).parent
+
 # the module-level definitions of src/dicube that no other line of the package
 # names, each with the reason it stays; any other such definition is reached
 # only from the tests, and belongs in them
 UNNAMED_DEFINITIONS = {
     "accessible_part": "the paper's accessible part, three lines over the two helpers of length_covering",
     "nerve_retraction_check": "a lemma of the paper; as a suite check it would add a report to the n=4 reference",
+    "pullback": "the paper's pullback of precubical maps, golden-pinned at yA3, yA4 and over the final complex",
     "serial_wedge": "the paper's serial wedge of bipointed complexes, whose cube chains multiply",
     "unique_map_to_final": "the map into the final complex, which the characteristic map builds on",
 }
 
 
+def names_used(tree: ast.AST) -> Counter:
+    """The names that code under ``tree`` reads, loads attributes by or
+    imports; words in docstrings and comments do not count."""
+    used: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
 def definitions_no_other_line_names() -> set:
     """The module-level functions and classes of src/dicube, ``__init__``
-    aside, whose name appears as a word only inside their own definition."""
-    package = Path(dicube.__file__).parent
-    texts = [p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
-    everything = "\n".join(texts)
-    unnamed = set()
-    for text in texts:
-        lines = text.splitlines()
-        for node in ast.parse(text).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                word = re.compile(rf"\b{node.name}\b")
-                own = "\n".join(lines[node.lineno - 1 : node.end_lineno])
-                if len(word.findall(everything)) == len(word.findall(own)):
-                    unnamed.add(node.name)
-    return unnamed
+    aside, whose name the code uses only inside their own definition."""
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in paths]
+    everywhere = sum(map(names_used, trees), Counter())
+    return {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and everywhere[node.name] == names_used(node)[node.name]
+    }
 
 
 def test_src_holds_no_definition_that_only_the_tests_reach():
     assert definitions_no_other_line_names() == set(UNNAMED_DEFINITIONS)
+
+
+# -- the import graph -------------------------------------------------------------------------
+
+
+def package_imports() -> tuple[dict[str, set[str]], list[str]]:
+    """Each module of src/dicube with the modules its relative imports name,
+    the package's one import style, at any depth; and the relative imports
+    inside a function, which wait for a call, as ``module:line``."""
+    graph, deferred = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        in_functions = {id(node) for f in ast.walk(tree) if isinstance(f, scopes) for node in ast.walk(f)}
+        graph[path.stem] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                graph[path.stem].update([node.module] if node.module else [a.name for a in node.names])
+                if id(node) in in_functions:
+                    deferred.append(f"{path.stem}:{node.lineno}")
+    return graph, deferred
+
+
+def test_no_package_import_waits_for_a_call():
+    assert package_imports()[1] == []
+
+
+def test_the_module_import_graph_has_no_cycle_and_posets_is_a_leaf():
+    graph = package_imports()[0]
+    try:
+        list(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+    assert graph["posets"] == {"errors"}

@@ -31,8 +31,8 @@ RECORDS = [
         "BreakFunctor(quotient=None, target=None, object_map=[0], morphism_map=[0])",
     ),
     (
-        SymmetricOrderQuotient(("a",), [], None, None, None, None, [], []),
-        "SymmetricOrderQuotient(labels=('a',), orders=[], poset=None, category=None, "
+        SymmetricOrderQuotient(("a",), [], None, None, None, [], []),
+        "SymmetricOrderQuotient(labels=('a',), orders=[], category=None, "
         "action=None, quotient=None, object_map=[], morphism_map=[])",
     ),
     (

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from dicube import cli
+from dicube.categories import regular_orders_poset
+from dicube.chains import face_swap
 from dicube.cli import main
 from dicube.complexes import build_final_complex, default_labels
 from dicube.cover import point_to_order, u_contains, witness_point
@@ -329,6 +331,10 @@ def _in_first_regular_order(f):
         pytest.param(lambda: u_contains(5, {}), ContractError, id="u-contains-order-int"),
         pytest.param(lambda: witness_point(5), ContractError, id="witness-point-int"),
         pytest.param(lambda: Poset(5, (1,)), ContractError, id="poset-elements-int"),
+        pytest.param(lambda: regular_orders_poset(("a",), []), ContractError, id="orders-poset-variant-list"),
+        pytest.param(lambda: face_swap(2, 2, 5, set()), ContractError, id="face-swap-v-int"),
+        pytest.param(lambda: face_swap(2, 2, [[1]], set()), ContractError, id="face-swap-v-unhashable"),
+        pytest.param(lambda: face_swap(2, 2, set(), 5), ContractError, id="face-swap-w-int"),
         pytest.param(
             lambda: run_suite(["euler-zero"], 1, params=[1]), UsageError, id="params-list"
         ),
@@ -673,10 +679,11 @@ def order_poset_of_the_wrong_variant(monkeypatch):
 
 
 def adjacent_transpositions_without_the_last(monkeypatch):
-    from dicube import complexes
+    from dicube import categories, complexes
 
     real = complexes.adjacent_transpositions
-    monkeypatch.setattr(complexes, "adjacent_transpositions", lambda labels: real(labels)[:-1])
+    for module in (complexes, categories):
+        monkeypatch.setattr(module, "adjacent_transpositions", lambda labels: real(labels)[:-1])
 
 
 def cover_action_ignoring_the_relabelling(monkeypatch):
