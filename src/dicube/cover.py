@@ -16,6 +16,8 @@ from .complexes import label_tuple, permutations_of
 from .errors import ContractError, require_size
 from .orders import (
     DoubleOrder,
+    component_table,
+    component_union,
     enumerate_orders,
     order_keys,
     regular_from_blocks,
@@ -146,7 +148,11 @@ def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
     """Exact verification that the constraint sets of the semi-regular family
     (3 labels at most; the regular family at 4 labels) cover the configurations:
     the completeness and covering passes in turn.  Properness and equivariance
-    are the separate ``cover_properness`` and ``cover_equivariance`` passes."""
+    are the separate ``cover_properness`` and ``cover_equivariance`` passes.
+    ContractError unless samples is an int of at least 0 and seed an int."""
+    require_size(samples, "sample count of a cover verification")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ContractError(f"the seed of a cover verification must be an int, not {type(seed).__name__}")
     report, family = cover_report(labels)
     cover_completeness(report, family)
     cover_covering(report, samples, seed)
@@ -163,31 +169,59 @@ def cover_report(labels) -> tuple[CoverReport, list[DoubleOrder]]:
 
 def cover_completeness(report: CoverReport, family: list[DoubleOrder]) -> None:
     """Completeness: pairwise intersections are again members (witnessed) or
-    empty, which is ``union_bar`` finding a closure reflexive: a label cycle
+    empty, which is the closed union of the two keys cycling: a label cycle
     in one component makes the joint constraint set unsatisfiable.
-    union_bar is symmetric, so each unordered pair is tested once and counted
-    for both ordered pairs."""
-    keys = {o.key() for o in family}
-    for i, a in enumerate(family):
-        for j in range(i, len(family)):
-            b = family[j]
+
+    A key is read as the index pair of its components (``component_table``),
+    and the closed union of two components (``component_union``) is memoized
+    per index pair, so it runs once for each distinct pair of the table.  The
+    witness point is built once per distinct union key, and other orders only
+    for a failure's payload.  The union is symmetric, so each unordered pair
+    is tested once and counted for both ordered pairs."""
+    labels, semi_regular = report.labels, report.family == "semi-regular"
+    keys = [o.key() for o in family]
+    members = set(keys)
+    components, index = component_table(keys)
+    at = [(index[x], index[y]) for x, y in keys]
+    r = len(components)
+    closed: dict = {}  # a * r + b -> the closed union of components a and b, or None
+
+    def union(a: int, b: int):
+        pair = a * r + b
+        if pair not in closed:
+            closed[pair] = component_union(components[a], components[b])
+        return closed[pair]
+
+    witnesses: dict = {}  # union key -> (its order, its witness point)
+    checked = nonempty = 0
+    for i, (ax, ay) in enumerate(at):
+        for j in range(i, len(at)):
             pairs = 1 if j == i else 2
-            report.intersections_checked += pairs
-            u = union_bar(a, b)
-            if u is None:
+            checked += pairs
+            bx, by = at[j]
+            x = union(ax, bx)
+            y = None if x is None else union(ay, by)
+            if y is None:
                 continue
-            if report.family == "semi-regular" and u.key() not in keys:
+            a, b = family[i], family[j]
+            if semi_regular and (x, y) not in members:
+                pair = [a.text(), b.text()]
                 report.failures.append(
-                    {"check": "completeness", "pair": [a.text(), b.text()], "union": u.text()}
+                    {"check": "completeness", "pair": pair, "union": DoubleOrder(labels, x, y).text()}
                 )
                 continue
-            w = witness_point(u)
+            if (x, y) not in witnesses:
+                u = DoubleOrder(labels, x, y)
+                witnesses[x, y] = u, witness_point(u)
+            u, w = witnesses[x, y]
             if not (u_contains(a, w) and u_contains(b, w) and u_contains(u, w)):
                 report.failures.append(
                     {"check": "intersection-witness", "pair": [a.text(), b.text()]}
                 )
             else:
-                report.nonempty_intersections += pairs
+                nonempty += pairs
+    report.intersections_checked += checked
+    report.nonempty_intersections += nonempty
 
 
 def cover_properness(report: CoverReport, family: list[DoubleOrder]) -> None:

@@ -13,18 +13,26 @@ semi-regular families are read off the strict and the regular orders by bit
 (``RelFamily``), so neither compares orders pairwise: an order is
 semi-regular exactly when it closes the union of the regulars below.
 
-The relation kernels the order checks share work on keys ``(x, y)`` and are
-memoized: the closure of a union component, or None when it cycles
-(``union_keys``, which ``union_bar`` wraps), and semi-regularity by key.  One
+The relation kernels the order checks share work on keys ``(x, y)``.  One
 relabelling kernel, ``relabelling(labels, sigma)``, maps keys: it moves each
 row through ``_bit_permutation(s)``, a 2**n-entry table built once per
-position tuple ``s`` that moves bit ``s[j]`` of a row to bit ``j``.  ``act``
-wraps it, the free-action check applies it to a key table, and
-``self_meetings`` joins each key of a table to its images by ``union_keys``
-for the union-sigma and cover-proper checks.  Every ``DoubleOrder`` a caller
-receives is validated, but the strict-order test is memoized by relation and
-the label test by label tuple, so each costs a cache lookup after the first
-order.
+position tuple ``s`` that moves bit ``s[j]`` of a row to bit ``j``; ``act``
+wraps it.  One closed-union kernel, ``component_union``, closes the union
+of two components, or gives None when it cycles (memoized by its rows);
+``union_keys`` applies it to x and to y, and ``union_bar`` wraps that.
+
+The x and y parts of a key table take few distinct values, its
+*components* (``component_table``): 219 for the 19,440 double keys at 4
+labels.  A relabelling and a closed union act on x and on y apart, so the
+checks that walk a table do that work once per component and read a key as
+the index pair of its two components.  ``component_moves`` maps each
+component to the index of its image under one sigma, through
+``relabelling``, for the free-action check; ``self_meetings`` tests each
+component against its image once, for the union-sigma and cover-proper
+checks; and the cover's completeness pass memoizes ``component_union`` per
+index pair.  Every ``DoubleOrder`` a caller receives is validated, but the
+strict-order test is memoized by relation and the label test by label
+tuple, so each costs a cache lookup after the first order.
 """
 
 from __future__ import annotations
@@ -145,6 +153,11 @@ def _bit_permutation(s: tuple[int, ...]) -> tuple[int, ...]:
 Key = tuple[Rel, Rel]  # the rows (x, y) of a double order
 
 
+def _require_orders(*orders, what: str) -> None:
+    if not all(isinstance(o, DoubleOrder) for o in orders):
+        raise ContractError(f"{what} needs DoubleOrders")
+
+
 def relabelling(labels: tuple, sigma: Mapping) -> Callable[[Key], Key]:
     """The relabelling by sigma of the keys of orders on ``labels``: the
     image relates i to j iff the key relates sigma(i) to sigma(j).  Its
@@ -167,6 +180,7 @@ def relabelling(labels: tuple, sigma: Mapping) -> Callable[[Key], Key]:
 def union_bar(o1: DoubleOrder, o2: DoubleOrder) -> Optional[DoubleOrder]:
     """Componentwise transitive closure of the union; None when a closure
     picks up a cycle (reflexive entry)."""
+    _require_orders(o1, o2, what="a union")
     if o1.labels != o2.labels:
         raise ContractError("union needs a common ground set")
     key = union_keys(o1.key(), o2.key())
@@ -180,20 +194,64 @@ def union_keys(k1: Key, k2: Key) -> Optional[Key]:
     (x1, y1), (x2, y2) = k1, k2
     if not len(x1) == len(y1) == len(x2) == len(y2):
         raise ContractError("union needs keys of one size")
-    x = _acyclic_closure(*map(or_, x1, x2))
-    y = None if x is None else _acyclic_closure(*map(or_, y1, y2))
+    x = component_union(x1, x2)
+    y = None if x is None else component_union(y1, y2)
     return None if y is None else (x, y)
+
+
+def component_union(r1: Rel, r2: Rel) -> Optional[Rel]:
+    """The closure of the union of two strict orders on one set of positions,
+    one component of a closed union, or None when it holds a cycle."""
+    return _acyclic_closure(*map(or_, r1, r2))
+
+
+# -- key tables by component ------------------------------------------------------
+
+
+def component_table(keys: Iterable[Key]) -> tuple[tuple[Rel, ...], dict]:
+    """The components of a key table, the distinct relations among its x and
+    y parts in sorted order, and the index of each.  A key stands for the
+    index pair of its components; callers look the pair up as they walk the
+    table, as a pair kept per key would cost more memory than the table."""
+    components = tuple(sorted(set(itertools.chain.from_iterable(keys))))
+    return components, {rel: i for i, rel in enumerate(components)}
+
+
+def _component_images(labels: tuple, components: tuple[Rel, ...], sigma: Mapping) -> list[Rel]:
+    """The components relabelled by sigma, through ``relabelling``, which
+    moves the two components of a key at once: they go to it in pairs, an
+    odd last one paired with itself."""
+    relabel = relabelling(labels, sigma)
+    pairs = zip(components[::2], components[1::2] + components[-1:])
+    images = [rel for key in map(relabel, pairs) for rel in key]
+    return images[: len(components)]
+
+
+def component_moves(labels: tuple, components: tuple[Rel, ...], index: Mapping, sigma: Mapping) -> list[int]:
+    """For each component of a table, the index of its image under sigma,
+    or -1 when the image is not a component of the table."""
+    return [index.get(image, -1) for image in _component_images(labels, components, sigma)]
 
 
 def self_meetings(labels: tuple, keys: Sequence[Key]) -> Iterator[tuple[Key, dict]]:
     """Each (key, sigma) whose key meets its image under a non-identity
-    relabelling sigma, that is, ``union_keys`` finds no cycle: sigma by sigma
-    in ``permutations_of`` order, the keys in their order for each sigma.
-    One ``relabelling`` per sigma maps the keys; no order is built."""
+    relabelling sigma, that is, the closed union of the two finds no cycle:
+    sigma by sigma in ``permutations_of`` order, the keys in their order for
+    each sigma.  A key meets its image when both its components meet theirs,
+    so each (component, image) pair of the table is tested once; no order
+    is built."""
+    components, index = component_table(keys)
+    pairs = [(index[x], index[y]) for x, y in keys]
+    met: dict = {}  # (component, image index, or the image outside the table) -> meets
     for sigma in permutations_of(labels)[1:]:  # the first is the identity
-        relabel = relabelling(labels, sigma)
-        for key in keys:
-            if union_keys(key, relabel(key)) is not None:
+        meets = []
+        for a, image in enumerate(_component_images(labels, components, sigma)):
+            pair = (a, index.get(image, image))
+            if pair not in met:
+                met[pair] = component_union(components[a], image) is not None
+            meets.append(met[pair])
+        for key, (a, b) in zip(keys, pairs):
+            if meets[a] and meets[b]:
                 yield key, sigma
 
 
@@ -353,6 +411,7 @@ def _order_families(n: int, kind: str) -> tuple[RelFamily, RelFamily]:
 
 def poset_leq(o1: DoubleOrder, o2: DoubleOrder, variant: str) -> bool:
     """"subseteq": both components grow; "sqsubseteq": x grows, y shrinks."""
+    _require_orders(o1, o2, what="a comparison")
     if o1.labels != o2.labels:
         raise ContractError("comparison needs a common ground set")
     if variant == "subseteq":
@@ -370,6 +429,7 @@ def is_semi_regular(o: DoubleOrder) -> bool:
     of regulars giving o is made of orders below o, and adding the others
     closes inside the transitive o, so this is exactly semi-regularity.
     Decided up to 6 labels, the cap of the regular family; memoized by key."""
+    _require_orders(o, what="semi-regularity")
     return _is_semi_regular(o.n, o.x, o.y)
 
 
@@ -393,6 +453,11 @@ def to_regular(o: DoubleOrder) -> DoubleOrder:
 def chain_union(chain: Sequence[DoubleOrder]) -> DoubleOrder:
     """Closure union of a strictly increasing mixed-order chain of regular
     orders, folded with ``union_bar``; such a union never cycles."""
+    try:
+        chain = list(chain)
+    except TypeError:
+        raise ContractError("chain must be a sequence of DoubleOrders") from None
+    _require_orders(*chain, what="a chain union")
     if not chain:
         raise ContractError("chain must be nonempty")
     for o in chain:
@@ -411,12 +476,15 @@ def chain_to_double_order(cover: OrderedCover, chain: CubeChain) -> DoubleOrder:
     """Reads off the regular order of a chain: its blocks are the elements
     each step activates, in the step's within-cell order.  ContractError
     when the steps do not activate every element exactly once."""
+    if not isinstance(chain, CubeChain):
+        raise ContractError("reading an order off a chain needs a CubeChain")
     return regular_from_blocks(cover.ground, [cover.cover_cell(c).mid for c in chain.cells])
 
 
 def double_order_to_chain(cover: OrderedCover, o: DoubleOrder) -> CubeChain:
     """The cube chain whose step-j cell activates the j-th block of the
     regular order o, with earlier blocks finished and later ones unstarted."""
+    _require_orders(o, what="a chain of an order")
     if tuple(o.labels) != cover.ground:
         raise ContractError("order and cover have different ground sets")
     cells = []

@@ -52,10 +52,11 @@ from .orders import (
     DoubleOrder,
     chain_to_double_order,
     chain_union,
+    component_moves,
+    component_table,
     double_order_to_chain,
     order_keys,
     poset_leq,
-    relabelling,
     self_meetings,
     to_regular,
 )
@@ -190,24 +191,34 @@ def check_free_action(n: int, top: int, **_) -> object:
 
     Stabilizers along an orbit are conjugate (``act`` is a right action), so
     one member per orbit is tested against every non-identity relabeling; its
-    images, keys relabelled by the kernel ``act`` wraps and looked up in a key
-    index of the family's key table, mark the rest of the orbit.
+    images mark the rest of the orbit.  A key is read as the index pair of
+    its two components (``component_table``): each relabeling moves the
+    table's few hundred components once (``component_moves``), and the image
+    of a key is found at its index pair in a flat array of key positions.
     """
     labels = default_labels(n)
     keys = order_keys(labels, "double")
-    index = {key: k for k, key in enumerate(keys)}
+    components, index = component_table(keys)
+    r = len(components)
+    # key position by index pair, a flat buffer of C ints that starts all -1
+    # (bytes 0xff); memoryview is builtin, where importing the array module
+    # would add to every start of the CLI
+    at = memoryview(bytearray(b"\xff") * (4 * r * r)).cast("i")
+    for k, (x, y) in enumerate(keys):
+        at[index[x] * r + index[y]] = k
     sigmas = permutations_of(labels)[1:]  # the first is the identity
-    relabels = [relabelling(labels, sigma) for sigma in sigmas]
+    moves = [component_moves(labels, components, index, sigma) for sigma in sigmas]
     seen = bytearray(len(keys))
-    for i, key in enumerate(keys):
+    for i, (x, y) in enumerate(keys):
         if seen[i]:
             continue
-        for sigma, relabel in zip(sigmas, relabels):
-            image = relabel(key)
-            k = index.get(image)
-            if image == key or k is None:
-                payload = {"order": DoubleOrder(labels, *key).text(), "sigma": str(sigma)}
-                return Fail(payload if image == key else {**payload, "reason": "image not in family"})
+        a, b = index[x], index[y]
+        for sigma, move in zip(sigmas, moves):
+            ma, mb = move[a], move[b]
+            k = at[ma * r + mb] if ma >= 0 and mb >= 0 else -1
+            if k == i or k < 0:
+                payload = {"order": DoubleOrder(labels, x, y).text(), "sigma": str(sigma)}
+                return Fail(payload if k == i else {**payload, "reason": "image not in family"})
             seen[k] = 1
     return len(keys)
 

@@ -8,8 +8,10 @@ import pytest
 
 from dicube.complexes import default_labels
 from dicube.cover import (
+    CoverReport,
     _linear_extension_ranks,
     config_to_json_dict,
+    cover_completeness,
     nerve_retraction_check,
     point_to_order,
     random_configuration,
@@ -70,6 +72,36 @@ def test_verify_cover_counts_match_an_ordered_pair_loop(n):
     checked, nonempty, ok = ordered_pair_counts(labels)
     assert (report.intersections_checked, report.nonempty_intersections) == (checked, nonempty)
     assert report.ok == ok and report.failures == []
+
+
+def completeness_failures_by_order(labels, family):
+    """The completeness failures of a family read as the semi-regular one,
+    by ``union_bar`` on each unordered pair of orders."""
+    keys = {o.key() for o in family}
+    failures = []
+    for i, a in enumerate(family):
+        for b in family[i:]:
+            u = union_bar(a, b)
+            if u is None:
+                continue
+            pair = [a.text(), b.text()]
+            if u.key() not in keys:
+                failures.append({"check": "completeness", "pair": pair, "union": u.text()})
+            elif not all(u_contains(o, witness_point(u)) for o in (a, b, u)):
+                failures.append({"check": "intersection-witness", "pair": pair})
+    return failures
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_completeness_names_each_pair_whose_union_leaves_the_family(n):
+    # the regular orders are not closed under the closed union, so read as
+    # the semi-regular family they fail completeness
+    labels = default_labels(n)
+    family = enumerate_orders(labels, "regular")
+    report = CoverReport(labels, "semi-regular")
+    cover_completeness(report, family)
+    assert report.failures == completeness_failures_by_order(labels, family)
+    assert report.failures and {f["check"] for f in report.failures} == {"completeness"}
 
 
 def test_witness_point_membership():

@@ -12,6 +12,9 @@ from dicube.orders import (
     _strict_orders,
     chain_to_double_order,
     chain_union,
+    component_moves,
+    component_table,
+    component_union,
     double_order_to_chain,
     enumerate_orders,
     is_semi_regular,
@@ -702,6 +705,95 @@ def test_self_meetings_yield_the_keys_that_meet_a_relabelling_in_order(n):
     assert list(self_meetings(labels, keys)) == expected
     assert bool(expected) == (n > 1)
     assert not list(self_meetings(labels, order_keys(labels, "double")))
+
+
+# -- key tables by component against the per-key kernels ----------------------------------------
+
+# the order families whose component tables the suite reads, at every size
+# the oracles below finish in well under a second
+FAMILY_TABLES = [(n, kind) for n in range(4) for kind in ("regular", "semi-regular", "double")]
+FAMILY_TABLES.append((4, "regular"))
+
+
+def closed_union_by_key(k1, k2):
+    """The key of the closed union, closing the ORed rows of each component
+    of two keys, or None when a closure holds a cycle."""
+    closures = [rel_closure(tuple(map(int.__or__, r1, r2))) for r1, r2 in zip(k1, k2)]
+    cyclic = any(row >> i & 1 for rel in closures for i, row in enumerate(rel))
+    return None if cyclic else tuple(closures)
+
+
+def self_meetings_by_key(labels, keys):
+    """The per-key loop that ``self_meetings`` reads by component: one
+    ``union_keys`` of each key and its relabelled key, sigma by sigma."""
+    for sigma in permutations_of(labels)[1:]:
+        relabel = relabelling(labels, sigma)
+        for key in keys:
+            if union_keys(key, relabel(key)) is not None:
+                yield key, sigma
+
+
+@pytest.mark.parametrize("n, kind", FAMILY_TABLES)
+def test_component_table_lists_and_indexes_the_distinct_rows(n, kind):
+    keys = order_keys(default_labels(n), kind)
+    rows, index = component_table(keys)
+    assert rows == tuple(sorted({row for key in keys for row in key}))
+    assert [index[row] for row in rows] == list(range(len(rows)))
+
+
+@pytest.mark.parametrize("n, kind", FAMILY_TABLES)
+def test_component_unions_give_the_closed_union_of_every_key_pair(n, kind):
+    keys = order_keys(default_labels(n), kind)
+    rows, index = component_table(keys)
+    unions = {(a, b): component_union(r, s) for a, r in enumerate(rows) for b, s in enumerate(rows)}
+    for (x1, y1), (x2, y2) in itertools.product(keys, repeat=2):
+        x, y = unions[index[x1], index[x2]], unions[index[y1], index[y2]]
+        got = None if x is None or y is None else (x, y)
+        assert got == closed_union_by_key((x1, y1), (x2, y2)), ((x1, y1), (x2, y2))
+
+
+def lower_half(keys):
+    """The keys whose two rows both lie in the lower half of the table's
+    sorted distinct rows: a table that relabelling leaves from size 3 on."""
+    rows = sorted({row for key in keys for row in key})
+    return [key for key in keys if rows and max(key) < rows[len(rows) // 2]]
+
+
+@pytest.mark.parametrize("n, kind", FAMILY_TABLES)
+@pytest.mark.parametrize("half", [False, True], ids=["whole", "lower-half"])
+def test_component_moves_give_the_keys_relabelling_gives(n, kind, half):
+    labels = default_labels(n)
+    keys = order_keys(labels, kind)
+    keys = lower_half(keys) if half else keys
+    rows, index = component_table(keys)
+    outside = 0
+    for sigma in permutations_of(labels):
+        move = component_moves(labels, rows, index, sigma)
+        relabel = relabelling(labels, sigma)
+        for key in keys:
+            image = relabel(key)
+            moved = [move[index[row]] for row in key]
+            assert moved == [index.get(row, -1) for row in image]
+            assert all(rows[m] == row for m, row in zip(moved, image) if m >= 0)
+        outside += move.count(-1)
+    # the families are closed under relabelling, their lower halves are not
+    assert bool(outside) == (half and n >= 3)
+
+
+@pytest.mark.parametrize("n, kind", FAMILY_TABLES + [(n, "strict-pairs") for n in (2, 3)])
+@pytest.mark.parametrize("half", [False, True], ids=["whole", "lower-half"])
+def test_self_meetings_by_component_equal_the_per_key_loop(n, kind, half):
+    # the order families meet no image; the pairs of any two strict orders
+    # do, and the lower half of a table leaves images outside it
+    labels = default_labels(n)
+    if kind == "strict-pairs":
+        keys = list(itertools.product(_strict_orders(n), repeat=2))
+    else:
+        keys = list(order_keys(labels, kind))
+    keys = lower_half(keys) if half else keys
+    expected = list(self_meetings_by_key(labels, keys))
+    assert list(self_meetings(labels, keys)) == expected
+    assert bool(expected) == (kind == "strict-pairs")
 
 
 def test_act_is_a_right_action():

@@ -9,13 +9,25 @@ from dicube import cli
 from dicube.categories import regular_orders_poset
 from dicube.chains import face_swap
 from dicube.cli import main
-from dicube.complexes import build_final_complex, default_labels
-from dicube.cover import point_to_order, u_contains, witness_point
+from dicube.complexes import build_final_complex, build_ordered_cover, default_labels
+from dicube.cover import point_to_order, u_contains, verify_cover, witness_point
 from dicube.errors import ContractError, UsageError
-from dicube.orders import enumerate_orders, union_keys
+from dicube.orders import (
+    chain_to_double_order,
+    chain_union,
+    component_union,
+    double_order_to_chain,
+    enumerate_orders,
+    poset_leq,
+    to_regular,
+    union_bar,
+)
 from dicube.posets import Poset
 from dicube.precubical import is_non_self_linked
 from dicube.suite import REGISTRY, CheckSpec, exit_code, run_suite
+
+
+AB = ("a", "b")
 
 
 def strip_times(payload):
@@ -302,6 +314,16 @@ def _in_first_regular_order(f):
     return lambda: u_contains(enumerate_orders(default_labels(2), "regular")[0], f)
 
 
+def _on_an_order(call):
+    """call(o) on the first regular order on a, b."""
+    return lambda: call(enumerate_orders(default_labels(2), "regular")[0])
+
+
+def _on_the_cover(call):
+    """call(cover) on the ordered cover on a, b."""
+    return lambda: call(build_ordered_cover(2))
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -330,6 +352,29 @@ def _in_first_regular_order(f):
         ),
         pytest.param(lambda: u_contains(5, {}), ContractError, id="u-contains-order-int"),
         pytest.param(lambda: witness_point(5), ContractError, id="witness-point-int"),
+        pytest.param(_on_an_order(lambda o: union_bar(o, 5)), ContractError, id="union-bar-int"),
+        pytest.param(_on_an_order(lambda o: union_bar(None, o)), ContractError, id="union-bar-none"),
+        pytest.param(
+            _on_an_order(lambda o: poset_leq(o, 5, "subseteq")), ContractError, id="poset-leq-int"
+        ),
+        pytest.param(lambda: to_regular(5), ContractError, id="to-regular-int"),
+        pytest.param(lambda: chain_union(5), ContractError, id="chain-union-int"),
+        pytest.param(lambda: chain_union([5]), ContractError, id="chain-union-int-entry"),
+        pytest.param(
+            _on_the_cover(lambda cover: chain_to_double_order(cover, 5)),
+            ContractError,
+            id="chain-to-order-int",
+        ),
+        pytest.param(
+            _on_the_cover(lambda cover: double_order_to_chain(cover, 5)),
+            ContractError,
+            id="order-to-chain-int",
+        ),
+        pytest.param(lambda: verify_cover(AB, samples="x"), ContractError, id="verify-cover-samples-str"),
+        pytest.param(lambda: verify_cover(AB, samples=2.5), ContractError, id="verify-cover-samples-float"),
+        pytest.param(lambda: verify_cover(AB, samples=-3), ContractError, id="verify-cover-samples-negative"),
+        pytest.param(lambda: verify_cover(AB, seed=[1]), ContractError, id="verify-cover-seed-list"),
+        pytest.param(lambda: verify_cover(AB, seed=True), ContractError, id="verify-cover-seed-bool"),
         pytest.param(lambda: Poset(5, (1,)), ContractError, id="poset-elements-int"),
         pytest.param(lambda: regular_orders_poset(("a",), []), ContractError, id="orders-poset-variant-list"),
         pytest.param(lambda: face_swap(2, 2, 5, set()), ContractError, id="face-swap-v-int"),
@@ -695,7 +740,7 @@ def cover_action_ignoring_the_relabelling(monkeypatch):
 def cover_union_returning_its_first_argument(monkeypatch):
     from dicube import cover
 
-    monkeypatch.setattr(cover, "union_bar", lambda a, b: a)
+    monkeypatch.setattr(cover, "component_union", lambda a, b: a)
 
 
 def cover_read_off_ignoring_the_configuration(monkeypatch):
@@ -716,7 +761,7 @@ def key_relabelling_ignoring_sigma(monkeypatch):
 def key_union_returning_its_first_argument(monkeypatch):
     from dicube import orders
 
-    monkeypatch.setattr(orders, "union_keys", lambda a, b: a)
+    monkeypatch.setattr(orders, "component_union", lambda a, b: a)
 
 
 def retraction_returning_its_input(monkeypatch):
@@ -852,9 +897,10 @@ def names_a_regular_order_apart_from_its_relabelling(details):
     order = _regular_by_text(2)[details["order"]]
     sigma = ast.literal_eval(details["sigma"])
     assert sigma == {"a": "b", "b": "a"}
-    # the planted union met the relabelled order; the closure union, bound
-    # at import before the plant, does not
-    assert union_keys(order.key(), order.act(sigma).key()) is None
+    # the planted union met the relabelled order; the component union,
+    # bound at import before the plant, does not in one of the components
+    moved = order.act(sigma)
+    assert None in (component_union(order.x, moved.x), component_union(order.y, moved.y))
 
 
 def names_a_chain_whose_union_is_not_yet_regular(details):
@@ -970,6 +1016,12 @@ PLANTED_FAULTS = [
         key_relabelling_ignoring_sigma,
         names_an_order_that_never_meets_its_relabelling,
         id="order-action-ignores-the-relabelling",
+    ),
+    pytest.param(
+        "free-action",
+        key_relabelling_ignoring_sigma,
+        is_payload({"n": 2, "order": "x{};y{b<a}", "sigma": str({"a": "b", "b": "a"})}),
+        id="free-action-relabelling-ignores-sigma",
     ),
     pytest.param(
         "union-sigma",
