@@ -80,10 +80,7 @@ def _cmd_verify(args) -> int:
         selection = [s.strip() for s in args.suite.split(",") if s.strip()]
         if not selection:
             raise UsageError(f"--suite {args.suite!r} names no check")
-    params = {}
-    if args.target:
-        params["target"] = args.target
-    reports = run_suite(selection, n_max=args.n_max, params=params)
+    reports = run_suite(selection, n_max=args.n_max)
     payload = json.dumps([r.to_json_dict() for r in reports], indent=2)
     _emit(payload, args.out)
     return exit_code(reports)
@@ -123,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="ignored, as the checks run one after another; removed once the benchmark harness stops passing it",
     )
-    ver.add_argument("--target", default=None, help="override for the non-self-linked check")
     ver.add_argument("--out")
     ver.set_defaults(fn=_cmd_verify)
 

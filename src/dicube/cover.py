@@ -16,7 +16,7 @@ from .complexes import label_tuple, permutations_of
 from .errors import ContractError, require_size
 from .orders import (
     DoubleOrder,
-    component_table,
+    Key,
     component_union,
     enumerate_orders,
     order_keys,
@@ -54,6 +54,12 @@ def _constraints(x: Rel, y: Rel) -> tuple[tuple[int, int, int], ...]:
     return tuple((c, i, j) for c, rel in enumerate((x, y)) for i, j in rel_pairs(rel))
 
 
+def _holds(key: Key, points: list) -> bool:
+    """True iff points, in label order, satisfy every strict coordinate
+    inequality of the key's constraint set."""
+    return all(points[i][c] < points[j][c] for c, i, j in _constraints(*key))
+
+
 def u_contains(o: DoubleOrder, f: Config) -> bool:
     """True iff every ordered pair of o translates into a strict coordinate
     inequality of f; comparisons are exact rationals.  ContractError unless
@@ -61,8 +67,7 @@ def u_contains(o: DoubleOrder, f: Config) -> bool:
     requires."""
     if not isinstance(o, DoubleOrder):
         raise ContractError("membership needs a DoubleOrder")
-    points = _rational_points(f, o.labels)
-    return all(points[i][c] < points[j][c] for c, i, j in _constraints(o.x, o.y))
+    return _holds(o.key(), _rational_points(f, o.labels))
 
 
 def _linear_extension_ranks(o: DoubleOrder, rel: Rel) -> dict:
@@ -153,103 +158,95 @@ def verify_cover(labels, samples: int = 1000, seed: int = 0) -> CoverReport:
     require_size(samples, "sample count of a cover verification")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ContractError(f"the seed of a cover verification must be an int, not {type(seed).__name__}")
-    report, family = cover_report(labels)
-    cover_completeness(report, family)
+    report, keys = cover_report(labels)
+    cover_completeness(report, keys)
     cover_covering(report, samples, seed)
     return report
 
 
-def cover_report(labels) -> tuple[CoverReport, list[DoubleOrder]]:
-    """An empty report and the family the cover passes run over."""
+def cover_report(labels) -> tuple[CoverReport, tuple[Key, ...]]:
+    """An empty report and the keys of the family the cover passes run over."""
     labels = label_tuple(labels)
     require_size(len(labels), "label count of a cover verification", cap=4)
     kind = "semi-regular" if len(labels) <= 3 else "regular"
-    return CoverReport(labels, kind), enumerate_orders(labels, kind)
+    return CoverReport(labels, kind), order_keys(labels, kind)
 
 
-def cover_completeness(report: CoverReport, family: list[DoubleOrder]) -> None:
+def _text(labels: tuple, key: Key) -> str:
+    """The text of the order with this key, to name it in a failure."""
+    return DoubleOrder(labels, *key).text()
+
+
+def cover_completeness(report: CoverReport, keys: Sequence[Key]) -> None:
     """Completeness: pairwise intersections are again members (witnessed) or
     empty, which is the closed union of the two keys cycling: a label cycle
     in one component makes the joint constraint set unsatisfiable.
 
-    A key is read as the index pair of its components (``component_table``),
-    and the closed union of two components (``component_union``) is memoized
-    per index pair, so it runs once for each distinct pair of the table.  The
-    witness point is built once per distinct union key, and other orders only
-    for a failure's payload.  The union is symmetric, so each unordered pair
-    is tested once and counted for both ordered pairs."""
+    The closed union of a pair is ``component_union`` on its x rows and on
+    its y rows, read from that function's memo after the first time.  The
+    witness point of each distinct union key is built once, as a list of
+    points in label order, and the pair's two keys and their union are each
+    tested on it; an order is built only for that point or a failure's
+    payload.  The union is symmetric, so each unordered pair is tested once
+    and counted for both ordered pairs."""
     labels, semi_regular = report.labels, report.family == "semi-regular"
-    keys = [o.key() for o in family]
     members = set(keys)
-    components, index = component_table(keys)
-    at = [(index[x], index[y]) for x, y in keys]
-    r = len(components)
-    closed: dict = {}  # a * r + b -> the closed union of components a and b, or None
-
-    def union(a: int, b: int):
-        pair = a * r + b
-        if pair not in closed:
-            closed[pair] = component_union(components[a], components[b])
-        return closed[pair]
-
-    witnesses: dict = {}  # union key -> (its order, its witness point)
+    witnesses: dict = {}  # union key -> its witness point, in label order
     checked = nonempty = 0
-    for i, (ax, ay) in enumerate(at):
-        for j in range(i, len(at)):
+    for i, a in enumerate(keys):
+        ax, ay = a
+        for j in range(i, len(keys)):
             pairs = 1 if j == i else 2
             checked += pairs
-            bx, by = at[j]
-            x = union(ax, bx)
-            y = None if x is None else union(ay, by)
+            b = keys[j]
+            x = component_union(ax, b[0])
+            y = None if x is None else component_union(ay, b[1])
             if y is None:
                 continue
-            a, b = family[i], family[j]
-            if semi_regular and (x, y) not in members:
-                pair = [a.text(), b.text()]
-                report.failures.append(
-                    {"check": "completeness", "pair": pair, "union": DoubleOrder(labels, x, y).text()}
-                )
+            u = (x, y)
+            if semi_regular and u not in members:
+                pair = [_text(labels, a), _text(labels, b)]
+                report.failures.append({"check": "completeness", "pair": pair, "union": _text(labels, u)})
                 continue
-            if (x, y) not in witnesses:
-                u = DoubleOrder(labels, x, y)
-                witnesses[x, y] = u, witness_point(u)
-            u, w = witnesses[x, y]
-            if not (u_contains(a, w) and u_contains(b, w) and u_contains(u, w)):
-                report.failures.append(
-                    {"check": "intersection-witness", "pair": [a.text(), b.text()]}
-                )
-            else:
+            points = witnesses.get(u)
+            if points is None:
+                w = witness_point(DoubleOrder(labels, x, y))
+                points = witnesses[u] = [w[label] for label in labels]
+            if _holds(a, points) and _holds(b, points) and _holds(u, points):
                 nonempty += pairs
+            else:
+                pair = [_text(labels, a), _text(labels, b)]
+                report.failures.append({"check": "intersection-witness", "pair": pair})
     report.intersections_checked += checked
     report.nonempty_intersections += nonempty
 
 
-def cover_properness(report: CoverReport, family: list[DoubleOrder]) -> None:
+def cover_properness(report: CoverReport, keys: Sequence[Key]) -> None:
     """Properness: a member and its image under a non-identity permutation
     never meet, so ``self_meetings`` of the members' keys yields none; each
     one it yields is a failure.  Its regular retraction never meets its image
     either; union-sigma checks that for every regular order."""
-    for key, sigma in self_meetings(report.labels, [o.key() for o in family]):
-        order = DoubleOrder(report.labels, *key).text()
+    for key, sigma in self_meetings(report.labels, keys):
+        order = _text(report.labels, key)
         report.failures.append({"check": "properness-union", "order": order, "sigma": str(sigma)})
 
 
-def cover_equivariance(report: CoverReport, family: list[DoubleOrder]) -> None:
+def cover_equivariance(report: CoverReport, keys: Sequence[Key]) -> None:
     """Equivariance: permuting a member's constraints gives the constraints
     of its relabelled key, as constraint-set equality: i < j in the image
     iff sigma(i) < sigma(j) in the member."""
     labels = report.labels
     n = len(labels)
-    constraints = [[rel_pairs(rel) for rel in o.key()] for o in family]
+    constraints = [[rel_pairs(rel) for rel in key] for key in keys]
     for sigma in permutations_of(labels):
         relabel = relabelling(labels, sigma)
         inv = {v: k for k, v in sigma.items()}
         at = [labels.index(inv[a]) for a in labels]  # position of sigma^-1(a)
-        for o, pairs in zip(family, constraints):
+        for key, pairs in zip(keys, constraints):
             expected = tuple(rel_from_pairs(n, [(at[i], at[j]) for i, j in ps]) for ps in pairs)
-            if expected != relabel(o.key()):
+            if expected != relabel(key):
                 report.failures.append(
-                    {"check": "equivariance", "order": o.text(), "sigma": str(sigma)}
+                    {"check": "equivariance", "order": _text(labels, key), "sigma": str(sigma)}
                 )
 
 

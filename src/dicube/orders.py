@@ -18,8 +18,10 @@ relabelling kernel, ``relabelling(labels, sigma)``, maps keys: it moves each
 row through ``_bit_permutation(s)``, a 2**n-entry table built once per
 position tuple ``s`` that moves bit ``s[j]`` of a row to bit ``j``; ``act``
 wraps it.  One closed-union kernel, ``component_union``, closes the union
-of two components, or gives None when it cycles (memoized by its rows);
-``union_keys`` applies it to x and to y, and ``union_bar`` wraps that.
+of two components, or gives None when it cycles; it holds the one memo of
+closed unions, keyed by its two rows.  ``union_keys`` applies it to x and to
+y, ``union_bar`` wraps that, and the cover's completeness pass calls it on
+the rows of each key pair.
 
 The x and y parts of a key table take few distinct values, its
 *components* (``component_table``): 219 for the 19,440 double keys at 4
@@ -28,11 +30,10 @@ checks that walk a table do that work once per component and read a key as
 the index pair of its two components.  ``component_moves`` maps each
 component to the index of its image under one sigma, through
 ``relabelling``, for the free-action check; ``self_meetings`` tests each
-component against its image once, for the union-sigma and cover-proper
-checks; and the cover's completeness pass memoizes ``component_union`` per
-index pair.  Every ``DoubleOrder`` a caller receives is validated, but the
-strict-order test is memoized by relation and the label test by label
-tuple, so each costs a cache lookup after the first order.
+component against its image once per sigma, for the union-sigma and
+cover-proper checks.  Every ``DoubleOrder`` a caller receives is validated,
+but the strict-order test is memoized by relation and the label test by
+label tuple, so each costs a cache lookup after the first order.
 """
 
 from __future__ import annotations
@@ -199,10 +200,14 @@ def union_keys(k1: Key, k2: Key) -> Optional[Key]:
     return None if y is None else (x, y)
 
 
+@lru_cache(maxsize=None)
 def component_union(r1: Rel, r2: Rel) -> Optional[Rel]:
     """The closure of the union of two strict orders on one set of positions,
-    one component of a closed union, or None when it holds a cycle."""
-    return _acyclic_closure(*map(or_, r1, r2))
+    one component of a closed union, or None when it holds a cycle: its
+    closure is reflexive.  Memoized by the two rows, for the life of the
+    process: the one memo of closed unions that the order checks share."""
+    closure = rel_closure(tuple(map(or_, r1, r2)))
+    return closure if rel_is_irreflexive(closure) else None
 
 
 # -- key tables by component ------------------------------------------------------
@@ -238,28 +243,19 @@ def self_meetings(labels: tuple, keys: Sequence[Key]) -> Iterator[tuple[Key, dic
     relabelling sigma, that is, the closed union of the two finds no cycle:
     sigma by sigma in ``permutations_of`` order, the keys in their order for
     each sigma.  A key meets its image when both its components meet theirs,
-    so each (component, image) pair of the table is tested once; no order
-    is built."""
+    so each component is tested against its image once per sigma, through
+    the memo of ``component_union``; no order is built."""
     components, index = component_table(keys)
     pairs = [(index[x], index[y]) for x, y in keys]
-    met: dict = {}  # (component, image index, or the image outside the table) -> meets
+    # the memo of component_union keeps its arguments, so an image in the
+    # table goes in as the table's own row, not as a copy of it
+    own = dict(zip(components, components))
     for sigma in permutations_of(labels)[1:]:  # the first is the identity
-        meets = []
-        for a, image in enumerate(_component_images(labels, components, sigma)):
-            pair = (a, index.get(image, image))
-            if pair not in met:
-                met[pair] = component_union(components[a], image) is not None
-            meets.append(met[pair])
+        images = [own.get(image, image) for image in _component_images(labels, components, sigma)]
+        meets = [component_union(rel, image) is not None for rel, image in zip(components, images)]
         for key, (a, b) in zip(keys, pairs):
             if meets[a] and meets[b]:
                 yield key, sigma
-
-
-@lru_cache(maxsize=None)
-def _acyclic_closure(*rows: int) -> Optional[Rel]:
-    """The closure of rows, or None when it is reflexive: rows hold a cycle."""
-    closure = rel_closure(rows)
-    return closure if rel_is_irreflexive(closure) else None
 
 
 # -- regular orders as block sequences -------------------------------------------
@@ -268,8 +264,9 @@ def _acyclic_closure(*rows: int) -> Optional[Rel]:
 def regular_from_blocks(labels: Sequence, blocks: Iterable[Sequence]) -> DoubleOrder:
     """The regular order whose x-levels are ``blocks`` in the given order,
     each block totally ordered by y in its listed order.  ContractError
-    unless the blocks are nonempty and partition ``labels``."""
-    labels = tuple(labels)
+    unless ``labels`` are distinct hashable labels and the blocks are
+    nonempty and partition them."""
+    labels = label_tuple(labels)
     try:
         pos = {lab: k for k, lab in enumerate(labels)}
         index_blocks = [[pos[lab] for lab in block] for block in blocks]

@@ -549,7 +549,8 @@ def quotient_by_automorphisms(
 ) -> tuple[PrecubicalComplex, PrecubicalMap]:
     """Orbit quotient of K by the automorphism group the generators span.
 
-    Each generator is checked to be a bijection K -> K; as a map it commutes
+    Each generator is checked to be a bijective map K -> K (ContractError
+    otherwise, or for generators that are not iterable); as a map it commutes
     with faces by construction, and products of automorphisms are
     automorphisms, so the spanned group needs no check.  An orbit is found by
     search along generator images from its least cell, which represents it.
@@ -558,8 +559,12 @@ def quotient_by_automorphisms(
     quotient keeps the precubical identities of K.  The projection is checked
     as every map is.  Nothing here assumes freeness.
     """
+    try:
+        generators = list(generators)
+    except TypeError:
+        raise ContractError("generators must be an iterable of maps K -> K") from None
     for g in generators:
-        if g.source is not K or g.target is not K:
+        if not isinstance(g, PrecubicalMap) or g.source is not K or g.target is not K:
             raise ContractError("generators must be maps K -> K")
         if not g.is_bijective:
             raise ContractError("generator is not bijective")

@@ -76,15 +76,16 @@ class VerificationReport(NamedTuple):
 
 
 class Fail(NamedTuple):
-    """What a check returns in place of its value when a proposition fails."""
+    """What a check returns in place of its value when a proposition fails:
+    a dict naming what failed."""
 
-    payload: object
+    payload: dict
 
 
 # -- individual checks -----------------------------------------------------------
 
 
-def check_chain_order_iso(n: int, top: int, **_) -> object:
+def check_chain_order_iso(n: int, top: int) -> object:
     """Chains of the ordered cover against (regular orders, reverse mixed
     order): mutually inverse, order tables equal, relabeling-equivariant.
     The tables are the rows of the two posets, each chain row relabelled
@@ -125,7 +126,7 @@ def check_chain_order_iso(n: int, top: int, **_) -> object:
     return len(chains)
 
 
-def check_orbit_iso(n: int, top: int, **_) -> object:
+def check_orbit_iso(n: int, top: int) -> object:
     """Quotient of the ordered cover by all relabelings (the adjacent swaps
     span them) matches the length covering of the final complex, cell for cell."""
     cover = build_ordered_cover(n)
@@ -148,27 +149,22 @@ def check_orbit_iso(n: int, top: int, **_) -> object:
     return list(Q.dims)
 
 
-def check_non_self_linked(n_max: int, target: str = "ordered-cover", **_) -> object:
+def check_non_self_linked(n_max: int) -> object:
     """The ordered cover is non-self-linked; the truncated final complex is
-    not (reported as a failure with its counterexample cell).  ``run_suite``
-    has checked ``target``."""
-    if target == "ordered-cover":
-        for n in range(1, min(n_max, 4) + 1):
-            cover = build_ordered_cover(n)
-            report = is_non_self_linked(cover.complex)
-            if not report.ok:
-                return Fail({"n": n, "cell": cover.complex.label(report.cell)})
+    not, and the details name its counterexample cell as the control."""
+    for n in range(1, min(n_max, 4) + 1):
+        cover = build_ordered_cover(n)
+        report = is_non_self_linked(cover.complex)
+        if not report.ok:
+            return Fail({"n": n, "cell": cover.complex.label(report.cell)})
     z = build_final_complex(2)
     control = is_non_self_linked(z)
     if control.ok:
         return Fail({"reason": "truncated final complex unexpectedly non-self-linked"})
-    if target == "final-truncated":
-        counterexample = {"model": "z", "max_dim": 2, "cell": z.label(control.cell)}
-        return Fail({**counterexample, "collision": [list(v) for v in control.collision]})
     return {"n_checked": min(n_max, 4), "control_counterexample": z.label(control.cell)}
 
 
-def check_face_swap(n_max: int, **_) -> object:
+def check_face_swap(n_max: int) -> object:
     """The constructive swap identity, symbolically verified on the standard
     cube for every compatible (p, q, V, W) with p + q <= n_max."""
     bound = min(n_max, 7)
@@ -186,7 +182,7 @@ def check_face_swap(n_max: int, **_) -> object:
     return {"cases": cases, "max_p_plus_q": bound}
 
 
-def check_free_action(n: int, top: int, **_) -> object:
+def check_free_action(n: int, top: int) -> object:
     """Relabelings act freely on the double orders.
 
     Stabilizers along an orbit are conjugate (``act`` is a right action), so
@@ -223,7 +219,7 @@ def check_free_action(n: int, top: int, **_) -> object:
     return len(keys)
 
 
-def check_union_sigma(n: int, top: int, **_) -> object:
+def check_union_sigma(n: int, top: int) -> object:
     """A regular order never unions consistently with a proper relabeling of
     itself: ``self_meetings`` finds no key of the regular key table meeting
     its image, and an order is built only to name the first that does."""
@@ -234,7 +230,7 @@ def check_union_sigma(n: int, top: int, **_) -> object:
     return len(keys)
 
 
-def check_fg_triangles(n: int, top: int, **_) -> object:
+def check_fg_triangles(n: int, top: int) -> object:
     """Retraction and union functors: union-then-retract is the top of every
     mixed-order chain; retract-then-union sits below the top of every
     inclusion chain, componentwise.  The details count the chains.
@@ -283,7 +279,7 @@ def quotient_law_failure(q: SymmetricOrderQuotient) -> Optional[dict]:
     return None
 
 
-def check_nerve_quotient(n: int, top: int, **_) -> object:
+def check_nerve_quotient(n: int, top: int) -> object:
     """Generator-level isomorphism between the orbit complex of the nerve and
     the nerve of the quotient, for regular orders under all relabelings,
     after the quotient's category laws and orbit-count identity.  The group
@@ -322,7 +318,7 @@ def check_nerve_quotient(n: int, top: int, **_) -> object:
     return list(orbit_cx.ranks)
 
 
-def check_bar_f_iso(n: int, top: int, **_) -> object:
+def check_bar_f_iso(n: int, top: int) -> object:
     """The functor to the break category is relabeling-invariant and induces a
     bijective functor from the quotient.  The break category's hom counts are
     pinned against a multinomial count by the oracle in tests/test_categories.py."""
@@ -345,12 +341,12 @@ def check_bar_f_iso(n: int, top: int, **_) -> object:
     return {"objects": D.n_objects, "morphisms": D.n_morphisms}
 
 
-def check_cover_complete(n: int, top: int, **_) -> object:
+def check_cover_complete(n: int, top: int) -> object:
     """Completeness, the intersection rule, and random-coverage: 1,000
     configurations at the top n of the run, 200 below it."""
     report = verify_cover(default_labels(n), samples=1000 if n == top else 200)
     if not report.ok:
-        return Fail(report.failures)
+        return Fail({"failures": report.failures})
     return {
         "intersections": report.intersections_checked,
         "nonempty": report.nonempty_intersections,
@@ -358,15 +354,15 @@ def check_cover_complete(n: int, top: int, **_) -> object:
     }
 
 
-def check_cover_proper(n: int, top: int, **_) -> object:
+def check_cover_proper(n: int, top: int) -> object:
     """Properness under non-identity relabelings plus constraint-set
     equivariance."""
-    report, family = cover_report(default_labels(n))
-    cover_properness(report, family)
-    cover_equivariance(report, family)
+    report, keys = cover_report(default_labels(n))
+    cover_properness(report, keys)
+    cover_equivariance(report, keys)
     if not report.ok:
-        return Fail(report.failures)
-    return {"family": report.family, "members": len(family)}
+        return Fail({"failures": report.failures})
+    return {"family": report.family, "members": len(keys)}
 
 
 # pinned values are homology_signature outputs
@@ -381,7 +377,7 @@ PINNED_ORDERED_HOMOLOGY = {
 }
 
 
-def check_homology_cross_model(n_max: int, **_) -> object:
+def check_homology_cross_model(n_max: int) -> object:
     """Identical homology across the finite models of unordered plane
     configurations, plus agreement of the two ordered models."""
     out = {}
@@ -420,7 +416,7 @@ def check_homology_cross_model(n_max: int, **_) -> object:
     return out
 
 
-def check_euler_zero(n: int, top: int, **_) -> object:
+def check_euler_zero(n: int, top: int) -> object:
     """Euler characteristic zero for the break-category nerves; materialized
     complexes up to 4, alternating run counts beyond."""
     E = build_break_category(n)
@@ -441,10 +437,10 @@ def check_euler_zero(n: int, top: int, **_) -> object:
 @dataclass(frozen=True)
 class CheckSpec:
     """A registered check.  With a ``cap``, the one place a check's reach is
-    set, the runner calls ``fn(n, top, **params)`` for n from ``first_n`` to
+    set, the runner calls ``fn(n, top)`` for n from ``first_n`` to
     ``top = min(n_max, cap)`` and keys the values by n, under ``key`` when it
-    is set.  Without one it calls ``fn(n_max, **params)`` once.  A check
-    returns its value, or a ``Fail``, whose dict payload gets the n first."""
+    is set.  Without one it calls ``fn(n_max)`` once.  A check returns its
+    value, or a ``Fail``, whose dict payload gets the n first."""
 
     fn: Callable
     default_n: int
@@ -478,25 +474,22 @@ REGISTRY: dict[str, CheckSpec] = {
 }
 
 
-def _run_check(spec: CheckSpec, n_max: int, params: dict) -> object:
+def _run_check(spec: CheckSpec, n_max: int) -> object:
     """The details of one check, or its ``Fail``."""
     if spec.cap is None:
-        return spec.fn(n_max, **params)
+        return spec.fn(n_max)
     top = min(n_max, spec.cap)
     values = {}
     for n in range(spec.first_n, top + 1):
-        value = spec.fn(n, top, **params)
+        value = spec.fn(n, top)
         if isinstance(value, Fail):
-            # the cover checks fail with their list of failures, which carries no n
-            return Fail({"n": n, **value.payload}) if isinstance(value.payload, dict) else value
+            return Fail({"n": n, **value.payload})
         values[n] = value
     return values if spec.key is None else {spec.key: values}
 
 
 def run_suite(
-    selection: Optional[Sequence[str]] = None,
-    n_max: Optional[int] = None,
-    params: Optional[dict] = None,
+    selection: Optional[Sequence[str]] = None, n_max: Optional[int] = None
 ) -> list[VerificationReport]:
     """Runs the selected checks (all of them for None) one after another and
     returns their reports in selection order; `n_max` is an int of at least 1."""
@@ -514,11 +507,6 @@ def run_suite(
             require_size(n_max, "n_max", low=1)
         except ContractError as exc:
             raise UsageError(str(exc)) from None
-    if params is not None and (not isinstance(params, dict) or set(params) - {"target"}):
-        raise UsageError(f"params must be a dict with no key but 'target', got {params!r}")
-    if params and params.get("target") not in ("ordered-cover", "final-truncated"):
-        raise UsageError(f"unknown non-self-linked target {params['target']!r}")
-    extra = dict(params or {})
 
     reports = []
     with models_shared():
@@ -527,7 +515,7 @@ def run_suite(
             n = n_max if n_max is not None else spec.default_n
             start = time.perf_counter()
             try:
-                details = _run_check(spec, n, extra)
+                details = _run_check(spec, n)
                 status = "pass"
                 if isinstance(details, Fail):
                     status, details = "fail", details.payload
@@ -539,18 +527,14 @@ def run_suite(
                 # a broken invariant inside a check is a verdict, not a crash
                 status, details = "fail", {"exception": type(exc).__name__, "message": str(exc)}
             elapsed = time.perf_counter() - start
-            reports.append(VerificationReport(check_id, {"n_max": n, **extra}, status, details, elapsed))
+            reports.append(VerificationReport(check_id, {"n_max": n}, status, details, elapsed))
     return reports
 
 
 def exit_code(reports: Sequence[VerificationReport]) -> int:
-    if any(r.status == "fail" for r in reports):
+    """1 for a failure, else 3 for a skipped check (only a resource cap
+    skips one), else 0."""
+    statuses = {r.status for r in reports}
+    if "fail" in statuses:
         return 1
-    if any(
-        r.status == "skipped"
-        and isinstance(r.details, dict)
-        and r.details.get("reason") == "resource-cap"
-        for r in reports
-    ):
-        return 3
-    return 0
+    return 3 if "skipped" in statuses else 0

@@ -19,11 +19,12 @@ from dicube.orders import (
     double_order_to_chain,
     enumerate_orders,
     poset_leq,
+    regular_from_blocks,
     to_regular,
     union_bar,
 )
 from dicube.posets import Poset
-from dicube.precubical import is_non_self_linked
+from dicube.precubical import is_non_self_linked, quotient_by_automorphisms
 from dicube.suite import REGISTRY, CheckSpec, exit_code, run_suite
 
 
@@ -133,14 +134,15 @@ def test_cli_import_defines_dataclasses_only_for_check_specs_and_double_orders()
 
 
 def test_non_self_linked_failure_payload_replays():
-    reports = run_suite(["non-self-linked"], n_max=2, params={"target": "final-truncated"})
+    # the control of a passing run names the cell where the truncated final
+    # complex is self-linked, and a replay finds the same cell
+    reports = run_suite(["non-self-linked"], n_max=2)
     (report,) = reports
-    assert report.status == "fail"
-    assert exit_code(reports) == 1
-    payload = report.details
-    replay = is_non_self_linked(build_final_complex(payload["max_dim"]))
+    assert report.status == "pass" and exit_code(reports) == 0
+    z = build_final_complex(2)
+    replay = is_non_self_linked(z)
     assert not replay.ok
-    assert payload["cell"] == "z1"
+    assert report.details["control_counterexample"] == z.label(replay.cell) == "z1"
 
 
 # -- command line --------------------------------------------------------------------
@@ -215,25 +217,18 @@ def test_cli_verify_selected(capsys, tmp_path):
     assert all(r["status"] == "pass" for r in payload)
 
 
-def test_cli_verify_failure_exit_code(tmp_path):
+def test_cli_verify_failure_exit_code(monkeypatch, tmp_path):
+    # a planted fault fails cover-complete through the command line, and the
+    # failures come out under the n they were found at
+    cover_union_returning_its_first_argument(monkeypatch)
     out = tmp_path / "report.json"
-    code = main(
-        [
-            "verify",
-            "--suite",
-            "non-self-linked",
-            "--n-max",
-            "2",
-            "--target",
-            "final-truncated",
-            "--out",
-            str(out),
-        ]
-    )
+    code = main(["verify", "--suite", "cover-complete", "--n-max", "2", "--out", str(out)])
     assert code == 1
     payload = json.loads(out.read_text())
     assert payload[0]["status"] == "fail"
-    assert payload[0]["details"]["cell"] == "z1"
+    details = payload[0]["details"]
+    assert sorted(details) == ["failures", "n"] and details["n"] == 2
+    assert details["failures"][0]["check"] == "intersection-witness"
 
 
 def raising_check(exc):
@@ -264,15 +259,17 @@ def test_cli_verify_reports_check_exceptions_as_failures(exc, monkeypatch, tmp_p
 
 
 def test_cli_verify_unknown_target_is_usage_error(monkeypatch, capsys):
-    # the target is refused before any check runs, whichever checks are selected
+    # verify has no --target: the option is an unknown argument, refused
+    # before any check runs, whichever target and checks are named
     from dicube import suite
 
     ran = []
-    monkeypatch.setattr(suite, "_run_check", lambda spec, n, params: ran.append(spec))
+    monkeypatch.setattr(suite, "_run_check", lambda spec, n: ran.append(spec))
     for selection in ("non-self-linked", "face-swap", "all"):
-        assert main(["verify", "--suite", selection, "--n-max", "2", "--target", "bogus"]) == 2
-    with pytest.raises(UsageError, match="unknown non-self-linked target 5"):
-        run_suite(["face-swap"], params={"target": 5})
+        for target in ("bogus", "final-truncated", "ordered-cover"):
+            with pytest.raises(SystemExit) as err:
+                main(["verify", "--suite", selection, "--n-max", "2", "--target", target])
+            assert err.value.code == 2
     assert ran == [] and capsys.readouterr().out == ""
 
 
@@ -286,7 +283,7 @@ def test_cli_verify_empty_selection_is_usage_error(selection, monkeypatch, capsy
     from dicube import suite
 
     ran = []
-    monkeypatch.setattr(suite, "_run_check", lambda spec, n, params: ran.append(spec))
+    monkeypatch.setattr(suite, "_run_check", lambda spec, n: ran.append(spec))
     assert main(["verify", "--suite", selection, "--n-max", "2"]) == 2
     captured = capsys.readouterr()
     assert ran == [] and captured.out == "" and "names no check" in captured.err
@@ -381,11 +378,16 @@ def _on_the_cover(call):
         pytest.param(lambda: face_swap(2, 2, [[1]], set()), ContractError, id="face-swap-v-unhashable"),
         pytest.param(lambda: face_swap(2, 2, set(), 5), ContractError, id="face-swap-w-int"),
         pytest.param(
-            lambda: run_suite(["euler-zero"], 1, params=[1]), UsageError, id="params-list"
+            _on_the_cover(lambda cover: quotient_by_automorphisms(cover.complex, 5)),
+            ContractError,
+            id="quotient-generators-int",
         ),
         pytest.param(
-            lambda: run_suite(["euler-zero"], 1, params={"bogus": 1}), UsageError, id="params-key"
+            _on_the_cover(lambda cover: quotient_by_automorphisms(cover.complex, [5])),
+            ContractError,
+            id="quotient-generator-int",
         ),
+        pytest.param(lambda: regular_from_blocks(5, [["a"]]), ContractError, id="blocks-labels-int"),
         pytest.param(lambda: run_suite([["a"]], 1), UsageError, id="selection-unhashable"),
         pytest.param(lambda: run_suite([7], 1), UsageError, id="selection-int"),
     ],
@@ -858,29 +860,33 @@ def _semi_regular_by_text(n):
     return {o.text(): o for o in enumerate_orders(default_labels(n), "semi-regular")}
 
 
-def names_a_pair_whose_witness_misses_the_second(failures):
+def names_a_pair_whose_witness_misses_the_second(details):
     from dicube.cover import u_contains, witness_point
 
+    assert sorted(details) == ["failures", "n"]
+    failures = details["failures"]
     assert sorted(failures[0]) == ["check", "pair"]
     assert failures[0]["check"] == "intersection-witness"
-    by_text = _semi_regular_by_text(2)
+    by_text = _semi_regular_by_text(details["n"])
     a, b = (by_text[text] for text in failures[0]["pair"])
     # the planted union of the pair is a, whose witness point is outside b's set
     assert not u_contains(b, witness_point(a))
 
 
-def names_a_configuration_outside_the_planted_order(failures):
+def names_a_configuration_outside_the_planted_order(details):
     from fractions import Fraction
 
     from dicube.complexes import default_labels
     from dicube.cover import is_injective_configuration, u_contains
     from dicube.orders import enumerate_orders
 
+    assert sorted(details) == ["failures", "n"]
+    failures, labels = details["failures"], default_labels(details["n"])
     assert sorted(failures[0]) == ["check", "config"] and failures[0]["check"] == "covering"
     f = {a: tuple(map(Fraction, xy)) for a, xy in failures[0]["config"]["points"].items()}
-    assert sorted(f) == list(default_labels(2)) and is_injective_configuration(f)
+    assert sorted(f) == list(labels) and is_injective_configuration(f)
     # the order the planted read-off gives every configuration misses this one
-    assert not u_contains(enumerate_orders(default_labels(2), "regular")[0], f)
+    assert not u_contains(enumerate_orders(labels, "regular")[0], f)
 
 
 def _regular_by_text(n):
@@ -929,14 +935,16 @@ def swapped_rows(rel):
     return (rel[1] >> 1 | (rel[1] & 1) << 1, rel[0] >> 1 | (rel[0] & 1) << 1)
 
 
-def names_an_order_that_never_meets_its_relabelling(failures):
+def names_an_order_that_never_meets_its_relabelling(details):
     import ast
 
     from dicube.orders import DoubleOrder, union_bar
 
+    assert sorted(details) == ["failures", "n"]
+    failures = details["failures"]
     assert sorted(failures[0]) == ["check", "order", "sigma"]
     assert failures[0]["check"] == "properness-union"
-    order = _semi_regular_by_text(2)[failures[0]["order"]]
+    order = _semi_regular_by_text(details["n"])[failures[0]["order"]]
     sigma = ast.literal_eval(failures[0]["sigma"])
     assert sigma == {"a": "b", "b": "a"}
     # the order relabelled by hand, not by the planted kernel, never meets
