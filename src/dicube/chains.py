@@ -35,9 +35,9 @@ def enumerate_chains(K: PrecubicalComplex) -> list[CubeChain]:
     rise strictly along a chain, so a state stops at the final vertex's
     altitude, and a complex without one (a loop, say) raises ContractError.
     """
+    alt = compute_altitude(K)
     if K.base is None:
         raise ContractError("cube chains need a bipointed complex")
-    alt = compute_altitude(K)
     if alt is None:
         raise ContractError("cube chains need an altitude labeling")
     start, stop = K.base
@@ -75,7 +75,8 @@ class ChainOrder:
                 f"chain order needs a non-self-linked complex; canonical map of "
                 f"{K.label(report.cell)!r} is not injective"
             )
-        self._faces = {cell: K.all_faces(cell) for cell in K.cells()}
+        maps = K.canonical_maps()  # a cube's iterated faces are its row
+        self._faces = {(d, k): frozenset(row) for d, rows in enumerate(maps) for k, row in enumerate(rows)}
 
     def leq(self, a: CubeChain, b: CubeChain) -> bool:
         return all(any(cube in self._faces[big] for big in b.cells) for cube in a.cells)

@@ -6,9 +6,10 @@ coverings, and the ordered cover with its symmetric-group action.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import NamedTuple
 
-from .errors import ContractError, require_size, shared_in_run
+from .errors import ContractError, StructuralError, require_size, shared_in_run
 from .precubical import Cell, PrecubicalComplex, PrecubicalMap, complex_from_cells, length_covering
 
 STAR = "*"
@@ -43,7 +44,7 @@ def build_standard_cube(n: int) -> PrecubicalComplex:
 
     Cells are functions from 1..n to {0, 1, *} written positionally, e.g.
     "01*"; the i-th face direction of a cell is its i-th star in position order.
-    Capped at arity 12, the bound of the 3^n scan of ``is_non_self_linked``.
+    Capped at arity 12, the dimension cap of ``is_non_self_linked``.
     """
     require_size(n, "arity", cap=12)
     by_dim: list[list[tuple[str, ...]]] = [[] for _ in range(n + 1)]
@@ -121,11 +122,9 @@ class CoverCell(NamedTuple):
             try:
                 inv = {v: k for k, v in sigma.items()}
                 if len(inv) == len(sigma):
-                    return CoverCell(
-                        frozenset(inv[x] for x in self.ones),
-                        tuple(inv[x] for x in self.mid),
-                        frozenset(inv[x] for x in self.zeros),
-                    )
+                    pre = inv.__getitem__
+                    ones, mid, zeros = map(pre, self.ones), map(pre, self.mid), map(pre, self.zeros)
+                    return CoverCell(frozenset(ones), tuple(mid), frozenset(zeros))
             except (KeyError, TypeError):  # a label without preimage, or an unhashable image
                 pass
         raise ContractError(f"relabelling {sigma!r} does not permute the labels of {self.text()}")
@@ -145,9 +144,13 @@ class OrderedCover(NamedTuple):
     ground: tuple
     complex: PrecubicalComplex
     cells: list  # per dimension: list[CoverCell] aligned with complex indices
+    index: dict  # CoverCell -> its cell (d, k) of the complex
 
     def cell_of(self, cover_cell: CoverCell) -> Cell:
-        return self.complex.cell_of_label(cover_cell.text())
+        try:
+            return self.index[cover_cell]
+        except (KeyError, TypeError):  # not a cell of the cover, or unhashable
+            raise StructuralError(f"{cover_cell!r} is not a cell of the ordered cover") from None
 
     def cover_cell(self, cell: Cell) -> CoverCell:
         return self.cells[cell[0]][cell[1]]
@@ -208,4 +211,5 @@ def _ordered_cover(ground: tuple) -> OrderedCover:
     init = CoverCell(frozenset(), (), frozenset(ground))
     final = CoverCell(frozenset(ground), (), frozenset())
     K = complex_from_cells(cells, CoverCell.face, CoverCell.text, (init, final))
-    return OrderedCover(ground, K, cells)
+    index = {c: (d, k) for d, layer in enumerate(cells) for k, c in enumerate(layer)}
+    return OrderedCover(ground, K, cells, index)

@@ -19,9 +19,9 @@ row through ``_bit_permutation(s)``, a 2**n-entry table built once per
 position tuple ``s`` that moves bit ``s[j]`` of a row to bit ``j``; ``act``
 wraps it.  One closed-union kernel, ``component_union``, closes the union
 of two components, or gives None when it cycles; it holds the one memo of
-closed unions, keyed by its two rows.  ``union_keys`` applies it to x and to
-y, ``union_bar`` wraps that, and the cover's completeness pass calls it on
-the rows of each key pair.
+closed unions, keyed by the unordered pair of its two rows.  ``union_keys``
+applies it to x and to y, ``union_bar`` wraps that, and the cover's
+completeness pass calls it on the rows of each key pair.
 
 The x and y parts of a key table take few distinct values, its
 *components* (``component_table``): 219 for the 19,440 double keys at 4
@@ -200,14 +200,20 @@ def union_keys(k1: Key, k2: Key) -> Optional[Key]:
     return None if y is None else (x, y)
 
 
-@lru_cache(maxsize=None)
+_closed_unions: dict = {}  # the memo of component_union, by unordered pair of rows
+
+
 def component_union(r1: Rel, r2: Rel) -> Optional[Rel]:
     """The closure of the union of two strict orders on one set of positions,
     one component of a closed union, or None when it holds a cycle: its
-    closure is reflexive.  Memoized by the two rows, for the life of the
-    process: the one memo of closed unions that the order checks share."""
-    closure = rel_closure(tuple(map(or_, r1, r2)))
-    return closure if rel_is_irreflexive(closure) else None
+    closure is reflexive.  Memoized for the life of the process by the
+    unordered pair of rows, as the union is symmetric: the one memo of
+    closed unions that the order checks share."""
+    pair = (r1, r2) if r1 <= r2 else (r2, r1)
+    if pair not in _closed_unions:
+        closure = rel_closure(tuple(map(or_, r1, r2)))
+        _closed_unions[pair] = closure if rel_is_irreflexive(closure) else None
+    return _closed_unions[pair]
 
 
 # -- key tables by component ------------------------------------------------------
@@ -267,15 +273,20 @@ def regular_from_blocks(labels: Sequence, blocks: Iterable[Sequence]) -> DoubleO
     unless ``labels`` are distinct hashable labels and the blocks are
     nonempty and partition them."""
     labels = label_tuple(labels)
+    return DoubleOrder(labels, *regular_key(labels, blocks))
+
+
+def regular_key(labels: tuple, blocks: Iterable[Sequence]) -> Key:
+    """The key of ``regular_from_blocks`` on distinct labels, with its errors."""
     try:
-        pos = {lab: k for k, lab in enumerate(labels)}
+        pos = _positions(labels)
         index_blocks = [[pos[lab] for lab in block] for block in blocks]
     except (KeyError, TypeError):
         raise ContractError("blocks must hold labels of the ground set") from None
     listed = sorted(i for block in index_blocks for i in block)
     if not all(index_blocks) or listed != list(range(len(labels))):
         raise ContractError("blocks must be nonempty and partition the labels")
-    return DoubleOrder(labels, *_block_rows(len(labels), index_blocks))
+    return _block_rows(len(labels), index_blocks)
 
 
 def _block_rows(n: int, index_blocks: Sequence[Sequence[int]]) -> tuple[Rel, Rel]:

@@ -1,8 +1,8 @@
-"""Finite relations as row bitmasks, the one format of double orders and
-posets; families of relations read by bit; breadth-first reachability, the
-one graph search of the package (faces, accessible parts, orbits,
-relabelling groups, altitude labelings, loop-freeness, poset chains and cube
-chains all go through ``reachable``); and finite posets: validation, strict
+"""Finite relations as row bitmasks, the one format of double orders and posets;
+families of relations read by bit; breadth-first reachability, the one graph
+search of the package (accessible parts, orbits, relabelling groups, altitude
+labelings, loop-freeness, poset chains and cube chains go through ``reachable``;
+iterated faces are canonical-map rows); and finite posets: validation, strict
 chains, covering pairs, JSON export, and ``dot_digraph``, the one DOT writer.
 The order complex of P is ``nerve_complex(poset_category(P))`` in
 ``dicube.categories``."""

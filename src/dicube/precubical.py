@@ -2,26 +2,26 @@
 structural operations on them (validation, altitude, accessibility,
 non-self-linkedness, pullbacks, quotients, length coverings).
 
-Cells are identified by (dimension, index) pairs; face data is stored as
-dense per-dimension tables so lookups are O(1) and iteration order is
-canonical.  All values are immutable after construction.
+Cells are identified by (dimension, index) pairs; face data is stored as dense
+per-dimension tables so lookups are O(1) and iteration order is canonical.
+A complex never changes; it keeps its canonical maps and altitude once found.
 
-Face tables are walked in one way only: ``face_slots(dims)`` yields every
-slot (d, k, i, eps) of a complex with those cell counts, and
-``PrecubicalComplex.face_entries()`` adds the target index of each slot.
+Face slots have one order: ``face_slots(dims)`` yields every slot (d, k, i,
+eps) of a complex with those cell counts, ``face_entries()`` adds the target
+of each, and the row of face targets of each cell follows it.
 Every construction (cubes, final complexes, the ordered cover, restrictions,
 pullbacks, quotients, coverings, wedges) lists its cells per dimension
 as hashable items with a face rule, and ``complex_from_cells`` fills the table.
 
-Every search over cells (faces, altitude labelings, accessibility, orbits) is
-a call to ``dicube.posets.reachable``.
+A cell's iterated faces are its row of ``canonical_maps()``; every other search
+over cells (altitude labelings, accessibility, orbits) is a ``posets.reachable``.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import ContractError, StructuralError, require_size
 from .posets import dot_digraph, reachable
@@ -48,7 +48,7 @@ class PrecubicalComplex:
     entry must be present.
     """
 
-    __slots__ = ("_labels", "_faces", "_base", "_by_label", "_dims")
+    __slots__ = ("_labels", "_faces", "_base", "_by_label", "_dims", "_maps", "_altitude")
 
     def __init__(
         self,
@@ -109,6 +109,7 @@ class PrecubicalComplex:
             self._base = (init, final)
         else:
             self._base = None
+        self._maps = self._altitude = None  # built on first use and kept
 
     # -- shape ----------------------------------------------------------
 
@@ -153,10 +154,8 @@ class PrecubicalComplex:
 
     def face(self, cell: Cell, i: int, eps: int) -> Cell:
         d, k = cell
-        if not (1 <= i <= d):
-            raise ContractError(f"face index {i} out of range 1..{d} for {self.label(cell)!r}")
-        if eps not in (0, 1):
-            raise ContractError("eps must be 0 or 1")
+        if not (type(i) is int and 1 <= i <= d < len(self._dims) and eps in (0, 1) and 0 <= k < self._dims[d]):
+            raise ContractError(f"no face d^{eps!r}_{i!r} of cell {cell!r} in {self!r}")
         return (d - 1, self._faces[d][k][i - 1][eps])
 
     def mixed_face(self, cell: Cell, assignments: Iterable[tuple[int, int]]) -> Cell:
@@ -178,12 +177,26 @@ class PrecubicalComplex:
         for d, k, i, eps in face_slots(self._dims):
             yield d, k, i, eps, faces[d][k][i - 1][eps]
 
-    def all_faces(self, cell: Cell) -> frozenset[Cell]:
-        """Every iterated face of the cell, including the cell itself."""
-        faces = self._faces
-        return frozenset(
-            reachable([cell], lambda c: [(c[0] - 1, t) for pair in faces[c[0]][c[1]] for t in pair])
-        )
+    def canonical_maps(self) -> tuple[tuple[tuple[Cell, ...], ...], ...]:
+        """Row k of dimension d: the images under the canonical map of (d, k)
+        of the 3^d cells v of the standard d-cube, in ``product((0, 1, *))``
+        order.  The free v goes to (d, k); any other, with highest fixed
+        coordinate i, to the image of v without i under the map of d^{v_i}_i
+        (d, k), as in ``mixed_face``: one slice of the face's row each."""
+        if self._maps is None:
+            maps: list = []
+            for d, layer in enumerate(self._faces):
+                rows = []
+                for k, pairs in enumerate(layer):
+                    row = [(d, k)] * 3**d
+                    for i, pair in enumerate(pairs, start=1):
+                        step = 3 ** (d - i)  # the 3-adic place of coordinate i
+                        for eps, target in enumerate(pair):
+                            row[(eps + 1) * step - 1 :: 3 * step] = maps[d - 1][target][step - 1 :: step]
+                    rows.append(tuple(row))
+                maps.append(tuple(rows))
+            self._maps = tuple(maps)
+        return self._maps
 
     # -- serialization ---------------------------------------------------
 
@@ -269,6 +282,11 @@ def _json_int_field(obj: Mapping, name: str) -> int:
     return obj[name]
 
 
+def require_complex(*complexes, what: str) -> None:
+    if not all(isinstance(K, PrecubicalComplex) for K in complexes):
+        raise ContractError(f"{what} needs a PrecubicalComplex")
+
+
 def complex_from_cells(
     layers: Sequence[Sequence[Hashable]],
     face: Callable[[Hashable, int, int], Hashable],
@@ -351,6 +369,7 @@ class PrecubicalMap:
         target: PrecubicalComplex,
         assignment: Sequence[Sequence[int]],
     ):
+        require_complex(source, target, what="a map")
         self.source = source
         self.target = target
         assign = []
@@ -371,15 +390,17 @@ class PrecubicalMap:
                     raise StructuralError(f"assignment out of range in dimension {d}")
             assign.append(tuple(layer))
         self._assign = tuple(assign)
-        for d, k, i, eps, face in source.face_entries():
-            expected = self((d - 1, face))
-            got = target.face(self((d, k)), i, eps)
-            if expected != got:
-                raise ContractError(
-                    "map does not commute with faces: "
-                    f"f(d^{eps}_{i} {source.label((d, k))!r}) = "
-                    f"{target.label(expected)!r} but d^{eps}_{i} f = {target.label(got)!r}"
-                )
+        for d in range(1, source.max_dim + 1):  # row by row: d^eps_i f(c) against f(d^eps_i c)
+            below, faces = self._assign[d - 1], target._faces[d]
+            for k, (image, row) in enumerate(zip(self._assign[d], source._faces[d])):
+                want, got = tuple((below[a], below[b]) for a, b in row), faces[image]
+                if got != want:  # name the first slot, in face_slots order, that differs
+                    i, eps = next((i, e) for i, (g, w) in enumerate(zip(got, want), 1) for e in (0, 1) if g[e] != w[e])
+                    raise ContractError(
+                        f"map does not commute with faces: f(d^{eps}_{i} {source.label((d, k))!r}) = "
+                        f"{target.label((d - 1, want[i - 1][eps]))!r} but d^{eps}_{i} f = "
+                        f"{target.label((d - 1, got[i - 1][eps]))!r}"
+                    )
 
     def __call__(self, cell: Cell) -> Cell:
         return (cell[0], self._assign[cell[0]][cell[1]])
@@ -413,8 +434,16 @@ def compute_altitude(K: PrecubicalComplex) -> Optional[dict[Cell, int]]:
     first, then the least unlabelled cell), and a cell takes the value its
     first neighbour gives it.  The result stands only if it is an altitude
     labeling; otherwise some constraint closes inconsistently and the answer
-    is None.
+    is None.  The search runs once per complex; each call gets its own copy.
     """
+    require_complex(K, what="an altitude labeling")
+    if K._altitude is None:
+        K._altitude = (_search_altitude(K),)  # a 1-tuple: None is an answer too
+    alt = K._altitude[0]
+    return None if alt is None else dict(alt)
+
+
+def _search_altitude(K: PrecubicalComplex) -> Optional[dict[Cell, int]]:
     neighbors: dict[Cell, list[tuple[Cell, int]]] = {c: [] for c in K.cells()}
     for d, k, _i, eps, face in K.face_entries():
         neighbors[(d, k)].append(((d - 1, face), eps))
@@ -482,32 +511,22 @@ def accessible_part(K: PrecubicalComplex) -> PrecubicalComplex:
 class NonSelfLinkedReport(NamedTuple):
     ok: bool
     cell: Optional[Cell] = None
-    collision: Optional[tuple[tuple, tuple]] = None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 def is_non_self_linked(K: PrecubicalComplex) -> NonSelfLinkedReport:
-    """Checks injectivity of the canonical map of every cell.
-
-    The canonical map of an n-cell is evaluated on all 3^n cells of the
-    standard n-cube, so dimensions above 12 raise ResourceCapError.
+    """Checks injectivity of the canonical map of every cell: its row of
+    ``canonical_maps`` repeats no image.  The report names the first cell,
+    in (dimension, index) order, whose row does.  The map of an n-cell has
+    3^n images, so dimensions above 12 raise ResourceCapError.
     """
+    require_complex(K, what="non-self-linkedness")
     require_size(K.max_dim, "dimension", low=-1, cap=12)  # -1: the empty complex
-    for d in range(0, K.max_dim + 1):
-        for cell in K.cells_of_dim(d):
-            images: dict[Cell, tuple] = {}
-            for values in itertools.product((0, 1, STAR), repeat=d):
-                fixed = [(i + 1, v) for i, v in enumerate(values) if v != STAR]
-                image = K.mixed_face(cell, fixed)
-                if image in images:
-                    return NonSelfLinkedReport(False, cell, (images[image], values))
-                images[image] = values
-    return NonSelfLinkedReport(True)
-
-
-STAR = 2  # internal marker for a free coordinate of a standard-cube cell
+    rows = ((d, k, row) for d, layer in enumerate(K.canonical_maps()) for k, row in enumerate(layer))
+    cell = next(((d, k) for d, k, row in rows if len(set(row)) < len(row)), None)
+    return NonSelfLinkedReport(cell is None, cell)
 
 
 # -- pullback ---------------------------------------------------------------
@@ -603,6 +622,7 @@ def length_covering(K: PrecubicalComplex, n: int) -> LengthCovering:
     monotone along accessibility witness chains), so nothing is lost and the
     face table stays total.
     """
+    require_complex(K, what="a length covering")
     if K.base is None:
         raise ContractError("length covering needs a bipointed complex")
     require_size(n, "length", cap=26)

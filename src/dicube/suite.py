@@ -36,7 +36,7 @@ from .categories import (
     semi_regular_orders_poset,
     symmetric_order_quotient,
 )
-from .chains import CubeChain, chain_poset, face_swap
+from .chains import ChainOrder, CubeChain, enumerate_chains, face_swap
 from .complexes import (
     adjacent_transpositions,
     build_final_complex,
@@ -50,13 +50,13 @@ from .errors import ContractError, ResourceCapError, UsageError, models_shared, 
 from .homology import euler_characteristic, homology, homology_signature, homology_to_json
 from .orders import (
     DoubleOrder,
-    chain_to_double_order,
     chain_union,
     component_moves,
     component_table,
     double_order_to_chain,
     order_keys,
     poset_leq,
+    regular_key,
     self_meetings,
     to_regular,
 )
@@ -88,40 +88,44 @@ class Fail(NamedTuple):
 def check_chain_order_iso(n: int, top: int) -> object:
     """Chains of the ordered cover against (regular orders, reverse mixed
     order): mutually inverse, order tables equal, relabeling-equivariant.
-    The tables are the rows of the two posets, each chain row relabelled
-    through the chain-to-order map."""
+    Each chain's key is read once; listed as their orders are, the chains'
+    rows must equal the rows of the order poset."""
     labels = default_labels(n)
     cover = build_ordered_cover(labels)
-    chain_order, chains = chain_poset(cover.complex)
+    chains = enumerate_chains(cover.complex)
     reg_order, regs = regular_orders_poset(labels, "sqsupseteq")
     if len(chains) != len(regs):
         return Fail({"chains": len(chains), "regular_orders": len(regs)})
-    images = [chain_to_double_order(cover, c) for c in chains]
-    if len({o.key() for o in images}) != len(images):
+
+    def key_of(chain: CubeChain, mids: list) -> tuple:  # as chain_to_double_order reads it
+        return regular_key(labels, [mids[d][k] for d, k in chain.cells])
+
+    mids = [[cell.mid for cell in layer] for layer in cover.cells]
+    keys = [key_of(c, mids) for c in chains]
+    if len(set(keys)) != len(keys):
         return Fail({"reason": "chain-to-order map is not injective"})
-    if {o.key() for o in images} != {o.key() for o in regs}:
-        return Fail({"reason": "chain-to-order map is not onto"})
-    for c, o in zip(chains, images):
-        if double_order_to_chain(cover, o) != c:
-            return Fail({"chain": c.text(cover.complex), "reason": "round trip"})
     key_index = {o.key(): k for k, o in enumerate(regs)}
-    at = [key_index[o.key()] for o in images]  # chain i maps to order at[i]
-    for i, row in enumerate(chain_order.leq):
-        order_row = reg_order.leq[at[i]]
-        if sum(1 << at[j] for j in bit_positions(row)) == order_row:
-            continue
-        j = next(j for j in range(len(chains)) if row >> j & 1 != order_row >> at[j] & 1)
-        pair = [chains[i].text(cover.complex), chains[j].text(cover.complex)]
-        le, ge = bool(row >> j & 1), bool(order_row >> at[j] & 1)
+    if set(keys) != set(key_index):
+        return Fail({"reason": "chain-to-order map is not onto"})
+    at = [key_index[key] for key in keys]  # chain i maps to order at[i]
+    for c, k in zip(chains, at):
+        if double_order_to_chain(cover, regs[k]) != c:
+            return Fail({"chain": c.text(cover.complex), "reason": "round trip"})
+    # equal to the rows of a Poset, the chain rows need no Poset check
+    by_order = [c for _, c in sorted(zip(at, chains))]
+    rows, order_rows = tuple(ChainOrder(cover.complex).rows(by_order)), reg_order.leq
+    if rows != order_rows:  # the first pair in chain order that differs
+        i, j = next((i, j) for i in at for j in at if (rows[i] ^ order_rows[i]) >> j & 1)
+        pair = [by_order[i].text(cover.complex), by_order[j].text(cover.complex)]
+        le, ge = bool(rows[i] >> j & 1), bool(order_rows[i] >> j & 1)
         return Fail({"pair": pair, "chain_leq": le, "order_geq": ge})
     # both actions are right actions with the same product, (x.s).t = x.(s o t),
     # so equivariance under the adjacent transpositions gives it under
     # every product of them, which is every relabelling
     for sigma in adjacent_transpositions(labels):
-        aut = cover.automorphism(sigma)
-        for c, o in zip(chains, images):
-            moved = CubeChain(tuple(aut(cell) for cell in c.cells))
-            if chain_to_double_order(cover, moved).key() != o.act(sigma).key():
+        moved = [[cell.act(sigma).mid for cell in layer] for layer in cover.cells]
+        for c, k in zip(chains, at):
+            if key_of(c, moved) != regs[k].act(sigma).key():
                 return Fail({"sigma": str(sigma), "chain": c.text(cover.complex)})
     return len(chains)
 

@@ -386,6 +386,7 @@ PACKAGE = Path(dicube.__file__).parent
 # only from the tests, and belongs in them
 UNNAMED_DEFINITIONS = {
     "accessible_part": "the paper's accessible part, three lines over the two helpers of length_covering",
+    "chain_to_double_order": "the paper's bijection from cube chains to regular orders; chain-order-iso reads the same key with regular_key and builds no order",
     "nerve_retraction_check": "a lemma of the paper; as a suite check it would add a report to the n=4 reference",
     "pullback": "the paper's pullback of precubical maps, golden-pinned at yA3, yA4 and over the final complex",
     "serial_wedge": "the paper's serial wedge of bipointed complexes, whose cube chains multiply",

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -27,7 +28,7 @@ from dicube.precubical import (
     validate_complex,
 )
 
-from test_complexes import build_wedge_cube
+from test_complexes import all_faces, build_wedge_cube
 
 
 def disjoint_union(K: PrecubicalComplex, L: PrecubicalComplex) -> PrecubicalComplex:
@@ -99,6 +100,16 @@ def test_altitude_of_square_counts_ones():
     for cell in sq.cells():
         assert alt[cell] == sq.label(cell).count("1")
     assert is_altitude_labeling(sq, alt)
+
+
+def test_altitude_is_searched_once_and_each_caller_gets_a_copy():
+    sq = build_standard_cube(2)
+    first = compute_altitude(sq)
+    first[(0, 0)] = 7
+    second = compute_altitude(sq)
+    assert second[(0, 0)] == 0 and second is not first
+    z = build_final_complex(2)
+    assert compute_altitude(z) is None and compute_altitude(z) is None
 
 
 def test_altitude_absent_on_final_complex():
@@ -216,8 +227,60 @@ def test_ordered_cover_non_self_linked():
 
 def test_non_self_linked_dimension_cap():
     # one cube per dimension up to 13: the 3^13 canonical-map images are not built
+    z = build_final_complex(13)
     with pytest.raises(ResourceCapError):
-        is_non_self_linked(build_final_complex(13))
+        is_non_self_linked(z)
+    assert z._maps is None
+
+
+STAR = "*"  # a free coordinate of a standard-cube cell
+
+
+def canonical_map_by_faces(K: PrecubicalComplex, cell) -> tuple:
+    """The canonical map of a cell by its definition, the 3^d scan: each
+    standard-cube cell, in ``itertools.product((0, 1, STAR))`` order, goes to
+    the mixed face of its fixed coordinates.  The oracle of ``canonical_maps``."""
+    return tuple(
+        K.mixed_face(cell, [(i, v) for i, v in enumerate(values, start=1) if v != STAR])
+        for values in itertools.product((0, 1, STAR), repeat=cell[0])
+    )
+
+
+def first_self_linked_by_scan(K: PrecubicalComplex):
+    """The first cell in (dimension, index) order whose map by the scan
+    repeats an image, or None: the oracle of ``is_non_self_linked``."""
+    for cell in K.cells():
+        images = canonical_map_by_faces(K, cell)
+        if len(set(images)) < len(images):
+            return cell
+    return None
+
+
+def test_canonical_maps_and_non_self_linkedness_equal_the_scan():
+    rng = random.Random(29)
+    named = (
+        [build_standard_cube(n) for n in range(5)]
+        + [build_ordered_cover(n).complex for n in range(5)]
+        + [build_final_complex(n) for n in range(4)]
+        + [build_final_covering(n)[0] for n in range(5)]
+    )
+    linked = []
+    for K in named + [random_bipointed(rng) for _ in range(60)]:
+        maps = K.canonical_maps()
+        assert maps is K.canonical_maps()  # built once and kept
+        assert [len(rows) for rows in maps] == list(K.dims)
+        for d, k in K.cells():
+            assert maps[d][k] == canonical_map_by_faces(K, (d, k))
+            assert set(maps[d][k]) == all_faces(K, (d, k))
+        report = is_non_self_linked(K)
+        assert report.cell == first_self_linked_by_scan(K)
+        assert report.ok == (report.cell is None)
+        if not report.ok:
+            linked.append(K.label(report.cell))
+    # the final complexes and the coverings from length 2 on are self-linked,
+    # at their first edge and their first square; the seed adds more of both
+    assert linked[:6] == ["z1"] * 3 + ["z2_0"] * 3
+    assert 6 < len(linked) < 6 + 60
 
 
 # -- iterated faces ------------------------------------------------------------------
@@ -504,14 +567,67 @@ def test_malformed_containers_are_structural_errors(case):
         build()
 
 
+def refusal_by_slots(source, target, assign):
+    """The message of the first face slot, in ``face_slots`` order, where the
+    assignment does not commute with faces, or None: the oracle of the row
+    check of ``PrecubicalMap``."""
+    for d, k, i, eps, face in source.face_entries():
+        expected = (d - 1, assign[d - 1][face])
+        got = target.face((d, assign[d][k]), i, eps)
+        if expected != got:
+            return (
+                "map does not commute with faces: "
+                f"f(d^{eps}_{i} {source.label((d, k))!r}) = "
+                f"{target.label(expected)!r} but d^{eps}_{i} f = {target.label(got)!r}"
+            )
+    return None
+
+
+def test_map_refusal_names_the_first_slot_that_fails():
+    # every single-entry change of an automorphism of the cover is refused
+    # as the slot-by-slot scan refuses it
+    cover = build_ordered_cover(3)
+    K = cover.complex
+    moved = [[cover.cell_of(c.act({"a": "b", "b": "c", "c": "a"}))[1] for c in layer] for layer in cover.cells]
+    for d, k in K.cells():
+        for other in range(K.dims[d]):
+            assign = [list(layer) for layer in moved]
+            assign[d][k] = other
+            want = refusal_by_slots(K, K, assign)
+            if want is None:
+                assert other == moved[d][k]
+                continue
+            with pytest.raises(ContractError) as refusal:
+                PrecubicalMap(K, K, assign)
+            assert str(refusal.value) == want
+    # those all fail at a slot d^eps_1; a copy of the top cell of the 3-cube
+    # whose faces differ from the top's at some slots fails at the first
+    cube = build_standard_cube(3)
+    labels = [[cube.label(c) for c in cube.cells_of_dim(d)] for d in range(4)]
+    faces = {(d, k, i, eps): face for d, k, i, eps, face in cube.face_entries()}
+    slots = [(i, eps) for i in (1, 2, 3) for eps in (0, 1)]
+    for size in range(1, len(slots) + 1):
+        for wrong in itertools.combinations(slots, size):
+            copy = {(3, 1, i, eps): faces[(3, 0, i, eps)] for i, eps in slots}
+            copy.update({(3, 1, i, eps): (faces[(3, 0, i, eps)] + 1) % 6 for i, eps in wrong})
+            T = PrecubicalComplex(labels[:3] + [["***", "copy"]], {**faces, **copy})
+            assign = [list(range(count)) for count in cube.dims[:3]] + [[1]]
+            want = refusal_by_slots(cube, T, assign)
+            assert want.startswith("map does not commute with faces: f(d^{1}_{0} ".format(*wrong[0]))
+            with pytest.raises(ContractError) as refusal:
+                PrecubicalMap(cube, T, assign)
+            assert str(refusal.value) == want
+
+
 def test_map_violations_detected():
     edge = build_standard_cube(1)
     z = build_final_complex(1)
     fine = PrecubicalMap(edge, z, [[0, 0], [0]])  # both vertices hit z0
     assert fine((0, 1)) == fine((0, 0)) == (0, 0)
     # swapping the ends of the edge and keeping the edge breaks d^0 and d^1
-    with pytest.raises(ContractError, match="does not commute with faces"):
+    with pytest.raises(ContractError) as refusal:
         PrecubicalMap(edge, edge, [[1, 0], [0]])
+    assert str(refusal.value) == "map does not commute with faces: f(d^0_1 '*') = '1' but d^0_1 f = '0'"
     z2 = build_final_complex(2)
     with pytest.raises(ContractError):
         unique_map_to_final(z2, build_final_complex(1))

@@ -17,13 +17,13 @@ RECORDS = [
         RelationViolation((2, 0), "c", 1, 2, 0, 1, (0, 0), (0, 1)),
         "RelationViolation(cell=(2, 0), label='c', i=1, j=2, eps=0, eta=1, left=(0, 0), right=(0, 1))",
     ),
-    (NonSelfLinkedReport(True), "NonSelfLinkedReport(ok=True, cell=None, collision=None)"),
+    (NonSelfLinkedReport(True), "NonSelfLinkedReport(ok=True, cell=None)"),
     (LengthCovering(None, None, {}), "LengthCovering(complex=None, projection=None, altitude={})"),
     (
         CoverCell(frozenset(), ("a",), frozenset()),
         "CoverCell(ones=frozenset(), mid=('a',), zeros=frozenset())",
     ),
-    (OrderedCover(("a",), None, []), "OrderedCover(ground=('a',), complex=None, cells=[])"),
+    (OrderedCover(("a",), None, [], {}), "OrderedCover(ground=('a',), complex=None, cells=[], index={})"),
     (CubeChain(((1, 0),)), "CubeChain(cells=((1, 0),))"),
     (Morphism(0, 1), "Morphism(src=0, tgt=1, payload=None)"),
     (
@@ -74,7 +74,7 @@ def test_record_hashes_and_compares_by_its_fields(make, fields, other):
 def test_non_self_linked_report_is_true_exactly_when_ok():
     assert NonSelfLinkedReport(True)
     assert not NonSelfLinkedReport(False)
-    assert not NonSelfLinkedReport(False, (1, 0), ((0,), (1,)))
+    assert not NonSelfLinkedReport(False, (1, 0))
 
 
 def test_cover_report_starts_empty_and_fails_once_a_failure_is_added():

@@ -7,11 +7,11 @@ import pytest
 
 from dicube import cli
 from dicube.categories import regular_orders_poset
-from dicube.chains import face_swap
+from dicube.chains import chain_poset, enumerate_chains, face_swap
 from dicube.cli import main
-from dicube.complexes import build_final_complex, build_ordered_cover, default_labels
+from dicube.complexes import build_final_complex, build_ordered_cover, build_standard_cube, default_labels
 from dicube.cover import point_to_order, u_contains, verify_cover, witness_point
-from dicube.errors import ContractError, UsageError
+from dicube.errors import ContractError, StructuralError, UsageError
 from dicube.orders import (
     chain_to_double_order,
     chain_union,
@@ -24,7 +24,13 @@ from dicube.orders import (
     union_bar,
 )
 from dicube.posets import Poset
-from dicube.precubical import is_non_self_linked, quotient_by_automorphisms
+from dicube.precubical import (
+    PrecubicalMap,
+    compute_altitude,
+    is_non_self_linked,
+    length_covering,
+    quotient_by_automorphisms,
+)
 from dicube.suite import REGISTRY, CheckSpec, exit_code, run_suite
 
 
@@ -388,6 +394,26 @@ def _on_the_cover(call):
             id="quotient-generator-int",
         ),
         pytest.param(lambda: regular_from_blocks(5, [["a"]]), ContractError, id="blocks-labels-int"),
+        pytest.param(lambda: is_non_self_linked(5), ContractError, id="non-self-linked-int"),
+        pytest.param(lambda: compute_altitude(5), ContractError, id="altitude-int"),
+        pytest.param(lambda: enumerate_chains(5), ContractError, id="chains-int"),
+        pytest.param(lambda: chain_poset(5), ContractError, id="chain-poset-int"),
+        pytest.param(
+            lambda: PrecubicalMap(5, build_standard_cube(0), [[0]]), ContractError, id="map-source-int"
+        ),
+        pytest.param(
+            lambda: PrecubicalMap(build_standard_cube(0), 5, [[0]]), ContractError, id="map-target-int"
+        ),
+        pytest.param(lambda: length_covering(5, 2), ContractError, id="length-covering-int"),
+        pytest.param(
+            lambda: build_standard_cube(1).face((1, 0), "x", 0), ContractError, id="face-direction-str"
+        ),
+        pytest.param(
+            lambda: build_standard_cube(1).face((1, 99), 1, 0), ContractError, id="face-of-a-missing-cell"
+        ),
+        pytest.param(
+            _on_the_cover(lambda cover: cover.cell_of("abc")), StructuralError, id="cover-cell-of-str"
+        ),
         pytest.param(lambda: run_suite([["a"]], 1), UsageError, id="selection-unhashable"),
         pytest.param(lambda: run_suite([7], 1), UsageError, id="selection-int"),
     ],
@@ -739,6 +765,26 @@ def cover_action_ignoring_the_relabelling(monkeypatch):
     monkeypatch.setattr(CoverCell, "act", lambda self, sigma: self)
 
 
+def cover_face_ignoring_eps(monkeypatch):
+    from dicube.complexes import CoverCell
+
+    real = CoverCell.face
+    monkeypatch.setattr(CoverCell, "face", lambda self, i, eps: real(self, i, 0))
+
+
+def quotient_orbits_ignoring_the_action(monkeypatch):
+    from dicube import suite
+
+    real = suite.break_functor
+
+    def one_orbit_per_object(labels):
+        func = real(labels)
+        q = func.quotient
+        return func._replace(quotient=q._replace(object_map=list(range(len(q.object_map)))))
+
+    monkeypatch.setattr(suite, "break_functor", one_orbit_per_object)
+
+
 def cover_union_returning_its_first_argument(monkeypatch):
     from dicube import cover
 
@@ -1006,6 +1052,20 @@ PLANTED_FAULTS = [
         adjacent_transpositions_without_the_last,
         is_payload({"n": 2, "quotient_dims": [4, 4, 2], "expected": [3, 2, 1]}),
         id="last-adjacent-transposition-dropped",
+    ),
+    pytest.param(
+        "non-self-linked",
+        cover_face_ignoring_eps,
+        # both ends of the one edge of the cover on {a} are its lower end
+        is_payload({"n": 1, "cell": "(|a|)"}),
+        id="cover-face-ignores-eps",
+    ),
+    pytest.param(
+        "bar-F-iso",
+        quotient_orbits_ignoring_the_action,
+        # each regular order its own orbit: more orbits than break-category objects
+        is_payload({"n": 2, "reason": "induced object map not bijective"}),
+        id="quotient-orbits-ignore-the-action",
     ),
     pytest.param(
         "cover-complete",
